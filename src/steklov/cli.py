@@ -16,6 +16,7 @@ from . import __version__
 from .curvature import cd_check, curvature_profile
 from .errors import SteklovError
 from .graphs import (
+    GREEN_TOL,
     induced_interior_graph,
     is_infinite,
     make_example,
@@ -267,13 +268,12 @@ def _cmd_green_check(args):
         residual = check_green_identity(bg, u, v)
         scale = abs(inner_product_forms(g, differential(g, u), differential(g, v))) + 1.0
         worst = max(worst, residual / scale)
-    tolerance = 1e-10
-    ok = worst <= tolerance
+    ok = worst <= GREEN_TOL
     results = {
         "trials": args.trials,
         "seed": args.seed,
         "max_scaled_residual": worst,
-        "tolerance": tolerance,
+        "tolerance": GREEN_TOL,
         "holds": ok,
     }
     return (0 if ok else 1), results, [f"green identity max scaled residual {worst:.3e}"]

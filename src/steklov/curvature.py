@@ -27,18 +27,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, IsolatedVertex
-from .graphs import BoundaryGraph, WeightedGraph, is_infinite, validate_dimension
+from .graphs import (
+    EQUALITY_TOL,
+    PSD_TOL,
+    ZERO_TOL,
+    BoundaryGraph,
+    WeightedGraph,
+    is_infinite,
+    lichnerowicz_bound,
+    validate_dimension,
+)
 from .operators import VertexFunction, _gamma2_matrix
-
-PSD_TOL = 1e-9
-PINV_RCOND = 1e-12
+from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
 
 @dataclass(frozen=True)
 class LocalForms:
     """Pinned local data at a vertex: K-free form matrix and Gamma diagonal."""
 
-    vertex: object
     coords: tuple       # S1 then S2, each in vertex order
     n_neighbors: int
     matrix: np.ndarray  # Q(Gamma2) - (1/n) Q(Delta^2) with f(x) = 0 pinned
@@ -59,7 +65,6 @@ def _local_forms(g, x, n):
         mat -= np.outer(row, row) / n
     mat = (mat + mat.T) / 2.0
     return LocalForms(
-        vertex=x,
         coords=tuple(g.vertices[j] for j in coords),
         n_neighbors=s1.size,
         matrix=mat,
@@ -67,10 +72,20 @@ def _local_forms(g, x, n):
     )
 
 
-def _embed_witness(local, vec):
-    """Package a pinned coordinate vector as a function on {x} + coords."""
-    domain = (local.vertex,) + local.coords
-    return VertexFunction(domain, np.concatenate([[0.0], vec]))
+def _psd_verdict(matrix):
+    """lambda_min, max |lambda|, the PSD verdict and a lambda_min eigenvector.
+
+    The verdict is lambda_min >= -PSD_TOL (1 + max |lambda|).
+    """
+    evals, evecs = np.linalg.eigh(matrix)
+    lam = float(evals[0])
+    norm = float(np.abs(evals).max())
+    return lam, norm, lam >= -PSD_TOL * (1.0 + norm), evecs[:, 0]
+
+
+def _embed_witness(vertex, coords, vec):
+    """Package a vector over coords, pinned to 0 at vertex, as a function on {vertex} + coords."""
+    return VertexFunction((vertex,) + tuple(coords), np.concatenate([[0.0], vec]))
 
 
 @dataclass(frozen=True)
@@ -100,7 +115,7 @@ class CDReport:
 def cd_check(g, K, n, x=None):
     """Decide CD(K, n) at one vertex (or everywhere when x is omitted).
 
-    The verdict is lambda_min(A(K)) >= -1e-9 (1 + ||A||) over the pinned
+    The verdict is lambda_min(A(K)) >= -PSD_TOL (1 + ||A||) over the pinned
     2-ball space; on failure the check carries a violating function f with
     f^T A f < 0. K may be any real (non-positive K is useful diagnostically);
     n must lie in (1, inf].
@@ -118,11 +133,8 @@ def cd_check(g, K, n, x=None):
         a = local.matrix.copy()
         k_idx = np.arange(local.n_neighbors)
         a[k_idx, k_idx] -= K * local.gamma_diag
-        evals, evecs = np.linalg.eigh(a)
-        lam = float(evals[0])
-        norm = float(np.abs(evals).max())
-        holds = lam >= -PSD_TOL * (1.0 + norm)
-        witness = None if holds else _embed_witness(local, evecs[:, 0])
+        lam, norm, holds, vec = _psd_verdict(a)
+        witness = None if holds else _embed_witness(v, local.coords, vec)
         checks.append(CDVertexCheck(v, lam, norm, holds, witness))
     return CDReport(K, n, all(c.holds for c in checks), tuple(checks))
 
@@ -157,10 +169,8 @@ def curvature_at(g, x, n):
     m12 = local.matrix[:k, k:]
     m22 = local.matrix[k:, k:]
     if m22.size:
-        s2_evals = np.linalg.eigvalsh(m22)
-        s2_lambda_min = float(s2_evals[0])
-        kernel_ok = s2_lambda_min >= -PSD_TOL * (1.0 + float(np.abs(s2_evals).max()))
-        m22_pinv = np.linalg.pinv(m22, rcond=PINV_RCOND, hermitian=True)
+        s2_lambda_min, _, kernel_ok, _ = _psd_verdict(m22)
+        m22_pinv = np.linalg.pinv(m22, rcond=ZERO_TOL, hermitian=True)
         schur = m11 - m12 @ m22_pinv @ m12.T
     else:
         s2_lambda_min = None
@@ -175,17 +185,13 @@ def curvature_at(g, x, n):
 
     f1 = d_isqrt * evecs[:, 0]
     f2 = -(m22_pinv @ (m12.T @ f1)) if m22_pinv is not None else np.zeros(0)
-    vec = np.concatenate([f1, f2])
-    mags = np.abs(vec)
-    lead = np.flatnonzero(mags > 1e-12 * mags.max())[0]
-    if vec[lead] < 0:
-        vec = -vec
+    vec = _sign_fix(np.concatenate([f1, f2]))
     quotient = float(vec @ local.matrix @ vec) / float(f1 @ (local.gamma_diag * f1))
     return CurvatureResult(
         vertex=x,
         n=n,
         kappa=kappa,
-        witness=_embed_witness(local, vec),
+        witness=_embed_witness(x, local.coords, vec),
         kernel_ok=kernel_ok,
         s2_lambda_min=s2_lambda_min,
         witness_quotient=quotient,
@@ -199,13 +205,6 @@ class CurvatureProfile:
     n_values: tuple
     results: dict   # n -> {vertex: CurvatureResult}
     global_min: dict  # n -> (kappa, vertex attaining it)
-
-    def table(self):
-        rows = []
-        for n in self.n_values:
-            for v, res in self.results[n].items():
-                rows.append((v, n, res.kappa))
-        return tuple(rows)
 
 
 def curvature_profile(g, n_grid):
@@ -234,14 +233,12 @@ class LichnerowiczReport:
     cd_report: CDReport
 
 
-def verify_lichnerowicz(subject, K, n, equality_tol=1e-8):
+def verify_lichnerowicz(subject, K, n):
     """Check mu_2 (closed graph) or sigma_2 (boundary graph) against nK/(n-1).
 
     Verifies CD(K, n) first and reports it; the spectral bound only follows
     from the theorem when cd_holds is true and K > 0.
     """
-    from .spectra import laplacian_spectrum, steklov_spectrum
-
     n = validate_dimension(n)
     K = float(K)
     if not (math.isfinite(K) and K > 0):
@@ -262,7 +259,7 @@ def verify_lichnerowicz(subject, K, n, equality_tol=1e-8):
         raise InvalidParams(f"subject must be a graph, got {type(subject).__name__}")
 
     cd_report = cd_check(graph, K, n)
-    bound = K if is_infinite(n) else n * K / (n - 1.0)
+    bound = lichnerowicz_bound(K, n)
     slack = spectral - bound
     return LichnerowiczReport(
         kind=kind,
@@ -272,6 +269,6 @@ def verify_lichnerowicz(subject, K, n, equality_tol=1e-8):
         bound=bound,
         spectral_value=spectral,
         slack=slack,
-        equality=abs(slack) <= equality_tol * bound,
+        equality=abs(slack) <= EQUALITY_TOL * bound,
         cd_report=cd_report,
     )

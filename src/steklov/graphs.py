@@ -1,5 +1,7 @@
 """Weighted graphs with boundary: data model, validation, files, example families.
 
+It also holds the tolerance table and the bound nK/(n-1) all modules share.
+
 A weighted graph is a finite simple connected graph together with a positive
 vertex measure m and positive symmetric edge weights w. A boundary graph adds
 an independent boundary set B whose every vertex touches the interior
@@ -29,6 +31,7 @@ from .errors import (
     InvalidFamilyParams,
     InvalidParams,
     NonPositiveValue,
+    NotInteriorVertex,
     ParseError,
     SelfLoop,
     UnknownVertex,
@@ -36,9 +39,24 @@ from .errors import (
 
 INF = math.inf
 
+# Numerical tolerances, the single table every module reads.
+PSD_TOL = 1e-9  # PSD: lambda_min >= -PSD_TOL * (1 + max |lambda|)
+CONDITION_TOL = 1e-9  # relative agreement of measures, weights, degrees in conditions (1)-(4)
+EQUALITY_TOL = 1e-8  # |spectral value - bound| <= EQUALITY_TOL * bound
+HARMONIC_TOL = 1e-8  # interior residual of a harmonic extension, relative to max(1, max |f|)
+MULTIPLICITY_TOL = 1e-8  # eigenvalues closer than this, relative to 1 + |value|, share a group
+GREEN_TOL = 1e-10  # scaled residual of Green's identity
+ZERO_TOL = 1e-12  # entries below this fraction of the largest count as zero (sign fix, pinv)
+SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops
+
 
 def is_infinite(n):
     return n == INF
+
+
+def lichnerowicz_bound(K, n):
+    """nK/(n-1), which is K at n = inf."""
+    return K if is_infinite(n) else n * K / (n - 1.0)
 
 
 def validate_dimension(n):
@@ -67,7 +85,7 @@ class CurvatureParams:
 
     @property
     def lichnerowicz_bound(self):
-        return self.K if is_infinite(self.n) else self.n * self.K / (self.n - 1.0)
+        return lichnerowicz_bound(self.K, self.n)
 
 
 def _check_positive(kind, element, value):
@@ -139,9 +157,6 @@ class WeightedGraph:
 
     def neighbor_indices(self, i):
         return np.flatnonzero(self.weights[i] > 0.0)
-
-    def neighbors(self, v):
-        return tuple(self.vertices[j] for j in self.neighbor_indices(self.index(v)))
 
     def edge_list(self):
         """Edges as (u, v, w) with u before v in vertex order."""
@@ -313,8 +328,6 @@ def weighted_degree(g, x):
 
 def boundary_degree(bg, x):
     """Deg_b(x) = (1/m_x) * sum over boundary neighbors y of w_xy; x interior."""
-    from .errors import NotInteriorVertex
-
     if bg.is_boundary(x) or not bg.graph.has_vertex(x):
         raise NotInteriorVertex(x)
     g = bg.graph
@@ -419,25 +432,32 @@ def make_example(family, **params):
 
     Families: unit_path3; unit_square; unit_square_diag;
     weighted_path3(n, K, m); weighted_square(K, m);
-    complete_interior(interior_size, n, K, m, lam).
+    complete_interior(interior_size, n, K, m, lam). The weighted families
+    are join_equality_boundary over an edgeless interior of one vertex, or of
+    two vertices at n = inf.
     """
     try:
         family = ExampleFamily(family)
     except ValueError:
         raise InvalidFamilyParams(family, "unknown family") from None
 
-    def reject_extra(allowed):
-        extra = set(params) - set(allowed)
+    def take(required, optional=()):
+        """The required parameters in order, once none is missing or unknown."""
+        extra = set(params) - set(required) - set(optional)
         if extra:
             raise InvalidFamilyParams(family.value, f"unexpected parameters {sorted(extra)}")
+        for name in required:
+            if name not in params:
+                raise InvalidFamilyParams(family.value, f"missing parameter {name}")
+        return [params[name] for name in required]
 
     if family is ExampleFamily.UNIT_PATH3:
-        reject_extra(())
+        take(())
         g = build_graph([("1", 1), ("2", 1), ("3", 1)], [("1", "2", 1), ("2", "3", 1)])
         return attach_boundary(g, {"1", "3"})
 
     if family is ExampleFamily.UNIT_SQUARE or family is ExampleFamily.UNIT_SQUARE_DIAG:
-        reject_extra(())
+        take(())
         edges = [("1", "2", 1), ("2", "3", 1), ("3", "4", 1), ("4", "1", 1)]
         if family is ExampleFamily.UNIT_SQUARE_DIAG:
             edges.append(("2", "4", 1))
@@ -445,44 +465,21 @@ def make_example(family, **params):
         return attach_boundary(g, {"1", "3"})
 
     if family is ExampleFamily.WEIGHTED_PATH3:
-        reject_extra(("n", "K", "m"))
-        try:
-            n, K, m = params["n"], params["K"], params["m"]
-        except KeyError as e:
-            raise InvalidFamilyParams(family.value, f"missing parameter {e.args[0]}") from None
+        n, K, m = take(("n", "K", "m"))
         n = _family_dimension(family.value, n)
         K = _family_positive(family.value, "K", K)
         m = _family_positive(family.value, "m", m)
-        w = m * K if is_infinite(n) else m * n * K / (n - 1.0)
-        m_x = 2.0 * m if is_infinite(n) else 2.0 * n * m / (n + 2.0)
-        g = build_graph(
-            [("1", m), ("2", m), ("x", m_x)],
-            [("1", "x", w), ("2", "x", w)],
-        )
-        return attach_boundary(g, {"1", "2"})
+        return join_equality_boundary(build_graph([("x", 1.0)], [], relaxed=True), n, K, m)
 
     if family is ExampleFamily.WEIGHTED_SQUARE:
-        reject_extra(("K", "m"))
-        try:
-            K, m = params["K"], params["m"]
-        except KeyError as e:
-            raise InvalidFamilyParams(family.value, f"missing parameter {e.args[0]}") from None
+        K, m = take(("K", "m"))
         K = _family_positive(family.value, "K", K)
         m = _family_positive(family.value, "m", m)
-        w = m * K / 2.0
-        g = build_graph(
-            [("1", m), ("2", m), ("x", m), ("y", m)],
-            [("1", "x", w), ("2", "x", w), ("1", "y", w), ("2", "y", w)],
-        )
-        return attach_boundary(g, {"1", "2"})
+        interior = build_graph([("x", 1.0), ("y", 1.0)], [], relaxed=True)
+        return join_equality_boundary(interior, INF, K, m)
 
     if family is ExampleFamily.COMPLETE_INTERIOR:
-        reject_extra(("interior_size", "n", "K", "m", "lam"))
-        try:
-            size = params["interior_size"]
-            n, K, m = params["n"], params["K"], params["m"]
-        except KeyError as e:
-            raise InvalidFamilyParams(family.value, f"missing parameter {e.args[0]}") from None
+        size, n, K, m = take(("interior_size", "n", "K", "m"), ("lam",))
         lam = params.get("lam", 1.0)
         if not isinstance(size, int) or size < 1:
             raise InvalidFamilyParams(family.value, f"interior_size must be a positive int, got {size!r}")

@@ -38,11 +38,6 @@ class VertexFunction:
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(dom)})
         vals.setflags(write=False)
 
-    @classmethod
-    def from_dict(cls, mapping):
-        items = list(mapping.items())
-        return cls(tuple(k for k, _ in items), np.array([v for _, v in items], dtype=float))
-
     def __getitem__(self, v):
         try:
             return float(self.values[self._index[v]])
@@ -56,9 +51,6 @@ class VertexFunction:
         except KeyError:
             raise DomainMismatch(domain, self.domain) from None
         return self.values[idx]
-
-    def as_dict(self):
-        return {v: float(self.values[i]) for i, v in enumerate(self.domain)}
 
 
 def constant_function(domain, c=0.0):

@@ -19,15 +19,15 @@ graphs over complete interiors by searching for a large enough interior
 weight scale.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .curvature import PSD_TOL, cd_check, curvature_at
+from .curvature import _embed_witness, _psd_verdict, cd_check, curvature_at
 from .errors import (
+    DomainMismatch,
     InteriorCurvatureNotPositive,
     InteriorNotComplete,
     InvalidParams,
@@ -38,20 +38,22 @@ from .errors import (
     WrongWeightClass,
 )
 from .graphs import (
+    CONDITION_TOL,
+    EQUALITY_TOL,
     INF,
+    SEARCH_TOL,
     CurvatureParams,
     boundary_degree,
     induced_interior_graph,
     is_infinite,
     join_equality_boundary,
+    lichnerowicz_bound,
     validate_dimension,
     weighted_degree,
 )
 from .operators import VertexFunction, _gamma2_matrix, _gamma_matrix, interior_edges
 from .spectra import steklov_eigenfunction_diagnostics, steklov_spectrum
 
-CONDITION_TOL = 1e-9
-EQUALITY_TOL = 1e-8
 LAMBDA_MAX = 1e8
 
 
@@ -99,9 +101,7 @@ def _validate_params(K, n):
 
 def degree_targets(K, n):
     """The boundary degree nK/(n-1) and interior boundary-degree (n+2)K/(n-1)."""
-    if is_infinite(n):
-        return K, K
-    return n * K / (n - 1.0), (n + 2.0) * K / (n - 1.0)
+    return lichnerowicz_bound(K, n), (K if is_infinite(n) else (n + 2.0) * K / (n - 1.0))
 
 
 def infer_equality_params(bg):
@@ -119,6 +119,13 @@ def infer_equality_params(bg):
         return None
     n = 2.0 / (ratio - 1.0)
     return CurvatureParams(K=deg * (n - 1.0) / n, n=n)
+
+
+def _unjoined(bg):
+    """Interior vertices not adjacent to both boundary vertices; needs |B| = 2."""
+    g = bg.graph
+    b1, b2 = bg.boundary
+    return [x for x in bg.interior if g.weight(b1, x) == 0.0 or g.weight(b2, x) == 0.0]
 
 
 @dataclass(frozen=True)
@@ -141,11 +148,7 @@ def check_necessary_conditions(bg, K, n):
     if len(bg.boundary) != 2:
         checks.append(ConditionCheck(1, False, f"|B| = {len(bg.boundary)}, need 2"))
     else:
-        b1, b2 = bg.boundary
-        missing = [
-            x for x in bg.interior
-            if g.weight(b1, x) == 0.0 or g.weight(b2, x) == 0.0
-        ]
+        missing = _unjoined(bg)
         if missing:
             checks.append(ConditionCheck(
                 1, False, f"interior vertex {missing[0]!r} not adjacent to both boundary vertices"))
@@ -190,6 +193,15 @@ def check_necessary_conditions(bg, K, n):
     return NecessaryConditions(tuple(checks), (m1 + m2) / 2.0)
 
 
+def _necessary_measure(bg, K, n):
+    """The boundary measure m once conditions (1)-(4) hold; PreconditionViolated otherwise."""
+    nec = check_necessary_conditions(bg, K, n)
+    if not nec.passed:
+        failed = [c for c in nec.checks if not c.passed][0]
+        raise PreconditionViolated(f"condition ({failed.index}) fails: {failed.detail}")
+    return nec.boundary_measure
+
+
 @dataclass(frozen=True)
 class InteriorFormAssembly:
     """The condition-(5) quadratic form at an interior vertex, f(x) = 0 pinned."""
@@ -223,19 +235,19 @@ def assemble_interior_form(bg, K, n, x):
     K, n = _validate_params(K, n)
     if not is_infinite(n) and n <= 2.0:
         raise PreconditionViolated(f"the interior form is defined for n > 2 or n = inf, got n = {n:g}")
-    nec = check_necessary_conditions(bg, K, n)
-    if not nec.passed:
-        failed = [c for c in nec.checks if not c.passed][0]
-        raise PreconditionViolated(f"condition ({failed.index}) fails: {failed.detail}")
+    m = _necessary_measure(bg, K, n)
     if x not in set(bg.interior):
         raise NotInteriorVertex(x)
-
-    m = nec.boundary_measure
     ig = induced_interior_graph(bg)
+    return _interior_form(ig, ig.delta_operator(), K, n, m, x)
+
+
+def _interior_form(ig, delta, K, n, m, x):
+    """The condition-(5) form at x from the interior-induced graph ig and its Delta matrix."""
     i = ig.index(x)
     g2 = _gamma2_matrix(ig, i)
     gx = _gamma_matrix(ig, i)
-    ell = ig.delta_operator()[i]
+    ell = delta[i]
     mu = ig.measures
 
     if is_infinite(n):
@@ -294,34 +306,31 @@ def check_interior_inequality(bg, K, n):
     at every interior vertex.
     """
     K, n = _validate_params(K, n)
-    nec = check_necessary_conditions(bg, K, n)
-    if not nec.passed:
-        failed = [c for c in nec.checks if not c.passed][0]
-        raise PreconditionViolated(f"condition ({failed.index}) fails: {failed.detail}")
+    m = _necessary_measure(bg, K, n)
+    return _interior_inequality(induced_interior_graph(bg), K, n, m)
 
+
+def _interior_inequality(ig, K, n, m):
+    """Condition (5) on the interior-induced graph ig, given (1)-(4) with boundary measure m."""
     if n == 2.0:
-        ok = len(bg.interior) == 1
+        ok = ig.num_vertices == 1
         return InteriorInequalityReport(
-            ok, "n=2", f"|Omega| = {len(bg.interior)}, need 1 when n = 2", ())
+            ok, "n=2", f"|Omega| = {ig.num_vertices}, need 1 when n = 2", ())
     if n < 2.0:
         return InteriorInequalityReport(
             False, "1<n<2",
             "no equality graphs exist for 1 < n < 2 (the curvature condition "
             "fails at interior vertices)", ())
 
+    delta = ig.delta_operator()
     checks = []
-    for x in bg.interior:
-        form = assemble_interior_form(bg, K, n, x)
+    for x in ig.vertices:
+        form = _interior_form(ig, delta, K, n, m, x)
         if form.matrix.size == 0:
             checks.append(InteriorFormCheck(x, True, None, None))
             continue
-        evals, evecs = np.linalg.eigh(form.matrix)
-        lam = float(evals[0])
-        ok = lam >= -PSD_TOL * (1.0 + float(np.abs(evals).max()))
-        witness = None
-        if not ok:
-            domain = (x,) + form.index_map
-            witness = VertexFunction(domain, np.concatenate([[0.0], evecs[:, 0]]))
+        lam, _, ok, vec = _psd_verdict(form.matrix)
+        witness = None if ok else _embed_witness(x, form.index_map, vec)
         checks.append(InteriorFormCheck(x, ok, lam, witness))
     passed = all(c.passed for c in checks)
     return InteriorInequalityReport(
@@ -383,8 +392,6 @@ def two_ball_identity_check(bg, u):
     holds for the second Steklov eigenfunction's harmonic extension on
     equality graphs; the residual table quantifies how far u is from that.
     """
-    from .errors import DomainMismatch
-
     g = bg.graph
     if set(u.domain) != set(g.vertices):
         raise DomainMismatch(g.vertices, u.domain)
@@ -454,7 +461,7 @@ def check_rigidity(bg, K, n):
     K, n = _validate_params(K, n)
     g = bg.graph
     cd_report = cd_check(g, K, n)
-    bound = degree_targets(K, n)[0]
+    bound = lichnerowicz_bound(K, n)
 
     sigma2 = None
     slack = None
@@ -476,7 +483,8 @@ def check_rigidity(bg, K, n):
         diagnostics["sigma2_missing"] = "boundary has fewer than 2 vertices"
     bound_equality = sigma2 is not None and abs(sigma2 - bound) <= EQUALITY_TOL * bound
 
-    scan = disjoint_ball_scan(induced_interior_graph(bg))
+    ig = induced_interior_graph(bg)
+    scan = disjoint_ball_scan(ig)
     diagnostics.update(
         interior_connected=scan.connected,
         interior_diameter=scan.diameter,
@@ -486,7 +494,7 @@ def check_rigidity(bg, K, n):
     nec = check_necessary_conditions(bg, K, n)
     interior_report = None
     if nec.passed:
-        interior_report = check_interior_inequality(bg, K, n)
+        interior_report = _interior_inequality(ig, K, n, nec.boundary_measure)
         cond5 = ConditionCheck(5, interior_report.passed, interior_report.detail)
     else:
         cond5 = ConditionCheck(5, False, "not evaluated: a condition among (1)-(4) failed")
@@ -524,48 +532,25 @@ def check_rigidity(bg, K, n):
 # classifiers
 # ---------------------------------------------------------------------------
 
-def _matches_template(bg, template_edges, template_boundary):
-    """Brute-force isomorphism with boundary placement, for <= 4 vertices."""
-    g = bg.graph
-    nv = g.num_vertices
-    adj = g.weights > 0.0
-    edge_set = {frozenset(e) for e in template_edges}
-    b_set = set(template_boundary)
-    boundary = set(bg.boundary)
-    for perm in itertools.permutations(range(1, nv + 1)):
-        if {perm[g.index(v)] for v in boundary} != b_set:
-            continue
-        ok = all(
-            (frozenset((perm[i], perm[j])) in edge_set) == bool(adj[i, j])
-            for i in range(nv) for j in range(i + 1, nv)
-        )
-        if ok:
-            return True
-    return False
-
-
-_UNIT_TEMPLATES = (
-    (RigidityClass.UNIT_PATH3, 3, ((1, 2), (2, 3)), (1, 3), {"K": 0.5, "n": 2.0}),
-    (RigidityClass.UNIT_SQUARE, 4, ((1, 2), (2, 3), (3, 4), (4, 1)), (1, 3), {"K": 2.0, "n": INF}),
-    (RigidityClass.UNIT_SQUARE_DIAG, 4, ((1, 2), (2, 3), (3, 4), (4, 1), (2, 4)), (1, 3),
-     {"K": 2.0, "n": INF}),
-)
-
-
 def classify_unit_weight(bg):
     """Match a unit-weight boundary graph against the three rigid shapes.
 
     The shapes are the 3-path with its endpoints as boundary (K = 1/2, n = 2)
     and the square with or without one diagonal, boundary at two opposite
-    corners (K = 2, n = inf). Everything else is not rigid.
+    corners (K = 2, n = inf). Everything else is not rigid. They are exactly
+    the graphs with |B| = 2 and one or two interior vertices, each adjacent
+    to both boundary vertices; an interior edge is the square's diagonal.
     """
-    if not _is_unit_weight(bg.graph):
+    g = bg.graph
+    if not _is_unit_weight(g):
         raise WrongWeightClass("graph is not unit-weighted (need m = 1 and w = 1 everywhere)")
-    nv = bg.graph.num_vertices
-    for label, size, edges, boundary, params in _UNIT_TEMPLATES:
-        if nv == size and _matches_template(bg, edges, boundary):
-            return Classification(label, dict(params))
-    return NOT_RIGID
+    if len(bg.boundary) != 2 or len(bg.interior) > 2 or _unjoined(bg):
+        return NOT_RIGID
+    if len(bg.interior) == 1:
+        return Classification(RigidityClass.UNIT_PATH3, {"K": 0.5, "n": 2.0})
+    diagonal = g.weight(*bg.interior) > 0.0
+    label = RigidityClass.UNIT_SQUARE_DIAG if diagonal else RigidityClass.UNIT_SQUARE
+    return Classification(label, {"K": 2.0, "n": INF})
 
 
 def classify_partial(bg, K, n):
@@ -590,7 +575,7 @@ def classify_partial(bg, K, n):
 
     if len(bg.interior) == 1:
         x = bg.interior[0]
-        w_target = m * K if is_infinite(n) else m * n * K / (n - 1.0)
+        w_target = m * lichnerowicz_bound(K, n)
         mx_target = 2.0 * m if is_infinite(n) else 2.0 * n * m / (n + 2.0)
         w1, w2 = g.weight(b1, x), g.weight(b2, x)
         if all(_close(w, w_target) for w in (w1, w2)) and _close(g.measure(x), mx_target):
@@ -692,7 +677,7 @@ def construct_rigid_family(interior, n, K, m, lam=None):
             lo, hi = hi, hi * 2.0
             if hi > LAMBDA_MAX:
                 raise FeasibilitySearchFailed(LAMBDA_MAX)
-        while hi / lo > 1.0 + 1e-6:
+        while hi / lo > 1.0 + SEARCH_TOL:
             mid = math.sqrt(lo * hi)
             if feasible(mid):
                 hi = mid

@@ -8,16 +8,18 @@ solved densely (graphs here are desk-scale):
 
 S is the boundary Schur complement of L; the Dirichlet-to-Neumann map is
 Lambda = M_B^{-1} S, which agrees with composing harmonic extension and the
-normal derivative du/dn = -(Delta u)|_B.
+normal derivative du/dn = -(Delta u)|_B. M is diagonal, so A u = lambda M u
+is the standard problem for M^{-1/2} A M^{-1/2} with u = M^{-1/2} y. With the
+Cholesky factor L_OO = C C^T and Y = C^{-1} L_OB, S = L_BB - Y^T Y.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainMismatch, InvalidParams, SingularInteriorSystem
+from .graphs import HARMONIC_TOL, MULTIPLICITY_TOL, ZERO_TOL, induced_interior_graph
 from .operators import VertexFunction, differential, inner_product_forms, inner_product_functions, laplacian
 
 
@@ -42,11 +44,11 @@ class Spectrum:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def multiplicity_groups(self, tol=1e-8):
+    def multiplicity_groups(self):
         """Group indices of numerically equal eigenvalues."""
         groups = []
         for i, v in enumerate(self.values):
-            if groups and abs(v - self.values[groups[-1][0]]) <= tol * (1.0 + abs(v)):
+            if groups and abs(v - self.values[groups[-1][0]]) <= MULTIPLICITY_TOL * (1.0 + abs(v)):
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -67,26 +69,17 @@ class DtNOperator:
 
 
 def _sign_fix(vec):
+    """vec or -vec, whichever has its first significant coordinate positive."""
     mags = np.abs(vec)
     top = mags.max()
     if top == 0.0:
         return vec
-    lead = np.flatnonzero(mags > 1e-12 * top)[0]
+    lead = np.flatnonzero(mags > ZERO_TOL * top)[0]
     return -vec if vec[lead] < 0 else vec
 
 
-def _interior_blocks(bg):
-    g = bg.graph
-    L = g.laplacian_matrix()
-    bi = bg.boundary_indices
-    oi = bg.interior_indices
-    return L[np.ix_(bi, bi)], L[np.ix_(bi, oi)], L[np.ix_(oi, oi)]
-
-
-def _stranded_interior_component(bg):
-    """Interior component with no boundary edge, if any (diagnostic only)."""
-    from .graphs import induced_interior_graph
-
+def _singular_interior(bg):
+    """SingularInteriorSystem naming an interior component with no boundary edge, else Omega."""
     g = bg.graph
     bi = set(bg.boundary_indices.tolist())
     for comp in induced_interior_graph(bg).components():
@@ -94,8 +87,22 @@ def _stranded_interior_component(bg):
             int(j) in bi for v in comp for j in g.neighbor_indices(g.index(v))
         )
         if not touches:
-            return comp
-    return None
+            return SingularInteriorSystem(comp)
+    return SingularInteriorSystem(bg.interior)
+
+
+def _interior_factor(bg):
+    """L_BB, L_OB and the lower Cholesky factor C of L_OO = C C^T."""
+    L = bg.graph.laplacian_matrix()
+    bi = bg.boundary_indices
+    oi = bg.interior_indices
+    try:
+        chol = np.linalg.cholesky(L[np.ix_(oi, oi)])
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None or not np.isfinite(chol).all():  # not SPD, or the weights overflowed
+        raise _singular_interior(bg)
+    return L[np.ix_(bi, bi)], L[np.ix_(oi, bi)], chol
 
 
 def harmonic_extension(bg, f):
@@ -103,22 +110,16 @@ def harmonic_extension(bg, f):
     if set(f.domain) != set(bg.boundary):
         raise DomainMismatch(bg.boundary, f.domain)
     g = bg.graph
-    _, L_bo, L_oo = _interior_blocks(bg)
+    _, L_ob, chol = _interior_factor(bg)
     fb = f.on(bg.boundary)
-    try:
-        u_omega = scipy.linalg.solve(L_oo, -L_bo.T @ fb, assume_a="pos")
-    except (scipy.linalg.LinAlgError, ValueError):
-        comp = _stranded_interior_component(bg)
-        raise SingularInteriorSystem(comp if comp is not None else bg.interior) from None
     out = np.empty(g.num_vertices)
     out[bg.boundary_indices] = fb
-    out[bg.interior_indices] = u_omega
+    out[bg.interior_indices] = -np.linalg.solve(chol.T, np.linalg.solve(chol, L_ob @ fb))
     u = VertexFunction(g.vertices, out)
     residual = np.abs(laplacian(g, u).on(bg.interior)).max() if bg.interior else 0.0
     scale = max(1.0, float(np.abs(fb).max()))
-    if residual > 1e-8 * scale:
-        comp = _stranded_interior_component(bg)
-        raise SingularInteriorSystem(comp if comp is not None else bg.interior)
+    if residual > HARMONIC_TOL * scale:
+        raise _singular_interior(bg)
     return u
 
 
@@ -130,19 +131,27 @@ def normal_derivative(bg, u):
 
 def dtn_operator(bg):
     """Materialize the Dirichlet-to-Neumann map as DtNOperator."""
-    L_bb, L_bo, L_oo = _interior_blocks(bg)
-    try:
-        interior_solve = scipy.linalg.solve(L_oo, L_bo.T, assume_a="pos")
-    except (scipy.linalg.LinAlgError, ValueError):
-        comp = _stranded_interior_component(bg)
-        raise SingularInteriorSystem(comp if comp is not None else bg.interior) from None
-    schur = L_bb - L_bo @ interior_solve
-    schur = (schur + schur.T) / 2.0
-    return DtNOperator(bg.boundary, schur, bg.graph.measures[bg.boundary_indices])
+    L_bb, L_ob, chol = _interior_factor(bg)
+    y = np.linalg.solve(chol, L_ob)
+    return DtNOperator(bg.boundary, L_bb - y.T @ y, bg.graph.measures[bg.boundary_indices])
+
+
+def _scaled(a, m_diag):
+    """M^{-1/2} A M^{-1/2} for M = diag(m_diag), read by eigh from its lower triangle.
+
+    With r = sqrt(m_diag) the entries are (a_ik (1/r_k)) / r_i and a_kk / r_k^2,
+    rounded as LAPACK's sygvd reduction rounds them below 64 vertices, so the
+    basis chosen within a repeated eigenvalue is sygvd's too.
+    """
+    root = np.sqrt(m_diag)
+    c = a * (1.0 / root) / root[:, None]
+    np.fill_diagonal(c, np.diag(a) / (root * root))
+    return c
 
 
 def _generalized_spectrum(a, m_diag, domain, kind):
-    values, vectors = scipy.linalg.eigh(a, np.diag(m_diag))
+    values, vectors = np.linalg.eigh(_scaled(a, m_diag))
+    vectors = vectors * (1.0 / np.sqrt(m_diag))[:, None]
     functions = tuple(
         VertexFunction(domain, _sign_fix(vectors[:, k])) for k in range(values.size)
     )
@@ -193,9 +202,9 @@ def steklov_eigenfunction_diagnostics(bg, spectrum):
     interior_norm = inner_product_functions(g, u, u, s=bg.interior) ** 0.5
     du = differential(g, u)
     rayleigh = inner_product_forms(g, du, du) / inner_product_functions(g, u, u)
-    lap = laplacian_spectrum(g)
-    mu2 = float(lap.values[1])
-    residual_vec = g.laplacian_matrix() @ u.values - mu2 * g.measures * u.values
+    L = g.laplacian_matrix()
+    mu2 = float(np.linalg.eigvalsh(_scaled(L, g.measures))[1])
+    residual_vec = L @ u.values - mu2 * g.measures * u.values
     return SteklovDiagnostics(
         sigma2=sigma2,
         extension=u,

@@ -1,9 +1,14 @@
 """The command-line surface: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import steklov
 from steklov.cli import run
 
 
@@ -172,3 +177,12 @@ def test_reports_have_sorted_keys(capture, p3_file):
     doc = json.loads(out)
     assert list(doc) == sorted(doc)
     assert list(doc["results"]) == sorted(doc["results"])
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, steklov.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.strip() == "False"

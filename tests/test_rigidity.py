@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import steklov.rigidity
+import steklov.spectra
 from steklov import (
     VertexFunction,
     assemble_interior_form,
@@ -265,6 +267,27 @@ def test_check_rigidity_validates_params():
         check_rigidity(p3, 0, 2)
     with pytest.raises(InvalidParams):
         check_rigidity(p3, -1, 2)
+
+
+def test_check_rigidity_decides_conditions_once(monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(steklov.rigidity, "check_necessary_conditions")
+    count(steklov.spectra, "laplacian_spectrum")
+    bg = make_example("complete_interior", interior_size=5, n=10, K=1, m=1)
+    rep = check_rigidity(bg, 1, 10)
+    assert rep.interior_report is not None  # conditions (1)-(4) hold, so (5) ran
+    assert calls.get("check_necessary_conditions") == 1
+    assert calls.get("laplacian_spectrum", 0) == 0
 
 
 def test_rigidity_report_slack_exposed():
