@@ -336,13 +336,11 @@ _HANDLERS = {
 
 
 def _echo_inputs(args):
-    skip = {"command"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        out[key.replace("_", "-")] = value
-    return out
+    return {
+        key.replace("_", "-"): value
+        for key, value in sorted(vars(args).items())
+        if key != "command" and value is not None
+    }
 
 
 def run(argv):

@@ -37,7 +37,7 @@ from .graphs import (
     lichnerowicz_bound,
     validate_dimension,
 )
-from .operators import VertexFunction, _gamma2_matrix
+from .operators import VertexFunction, _gamma2_matrix, _laplacian_row
 from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
 
@@ -54,21 +54,17 @@ class LocalForms:
 def _local_forms(g, x, n):
     n = validate_dimension(n)
     i = g.index(x)
-    dist = g.hop_distances(i)
-    s1 = np.flatnonzero(dist == 1)
-    s2 = np.flatnonzero(dist == 2)
-    coords = np.concatenate([s1, s2]).astype(int)
-    q2 = _gamma2_matrix(g, i)
-    mat = q2[np.ix_(coords, coords)].copy()
+    ball, q2 = _gamma2_matrix(g, i)
+    k = len(g.neighbor_indices(i))
+    mat = q2[1:, 1:]
     if not is_infinite(n):
-        row = g.delta_operator()[i][coords]
+        row = _laplacian_row(g, i, ball)[1:]
         mat -= np.outer(row, row) / n
-    mat = (mat + mat.T) / 2.0
     return LocalForms(
-        coords=tuple(g.vertices[j] for j in coords),
-        n_neighbors=s1.size,
+        coords=tuple(g.vertices[j] for j in ball[1:]),
+        n_neighbors=k,
         matrix=mat,
-        gamma_diag=g.weights[i, s1] / (2.0 * g.measures[i]),
+        gamma_diag=g.weights[i, ball[1:k + 1]] / (2.0 * g.measures[i]),
     )
 
 
@@ -106,10 +102,7 @@ class CDReport:
 
     @property
     def first_violation(self):
-        for c in self.checks:
-            if not c.holds:
-                return c
-        return None
+        return next((c for c in self.checks if not c.holds), None)
 
 
 def cd_check(g, K, n, x=None):
@@ -173,10 +166,7 @@ def curvature_at(g, x, n):
         m22_pinv = np.linalg.pinv(m22, rcond=ZERO_TOL, hermitian=True)
         schur = m11 - m12 @ m22_pinv @ m12.T
     else:
-        s2_lambda_min = None
-        kernel_ok = True
-        m22_pinv = None
-        schur = m11
+        s2_lambda_min, kernel_ok, m22_pinv, schur = None, True, None, m11
     d_isqrt = 1.0 / np.sqrt(local.gamma_diag)
     pencil = schur * d_isqrt[:, None] * d_isqrt[None, :]
     pencil = (pencil + pencil.T) / 2.0

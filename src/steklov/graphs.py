@@ -15,6 +15,7 @@ deterministic.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -155,8 +156,20 @@ class WeightedGraph:
     def weight(self, u, v):
         return float(self.weights[self.index(u), self.index(v)])
 
+    @cached_property
+    def _adjacency(self):
+        """Neighbour index lists, one per vertex, built once per graph."""
+        return tuple(np.flatnonzero(row).tolist() for row in self.weights > 0.0)
+
+    @cached_property
+    def weight_sums(self):
+        """sum_y w_xy for every vertex x, built once per graph."""
+        sums = self.weights.sum(axis=1)
+        sums.setflags(write=False)
+        return sums
+
     def neighbor_indices(self, i):
-        return np.flatnonzero(self.weights[i] > 0.0)
+        return self._adjacency[i]
 
     def edge_list(self):
         """Edges as (u, v, w) with u before v in vertex order."""
@@ -168,45 +181,48 @@ class WeightedGraph:
 
     def laplacian_matrix(self):
         """Symmetric form matrix L = D - W (so the operator is -M^{-1} L)."""
-        return np.diag(self.weights.sum(axis=1)) - self.weights
+        return np.diag(self.weight_sums) - self.weights
 
     def delta_operator(self):
         """Matrix of the Laplacian operator: (Delta u) = A u with A = M^{-1}(W - D)."""
         return -self.laplacian_matrix() / self.measures[:, None]
 
+    def hop_spheres(self, i, radius=INF):
+        """Sorted index lists of the vertices at hop distance 0, 1, ..., radius from i.
+
+        The search walks the cached neighbour lists, so it touches the ball
+        alone; an infinite radius stops at the last nonempty sphere.
+        """
+        adj = self._adjacency
+        seen = {i}
+        spheres = [[i]]
+        while len(spheres) <= radius:
+            nxt = set().union(*(adj[j] for j in spheres[-1])) - seen
+            if not nxt and radius == INF:
+                break
+            seen |= nxt
+            spheres.append(sorted(nxt))
+        return spheres
+
     def hop_distances(self, i):
         """Combinatorial (hop) distances from vertex index i; inf if unreachable."""
-        n = self.num_vertices
-        dist = np.full(n, INF)
-        dist[i] = 0
-        frontier = [i]
-        d = 0
-        adj = self.weights > 0.0
-        while frontier:
-            d += 1
-            nxt = []
-            for j in frontier:
-                for k in np.flatnonzero(adj[j]):
-                    if dist[k] == INF:
-                        dist[k] = d
-                        nxt.append(int(k))
-            frontier = nxt
+        dist = np.full(self.num_vertices, INF)
+        for d, sphere in enumerate(self.hop_spheres(i)):
+            dist[sphere] = d
         return dist
 
     def ball_indices(self, i, radius):
-        """Indices of the closed ball of the given hop radius around index i."""
-        return np.flatnonzero(self.hop_distances(i) <= radius)
+        """Indices of the closed ball of hop radius `radius` around i: i first, then by distance."""
+        return np.array([j for sphere in self.hop_spheres(i, radius) for j in sphere])
 
     def components(self):
         """Connected components as tuples of vertex ids, in vertex order."""
-        seen = np.zeros(self.num_vertices, dtype=bool)
-        comps = []
+        seen, comps = set(), []
         for i in range(self.num_vertices):
-            if seen[i]:
-                continue
-            reach = np.isfinite(self.hop_distances(i))
-            seen |= reach
-            comps.append(tuple(self.vertices[j] for j in np.flatnonzero(reach)))
+            if i not in seen:
+                reach = sorted(j for sphere in self.hop_spheres(i) for j in sphere)
+                seen.update(reach)
+                comps.append(tuple(self.vertices[j] for j in reach))
         return tuple(comps)
 
     def rescaled_weights(self, lam):
@@ -308,14 +324,13 @@ def attach_boundary(g, boundary):
     omega = tuple(v for v in g.vertices if v not in b_set)
     if not omega:
         raise EmptyInterior()
-    b_idx = [g.index(v) for v in b]
-    for a_pos, i in enumerate(b_idx):
-        for j in b_idx[a_pos + 1:]:
-            if g.weights[i, j] > 0.0:
-                raise BoundaryNotIndependent(g.vertices[i], g.vertices[j])
-    omega_idx = set(g.index(v) for v in omega)
-    for i in b_idx:
-        if not any(int(j) in omega_idx for j in g.neighbor_indices(i)):
+    b_idx = {g.index(v) for v in b}
+    for i in sorted(b_idx):
+        clash = [j for j in g.neighbor_indices(i) if j in b_idx]
+        if clash:
+            raise BoundaryNotIndependent(g.vertices[i], g.vertices[clash[0]])
+    for i in sorted(b_idx):
+        if b_idx.issuperset(g.neighbor_indices(i)):
             raise BoundaryVertexIsolatedFromInterior(g.vertices[i])
     return BoundaryGraph(g, b, omega)
 

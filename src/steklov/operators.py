@@ -10,7 +10,7 @@ curvature-dimension machinery:
 Gamma is computed from the explicit sum (not from the product-rule identity,
 which cancels catastrophically); the identity is kept as a test oracle.
 Local quadratic-form assemblies express Gamma, Gamma2 and (Delta f)^2 at a
-vertex as symmetric matrices in f, which is what the curvature solver needs.
+vertex as symmetric matrices in the values of f on the ball around it.
 """
 
 from dataclasses import dataclass, field
@@ -181,36 +181,57 @@ def gamma2(g, u, v):
 # local quadratic forms
 # ---------------------------------------------------------------------------
 
+def _laplacian_row(g, i, ball):
+    """Delta[i, ball] for a ball listed from its centre i outward."""
+    row = g.weights[i, ball] / g.measures[i]
+    row[0] -= g.weight_sums[i] / g.measures[i]
+    return row
+
+
 def _gamma_matrix(g, i):
-    """Full-size symmetric matrix Q with f^T Q f = Gamma(f, f)(vertex i)."""
-    n = g.num_vertices
-    q = np.zeros((n, n))
-    for j in g.neighbor_indices(i):
-        w = g.weights[i, j]
-        q[i, i] += w
-        q[j, j] += w
-        q[i, j] -= w
-        q[j, i] -= w
-    return q / (2.0 * g.measures[i])
+    """The closed 1-ball around i (i first) and Q with f^T Q f = Gamma(f, f)(i) on it."""
+    ball = g.ball_indices(i, 1)
+    w = g.weights[i, ball[1:]]
+    q = np.diag(np.concatenate([[g.weight_sums[i]], w]))
+    q[0, 1:] = q[1:, 0] = -w
+    q /= 2.0 * g.measures[i]
+    return ball, q
 
 
 def _gamma2_matrix(g, i):
-    """Full-size symmetric matrix Q with f^T Q f = Gamma2(f, f)(vertex i)."""
-    dhat = g.delta_operator()
-    gx = _gamma_matrix(g, i)
-    acc = np.zeros_like(gx)
-    for j in np.flatnonzero(dhat[i] != 0.0):
-        acc += dhat[i, j] * _gamma_matrix(g, j)
-    q = 0.5 * acc - 0.5 * (dhat.T @ gx + gx @ dhat)
-    return (q + q.T) / 2.0
+    """The closed 2-ball around i (i, S1, S2) and Q with f^T Q f = Gamma2(f, f)(i) on it.
+
+    Every neighbour of a 1-ball vertex lies in the 2-ball, so with the true
+    degrees deg = sum_y w_xy the form is exact. With G the Gamma form at i,
+    c = Delta[i, :] / (2m) and sum_k Delta[i, k] Gamma_k in closed form,
+        2Q = diag(c deg + W c) - P - P^T,  P = diag(c) W + G Delta.
+    """
+    ball = g.ball_indices(i, 2)
+    k = len(g.neighbor_indices(i)) + 1
+    w = g.weights[np.ix_(ball, ball)]
+    deg, mu = g.weight_sums[ball[:k]], g.measures[ball[:k]]
+    delta = w[:k] / mu[:, None]
+    delta[range(k), range(k)] -= deg / mu
+    c = delta[0, :k] / (2.0 * mu)
+    p = np.zeros_like(w)
+    p[:k] = _gamma_matrix(g, i)[1] @ delta + c[:, None] * w[:k]
+    q = p + p.T
+    d = w[:, :k] @ c
+    d[:k] += c * deg
+    q[np.diag_indices_from(q)] -= d
+    q *= -0.5
+    return ball, q
+
+
+def _vertex_order_form(g, ball, q):
+    """A ball form as a QuadraticForm with the ball in vertex order."""
+    order = np.argsort(ball)
+    return QuadraticForm(tuple(g.vertices[j] for j in ball[order]), q[np.ix_(order, order)])
 
 
 def gamma_form(g, x):
     """Gamma(f, f)(x) as a QuadraticForm over the closed 1-ball around x."""
-    i = g.index(x)
-    ball = g.ball_indices(i, 1)
-    q = _gamma_matrix(g, i)[np.ix_(ball, ball)]
-    return QuadraticForm(tuple(g.vertices[j] for j in ball), (q + q.T) / 2.0)
+    return _vertex_order_form(g, *_gamma_matrix(g, g.index(x)))
 
 
 def gamma2_form(g, x):
@@ -219,19 +240,15 @@ def gamma2_form(g, x):
     Values of f outside the 2-ball cannot affect Gamma2(f, f)(x), so the
     restriction is lossless.
     """
-    i = g.index(x)
-    ball = g.ball_indices(i, 2)
-    q = _gamma2_matrix(g, i)[np.ix_(ball, ball)]
-    return QuadraticForm(tuple(g.vertices[j] for j in ball), (q + q.T) / 2.0)
+    return _vertex_order_form(g, *_gamma2_matrix(g, g.index(x)))
 
 
 def laplacian_square_form(g, x):
     """(Delta f)(x)^2 as a rank-one QuadraticForm over the closed 1-ball."""
     i = g.index(x)
-    row = g.delta_operator()[i]
     ball = g.ball_indices(i, 1)
-    q = np.outer(row[ball], row[ball])
-    return QuadraticForm(tuple(g.vertices[j] for j in ball), (q + q.T) / 2.0)
+    row = _laplacian_row(g, i, ball)
+    return _vertex_order_form(g, ball, np.outer(row, row))
 
 
 def check_green_identity(bg, u, v):

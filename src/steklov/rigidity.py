@@ -51,7 +51,7 @@ from .graphs import (
     validate_dimension,
     weighted_degree,
 )
-from .operators import VertexFunction, _gamma2_matrix, _gamma_matrix, interior_edges
+from .operators import VertexFunction, _gamma2_matrix, _gamma_matrix, _laplacian_row, interior_edges
 from .spectra import steklov_eigenfunction_diagnostics, steklov_spectrum
 
 LAMBDA_MAX = 1e8
@@ -239,15 +239,15 @@ def assemble_interior_form(bg, K, n, x):
     if x not in set(bg.interior):
         raise NotInteriorVertex(x)
     ig = induced_interior_graph(bg)
-    return _interior_form(ig, ig.delta_operator(), K, n, m, x)
+    return _interior_form(ig, K, n, m, x)
 
 
-def _interior_form(ig, delta, K, n, m, x):
-    """The condition-(5) form at x from the interior-induced graph ig and its Delta matrix."""
+def _interior_form(ig, K, n, m, x):
+    """The condition-(5) form at x on ig; Gamma2, Gamma and Delta come from the balls at x."""
     i = ig.index(x)
-    g2 = _gamma2_matrix(ig, i)
-    gx = _gamma_matrix(ig, i)
-    ell = delta[i]
+    ball2, g2 = _gamma2_matrix(ig, i)
+    ball1, gx = _gamma_matrix(ig, i)
+    ell = _laplacian_row(ig, i, ball1)
     mu = ig.measures
 
     if is_infinite(n):
@@ -261,14 +261,12 @@ def _interior_form(ig, delta, K, n, m, x):
         a4 = (n + 2.0) * K / ((n - 1.0) * (n - 2.0) * m)
         a5 = n * (n + 2.0) ** 2 * K * K / (8.0 * (n - 2.0) * (n - 1.0) ** 2 * m * m)
 
-    q = (
-        g2
-        - a1 * np.outer(ell, ell)
-        + a2 * gx
-        + a3 * np.diag(mu)
-        - a4 * 0.5 * (np.outer(mu, ell) + np.outer(ell, mu))
-        - a5 * np.outer(mu, mu)
-    )
+    q = a3 * np.diag(mu) - a5 * np.outer(mu, mu)
+    q[np.ix_(ball2, ball2)] += g2
+    q[np.ix_(ball1, ball1)] += a2 * gx - a1 * np.outer(ell, ell)
+    cross = 0.5 * a4 * np.outer(ell, mu)
+    q[ball1] -= cross
+    q[:, ball1] -= cross.T
     keep = [j for j in range(ig.num_vertices) if j != i]
     q = q[np.ix_(keep, keep)]
     return InteriorFormAssembly(
@@ -322,10 +320,9 @@ def _interior_inequality(ig, K, n, m):
             "no equality graphs exist for 1 < n < 2 (the curvature condition "
             "fails at interior vertices)", ())
 
-    delta = ig.delta_operator()
     checks = []
     for x in ig.vertices:
-        form = _interior_form(ig, delta, K, n, m, x)
+        form = _interior_form(ig, K, n, m, x)
         if form.matrix.size == 0:
             checks.append(InteriorFormCheck(x, True, None, None))
             continue
@@ -362,18 +359,10 @@ def disjoint_ball_scan(interior):
     theorem constrains for equality graphs.
     """
     nv = interior.num_vertices
-    dist = np.array([interior.hop_distances(i) for i in range(nv)])
-    connected = bool(np.isfinite(dist).all())
-    diameter = float(dist.max()) if nv else 0.0
-    pair = None
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if dist[i, j] > 4:
-                pair = (interior.vertices[i], interior.vertices[j])
-                break
-        if pair:
-            break
-    return BallScanReport(pair, connected, diameter)
+    dist = np.array([interior.hop_distances(i) for i in range(nv)]).reshape(nv, nv)
+    far = np.argwhere(np.triu(dist > 4))
+    pair = tuple(interior.vertices[j] for j in far[0]) if len(far) else None
+    return BallScanReport(pair, bool(np.isfinite(dist).all()), float(dist.max()) if nv else 0.0)
 
 
 @dataclass(frozen=True)
@@ -397,20 +386,12 @@ def two_ball_identity_check(bg, u):
         raise DomainMismatch(g.vertices, u.domain)
     vals = u.on(g.vertices)
     residuals = {}
-    max_abs = 0.0
     for i in range(g.num_vertices):
-        dist = g.hop_distances(i)
-        for j in range(i + 1, g.num_vertices):
-            if dist[j] != 2:
-                continue
+        for j in [j for j in g.hop_spheres(i, 2)[2] if j > i]:
             coeff = g.weights[i] * g.weights[j] / g.measures
-            denom = coeff.sum()
-            lhs = (vals[i] + vals[j]) / 2.0
-            rhs = float(coeff @ vals) / denom
-            r = lhs - rhs
-            residuals[(g.vertices[i], g.vertices[j])] = r
-            max_abs = max(max_abs, abs(r))
-    return TwoBallResiduals(residuals, max_abs)
+            residuals[(g.vertices[i], g.vertices[j])] = (
+                (vals[i] + vals[j]) / 2.0 - float(coeff @ vals) / coeff.sum())
+    return TwoBallResiduals(residuals, max(map(abs, residuals.values()), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +622,9 @@ def construct_rigid_family(interior, n, K, m, lam=None):
         raise InvalidParams(f"m must be finite positive, got {m!r}")
 
     nv = interior.num_vertices
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if interior.weights[i, j] == 0.0:
-                raise InteriorNotComplete(interior.vertices[i], interior.vertices[j])
+    missing = np.argwhere(np.triu(interior.weights == 0.0, 1))
+    if len(missing):
+        raise InteriorNotComplete(*(interior.vertices[j] for j in missing[0]))
 
     if nv >= 2:
         if n - 2.0 <= 1.0:

@@ -83,10 +83,7 @@ def _singular_interior(bg):
     g = bg.graph
     bi = set(bg.boundary_indices.tolist())
     for comp in induced_interior_graph(bg).components():
-        touches = any(
-            int(j) in bi for v in comp for j in g.neighbor_indices(g.index(v))
-        )
-        if not touches:
+        if not any(bi.intersection(g.neighbor_indices(g.index(v))) for v in comp):
             return SingularInteriorSystem(comp)
     return SingularInteriorSystem(bg.interior)
 

@@ -198,10 +198,15 @@ def cd_matrix_by_polarization(g, x, K, n):
 
 
 def kappa_by_bisection(g, x, n, iterations=80):
-    """Curvature via bisection on PSD-ness of the polarized CD form."""
+    """Curvature via bisection on PSD-ness of the polarized CD form.
+
+    The form is affine in K, so it is polarized at K = 0 and K = 1 only.
+    """
+    at_zero = cd_matrix_by_polarization(g, x, 0.0, n)
+    slope = cd_matrix_by_polarization(g, x, 1.0, n) - at_zero
 
     def psd(K):
-        evals = np.linalg.eigvalsh(cd_matrix_by_polarization(g, x, K, n))
+        evals = np.linalg.eigvalsh(at_zero + K * slope)
         return evals[0] >= -1e-11 * (1.0 + abs(evals).max())
 
     lo, hi = 0.0, 1.0

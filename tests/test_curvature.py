@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from steklov import (
     VertexFunction,
+    WeightedGraph,
     build_graph,
     cd_check,
     curvature_at,
@@ -17,8 +19,10 @@ from steklov import (
 )
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 from steklov.graphs import INF
+from steklov.operators import _gamma2_matrix
 
 from oracles import (
+    cd_matrix_by_polarization,
     cd_scalar_value,
     kappa_by_bisection,
     random_connected_graph,
@@ -97,6 +101,94 @@ def test_curvature_matches_bisection_random():
         oracle = kappa_by_bisection(g, x, n)
         assert res.kappa == pytest.approx(oracle, abs=1e-7, rel=1e-7)
         assert res.kernel_ok
+
+
+def test_curvature_matches_oracles_on_sparse_graphs():
+    # 20-40 vertices, non-unit measures and few extra edges, so the 2-balls
+    # are proper subsets of V, which the small random graphs above almost
+    # never give: the kernel must match the oracles, which work on all of V
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        g = random_connected_graph(rng, n_min=20, n_max=40, extra_edge_prob=0.05)
+        for j in rng.choice(g.num_vertices, size=2, replace=False):
+            x = g.vertices[int(j)]
+            assert len(g.ball_indices(int(j), 2)) < g.num_vertices
+            n = float(rng.choice([2.0, 3.0, INF]))
+            res = curvature_at(g, x, n)
+            assert res.kernel_ok
+            assert res.kappa == pytest.approx(kappa_by_bisection(g, x, n), abs=1e-7, rel=1e-7)
+
+            # the pinned CD form at a violated K: the polarized form over
+            # V minus {x} vanishes off the 2-ball and has cd_check's lambda_min on it
+            K = res.kappa + 0.5
+            rest = [v for v in g.vertices if v != x]
+            local = [rest.index(v) for v in res.witness.domain[1:]]
+            outside = sorted(set(range(len(rest))) - set(local))
+            polarized = cd_matrix_by_polarization(g, x, K, n)
+            scale = 1.0 + np.abs(polarized).max()
+            assert np.abs(polarized[outside]).max() <= 1e-10 * scale
+            lam = np.linalg.eigvalsh(polarized[np.ix_(local, local)])[0]
+            check = cd_check(g, K, n, x=x).checks[0]
+            assert not check.holds
+            assert check.lambda_min == pytest.approx(lam, abs=1e-10 * scale)
+
+
+def unit_grid(k):
+    ids = {(i, j): f"{i}_{j}" for i in range(k) for j in range(k)}
+    edges = [(v, ids[i + 1, j], 1.0) for (i, j), v in ids.items() if i + 1 < k]
+    edges += [(v, ids[i, j + 1], 1.0) for (i, j), v in ids.items() if j + 1 < k]
+    return build_graph([(v, 1.0) for v in ids.values()], edges)
+
+
+def test_curvature_at_reads_only_the_two_ball(monkeypatch):
+    # the centre of a 40 x 40 grid: its 2-ball has 1 + 4 + 8 = 13 vertices,
+    # no N x N Laplacian is built, and a 5 x 5 grid gives the same curvature
+    g = unit_grid(40)
+    calls = []
+    delta_operator = WeightedGraph.delta_operator
+
+    def spy(self):
+        calls.append(self)
+        return delta_operator(self)
+
+    monkeypatch.setattr(WeightedGraph, "delta_operator", spy)
+    for n in (2.0, INF):
+        kappa = curvature_at(g, "20_20", n).kappa
+        assert kappa == pytest.approx(curvature_at(unit_grid(5), "2_2", n).kappa, rel=1e-12, abs=1e-12)
+    assert calls == []
+    ball, q = _gamma2_matrix(g, g.index("20_20"))
+    assert len(ball) == 13 and q.shape == (13, 13)
+
+
+def _rebuilt(g, order, measure_scale=1.0):
+    """g with its vertices declared in the given order and its measures scaled."""
+    return build_graph(
+        [(g.vertices[k], measure_scale * g.measures[k]) for k in order],
+        [(u, v, w) for u, v, w in reversed(g.edge_list())],
+    )
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_relabelling_invariance(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=10, extra_edge_prob=float(rng.uniform(0.1, 0.5)))
+    relabelled = _rebuilt(g, rng.permutation(g.num_vertices))
+    for n in (2.0, 3.5, INF):
+        for x in g.vertices:
+            assert curvature_at(relabelled, x, n).kappa == pytest.approx(
+                curvature_at(g, x, n).kappa, rel=1e-12, abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
+def test_measure_scaling(seed, c):
+    # m -> c m divides Delta and Gamma by c and Gamma2 by c^2, so kappa by c
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=8)
+    scaled = _rebuilt(g, range(g.num_vertices), measure_scale=c)
+    for n in (2.0, 3.5, INF):
+        for x in g.vertices:
+            assert curvature_at(scaled, x, n).kappa == pytest.approx(
+                curvature_at(g, x, n).kappa / c, rel=1e-10, abs=1e-12)
 
 
 def test_curvature_result_invariants():
