@@ -7,18 +7,18 @@ The condition CD(K, n) at a vertex x asks that
 for every f (n = inf drops the middle term). All three sides are quadratic
 forms in the values of f on the closed 2-ball around x, and are invariant
 under adding constants, so we pin f(x) = 0. With that gauge the Gamma form
-is diagonal and positive exactly on the neighbor coordinates S1, and
-vanishes on the distance-2 coordinates S2. Writing
+is diagonal (D) and positive on the neighbor coordinates S1, and the row of
+Delta at x, r = Delta[x, S1] on S1, vanishes on the distance-2 coordinates S2.
+A vertex z in S2 enters Gamma2(x) only through w_xy w_yz (f(z) - f(y))^2,
+so the S2 block of the pinned Gamma2 form A is a positive diagonal d, free
+of K and n (that is what keeps the curvature finite). With A11 and A12 the
+S1 x S1 and S1 x S2 blocks of A, a Schur complement reduces CD(K, n) at x
+to K <= lambda_min(D^{-1/2} S(n) D^{-1/2}), with
 
-    A(K) = Q(Gamma2) - (1/n) Q(Delta^2) - K Q(Gamma)
+    S(n) = A11 - A12 diag(1/d) A12^T - r r^T / n,
 
-the S2 block of A is K-independent and positive semidefinite (that is what
-keeps the curvature finite), so CD(K, n) at x reduces via a Schur complement
-to K <= lambda_min(D^{-1/2} S0 D^{-1/2}) with D the Gamma diagonal and
-
-    S0 = A11(0) - A12 A22^+ A21.
-
-That lambda_min is the curvature function kappa(x, n) returned here.
+a rank-one update in n of one form per vertex. That lambda_min is the
+curvature function kappa(x, n) returned here.
 """
 
 import math
@@ -29,11 +29,11 @@ import numpy as np
 from .errors import InvalidParams, IsolatedVertex
 from .graphs import (
     EQUALITY_TOL,
+    MULTIPLICITY_TOL,
     PSD_TOL,
     ZERO_TOL,
     BoundaryGraph,
     WeightedGraph,
-    is_infinite,
     lichnerowicz_bound,
     validate_dimension,
 )
@@ -43,40 +43,38 @@ from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
 @dataclass(frozen=True)
 class LocalForms:
-    """Pinned local data at a vertex: K-free form matrix and Gamma diagonal."""
+    """Pinned local data at a vertex, free of K and n."""
 
     coords: tuple       # S1 then S2, each in vertex order
     n_neighbors: int
-    matrix: np.ndarray  # Q(Gamma2) - (1/n) Q(Delta^2) with f(x) = 0 pinned
+    matrix: np.ndarray  # Q(Gamma2) with f(x) = 0 pinned
+    laplacian_row: np.ndarray  # Delta[x, S1]; it vanishes on S2
     gamma_diag: np.ndarray  # w_xy / (2 m_x) over S1
 
 
-def _local_forms(g, x, n):
-    n = validate_dimension(n)
+def _local_forms(g, x):
     i = g.index(x)
     ball, q2 = _gamma2_matrix(g, i)
     k = len(g.neighbor_indices(i))
-    mat = q2[1:, 1:]
-    if not is_infinite(n):
-        row = _laplacian_row(g, i, ball)[1:]
-        mat -= np.outer(row, row) / n
     return LocalForms(
         coords=tuple(g.vertices[j] for j in ball[1:]),
         n_neighbors=k,
-        matrix=mat,
+        matrix=q2[1:, 1:],
+        laplacian_row=_laplacian_row(g, i, ball[:k + 1])[1:],
         gamma_diag=g.weights[i, ball[1:k + 1]] / (2.0 * g.measures[i]),
     )
 
 
-def _psd_verdict(matrix):
-    """lambda_min, max |lambda|, the PSD verdict and a lambda_min eigenvector.
+def _psd_rule(evals):
+    """lambda_min, max |lambda| and the PSD verdict lambda_min >= -PSD_TOL (1 + max |lambda|)."""
+    lam, norm = float(evals.min()), float(np.abs(evals).max())
+    return lam, norm, lam >= -PSD_TOL * (1.0 + norm)
 
-    The verdict is lambda_min >= -PSD_TOL (1 + max |lambda|).
-    """
+
+def _psd_verdict(matrix):
+    """_psd_rule on the spectrum of matrix, plus a lambda_min eigenvector."""
     evals, evecs = np.linalg.eigh(matrix)
-    lam = float(evals[0])
-    norm = float(np.abs(evals).max())
-    return lam, norm, lam >= -PSD_TOL * (1.0 + norm), evecs[:, 0]
+    return (*_psd_rule(evals), evecs[:, 0])
 
 
 def _embed_witness(vertex, coords, vec):
@@ -118,14 +116,14 @@ def cd_check(g, K, n, x=None):
     targets = g.vertices if x is None else (g.vertices[g.index(x)],)
     checks = []
     for v in targets:
-        local = _local_forms(g, v, n)
-        dim = len(local.coords)
-        if dim == 0:
+        local = _local_forms(g, v)
+        if not local.coords:
             checks.append(CDVertexCheck(v, math.inf, 0.0, True, None))
             continue
+        k = local.n_neighbors
         a = local.matrix.copy()
-        k_idx = np.arange(local.n_neighbors)
-        a[k_idx, k_idx] -= K * local.gamma_diag
+        a[:k, :k] -= np.outer(local.laplacian_row, local.laplacian_row) / n
+        a[range(k), range(k)] -= K * local.gamma_diag
         lam, norm, holds, vec = _psd_verdict(a)
         witness = None if holds else _embed_witness(v, local.coords, vec)
         checks.append(CDVertexCheck(v, lam, norm, holds, witness))
@@ -151,41 +149,41 @@ class CurvatureResult:
     witness_quotient: float
 
 
-def curvature_at(g, x, n):
-    """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction."""
-    n = validate_dimension(n)
-    local = _local_forms(g, x, n)
+def _curvature_results(g, x, n_values):
+    """The CurvatureResult at x for each n in n_values, from one pinned form.
+
+    The Schur complements over S1 differ only by the rank-one term r r^T / n,
+    so one stacked eigh solves every pencil. Each witness is checked against
+    the full pinned form for its own n.
+    """
+    local = _local_forms(g, x)
     k = local.n_neighbors
     if k == 0:
         raise IsolatedVertex(x)
-    m11 = local.matrix[:k, :k]
-    m12 = local.matrix[:k, k:]
-    m22 = local.matrix[k:, k:]
-    if m22.size:
-        s2_lambda_min, _, kernel_ok, _ = _psd_verdict(m22)
-        m22_pinv = np.linalg.pinv(m22, rcond=ZERO_TOL, hermitian=True)
-        schur = m11 - m12 @ m22_pinv @ m12.T
-    else:
-        s2_lambda_min, kernel_ok, m22_pinv, schur = None, True, None, m11
-    d_isqrt = 1.0 / np.sqrt(local.gamma_diag)
-    pencil = schur * d_isqrt[:, None] * d_isqrt[None, :]
-    pencil = (pencil + pencil.T) / 2.0
-    evals, evecs = np.linalg.eigh(pencil)
-    kappa = float(evals[0])
+    q, r, gamma_diag = local.matrix, local.laplacian_row, local.gamma_diag
+    a12, d = q[:k, k:], np.diagonal(q)[k:]
+    # pinv(diag(d), rcond=ZERO_TOL), elementwise
+    keep = np.abs(d) > ZERO_TOL * np.abs(d).max(initial=0.0)
+    d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=keep)
+    s2_lambda_min, _, kernel_ok = _psd_rule(d) if d.size else (None, None, True)
+    d_isqrt = 1.0 / np.sqrt(gamma_diag)
+    schur = q[:k, :k] - np.outer(r, r) / np.array(n_values)[:, None, None] - (a12 * d_plus) @ a12.T
+    pencils = schur * d_isqrt[:, None] * d_isqrt[None, :]
+    evals, evecs = np.linalg.eigh((pencils + pencils.transpose(0, 2, 1)) / 2.0)
 
-    f1 = d_isqrt * evecs[:, 0]
-    f2 = -(m22_pinv @ (m12.T @ f1)) if m22_pinv is not None else np.zeros(0)
-    vec = _sign_fix(np.concatenate([f1, f2]))
-    quotient = float(vec @ local.matrix @ vec) / float(f1 @ (local.gamma_diag * f1))
-    return CurvatureResult(
-        vertex=x,
-        n=n,
-        kappa=kappa,
-        witness=_embed_witness(x, local.coords, vec),
-        kernel_ok=kernel_ok,
-        s2_lambda_min=s2_lambda_min,
-        witness_quotient=quotient,
-    )
+    results = []
+    for n, kappa, v1 in zip(n_values, evals[:, 0], evecs[:, :, 0]):
+        f1 = d_isqrt * v1
+        vec = _sign_fix(np.concatenate([f1, -d_plus * (a12.T @ f1)]))
+        quotient = (vec @ q @ vec - (r @ vec[:k]) ** 2 / n) / (f1 @ (gamma_diag * f1))
+        results.append(CurvatureResult(x, n, float(kappa), _embed_witness(x, local.coords, vec),
+                                       kernel_ok, s2_lambda_min, float(quotient)))
+    return results
+
+
+def curvature_at(g, x, n):
+    """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction."""
+    return _curvature_results(g, x, (validate_dimension(n),))[0]
 
 
 @dataclass(frozen=True)
@@ -194,19 +192,21 @@ class CurvatureProfile:
 
     n_values: tuple
     results: dict   # n -> {vertex: CurvatureResult}
-    global_min: dict  # n -> (kappa, vertex attaining it)
+    global_min: dict  # n -> (kappa, first vertex in vertex order within MULTIPLICITY_TOL of it)
 
 
 def curvature_profile(g, n_grid):
-    """curvature_at for every vertex and every n in the grid, plus global minima."""
+    """kappa(x, n) for every vertex and n in the grid, plus global minima (ties to the first vertex)."""
     n_values = tuple(validate_dimension(n) for n in n_grid)
-    results = {}
+    results = {n: {} for n in n_values}
+    for v in g.vertices if n_values else ():
+        for res in _curvature_results(g, v, n_values):
+            results[res.n][v] = res
     global_min = {}
-    for n in n_values:
-        per_vertex = {v: curvature_at(g, v, n) for v in g.vertices}
-        results[n] = per_vertex
-        best_vertex = min(per_vertex, key=lambda v: per_vertex[v].kappa)
-        global_min[n] = (per_vertex[best_vertex].kappa, best_vertex)
+    for n, per_vertex in results.items():
+        low = min(res.kappa for res in per_vertex.values())
+        tol = MULTIPLICITY_TOL * (1.0 + abs(low))
+        global_min[n] = (low, next(v for v, res in per_vertex.items() if res.kappa <= low + tol))
     return CurvatureProfile(n_values, results, global_min)
 
 

@@ -45,9 +45,9 @@ PSD_TOL = 1e-9  # PSD: lambda_min >= -PSD_TOL * (1 + max |lambda|)
 CONDITION_TOL = 1e-9  # relative agreement of measures, weights, degrees in conditions (1)-(4)
 EQUALITY_TOL = 1e-8  # |spectral value - bound| <= EQUALITY_TOL * bound
 HARMONIC_TOL = 1e-8  # interior residual of a harmonic extension, relative to max(1, max |f|)
-MULTIPLICITY_TOL = 1e-8  # eigenvalues closer than this, relative to 1 + |value|, share a group
+MULTIPLICITY_TOL = 1e-8  # values this close, relative to 1 + |value|, tie (eigenvalue groups, global_min)
 GREEN_TOL = 1e-10  # scaled residual of Green's identity
-ZERO_TOL = 1e-12  # entries below this fraction of the largest count as zero (sign fix, pinv)
+ZERO_TOL = 1e-12  # entries below this fraction of the largest count as zero (sign fix, S2 inverse)
 SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops
 
 

@@ -18,6 +18,7 @@ from steklov import (
     verify_lichnerowicz,
 )
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
+import steklov.curvature
 from steklov.graphs import INF
 from steklov.operators import _gamma2_matrix
 
@@ -266,6 +267,72 @@ def test_curvature_profile():
     empty = curvature_profile(g, [])
     assert empty.n_values == ()
     assert empty.results == {} and empty.global_min == {}
+
+
+def test_curvature_profile_matches_curvature_at():
+    # the profile solves every n of a vertex from one form and one stacked
+    # eigh; it must agree with the one-vertex, one-n call
+    rng = np.random.default_rng(12)
+    grid = (1.5, 2.0, 3.0, 10.0, INF)
+    for _ in range(8):
+        g = random_connected_graph(rng, n_min=2, n_max=30, extra_edge_prob=float(rng.choice([0.05, 0.3])))
+        profile = curvature_profile(g, grid)
+        for n in grid:
+            for x in g.vertices:
+                got, want = profile.results[n][x], curvature_at(g, x, n)
+                assert got.kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
+                assert got.kernel_ok == want.kernel_ok
+                assert got.s2_lambda_min == want.s2_lambda_min
+                assert got.witness.domain == want.witness.domain
+
+
+def test_curvature_profile_builds_each_form_once(monkeypatch):
+    calls = []
+    gamma2_matrix = steklov.curvature._gamma2_matrix
+
+    def spy(g, i):
+        calls.append(i)
+        return gamma2_matrix(g, i)
+
+    monkeypatch.setattr(steklov.curvature, "_gamma2_matrix", spy)
+    curvature_profile(unit_grid(6), (2.0, 3.0, 5.0, 10.0, INF))
+    assert sorted(calls) == list(range(36))
+
+
+def test_curvature_profile_names_the_first_isolated_vertex():
+    g = build_graph([("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)], [("a", "b", 1.0)], relaxed=True)
+    with pytest.raises(IsolatedVertex) as err:
+        curvature_profile(g, (2.0, INF))
+    assert err.value.vertex == "c"
+
+
+def test_s2_block_of_gamma2_is_a_positive_diagonal():
+    # the curvature kernel inverts the S2 x S2 block of the pinned form
+    # elementwise; it is diagonal because a distance-2 vertex z enters
+    # Gamma2(x) only through the terms w_xy w_yz (f(z) - f(y))^2
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        g = random_connected_graph(rng, n_min=3, n_max=25, extra_edge_prob=float(rng.choice([0.05, 0.2, 0.5])))
+        for i in range(g.num_vertices):
+            _, q = _gamma2_matrix(g, i)
+            k = len(g.neighbor_indices(i)) + 1
+            block = q[k:, k:]
+            assert np.all(block[~np.eye(len(block), dtype=bool)] == 0.0)
+            assert np.all(np.diagonal(block) > 0.0)
+
+
+def test_global_min_reports_the_first_tied_vertex():
+    # the five interior vertices are symmetric, so their kappas tie; rounding
+    # must not choose among them
+    g = make_example("complete_interior", interior_size=5, n=10, K=1, m=1).graph
+    grid = (2.0, 3.0, INF)
+    profile = curvature_profile(g, grid)
+    assert [profile.global_min[n][1] for n in grid] == ["x1"] * 3
+    order = [g.index(v) for v in ("x3", "1", "x5", "x1", "x4", "2", "x2")]
+    relabelled = curvature_profile(_rebuilt(g, order), grid)
+    assert [relabelled.global_min[n][1] for n in grid] == ["x3"] * 3
+    for n in grid:
+        assert relabelled.global_min[n][0] == pytest.approx(profile.global_min[n][0], rel=1e-12)
 
 
 def test_verify_lichnerowicz_examples():
