@@ -7,6 +7,7 @@ command ran came out negative), 2 input or usage errors.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -70,16 +71,17 @@ def _load_graph(path):
     return parse_graph_file(text)
 
 
-def _function_payload(f):
-    return {"domain": [str(v) for v in f.domain], "values": list(f.values)}
+def _function_payload(f, domain=None):
+    return {"domain": [str(v) for v in f.domain] if domain is None else domain, "values": f.values}
 
 
 def _spectrum_payload(spec):
+    domain = [str(v) for v in spec.functions[0].domain] if spec.functions else None
     return {
         "kind": spec.kind.value,
-        "values": list(spec.values),
+        "values": spec.values,
         "multiplicity_groups": [list(grp) for grp in spec.multiplicity_groups()],
-        "eigenfunctions": [_function_payload(f) for f in spec.functions],
+        "eigenfunctions": [_function_payload(f, domain) for f in spec.functions],
     }
 
 
@@ -89,6 +91,7 @@ def _emit(report, summary_lines):
         print(line, file=sys.stderr)
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="steklov", description=__doc__)
     parser.add_argument("--version", action="version", version=f"steklov {__version__}")

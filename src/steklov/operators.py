@@ -13,7 +13,8 @@ Local quadratic-form assemblies express Gamma, Gamma2 and (Delta f)^2 at a
 vertex as symmetric matrices in the values of f on the ball around it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,6 @@ class VertexFunction:
 
     domain: tuple
     values: np.ndarray
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -35,8 +35,12 @@ class VertexFunction:
             raise DomainMismatch(dom, range(vals.size))
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(dom)})
         vals.setflags(write=False)
+
+    @cached_property
+    def _index(self):
+        """{vertex: position}, built on the first lookup."""
+        return {v: i for i, v in enumerate(self.domain)}
 
     def __getitem__(self, v):
         try:

@@ -1,15 +1,19 @@
 """The command-line surface: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steklov
 from steklov.cli import run
+
+from oracles import random_boundary_graph
 
 
 @pytest.fixture
@@ -186,3 +190,45 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.stdout.strip() == "False"
+
+
+def _fresh_process(*argv):
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklov.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reuse_after_errors_matches_a_fresh_process(capture, p3_file):
+    assert steklov.cli._build_parser() is steklov.cli._build_parser()
+    assert capture("bogus")[0] == 2
+    assert capture("cd-check", "--graph", p3_file, "--K", "1", "--n", "x")[0] == 2
+    for argv in (
+        ("curvature", "--graph", p3_file, "--n", "2,inf"),
+        ("cd-check", "--graph", p3_file, "--K", "0.51", "--n", "2"),
+        ("classify", "--graph", p3_file, "--class", "partial"),
+        ("spectrum", "--graph", p3_file),
+    ):
+        assert capture(*argv) == _fresh_process(*argv)
+
+
+def test_spectrum_reports_are_pinned_bytes(capture, tmp_path, monkeypatch):
+    """sha256 of the stdout of spectrum and steklov on a seeded 40-vertex weighted graph.
+
+    The report echoes the graph path, so the file is read by a relative name.
+    """
+    bg = random_boundary_graph(np.random.default_rng(11), 40, 40, extra_edge_prob=0.1)
+    monkeypatch.chdir(tmp_path)
+    Path("random40.json").write_text(steklov.serialize_graph(bg))
+    digests = {}
+    for command in ("spectrum", "steklov"):
+        code, out, _ = capture(command, "--graph", "random40.json")
+        assert code == 0
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert (bg.graph.num_vertices, len(bg.boundary)) == (40, 10)
+    assert digests == {
+        "spectrum": "36bc7a2b9fa93284bcf3f642edde49d30c225f8b18799c1365639f72218bbac5",
+        "steklov": "8b23d07b8a4552216efbcb5574a9082051fa2ee4189680aceb9a093af246be1b",
+    }

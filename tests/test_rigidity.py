@@ -37,7 +37,7 @@ from steklov.errors import (
     WrongHypothesis,
     WrongWeightClass,
 )
-from steklov.graphs import INF
+from steklov.graphs import INF, PSD_TOL
 from steklov.rigidity import RigidityClass
 
 from oracles import (
@@ -236,20 +236,19 @@ def test_check_rigidity_equality_graphs():
 
 
 def test_check_rigidity_p5_not_rigid():
+    # The middle vertex of P5 sees Z locally, so the global curvature is 0 at
+    # every n: CD(K, n) fails for every K > 0 and the graph is not rigid.
     p5 = unit_path(5, {"1", "5"})
     profile = curvature_profile(p5.graph, [2.0, 3.0, 5.0, 10.0, INF])
-    found_positive = False
     for n in profile.n_values:
-        K = profile.global_min[n][0]
-        if K <= 0:
-            continue
-        found_positive = True
-        rep = check_rigidity(p5, K, n)
+        assert abs(profile.global_min[n][0]) <= PSD_TOL
+    for n in (3.0, INF):
+        rep = check_rigidity(p5, 0.1, n)
+        assert not rep.cd_holds
         assert not rep.bound_equality
         assert not rep.all_conditions_hold
         assert rep.consistent
         assert rep.classification.label is RigidityClass.NOT_RIGID
-    assert found_positive
 
 
 def test_check_rigidity_single_boundary_vertex():

@@ -257,3 +257,18 @@ def test_steklov_diagnostics_non_equality():
     with pytest.raises(InvalidParams):
         single_b = attach_boundary(g, {"1"})
         steklov_eigenfunction_diagnostics(single_b, steklov_spectrum(single_b))
+
+
+def test_eigenfunctions_build_their_index_on_first_lookup():
+    bg = make_example("weighted_square", K=1.0, m=1.0)
+    f = laplacian_spectrum(bg.graph).functions[1]
+    assert all("_index" not in h.__dict__ for h in steklov_spectrum(bg).functions)
+    assert "_index" not in f.__dict__
+    v = bg.graph.vertices[2]
+    assert f[v] == f.values[2]
+    assert "_index" in f.__dict__
+    assert np.array_equal(f.on(bg.boundary), f.values[bg.boundary_indices])
+    with pytest.raises(DomainMismatch):
+        f["no-such-vertex"]
+    with pytest.raises(DomainMismatch):
+        f.on(("no-such-vertex",))
