@@ -19,6 +19,13 @@ to K <= lambda_min(D^{-1/2} S(n) D^{-1/2}), with
 
 a rank-one update in n of one form per vertex. That lambda_min is the
 curvature function kappa(x, n) returned here.
+
+kappa(x, .) depends on the 2-ball around x alone, so centres are grouped by
+2-ball shape (|S1|, |S2|), read off the cached adjacency lists, and each
+group's pinned forms are assembled as one (B, s, s) stack. One stacked eigh
+per group solves every n (curvature) or decides every vertex (cd_check); the
+S2 inverse, sign fix, witnesses and Rayleigh quotients are array operations
+over the group. A single vertex is the one-centre case of the same kernel.
 """
 
 import math
@@ -37,44 +44,43 @@ from .graphs import (
     lichnerowicz_bound,
     validate_dimension,
 )
-from .operators import VertexFunction, _gamma2_matrix, _laplacian_row
+from .operators import VertexFunction, _gamma2_forms
+from .operators import _gamma2_matrix  # noqa: F401 -- unused; perfbench traces calls via this name
 from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
 
-@dataclass(frozen=True)
-class LocalForms:
-    """Pinned local data at a vertex, free of K and n."""
-
-    coords: tuple       # S1 then S2, each in vertex order
-    n_neighbors: int
-    matrix: np.ndarray  # Q(Gamma2) with f(x) = 0 pinned
-    laplacian_row: np.ndarray  # Delta[x, S1]; it vanishes on S2
-    gamma_diag: np.ndarray  # w_xy / (2 m_x) over S1
-
-
-def _local_forms(g, x):
-    i = g.index(x)
-    ball, q2 = _gamma2_matrix(g, i)
-    k = len(g.neighbor_indices(i))
-    return LocalForms(
-        coords=tuple(g.vertices[j] for j in ball[1:]),
-        n_neighbors=k,
-        matrix=q2[1:, 1:],
-        laplacian_row=_laplacian_row(g, i, ball[:k + 1])[1:],
-        gamma_diag=g.weights[i, ball[1:k + 1]] / (2.0 * g.measures[i]),
-    )
+def _shape_groups(g, centres):
+    """{(|S1|, |S2|): (balls, domains)}, each 2-ball listed as centre, S1, S2 in a (B, s) array and as ids."""
+    groups = {}
+    for i in centres:
+        _, s1, s2 = g.hop_spheres(i, 2)
+        groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
+    return {shape: (np.array(balls), [tuple(map(g.vertices.__getitem__, ball)) for ball in balls])
+            for shape, balls in groups.items()}
 
 
-def _psd_rule(evals):
-    """lambda_min, max |lambda| and the PSD verdict lambda_min >= -PSD_TOL (1 + max |lambda|)."""
-    lam, norm = float(evals.min()), float(np.abs(evals).max())
-    return lam, norm, lam >= -PSD_TOL * (1.0 + norm)
+def _pinned_forms(g, balls, k):
+    """For one shape group: the Gamma2 forms with f(x) = 0 pinned, Delta[x, S1] and w_xy / (2 m_x) on S1."""
+    centre = balls[:, :1]
+    w, m = g.weights[centre, balls[:, 1:k + 1]], g.measures[centre]
+    return _gamma2_forms(g, balls, k + 1)[:, 1:, 1:], w / m, w / (2.0 * m)
 
 
-def _psd_verdict(matrix):
-    """_psd_rule on the spectrum of matrix, plus a lambda_min eigenvector."""
-    evals, evecs = np.linalg.eigh(matrix)
-    return (*_psd_rule(evals), evecs[:, 0])
+def _psd_rule(evals, scale):
+    """lambda_min, max |lambda| and lambda_min >= -PSD_TOL max(max |lambda|, scale) along the trailing axis.
+
+    scale, the size of the summands (for cd_check the largest entry of the
+    form before the shift by K), judges a form that cancels to rounding noise;
+    no absolute floor breaks covariance under w -> c w, m -> d m.
+    """
+    lam, norm = evals.min(axis=-1), np.abs(evals).max(axis=-1)
+    return lam, norm, lam >= -PSD_TOL * np.maximum(norm, scale)
+
+
+def _psd_verdict(matrices, scale):
+    """_psd_rule on the spectra of a stack of forms, plus a lambda_min eigenvector of each."""
+    evals, evecs = np.linalg.eigh(matrices)
+    return (*_psd_rule(evals, scale), evecs[..., 0])
 
 
 def _embed_witness(vertex, coords, vec):
@@ -106,28 +112,30 @@ class CDReport:
 def cd_check(g, K, n, x=None):
     """Decide CD(K, n) at one vertex (or everywhere when x is omitted).
 
-    The verdict is lambda_min(A(K)) >= -PSD_TOL (1 + ||A||) over the pinned
-    2-ball space; on failure the check carries a violating function f with
-    f^T A f < 0. K may be any real (non-positive K is useful diagnostically);
-    n must lie in (1, inf].
+    The verdict is lambda_min(A(K)) >= -PSD_TOL max(||A(K)||, q) over the
+    pinned 2-ball space, q the largest entry of the pinned Gamma2 form; on
+    failure the check carries a violating function f with f^T A f < 0. K may
+    be any real (non-positive K is useful diagnostically); n must lie in (1, inf].
     """
     n = validate_dimension(n)
     K = float(K)
-    targets = g.vertices if x is None else (g.vertices[g.index(x)],)
-    checks = []
-    for v in targets:
-        local = _local_forms(g, v)
-        if not local.coords:
-            checks.append(CDVertexCheck(v, math.inf, 0.0, True, None))
+    centres = range(g.num_vertices) if x is None else (g.index(x),)
+    checks = {}
+    for (k, _), (balls, domains) in _shape_groups(g, centres).items():
+        if k == 0:
+            checks.update((i, CDVertexCheck(g.vertices[i], math.inf, 0.0, True, None)) for i in balls[:, 0])
             continue
-        k = local.n_neighbors
-        a = local.matrix.copy()
-        a[:k, :k] -= np.outer(local.laplacian_row, local.laplacian_row) / n
-        a[range(k), range(k)] -= K * local.gamma_diag
-        lam, norm, holds, vec = _psd_verdict(a)
-        witness = None if holds else _embed_witness(v, local.coords, vec)
-        checks.append(CDVertexCheck(v, lam, norm, holds, witness))
-    return CDReport(K, n, all(c.holds for c in checks), tuple(checks))
+        a, r, gamma_diag = _pinned_forms(g, balls, k)
+        scale = np.abs(a).max(axis=(1, 2))
+        a[:, :k, :k] -= r[:, :, None] * r[:, None, :] / n
+        a[:, range(k), range(k)] -= K * gamma_diag
+        lam, norm, holds, vecs = _psd_verdict(a, scale)
+        for i, domain, low, top, ok, vec in zip(balls[:, 0].tolist(), domains, lam.tolist(), norm.tolist(),
+                                                holds.tolist(), vecs):
+            witness = None if ok else _embed_witness(domain[0], domain[1:], vec)
+            checks[i] = CDVertexCheck(domain[0], low, top, ok, witness)
+    checks = tuple(checks[i] for i in centres)
+    return CDReport(K, n, all(c.holds for c in checks), checks)
 
 
 @dataclass(frozen=True)
@@ -149,41 +157,46 @@ class CurvatureResult:
     witness_quotient: float
 
 
-def _curvature_results(g, x, n_values):
-    """The CurvatureResult at x for each n in n_values, from one pinned form.
+def _curvature_results(g, centres, n_values):
+    """{centre: [CurvatureResult for each n in n_values]}, one stacked solve per 2-ball shape.
 
     The Schur complements over S1 differ only by the rank-one term r r^T / n,
-    so one stacked eigh solves every pencil. Each witness is checked against
-    the full pinned form for its own n.
+    so one stacked eigh of shape (B, |n|, |S1|, |S1|) solves every pencil of
+    a group. Each witness is checked against the full pinned form for its n.
     """
-    local = _local_forms(g, x)
-    k = local.n_neighbors
-    if k == 0:
-        raise IsolatedVertex(x)
-    q, r, gamma_diag = local.matrix, local.laplacian_row, local.gamma_diag
-    a12, d = q[:k, k:], np.diagonal(q)[k:]
-    # pinv(diag(d), rcond=ZERO_TOL), elementwise
-    keep = np.abs(d) > ZERO_TOL * np.abs(d).max(initial=0.0)
-    d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=keep)
-    s2_lambda_min, _, kernel_ok = _psd_rule(d) if d.size else (None, None, True)
-    d_isqrt = 1.0 / np.sqrt(gamma_diag)
-    schur = q[:k, :k] - np.outer(r, r) / np.array(n_values)[:, None, None] - (a12 * d_plus) @ a12.T
-    pencils = schur * d_isqrt[:, None] * d_isqrt[None, :]
-    evals, evecs = np.linalg.eigh((pencils + pencils.transpose(0, 2, 1)) / 2.0)
-
-    results = []
-    for n, kappa, v1 in zip(n_values, evals[:, 0], evecs[:, :, 0]):
-        f1 = d_isqrt * v1
-        vec = _sign_fix(np.concatenate([f1, -d_plus * (a12.T @ f1)]))
-        quotient = (vec @ q @ vec - (r @ vec[:k]) ** 2 / n) / (f1 @ (gamma_diag * f1))
-        results.append(CurvatureResult(x, n, float(kappa), _embed_witness(x, local.coords, vec),
-                                       kernel_ok, s2_lambda_min, float(quotient)))
-    return results
+    n_arr = np.array(n_values)
+    out = {}
+    for (k, t), (balls, domains) in _shape_groups(g, centres).items():
+        if k == 0:
+            raise IsolatedVertex(g.vertices[balls[0, 0]])
+        q, r, gamma_diag = _pinned_forms(g, balls, k)
+        a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
+        # pinv(diag(d), rcond=ZERO_TOL), elementwise
+        keep = np.abs(d) > ZERO_TOL * np.abs(d).max(axis=1, keepdims=True, initial=0.0)
+        d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=keep)
+        s2_min, _, kernel_ok = _psd_rule(d, 0.0) if t else (np.full(len(d), None), 0, np.full(len(d), True))
+        d_isqrt = 1.0 / np.sqrt(gamma_diag)
+        schur = (q[:, None, :k, :k] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
+                 - ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None])
+        pencils = schur * d_isqrt[:, None, :, None] * d_isqrt[:, None, None, :]
+        evals, evecs = np.linalg.eigh((pencils + pencils.swapaxes(2, 3)) / 2.0)
+        f1 = d_isqrt[:, None] * evecs[..., 0]
+        vecs = _sign_fix(np.concatenate([f1, -d_plus[:, None] * (f1 @ a12)], axis=2))
+        quotients = ((np.sum((vecs @ q) * vecs, axis=2) - (vecs[..., :k] @ r[:, :, None])[..., 0] ** 2 / n_arr)
+                     / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
+        witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
+        for i, domain, kappas, fns, ok, s2, quots in zip(balls[:, 0].tolist(), domains, evals[..., 0].tolist(),
+                                                         witnesses, kernel_ok.tolist(), s2_min.tolist(),
+                                                         quotients.tolist()):
+            out[i] = [CurvatureResult(domain[0], n, kappa, VertexFunction(domain, fn), ok, s2, quot)
+                      for n, kappa, fn, quot in zip(n_values, kappas, fns, quots)]
+    return out
 
 
 def curvature_at(g, x, n):
     """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction."""
-    return _curvature_results(g, x, (validate_dimension(n),))[0]
+    i = g.index(x)
+    return _curvature_results(g, (i,), (validate_dimension(n),))[i][0]
 
 
 @dataclass(frozen=True)
@@ -192,21 +205,25 @@ class CurvatureProfile:
 
     n_values: tuple
     results: dict   # n -> {vertex: CurvatureResult}
-    global_min: dict  # n -> (kappa, first vertex in vertex order within MULTIPLICITY_TOL of it)
+    global_min: dict  # n -> (kappa, first vertex in vertex order within MULTIPLICITY_TOL max(deg/m) of it)
 
 
 def curvature_profile(g, n_grid):
-    """kappa(x, n) for every vertex and n in the grid, plus global minima (ties to the first vertex)."""
+    """kappa(x, n) for every vertex and n in the grid, plus global minima.
+
+    Ties go to the first vertex; kappas tie within MULTIPLICITY_TOL max(deg/m),
+    the scale of the rounding in every kappa, so rescaling w and m keeps the
+    reported vertex.
+    """
     n_values = tuple(validate_dimension(n) for n in n_grid)
-    results = {n: {} for n in n_values}
-    for v in g.vertices if n_values else ():
-        for res in _curvature_results(g, v, n_values):
-            results[res.n][v] = res
-    global_min = {}
-    for n, per_vertex in results.items():
-        low = min(res.kappa for res in per_vertex.values())
-        tol = MULTIPLICITY_TOL * (1.0 + abs(low))
-        global_min[n] = (low, next(v for v, res in per_vertex.items() if res.kappa <= low + tol))
+    rows = _curvature_results(g, range(g.num_vertices), n_values) if n_values else {}
+    tol = MULTIPLICITY_TOL * (g.weight_sums / g.measures).max()
+    results, global_min = {}, {}
+    for j, n in enumerate(n_values):
+        results[n] = {v: rows[i][j] for i, v in enumerate(g.vertices)}
+        kappas = np.array([res.kappa for res in results[n].values()])
+        low = kappas.min()
+        global_min[n] = (float(low), g.vertices[np.argmax(kappas <= low + tol)])
     return CurvatureProfile(n_values, results, global_min)
 
 

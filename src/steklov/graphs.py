@@ -41,11 +41,11 @@ from .errors import (
 INF = math.inf
 
 # Numerical tolerances, the single table every module reads.
-PSD_TOL = 1e-9  # PSD: lambda_min >= -PSD_TOL * (1 + max |lambda|)
+PSD_TOL = 1e-9  # PSD: lambda_min >= -PSD_TOL * max(max |lambda|, largest entry before any shift by K)
 CONDITION_TOL = 1e-9  # relative agreement of measures, weights, degrees in conditions (1)-(4)
 EQUALITY_TOL = 1e-8  # |spectral value - bound| <= EQUALITY_TOL * bound
-HARMONIC_TOL = 1e-8  # interior residual of a harmonic extension, relative to max(1, max |f|)
-MULTIPLICITY_TOL = 1e-8  # values this close, relative to 1 + |value|, tie (eigenvalue groups, global_min)
+HARMONIC_TOL = 1e-8  # interior residual of a harmonic extension, relative to max(deg/m) max |f|
+MULTIPLICITY_TOL = 1e-8  # ties: eigenvalues relative to 1 + |value|, global_min kappas relative to max(deg/m)
 GREEN_TOL = 1e-10  # scaled residual of Green's identity
 ZERO_TOL = 1e-12  # entries below this fraction of the largest count as zero (sign fix, S2 inverse)
 SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops

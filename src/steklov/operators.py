@@ -192,39 +192,54 @@ def _laplacian_row(g, i, ball):
     return row
 
 
+def _gamma_forms(g, balls):
+    """The (B, k, k) stack of Q with f^T Q f = Gamma(f, f)(i) over closed 1-balls, each row centre first."""
+    w = g.weights[balls[:, :1], balls]
+    q = np.zeros(w.shape + w.shape[1:])
+    diag = np.arange(w.shape[1])
+    q[:, diag, diag] = w
+    q[:, 0, 0] = g.weight_sums[balls[:, 0]]
+    q[:, 0, 1:] = q[:, 1:, 0] = -w[:, 1:]
+    q /= (2.0 * g.measures[balls[:, :1]])[:, :, None]
+    return q
+
+
 def _gamma_matrix(g, i):
-    """The closed 1-ball around i (i first) and Q with f^T Q f = Gamma(f, f)(i) on it."""
+    """The closed 1-ball around i (i first) and its Gamma form, the one-centre _gamma_forms."""
     ball = g.ball_indices(i, 1)
-    w = g.weights[i, ball[1:]]
-    q = np.diag(np.concatenate([[g.weight_sums[i]], w]))
-    q[0, 1:] = q[1:, 0] = -w
-    q /= 2.0 * g.measures[i]
-    return ball, q
+    return ball, _gamma_forms(g, ball[None])[0]
 
 
-def _gamma2_matrix(g, i):
-    """The closed 2-ball around i (i, S1, S2) and Q with f^T Q f = Gamma2(f, f)(i) on it.
+def _gamma2_forms(g, balls, k):
+    """The (B, s, s) stack of Q with f^T Q f = Gamma2(f, f)(i) over B closed 2-balls of one shape.
 
+    Each row of balls lists a centre i, its k - 1 neighbours S1, then S2.
     Every neighbour of a 1-ball vertex lies in the 2-ball, so with the true
-    degrees deg = sum_y w_xy the form is exact. With G the Gamma form at i,
+    degrees deg = sum_y w_xy the forms are exact. With G the Gamma form at i,
     c = Delta[i, :] / (2m) and sum_k Delta[i, k] Gamma_k in closed form,
         2Q = diag(c deg + W c) - P - P^T,  P = diag(c) W + G Delta.
     """
-    ball = g.ball_indices(i, 2)
-    k = len(g.neighbor_indices(i)) + 1
-    w = g.weights[np.ix_(ball, ball)]
-    deg, mu = g.weight_sums[ball[:k]], g.measures[ball[:k]]
-    delta = w[:k] / mu[:, None]
-    delta[range(k), range(k)] -= deg / mu
-    c = delta[0, :k] / (2.0 * mu)
+    w = g.weights[balls[:, :, None], balls[:, None, :]]
+    deg, mu = g.weight_sums[balls[:, :k]], g.measures[balls[:, :k]]
+    diag = np.arange(k)
+    delta = w[:, :k] / mu[:, :, None]
+    delta[:, diag, diag] -= deg / mu
+    c = delta[:, 0, :k] / (2.0 * mu)
     p = np.zeros_like(w)
-    p[:k] = _gamma_matrix(g, i)[1] @ delta + c[:, None] * w[:k]
-    q = p + p.T
-    d = w[:, :k] @ c
-    d[:k] += c * deg
-    q[np.diag_indices_from(q)] -= d
+    p[:, :k] = _gamma_forms(g, balls[:, :k]) @ delta + c[:, :, None] * w[:, :k]
+    q = p + p.transpose(0, 2, 1)
+    d = (w[:, :, :k] @ c[:, :, None])[:, :, 0]
+    d[:, :k] += c * deg
+    diag = np.arange(balls.shape[1])
+    q[:, diag, diag] -= d
     q *= -0.5
-    return ball, q
+    return q
+
+
+def _gamma2_matrix(g, i):
+    """The closed 2-ball around i (i, S1, S2) and its Gamma2 form, the one-centre _gamma2_forms."""
+    ball = g.ball_indices(i, 2)
+    return ball, _gamma2_forms(g, ball[None], len(g.neighbor_indices(i)) + 1)[0]
 
 
 def _vertex_order_form(g, ball, q):

@@ -213,6 +213,7 @@ class InteriorFormAssembly:
     n: float
     K: float
     m: float
+    scale: float  # the largest entry of its largest summands, the PSD rule's scale
 
     def evaluate(self, f):
         vec = f.on(self.index_map) if isinstance(f, VertexFunction) else np.asarray(f, float)
@@ -277,6 +278,7 @@ def _interior_form(ig, K, n, m, x):
         n=n,
         K=K,
         m=m,
+        scale=max(float(np.abs(g2).max()), a3 * float(mu.max())),
     )
 
 
@@ -327,9 +329,9 @@ def _interior_inequality(ig, K, n, m):
         if form.matrix.size == 0:
             checks.append(InteriorFormCheck(x, True, None, None))
             continue
-        lam, _, ok, vec = _psd_verdict(form.matrix)
+        lam, _, ok, vec = _psd_verdict(form.matrix, form.scale)
         witness = None if ok else _embed_witness(x, form.index_map, vec)
-        checks.append(InteriorFormCheck(x, ok, lam, witness))
+        checks.append(InteriorFormCheck(x, bool(ok), float(lam), witness))
     passed = all(c.passed for c in checks)
     return InteriorInequalityReport(
         passed, "psd", "interior form PSD at every interior vertex" if passed

@@ -68,14 +68,11 @@ class DtNOperator:
         return VertexFunction(self.boundary_order, (self.schur_matrix @ vec) / self.measures)
 
 
-def _sign_fix(vec):
-    """vec or -vec, whichever has its first significant coordinate positive."""
-    mags = np.abs(vec)
-    top = mags.max()
-    if top == 0.0:
-        return vec
-    lead = np.flatnonzero(mags > ZERO_TOL * top)[0]
-    return -vec if vec[lead] < 0 else vec
+def _sign_fix(vecs):
+    """vecs, each vector along the trailing axis negated unless its first significant coordinate is positive."""
+    mags = np.abs(vecs)
+    lead = np.argmax(mags > ZERO_TOL * mags.max(axis=-1, keepdims=True), axis=-1)
+    return np.where(np.take_along_axis(vecs, lead[..., None], axis=-1) < 0, -vecs, vecs)
 
 
 def _singular_interior(bg):
@@ -114,7 +111,7 @@ def harmonic_extension(bg, f):
     out[bg.interior_indices] = -np.linalg.solve(chol.T, np.linalg.solve(chol, L_ob @ fb))
     u = VertexFunction(g.vertices, out)
     residual = np.abs(laplacian(g, u).on(bg.interior)).max() if bg.interior else 0.0
-    scale = max(1.0, float(np.abs(fb).max()))
+    scale = float((g.weight_sums / g.measures).max() * np.abs(fb).max())
     if residual > HARMONIC_TOL * scale:
         raise _singular_interior(bg)
     return u
@@ -148,10 +145,8 @@ def _scaled(a, m_diag):
 
 def _generalized_spectrum(a, m_diag, domain, kind):
     values, vectors = np.linalg.eigh(_scaled(a, m_diag))
-    vectors = vectors * (1.0 / np.sqrt(m_diag))[:, None]
-    functions = tuple(
-        VertexFunction(domain, _sign_fix(vectors[:, k])) for k in range(values.size)
-    )
+    vectors = _sign_fix((vectors * (1.0 / np.sqrt(m_diag))[:, None]).T)
+    functions = tuple(VertexFunction(domain, vec) for vec in vectors)
     return Spectrum(kind, values, functions)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from steklov import (
     VertexFunction,
     WeightedGraph,
+    attach_boundary,
     build_graph,
     cd_check,
     curvature_at,
@@ -270,33 +271,57 @@ def test_curvature_profile():
 
 
 def test_curvature_profile_matches_curvature_at():
-    # the profile solves every n of a vertex from one form and one stacked
-    # eigh; it must agree with the one-vertex, one-n call
+    # the profile solves a whole 2-ball shape group and every n in one
+    # stacked eigh; it must agree with the one-vertex, one-n call, and list
+    # its results in vertex order
     rng = np.random.default_rng(12)
     grid = (1.5, 2.0, 3.0, 10.0, INF)
+    shapes = set()
     for _ in range(8):
-        g = random_connected_graph(rng, n_min=2, n_max=30, extra_edge_prob=float(rng.choice([0.05, 0.3])))
+        g = random_connected_graph(rng, n_min=2, n_max=40, extra_edge_prob=float(rng.choice([0.05, 0.3])))
+        shapes |= {(len(g.neighbor_indices(i)), len(g.ball_indices(i, 2))) for i in range(g.num_vertices)}
         profile = curvature_profile(g, grid)
         for n in grid:
+            assert tuple(profile.results[n]) == g.vertices
             for x in g.vertices:
                 got, want = profile.results[n][x], curvature_at(g, x, n)
+                assert got.vertex == want.vertex == x and got.n == n
                 assert got.kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
                 assert got.kernel_ok == want.kernel_ok
                 assert got.s2_lambda_min == want.s2_lambda_min
                 assert got.witness.domain == want.witness.domain
+                np.testing.assert_allclose(got.witness.values, want.witness.values, rtol=0, atol=1e-9)
+                assert got.witness_quotient == pytest.approx(want.witness_quotient, rel=1e-9, abs=1e-9)
+        K = profile.global_min[2.0][0] + 0.05
+        report = cd_check(g, K, 2.0)
+        for check, x in zip(report.checks, g.vertices):
+            one = cd_check(g, K, 2.0, x=x).checks[0]
+            assert check.vertex == one.vertex == x and check.holds == one.holds
+            assert check.lambda_min == pytest.approx(one.lambda_min, rel=1e-12, abs=1e-12)
+            assert (check.witness is None) == (one.witness is None)
+    assert len(shapes) >= 20
 
 
 def test_curvature_profile_builds_each_form_once(monkeypatch):
+    # one stacked Gamma2 assembly per 2-ball shape, and every vertex in
+    # exactly one of them
     calls = []
-    gamma2_matrix = steklov.curvature._gamma2_matrix
+    gamma2_forms = steklov.curvature._gamma2_forms
 
-    def spy(g, i):
-        calls.append(i)
-        return gamma2_matrix(g, i)
+    def spy(g, balls, k):
+        calls.append(balls[:, 0].tolist())
+        return gamma2_forms(g, balls, k)
 
-    monkeypatch.setattr(steklov.curvature, "_gamma2_matrix", spy)
-    curvature_profile(unit_grid(6), (2.0, 3.0, 5.0, 10.0, INF))
-    assert sorted(calls) == list(range(36))
+    monkeypatch.setattr(steklov.curvature, "_gamma2_forms", spy)
+    g = unit_grid(6)
+    curvature_profile(g, (2.0, 3.0, 5.0, 10.0, INF))
+
+    def shape(i):
+        return len(g.neighbor_indices(i)), len(g.ball_indices(i, 2))
+
+    assert sorted(sum(calls, [])) == list(range(36))
+    assert all(len({shape(i) for i in centres}) == 1 for centres in calls)
+    assert len(calls) == len({shape(i) for i in range(36)}) == 6
 
 
 def test_curvature_profile_names_the_first_isolated_vertex():
@@ -333,6 +358,61 @@ def test_global_min_reports_the_first_tied_vertex():
     assert [relabelled.global_min[n][1] for n in grid] == ["x3"] * 3
     for n in grid:
         assert relabelled.global_min[n][0] == pytest.approx(profile.global_min[n][0], rel=1e-12)
+
+
+def test_global_min_tie_rule_is_scale_covariant():
+    # c is the unique minimiser at every weight scale; a tolerance with an
+    # absolute floor tied a with it at scale 1e-9 and reported a
+    edges = [("a", "b", 1.0), ("c", "b", 3.0), ("c", "d", 1.0), ("d", "e", 1.0), ("e", "a", 1.0), ("a", "c", 1.0)]
+    g = build_graph([(v, 1.0) for v in "abcde"], edges)
+    for scale in (1.0, 1e-6, 1e-9, 1e-12):
+        profile = curvature_profile(g.rescaled_weights(scale), (INF,))
+        assert profile.global_min[INF][1] == "c"
+        assert profile.global_min[INF][0] == pytest.approx(0.040564175899912215 * scale, rel=1e-12)
+    # on the paw every kappa at n = 2 is 0 up to rounding, so the tie goes
+    # to the first vertex whatever the rounding and the scale
+    paw = build_graph([(v, 1.0) for v in "pqrs"], [("p", "s", 1.0), ("q", "r", 1.0), ("q", "s", 1.0), ("r", "s", 1.0)])
+    for scale in (1.0, 1e-9, 1e9):
+        profile = curvature_profile(paw.rescaled_weights(scale), (2.0,))
+        assert abs(profile.global_min[2.0][0]) <= 1e-12 * scale
+        assert profile.global_min[2.0][1] == "p"
+
+
+def test_cd_check_rejects_k_above_kappa_at_small_weights():
+    # the pinned CD form scales like (w/m)^2, so an absolute PSD floor
+    # accepted CD(100 kappa) on the 4-cycle once the weights were small
+    c4 = make_example("unit_square").graph
+    for scale in (1.0, 1e-6, 1e-9, 1e-12):
+        g = c4.rescaled_weights(scale)
+        kappa = curvature_profile(g, (INF,)).global_min[INF][0]
+        assert kappa == pytest.approx(2.0 * scale, rel=1e-12)
+        assert cd_check(g, kappa, INF).holds
+        assert cd_check(g, kappa * (1.0 - 1e-6), INF).holds
+        assert not cd_check(g, kappa * (1.0 + 1e-6), INF).holds
+        assert not cd_check(g, 100.0 * kappa, INF).holds
+        assert not verify_lichnerowicz(attach_boundary(g, {"1", "3"}), 100.0 * kappa, INF).cd_holds
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
+def test_weight_and_measure_scaling_metamorphic(seed, log_c, log_d):
+    # w -> c w and m -> d m scale Delta and Gamma by c/d and Gamma2 by
+    # (c/d)^2, so kappa scales by c/d and no verdict may move
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n_max=12, extra_edge_prob=float(rng.uniform(0.05, 0.5)))
+    c, d = 10.0 ** log_c, 10.0 ** log_d
+    scaled = WeightedGraph(g.vertices, d * g.measures, c * g.weights)
+    grid = (2.0, 3.5, INF)
+    base, prof = curvature_profile(g, grid), curvature_profile(scaled, grid)
+    unit = float((g.weight_sums / g.measures).max())
+    for n in grid:
+        want = np.array([res.kappa for res in base.results[n].values()]) * (c / d)
+        got = np.array([res.kappa for res in prof.results[n].values()])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * unit * c / d)
+        assert prof.global_min[n][1] == base.global_min[n][1]
+        low = base.global_min[n][0]
+        for K, holds in ((low - 1e-6 * unit, True), (low + 1e-6 * unit, False)):
+            assert cd_check(g, K, n).holds is holds
+            assert cd_check(scaled, K * c / d, n).holds is holds
 
 
 def test_verify_lichnerowicz_examples():

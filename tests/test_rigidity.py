@@ -510,6 +510,16 @@ def test_construct_k2_and_k3():
         assert rep.classification.label is RigidityClass.GENERAL_EQUALITY
 
 
+def test_check_rigidity_at_large_weights():
+    # the residual of the harmonic extension grows with w/m; judged on an
+    # absolute scale it made the interior look singular at weights 1e12
+    bg = construct_rigid_family(complete_interior_graph(3), 10.0, 1.0, 1.0).graph
+    for scale in (1e-12, 1e6, 1e12):
+        scaled = attach_boundary(bg.graph.rescaled_weights(scale), set(bg.boundary))
+        rep = check_rigidity(scaled, scale, 10.0)
+        assert rep.is_rigid and rep.consistent
+
+
 def test_construct_explicit_lambda():
     res = construct_rigid_family(complete_interior_graph(2), 4.0, 1.0, 1.0, lam=7.0)
     assert res.lam == 7.0
