@@ -82,4 +82,18 @@ from .spectra import (
     steklov_spectrum,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BoundaryGraph", "CDReport", "Classification", "CurvatureParams", "CurvatureProfile", "CurvatureResult",
+    "DtNOperator", "ExampleFamily", "INF", "LichnerowiczReport", "OneForm", "QuadraticForm", "RigidityClass",
+    "RigidityReport", "Spectrum", "SpectrumKind", "SteklovDiagnostics", "SteklovError", "VertexFunction",
+    "WeightedGraph", "assemble_interior_form", "attach_boundary", "boundary_degree", "build_graph", "cd_check",
+    "check_green_identity", "check_interior_inequality", "check_necessary_conditions", "check_rigidity",
+    "classify_normalized", "classify_partial", "classify_unit_weight", "constant_function",
+    "construct_rigid_family", "curvature_at", "curvature_profile", "differential", "disjoint_ball_scan",
+    "dtn_operator", "gamma", "gamma2", "gamma2_form", "gamma_form", "harmonic_extension",
+    "induced_interior_graph", "infer_equality_params", "inner_product_forms", "inner_product_functions",
+    "interior_edges", "join_equality_boundary", "laplacian", "laplacian_spectrum", "laplacian_square_form",
+    "make_example", "normal_derivative", "parse_graph_file", "serialize_graph",
+    "steklov_eigenfunction_diagnostics", "steklov_spectrum", "two_ball_identity_check", "verify_lichnerowicz",
+    "volume", "weighted_degree",
+]

@@ -45,7 +45,7 @@ PSD_TOL = 1e-9  # PSD: lambda_min >= -PSD_TOL * max(max |lambda|, largest entry 
 CONDITION_TOL = 1e-9  # relative agreement of measures, weights, degrees in conditions (1)-(4)
 EQUALITY_TOL = 1e-8  # |spectral value - bound| <= EQUALITY_TOL * bound
 HARMONIC_TOL = 1e-8  # interior residual of a harmonic extension, relative to max(deg/m) max |f|
-MULTIPLICITY_TOL = 1e-8  # ties: eigenvalues relative to 1 + |value|, global_min kappas relative to max(deg/m)
+MULTIPLICITY_TOL = 1e-8  # ties: eigenvalues relative to max |eigenvalue|, global_min kappas relative to max(deg/m)
 GREEN_TOL = 1e-10  # scaled residual of Green's identity
 ZERO_TOL = 1e-12  # entries below this fraction of the largest count as zero (sign fix, S2 inverse)
 SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops

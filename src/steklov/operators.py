@@ -185,13 +185,6 @@ def gamma2(g, u, v):
 # local quadratic forms
 # ---------------------------------------------------------------------------
 
-def _laplacian_row(g, i, ball):
-    """Delta[i, ball] for a ball listed from its centre i outward."""
-    row = g.weights[i, ball] / g.measures[i]
-    row[0] -= g.weight_sums[i] / g.measures[i]
-    return row
-
-
 def _gamma_forms(g, balls):
     """The (B, k, k) stack of Q with f^T Q f = Gamma(f, f)(i) over closed 1-balls, each row centre first."""
     w = g.weights[balls[:, :1], balls]
@@ -266,7 +259,8 @@ def laplacian_square_form(g, x):
     """(Delta f)(x)^2 as a rank-one QuadraticForm over the closed 1-ball."""
     i = g.index(x)
     ball = g.ball_indices(i, 1)
-    row = _laplacian_row(g, i, ball)
+    row = g.weights[i, ball] / g.measures[i]  # Delta[i, ball], the centre first
+    row[0] -= g.weight_sums[i] / g.measures[i]
     return _vertex_order_form(g, ball, np.outer(row, row))
 
 

@@ -45,10 +45,11 @@ class Spectrum:
         self.values.setflags(write=False)
 
     def multiplicity_groups(self):
-        """Group indices of numerically equal eigenvalues."""
+        """Group indices of eigenvalues within MULTIPLICITY_TOL max |value| of their group's first (scale-free)."""
+        tol = MULTIPLICITY_TOL * np.abs(self.values).max(initial=0.0)
         groups = []
         for i, v in enumerate(self.values):
-            if groups and abs(v - self.values[groups[-1][0]]) <= MULTIPLICITY_TOL * (1.0 + abs(v)):
+            if groups and abs(v - self.values[groups[-1][0]]) <= tol:
                 groups[-1].append(i)
             else:
                 groups.append([i])

@@ -9,7 +9,10 @@ the library uses, so agreement is evidence rather than tautology:
   * bisection on a directly assembled pencil for the curvature function,
   * extension-plus-normal-derivative composition for the DtN map,
   * the specialized interior/boundary formulas valid under the degree
-    assumptions (A1)-(A4) for Gamma, Delta and Gamma2.
+    assumptions (A1)-(A4) for Gamma, Delta and Gamma2,
+  * a one-vertex-at-a-time ball scatter of the condition-(5) form, in the
+    library's per-entry order of operations, for bitwise comparison with the
+    stacked assembly.
 """
 
 import numpy as np
@@ -32,6 +35,7 @@ from steklov import (
     weighted_degree,
 )
 from steklov.graphs import INF, is_infinite
+from steklov.operators import _gamma2_matrix, _gamma_matrix
 
 # ---------------------------------------------------------------------------
 # random generators
@@ -360,6 +364,34 @@ def interior_form_termwise(bg, K, n, x, f_interior):
         - (n + 2.0) * K / ((n - 1.0) * (n - 2.0) * m) * ip_f1 * lap
         - n * (n + 2.0) ** 2 * K**2 / (8.0 * (n - 2.0) * (n - 1.0) ** 2 * m * m) * ip_f1**2
     )
+
+
+def interior_form_by_scatter(ig, K, n, m, x):
+    """The pinned condition-(5) matrix at x: the base a3 diag(mu) - a5 mu mu^T plus the
+    ball terms at x, scattered with np.ix_ one vertex at a time, then symmetrised."""
+    i = ig.index(x)
+    ball2, g2 = _gamma2_matrix(ig, i)
+    ball1, gx = _gamma_matrix(ig, i)
+    ell = ig.weights[i, ball1] / ig.measures[i]
+    ell[0] -= ig.weight_sums[i] / ig.measures[i]
+    mu = ig.measures
+    if is_infinite(n):
+        a1 = a2 = a4 = 0.0
+        a3, a5 = K * K / (8.0 * m), K * K / (8.0 * m * m)
+    else:
+        a1, a2 = 1.0 / (n - 2.0), 3.0 * K / (n - 1.0)
+        a3 = (n + 2.0) ** 2 * K * K / (8.0 * m * (n - 1.0) ** 2)
+        a4 = (n + 2.0) * K / ((n - 1.0) * (n - 2.0) * m)
+        a5 = n * (n + 2.0) ** 2 * K * K / (8.0 * (n - 2.0) * (n - 1.0) ** 2 * m * m)
+    q = a3 * np.diag(mu) - a5 * np.outer(mu, mu)
+    q[np.ix_(ball2, ball2)] += g2
+    q[np.ix_(ball1, ball1)] += a2 * gx - a1 * np.outer(ell, ell)
+    cross = 0.5 * a4 * np.outer(ell, mu)
+    q[ball1] -= cross
+    q[:, ball1] -= cross.T
+    keep = [j for j in range(ig.num_vertices) if j != i]
+    q = q[np.ix_(keep, keep)]
+    return (q + q.T) / 2.0
 
 
 def assert_close(a, b, rel=1e-10, context=""):

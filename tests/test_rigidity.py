@@ -1,10 +1,15 @@
 """Equality conditions, classification, structural scans, and construction."""
 
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import steklov.curvature
+import steklov.operators
 import steklov.rigidity
 import steklov.spectra
 from steklov import (
@@ -37,11 +42,13 @@ from steklov.errors import (
     WrongHypothesis,
     WrongWeightClass,
 )
-from steklov.graphs import INF, PSD_TOL
+from steklov.curvature import _psd_verdict, _shape_groups
+from steklov.graphs import INF, PSD_TOL, WeightedGraph
 from steklov.rigidity import RigidityClass
 
 from oracles import (
     assert_close,
+    interior_form_by_scatter,
     interior_form_termwise,
     lemma_delta_boundary,
     lemma_delta_interior,
@@ -206,9 +213,100 @@ def test_interior_inequality_lambda_threshold():
     rep = check_interior_inequality(small, 1, 4)
     assert not rep.passed
     bad = [c for c in rep.vertex_checks if not c.passed]
-    assert bad and bad[0].witness is not None
+    assert bad
+    for check in bad:  # each witness is pinned at its vertex and makes the form negative
+        form = assemble_interior_form(small, 1, 4, check.vertex)
+        assert check.witness[check.vertex] == 0.0
+        assert form.evaluate(check.witness) < 0.0
     large = make_example("complete_interior", interior_size=2, n=4, K=1, m=1, lam=1.0)
     assert check_interior_inequality(large, 1, 4).passed
+
+
+def random_interiors(seed, count):
+    """(bg, K, n, m) over random 1-12 vertex interiors, cycling through edgeless,
+    complete, sparse (disconnected, isolated vertices) and half-dense ones."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        size = 1 if t % 7 == 0 else int(rng.integers(2, 13))
+        yield random_a1a4_graph(rng, n=(3.0, 10.0, INF)[t % 3], interior_size=size,
+                                edge_prob=(0.0, 1.0, 0.15, 0.5)[t % 4])
+
+
+def vertex_check_summary(rep):
+    """Every field of each vertex check, the witness down to its bytes."""
+    return tuple((c.vertex, c.passed, c.lambda_min) + (() if c.witness is None else (
+        c.witness.domain, c.witness.values.tobytes())) for c in rep.vertex_checks)
+
+
+def test_stacked_interior_forms_match_the_one_centre_form_bitwise():
+    verdicts = Counter()
+    for bg, K, n, m in random_interiors(7, 28):
+        ig = induced_interior_graph(bg)
+        m = check_necessary_conditions(bg, K, n).boundary_measure
+        forms, scales = steklov.rigidity._interior_forms(ig, K, n, m, range(ig.num_vertices))
+        rep = check_interior_inequality(bg, K, n)
+        assert len(rep.vertex_checks) == ig.num_vertices
+        for x, form, scale, check in zip(ig.vertices, forms, scales, rep.vertex_checks):
+            one = assemble_interior_form(bg, K, n, x)
+            assert form.tobytes() == one.matrix.tobytes() and scale == one.scale
+            assert form.tobytes() == interior_form_by_scatter(ig, K, n, m, x).tobytes()
+            assert check.vertex == x
+            if ig.num_vertices == 1:  # the 0 x 0 form never reaches eigh
+                assert (check.passed, check.lambda_min, check.witness) == (True, None, None)
+                verdicts["empty"] += 1
+                continue
+            lam, _, ok, vec = _psd_verdict(one.matrix, one.scale)
+            assert (check.passed, check.lambda_min) == (bool(ok), float(lam))
+            verdicts[check.passed] += 1
+            if ok:
+                assert check.witness is None
+            else:
+                assert check.witness.domain == (x,) + one.index_map
+                assert check.witness.values.tobytes() == np.concatenate([[0.0], vec]).tobytes()
+    assert min(verdicts[True], verdicts[False], verdicts["empty"]) > 0
+
+
+def count_calls(monkeypatch, calls, module, name):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def chunked(monkeypatch, size, step):
+    """Cap the form stack at step centres of a size-vertex interior; count the stacks built."""
+    monkeypatch.setattr(steklov.rigidity, "FORM_STACK_ENTRIES", step * size**2)
+    calls = Counter()
+    count_calls(monkeypatch, calls, steklov.rigidity, "_interior_forms")
+    return calls
+
+
+def test_interior_inequality_chunks_give_the_same_report(monkeypatch):
+    rng = np.random.default_rng(11)
+    bg, K, n, _ = random_a1a4_graph(rng, n=10.0, interior_size=12, edge_prob=0.5)
+    whole = check_interior_inequality(bg, K, n)
+    calls = chunked(monkeypatch, 12, 4)
+    split = check_interior_inequality(bg, K, n)
+    assert calls["_interior_forms"] == 3
+    assert (split.passed, split.detail) == (whole.passed, whole.detail)
+    assert vertex_check_summary(split) == vertex_check_summary(whole)
+
+
+def test_interior_inequality_assembles_once_per_shape_group_and_chunk(monkeypatch):
+    rng = np.random.default_rng(3)
+    bg, K, n, _ = random_a1a4_graph(rng, n=3.0, interior_size=12, edge_prob=0.3)
+    calls = chunked(monkeypatch, 12, 4)
+    for module in (steklov.operators, steklov.curvature, steklov.rigidity):
+        count_calls(monkeypatch, calls, module, "_gamma2_matrix")
+    count_calls(monkeypatch, calls, steklov.rigidity, "_gamma2_forms")
+    check_interior_inequality(bg, K, n)
+    ig = induced_interior_graph(bg)
+    groups = sum(len(_shape_groups(ig, range(start, start + 4))) for start in (0, 4, 8))
+    assert groups > 3  # some chunk holds several 2-ball shapes
+    assert calls == Counter(_interior_forms=3, _gamma2_forms=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +645,40 @@ def test_construct_errors():
         construct_rigid_family(complete_interior_graph(2), INF, 1, 1)
     with pytest.raises(InvalidParams):
         construct_rigid_family(complete_interior_graph(2), 2.0, 1, 1)
+
+
+def scaled_graph(bg, c, d):
+    """w -> c w and m -> d m."""
+    g = bg.graph
+    return attach_boundary(WeightedGraph(g.vertices, d * g.measures, c * g.weights), set(bg.boundary))
+
+
+@functools.cache
+def rigid_and_twin():
+    """An equality graph over a complete K3 interior and its twin with one boundary weight times 1.01."""
+    bg = construct_rigid_family(complete_interior_graph(3), 10.0, 1.0, 1.0).graph
+    g = bg.graph
+    w = g.weights.copy()
+    b, x = g.index(bg.boundary[0]), g.index(bg.interior[0])
+    w[b, x] = w[x, b] = 1.01 * w[b, x]
+    return bg, attach_boundary(WeightedGraph(g.vertices, g.measures, w), set(bg.boundary))
+
+
+def rigidity_verdict(rep):
+    return (rep.bound_equality, tuple(c.passed for c in rep.conditions), rep.is_rigid, rep.consistent,
+            rep.classification.label)
+
+
+@given(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
+def test_rigidity_verdicts_under_weight_and_measure_scaling(log_c, log_d):
+    # w -> c w and m -> d m scale sigma_2, the curvature and so K by c/d;
+    # equality, conditions (1)-(5) and the label must not move
+    c, d = 10.0 ** log_c, 10.0 ** log_d
+    rigid, twin = rigid_and_twin()
+    for bg, rigid_expected in ((rigid, True), (twin, False)):
+        want = check_rigidity(bg, 1.0, 10.0)
+        assert want.is_rigid is rigid_expected
+        assert rigidity_verdict(check_rigidity(scaled_graph(bg, c, d), c / d, 10.0)) == rigidity_verdict(want)
 
 
 # ---------------------------------------------------------------------------

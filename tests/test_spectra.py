@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from steklov import (
     BoundaryGraph,
@@ -150,6 +151,35 @@ def test_laplacian_spectrum_examples():
     assert spec.multiplicity_groups() == ((0,), (1, 2), (3,))
     single = build_graph([("a", 2.0)], [])
     assert np.allclose(laplacian_spectrum(single).values, [0.0], atol=1e-15)
+
+
+def test_multiplicity_groups_are_scale_free():
+    # a tie tolerance with an absolute floor put all of C4's Laplacian
+    # eigenvalues (0, 2e-9, 2e-9, 4e-9) in one group at weight scale 1e-9
+    c4 = make_example("unit_square").graph
+    for scale in (1.0, 1e-9, 1e-12, 1e9):
+        spec = laplacian_spectrum(c4.rescaled_weights(scale))
+        assert spec.multiplicity_groups() == ((0,), (1, 2), (3,))
+    sigma = steklov_spectrum(attach_boundary(c4.rescaled_weights(1e-9), {"1", "3"}))
+    assert sigma.multiplicity_groups() == ((0,), (1,))
+    single = laplacian_spectrum(build_graph([("a", 2.0), ("b", 1.0)], [], relaxed=True))
+    assert single.multiplicity_groups() == ((0, 1),)  # all zero: exact ties
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))
+def test_spectra_weight_and_measure_scaling_metamorphic(seed, log_c, log_d):
+    # w -> c w and m -> d m scale Delta, hence every mu_k and sigma_k, by c/d;
+    # a zero eigenvalue is judged on the operator's scale max(deg/m)
+    rng = np.random.default_rng(seed)
+    bg = random_boundary_graph(rng)
+    c, d = 10.0 ** log_c, 10.0 ** log_d
+    g = bg.graph
+    scaled = attach_boundary(WeightedGraph(g.vertices, d * g.measures, c * g.weights), set(bg.boundary))
+    unit = float((g.weight_sums / g.measures).max()) * c / d
+    for base, got in ((laplacian_spectrum(g), laplacian_spectrum(scaled.graph)),
+                      (steklov_spectrum(bg), steklov_spectrum(scaled))):
+        np.testing.assert_allclose(got.values, base.values * (c / d), rtol=1e-10, atol=1e-10 * unit)
+        assert got.multiplicity_groups() == base.multiplicity_groups()
 
 
 def test_spectrum_invariants():
