@@ -29,7 +29,8 @@ over the group. A single vertex is the one-centre case of the same kernel.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,26 +147,35 @@ class CurvatureResult:
     so Gamma(witness, witness)(x) = 1, and achieves the Rayleigh quotient
     `witness_quotient` (equal to kappa up to roundoff). kernel_ok records
     that the S2 block of the local form was PSD, which must always hold.
+    The witness is built on first access from `ball` (x, S1, S2) and its
+    values there, a read-only row of the kernel's stacked output.
     """
 
     vertex: object
     n: float
     kappa: float
-    witness: VertexFunction
     kernel_ok: bool
     s2_lambda_min: float | None
     witness_quotient: float
+    ball: tuple = field(repr=False)
+    witness_values: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self):
+        return VertexFunction(self.ball, self.witness_values)
 
 
-def _curvature_results(g, centres, n_values):
-    """{centre: [CurvatureResult for each n in n_values]}, one stacked solve per 2-ball shape.
+def _curvature_stacks(g, centres, n_values):
+    """Per 2-ball shape, (centres, ball ids, kappas, kernel_ok, s2_lambda_min, quotients, witnesses).
 
-    The Schur complements over S1 differ only by the rank-one term r r^T / n,
-    so one stacked eigh of shape (B, |n|, |S1|, |S1|) solves every pencil of
-    a group. Each witness is checked against the full pinned form for its n.
+    kappas and quotients are (B, |n|) arrays over the group's B centres and
+    witnesses a read-only (B, |n|, |ball|) stack. The Schur complements over
+    S1 differ only by the rank-one term r r^T / n, so one stacked eigh of
+    shape (B, |n|, |S1|, |S1|) solves every pencil of a group. Each witness
+    is checked against the full pinned form for its n.
     """
     n_arr = np.array(n_values)
-    out = {}
+    stacks = []
     for (k, t), (balls, domains) in _shape_groups(g, centres).items():
         if k == 0:
             raise IsolatedVertex(g.vertices[balls[0, 0]])
@@ -185,27 +195,47 @@ def _curvature_results(g, centres, n_values):
         quotients = ((np.sum((vecs @ q) * vecs, axis=2) - (vecs[..., :k] @ r[:, :, None])[..., 0] ** 2 / n_arr)
                      / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
         witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
-        for i, domain, kappas, fns, ok, s2, quots in zip(balls[:, 0].tolist(), domains, evals[..., 0].tolist(),
-                                                         witnesses, kernel_ok.tolist(), s2_min.tolist(),
-                                                         quotients.tolist()):
-            out[i] = [CurvatureResult(domain[0], n, kappa, VertexFunction(domain, fn), ok, s2, quot)
-                      for n, kappa, fn, quot in zip(n_values, kappas, fns, quots)]
+        witnesses.setflags(write=False)
+        stacks.append((balls[:, 0], domains, evals[..., 0], kernel_ok, s2_min, quotients, witnesses))
+    return stacks
+
+
+def _curvature_results(stacks, n_values):
+    """{centre: [CurvatureResult for each n in n_values]}, wrapping the output of _curvature_stacks."""
+    out = {}
+    for centres, domains, kappas, kernel_ok, s2_min, quotients, witnesses in stacks:
+        for i, domain, kaps, ok, s2, quots, rows in zip(centres.tolist(), domains, kappas.tolist(), kernel_ok.tolist(),
+                                                        s2_min.tolist(), quotients.tolist(), witnesses):
+            out[i] = [CurvatureResult(domain[0], n, kappa, ok, s2, quot, domain, row)
+                      for n, kappa, quot, row in zip(n_values, kaps, quots, rows)]
     return out
 
 
 def curvature_at(g, x, n):
     """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction."""
     i = g.index(x)
-    return _curvature_results(g, (i,), (validate_dimension(n),))[i][0]
+    n_values = (validate_dimension(n),)
+    return _curvature_results(_curvature_stacks(g, (i,), n_values), n_values)[i][0]
 
 
 @dataclass(frozen=True)
 class CurvatureProfile:
-    """Per-vertex curvature over a grid of dimension parameters."""
+    """Per-vertex curvature over a grid of dimension parameters.
+
+    `results` wraps the kernel's stacked output as CurvatureResults on first
+    access; `global_min` is read off the stacked kappas directly.
+    """
 
     n_values: tuple
-    results: dict   # n -> {vertex: CurvatureResult}
     global_min: dict  # n -> (kappa, first vertex in vertex order within MULTIPLICITY_TOL max(deg/m) of it)
+    vertices: tuple = field(repr=False)
+    _stacks: list = field(repr=False, compare=False)  # the _curvature_stacks output
+
+    @cached_property
+    def results(self):
+        """n -> {vertex: CurvatureResult}, vertices in vertex order."""
+        rows = _curvature_results(self._stacks, self.n_values)
+        return {n: {v: rows[i][j] for i, v in enumerate(self.vertices)} for j, n in enumerate(self.n_values)}
 
 
 def curvature_profile(g, n_grid):
@@ -216,15 +246,14 @@ def curvature_profile(g, n_grid):
     reported vertex.
     """
     n_values = tuple(validate_dimension(n) for n in n_grid)
-    rows = _curvature_results(g, range(g.num_vertices), n_values) if n_values else {}
-    tol = MULTIPLICITY_TOL * (g.weight_sums / g.measures).max()
-    results, global_min = {}, {}
-    for j, n in enumerate(n_values):
-        results[n] = {v: rows[i][j] for i, v in enumerate(g.vertices)}
-        kappas = np.array([res.kappa for res in results[n].values()])
-        low = kappas.min()
-        global_min[n] = (float(low), g.vertices[np.argmax(kappas <= low + tol)])
-    return CurvatureProfile(n_values, results, global_min)
+    stacks = _curvature_stacks(g, range(g.num_vertices), n_values) if n_values else []
+    kappas = np.empty((g.num_vertices, len(n_values)))
+    for centres, _, low, *_ in stacks:
+        kappas[centres] = low
+    low = kappas.min(axis=0)
+    first = np.argmax(kappas <= low + MULTIPLICITY_TOL * (g.weight_sums / g.measures).max(), axis=0)
+    global_min = {n: (kappa, g.vertices[i]) for n, kappa, i in zip(n_values, low.tolist(), first.tolist())}
+    return CurvatureProfile(n_values, global_min, g.vertices, stacks)
 
 
 @dataclass(frozen=True)

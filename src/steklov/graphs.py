@@ -42,11 +42,11 @@ INF = math.inf
 
 # Numerical tolerances, the single table every module reads.
 PSD_TOL = 1e-9  # PSD: lambda_min >= -PSD_TOL * max(max |lambda|, largest entry before any shift by K)
-CONDITION_TOL = 1e-9  # relative agreement of measures, weights, degrees in conditions (1)-(4)
+CONDITION_TOL = 1e-9  # (1)-(4): measures, weights, degrees agree to |a - b| <= tol max(|a|, |b|) (rigidity._close)
 EQUALITY_TOL = 1e-8  # |spectral value - bound| <= EQUALITY_TOL * bound
 HARMONIC_TOL = 1e-8  # interior residual of a harmonic extension, relative to max(deg/m) max |f|
 MULTIPLICITY_TOL = 1e-8  # ties: eigenvalues relative to max |eigenvalue|, global_min kappas relative to max(deg/m)
-GREEN_TOL = 1e-10  # scaled residual of Green's identity
+GREEN_TOL = 1e-10  # Green's identity residual relative to the sum of its three terms' magnitudes
 ZERO_TOL = 1e-12  # entries below this fraction of the largest count as zero (sign fix, S2 inverse)
 SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops
 
@@ -179,9 +179,20 @@ class WeightedGraph:
             for i, j in zip(iu.tolist(), iv.tolist())
         )
 
+    @cached_property
+    def _laplacian(self):
+        lap = np.diag(self.weight_sums) - self.weights
+        lap.setflags(write=False)
+        return lap
+
     def laplacian_matrix(self):
-        """Symmetric form matrix L = D - W (so the operator is -M^{-1} L)."""
-        return np.diag(self.weight_sums) - self.weights
+        """Symmetric form matrix L = D - W (so the operator is -M^{-1} L), built once per graph, read-only."""
+        return self._laplacian
+
+    @cached_property
+    def unit_weight(self):
+        """True when every measure is 1 and every weight 0 or 1, decided once per graph."""
+        return bool(np.all(self.measures == 1.0) and np.all((self.weights == 0.0) | (self.weights == 1.0)))
 
     def delta_operator(self):
         """Matrix of the Laplacian operator: (Delta u) = A u with A = M^{-1}(W - D)."""
@@ -251,13 +262,20 @@ class BoundaryGraph:
 
     __hash__ = None
 
-    @property
-    def boundary_indices(self):
-        return np.array([self.graph.index(v) for v in self.boundary], dtype=int)
+    def _indices(self, vertices):
+        idx = np.array([self.graph.index(v) for v in vertices], dtype=int)
+        idx.setflags(write=False)
+        return idx
 
-    @property
+    @cached_property
+    def boundary_indices(self):
+        """Graph indices of B in vertex order, built once per boundary graph, read-only."""
+        return self._indices(self.boundary)
+
+    @cached_property
     def interior_indices(self):
-        return np.array([self.graph.index(v) for v in self.interior], dtype=int)
+        """Graph indices of Omega in vertex order, built once per boundary graph, read-only."""
+        return self._indices(self.interior)
 
     def is_boundary(self, v):
         return v in set(self.boundary)
@@ -316,23 +334,21 @@ def attach_boundary(g, boundary):
     boundary vertex must have at least one interior neighbor.
     """
     b_set = set(boundary)
-    for v in b_set:
-        g.index(v)  # raises UnknownVertex
-    if not b_set:
+    b_idx = sorted(map(g.index, b_set))  # raises UnknownVertex
+    if not b_idx:
         raise EmptyBoundary()
-    b = tuple(v for v in g.vertices if v in b_set)
-    omega = tuple(v for v in g.vertices if v not in b_set)
-    if not omega:
+    if len(b_idx) == g.num_vertices:
         raise EmptyInterior()
-    b_idx = {g.index(v) for v in b}
-    for i in sorted(b_idx):
-        clash = [j for j in g.neighbor_indices(i) if j in b_idx]
+    members = set(b_idx)
+    for i in b_idx:
+        clash = [j for j in g.neighbor_indices(i) if j in members]
         if clash:
             raise BoundaryNotIndependent(g.vertices[i], g.vertices[clash[0]])
-    for i in sorted(b_idx):
-        if b_idx.issuperset(g.neighbor_indices(i)):
+    for i in b_idx:
+        if members.issuperset(g.neighbor_indices(i)):
             raise BoundaryVertexIsolatedFromInterior(g.vertices[i])
-    return BoundaryGraph(g, b, omega)
+    return BoundaryGraph(g, tuple(map(g.vertices.__getitem__, b_idx)),
+                         tuple(v for i, v in enumerate(g.vertices) if i not in members))
 
 
 def weighted_degree(g, x):

@@ -264,11 +264,8 @@ def laplacian_square_form(g, x):
     return _vertex_order_form(g, ball, np.outer(row, row))
 
 
-def check_green_identity(bg, u, v):
-    """Residual |<Delta u, v>_Omega + <du, dv> - <du/dn, v>_B|.
-
-    Green's formula makes this zero in exact arithmetic for every u, v.
-    """
+def _green_terms(bg, u, v):
+    """<Delta u, v>_Omega, <du, dv> and <du/dn, v>_B; Green's formula makes the first two sum to the third."""
     g = bg.graph
     lu = laplacian(g, u)
     lhs = inner_product_functions(g, lu, v, s=bg.interior)
@@ -277,4 +274,25 @@ def check_green_identity(bg, u, v):
     boundary_term = inner_product_functions(
         g, normal, VertexFunction(bg.boundary, v.on(bg.boundary))
     )
+    return lhs, energy, boundary_term
+
+
+def check_green_identity(bg, u, v):
+    """Residual |<Delta u, v>_Omega + <du, dv> - <du/dn, v>_B|.
+
+    Green's formula makes this zero in exact arithmetic for every u, v.
+    """
+    lhs, energy, boundary_term = _green_terms(bg, u, v)
     return abs(lhs + energy - boundary_term)
+
+
+def scaled_green_residual(bg, u, v):
+    """check_green_identity relative to |<Delta u, v>_Omega| + |<du, dv>| + |<du/dn, v>_B|; 0/0 counts as 0.
+
+    Each term is linear in w and free of m, so the ratio is invariant under
+    w -> c w and m -> d m up to rounding; there is no absolute floor.
+    """
+    terms = _green_terms(bg, u, v)
+    scale = sum(map(abs, terms))
+    residual = abs(terms[0] + terms[1] - terms[2])
+    return residual / scale if scale else 0.0

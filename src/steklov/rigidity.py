@@ -441,10 +441,6 @@ class RigidityReport:
         return self.bound_equality == self.all_conditions_hold
 
 
-def _is_unit_weight(g):
-    return bool(np.all(g.measures == 1.0) and np.all((g.weights == 0.0) | (g.weights == 1.0)))
-
-
 def check_rigidity(bg, K, n):
     """Decide equality in sigma_2 >= nK/(n-1) and classify the graph.
 
@@ -496,7 +492,7 @@ def check_rigidity(bg, K, n):
 
     all_hold = all(c.passed for c in conditions)
     if bound_equality and all_hold and cd_report.holds:
-        if _is_unit_weight(g):
+        if g.unit_weight:
             classification = classify_unit_weight(bg)
         elif not interior_edges(bg):
             classification = classify_partial(bg, K, n)
@@ -536,7 +532,7 @@ def classify_unit_weight(bg):
     to both boundary vertices; an interior edge is the square's diagonal.
     """
     g = bg.graph
-    if not _is_unit_weight(g):
+    if not g.unit_weight:
         raise WrongWeightClass("graph is not unit-weighted (need m = 1 and w = 1 everywhere)")
     if len(bg.boundary) != 2 or len(bg.interior) > 2 or _unjoined(bg):
         return NOT_RIGID

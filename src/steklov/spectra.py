@@ -15,6 +15,7 @@ Cholesky factor L_OO = C C^T and Y = C^{-1} L_OB, S = L_BB - Y^T Y.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -34,15 +35,23 @@ class Spectrum:
 
     Eigenfunctions are orthonormal in the measure-weighted inner product of
     their domain (V for the Laplacian, B for Steklov) and sign-fixed so the
-    first significant coordinate in vertex order is positive.
+    first significant coordinate in vertex order is positive. Row j of the
+    read-only `vectors` holds the values on `domain` of the eigenfunction of
+    values[j]; `functions` wraps the rows as VertexFunctions on first access.
     """
 
     kind: SpectrumKind
     values: np.ndarray
-    functions: tuple
+    domain: tuple
+    vectors: np.ndarray
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        self.vectors.setflags(write=False)
+
+    @cached_property
+    def functions(self):
+        return tuple(VertexFunction(self.domain, vec) for vec in self.vectors)
 
     def multiplicity_groups(self):
         """Group indices of eigenvalues within MULTIPLICITY_TOL max |value| of their group's first (scale-free)."""
@@ -70,10 +79,15 @@ class DtNOperator:
 
 
 def _sign_fix(vecs):
-    """vecs, each vector along the trailing axis negated unless its first significant coordinate is positive."""
+    """vecs, each vector along the trailing axis negated unless its first significant coordinate is positive.
+
+    The leading coordinates are read in one gather from the flattened stack;
+    an all-zero vector leads at its first coordinate and keeps its sign.
+    """
     mags = np.abs(vecs)
-    lead = np.argmax(mags > ZERO_TOL * mags.max(axis=-1, keepdims=True), axis=-1)
-    return np.where(np.take_along_axis(vecs, lead[..., None], axis=-1) < 0, -vecs, vecs)
+    lead = (mags > ZERO_TOL * np.maximum.reduce(mags, -1, keepdims=True)).argmax(-1)
+    first = vecs.reshape(-1)[lead.ravel() + np.arange(0, vecs.size, vecs.shape[-1])]
+    return np.where((first < 0).reshape(lead.shape + (1,)), -vecs, vecs)
 
 
 def _singular_interior(bg):
@@ -91,13 +105,14 @@ def _interior_factor(bg):
     L = bg.graph.laplacian_matrix()
     bi = bg.boundary_indices
     oi = bg.interior_indices
+    rows = oi[:, None]
     try:
-        chol = np.linalg.cholesky(L[np.ix_(oi, oi)])
+        chol = np.linalg.cholesky(L[rows, oi])
     except np.linalg.LinAlgError:
         chol = None
     if chol is None or not np.isfinite(chol).all():  # not SPD, or the weights overflowed
         raise _singular_interior(bg)
-    return L[np.ix_(bi, bi)], L[np.ix_(oi, bi)], chol
+    return L[bi[:, None], bi], L[rows, bi], chol
 
 
 def harmonic_extension(bg, f):
@@ -140,15 +155,14 @@ def _scaled(a, m_diag):
     """
     root = np.sqrt(m_diag)
     c = a * (1.0 / root) / root[:, None]
-    np.fill_diagonal(c, np.diag(a) / (root * root))
+    diag = np.arange(len(root))
+    c[diag, diag] = a.diagonal() / (root * root)
     return c
 
 
 def _generalized_spectrum(a, m_diag, domain, kind):
     values, vectors = np.linalg.eigh(_scaled(a, m_diag))
-    vectors = _sign_fix((vectors * (1.0 / np.sqrt(m_diag))[:, None]).T)
-    functions = tuple(VertexFunction(domain, vec) for vec in vectors)
-    return Spectrum(kind, values, functions)
+    return Spectrum(kind, values, domain, _sign_fix((vectors * (1.0 / np.sqrt(m_diag))[:, None]).T))
 
 
 def laplacian_spectrum(g):

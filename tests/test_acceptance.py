@@ -76,16 +76,14 @@ def complete_unit_graph(size):
 # shared expensive artifacts
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def unit_scan():
-    """Criterion 3 scan: every connected unit graph with <= 6 vertices and
-    every valid boundary placement, with (K, n) from the curvature profile."""
+def scan_unit_graphs(max_vertices):
+    """Every connected unit graph with <= max_vertices vertices and every valid
+    boundary placement, with (K, n) from the curvature profile."""
     start = time.monotonic()
     graphs = [
         G for G in nx.graph_atlas_g()
-        if 1 <= G.number_of_nodes() <= 6 and nx.is_connected(G)
+        if 1 <= G.number_of_nodes() <= max_vertices and nx.is_connected(G)
     ]
-    assert len(graphs) == 143
     equality = []
     checked_placements = 0
     for gi, G in enumerate(graphs):
@@ -132,10 +130,19 @@ def unit_scan():
                     "report": report,
                 })
     return {
+        "graphs": len(graphs),
         "equality": equality,
         "placements": checked_placements,
         "elapsed": time.monotonic() - start,
     }
+
+
+@pytest.fixture(scope="module")
+def unit_scan():
+    """Criterion 3 scan: every connected unit graph with <= 6 vertices."""
+    scan = scan_unit_graphs(6)
+    assert scan["graphs"] == 143
+    return scan
 
 
 WEIGHTED_PATH_PARAMS = [
@@ -215,6 +222,22 @@ def test_criterion_3_exhaustive_unit_classification(unit_scan):
         f"{unit_scan['placements']} placements over 143 graphs; equality exactly on "
         f"the three rigid shapes; {unit_scan['elapsed']:.1f}s",
     )
+
+
+def _equality_placements(scan):
+    return [(e["graph_index"], e["boundary"], e["label"], e["K"], e["n"]) for e in scan["equality"]]
+
+
+@pytest.mark.slow
+def test_criterion_3_extends_to_seven_vertices(unit_scan):
+    # opt-in (pytest -m slow): the 853 connected 7-vertex graphs add no
+    # equality placement to the four found with <= 6 vertices
+    scan = scan_unit_graphs(7)
+    assert scan["graphs"] == 996 and scan["placements"] == 19841
+    assert len(scan["equality"]) == 4
+    assert _equality_placements(scan) == _equality_placements(unit_scan)
+    _passline(3, f"{scan['placements']} placements over 996 graphs with <= 7 vertices; "
+                 f"the same four equality placements; {scan['elapsed']:.1f}s")
 
 
 def _perturbations(bg):

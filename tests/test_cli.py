@@ -119,6 +119,26 @@ def test_green_check_command(capture, c4_file):
     assert json.loads(out)["results"]["holds"] is True
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e12])
+def test_green_check_keeps_its_power_under_weight_scaling(capture, tmp_path, c):
+    # Green's identity is linear in w, so its residual relative to its terms
+    # is a rounding-level figure at every weight scale; an absolute floor in
+    # the scale would shrink it by c at small c and blind the check
+    def residual(scale):
+        doc = json.loads(steklov.serialize_graph(steklov.make_example("weighted_square", K=1.0, m=1.0)))
+        for edge in doc["edges"]:
+            edge["w"] *= scale
+        path = tmp_path / f"ws{scale:g}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = capture("green-check", "--graph", str(path), "--trials", "100", "--seed", "0")
+        assert code == 0
+        return json.loads(out)["results"]["max_scaled_residual"]
+
+    base = residual(1.0)
+    assert 0.0 < base <= 1e-13
+    assert 0.1 * base <= residual(c) <= 10.0 * base
+
+
 def test_ball_scan_command(capture, c4_file):
     code, out, _ = capture("ball-scan", "--graph", c4_file)
     assert code == 0

@@ -464,3 +464,25 @@ def test_lichnerowicz_holds_on_random_graphs():
         assert rep2.slack >= -1e-8 * rep2.bound
         checked += 1
     assert checked >= 10
+
+
+def test_witnesses_are_read_only_rows_of_one_stack_built_once():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        g = random_connected_graph(rng)
+        profile = curvature_profile(g, (2.0, 5.0, INF))
+        for v in g.vertices:
+            per_n = [profile.results[n][v] for n in profile.n_values]
+            for res in per_n:
+                assert "witness" not in res.__dict__
+                with pytest.raises(ValueError):
+                    res.witness_values[0] = 1.0
+                witness = res.witness
+                assert res.witness is witness
+                assert witness.domain == res.ball and res.ball[0] == v
+                assert witness.values.tobytes() == res.witness_values.tobytes()
+                assert np.shares_memory(witness.values, res.witness_values)
+                with pytest.raises(ValueError):
+                    witness.values[0] = 1.0
+            # the rows for every n come from the one stacked output of the kernel
+            assert all(np.shares_memory(res.witness_values, per_n[0].witness_values.base) for res in per_n)

@@ -21,6 +21,8 @@ from steklov import (
     make_example,
 )
 from steklov.errors import DomainMismatch, UnknownVertex
+from steklov.graphs import GREEN_TOL, WeightedGraph, attach_boundary
+from steklov.operators import scaled_green_residual
 
 from oracles import (
     assert_close,
@@ -247,8 +249,24 @@ def test_green_identity_random(seed):
     bg = random_boundary_graph(rng)
     u = random_function(rng, bg.graph.vertices)
     v = random_function(rng, bg.graph.vertices)
-    scale = abs(inner_product_forms(bg.graph, differential(bg.graph, u), differential(bg.graph, v))) + 1.0
-    assert check_green_identity(bg, u, v) <= 1e-10 * scale
+    assert scaled_green_residual(bg, u, v) <= GREEN_TOL
+
+
+def test_scaled_green_residual_is_scale_free():
+    # every term is linear in w and free of m, so power-of-two scalings of
+    # either leave the scaled residual bitwise unchanged at any magnitude
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        bg = random_boundary_graph(rng)
+        g = bg.graph
+        u = random_function(rng, g.vertices)
+        v = random_function(rng, g.vertices)
+        base = scaled_green_residual(bg, u, v)
+        for cw, cm in ((2.0 ** -40, 1.0), (2.0 ** 40, 1.0), (1.0, 2.0 ** -30), (2.0 ** 40, 2.0 ** 30)):
+            twin = attach_boundary(WeightedGraph(g.vertices, cm * g.measures, cw * g.weights), bg.boundary)
+            assert scaled_green_residual(twin, u, v) == base
+    c = constant_function(bg.graph.vertices, 2.0)
+    assert scaled_green_residual(bg, c, c) == 0.0  # 0/0
 
 
 def test_green_identity_constant():

@@ -22,8 +22,8 @@ from steklov import (
     steklov_spectrum,
 )
 from steklov.errors import DomainMismatch, InvalidParams, SingularInteriorSystem
-from steklov.graphs import WeightedGraph
-from steklov.spectra import SpectrumKind
+from steklov.graphs import ZERO_TOL, WeightedGraph
+from steklov.spectra import SpectrumKind, _sign_fix
 
 from oracles import dtn_by_composition, random_boundary_graph, random_function
 
@@ -302,3 +302,58 @@ def test_eigenfunctions_build_their_index_on_first_lookup():
         f["no-such-vertex"]
     with pytest.raises(DomainMismatch):
         f.on(("no-such-vertex",))
+
+
+def _old_sign_fix(vecs):
+    """The take_along_axis sign rule the flat gather replaced, kept as an oracle."""
+    mags = np.abs(vecs)
+    lead = np.argmax(mags > ZERO_TOL * mags.max(axis=-1, keepdims=True), axis=-1)
+    return np.where(np.take_along_axis(vecs, lead[..., None], axis=-1) < 0, -vecs, vecs)
+
+
+def test_sign_fix_matches_the_take_along_axis_rule():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((4, 3, 6))
+    stack[0, 0] = 0.0  # an all-zero vector keeps its sign
+    stack[1, 2, :2] = (1e-14, -1e-15)  # leads below ZERO_TOL of the row's largest entry are skipped
+    stack[2, 1, 0] = -0.0
+    for vecs in (stack, stack[:, 1], stack[2].T, stack[0, 0]):
+        assert _sign_fix(vecs).tobytes() == _old_sign_fix(vecs).tobytes()
+    assert np.array_equal(_sign_fix(stack)[0, 0], np.zeros(6))
+
+
+def test_eigenfunctions_are_read_only_rows_of_one_stack_built_once():
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        bg = random_boundary_graph(rng)
+        for spec in (laplacian_spectrum(bg.graph), steklov_spectrum(bg)):
+            assert spec.vectors.shape == (len(spec.values), len(spec.domain))
+            with pytest.raises(ValueError):
+                spec.vectors[0, 0] = 1.0
+            assert "functions" not in spec.__dict__
+            functions = spec.functions
+            assert spec.functions is functions
+            for row, f in zip(spec.vectors, functions):
+                assert f.domain == spec.domain
+                assert f.values.tobytes() == row.tobytes()
+                assert np.shares_memory(f.values, spec.vectors)
+                with pytest.raises(ValueError):
+                    f.values[0] = 1.0
+
+
+def test_graph_facts_are_computed_once_and_read_only():
+    bg = make_example("weighted_path3", n=3.0, K=1.0, m=2.0)
+    g = bg.graph
+    for name in ("boundary_indices", "interior_indices"):
+        first = getattr(bg, name)
+        assert getattr(bg, name) is first
+        with pytest.raises(ValueError):
+            first[0] = 0
+    assert bg.boundary_indices.tolist() == [g.index(v) for v in bg.boundary]
+    assert bg.interior_indices.tolist() == [g.index(v) for v in bg.interior]
+    lap = g.laplacian_matrix()
+    assert g.laplacian_matrix() is lap
+    assert np.array_equal(lap, np.diag(g.weights.sum(axis=1)) - g.weights)
+    with pytest.raises(ValueError):
+        lap[0, 0] = 0.0
+    assert g.unit_weight is False and make_example("unit_square").graph.unit_weight is True
