@@ -22,7 +22,6 @@ from .errors import SteklovError
 from .graphs import (
     INF,
     BoundaryGraph,
-    CurvatureParams,
     ExampleFamily,
     WeightedGraph,
     attach_boundary,
@@ -33,25 +32,16 @@ from .graphs import (
     make_example,
     parse_graph_file,
     serialize_graph,
-    volume,
     weighted_degree,
 )
 from .operators import (
     OneForm,
-    QuadraticForm,
     VertexFunction,
-    check_green_identity,
-    constant_function,
     differential,
-    gamma,
-    gamma2,
-    gamma2_form,
-    gamma_form,
     inner_product_forms,
     inner_product_functions,
     interior_edges,
     laplacian,
-    laplacian_square_form,
 )
 from .rigidity import (
     Classification,
@@ -66,7 +56,6 @@ from .rigidity import (
     classify_unit_weight,
     construct_rigid_family,
     disjoint_ball_scan,
-    infer_equality_params,
     two_ball_identity_check,
 )
 from .spectra import (
@@ -83,17 +72,15 @@ from .spectra import (
 )
 
 __all__ = [
-    "BoundaryGraph", "CDReport", "Classification", "CurvatureParams", "CurvatureProfile", "CurvatureResult",
-    "DtNOperator", "ExampleFamily", "INF", "LichnerowiczReport", "OneForm", "QuadraticForm", "RigidityClass",
-    "RigidityReport", "Spectrum", "SpectrumKind", "SteklovDiagnostics", "SteklovError", "VertexFunction",
-    "WeightedGraph", "assemble_interior_form", "attach_boundary", "boundary_degree", "build_graph", "cd_check",
-    "check_green_identity", "check_interior_inequality", "check_necessary_conditions", "check_rigidity",
-    "classify_normalized", "classify_partial", "classify_unit_weight", "constant_function",
-    "construct_rigid_family", "curvature_at", "curvature_profile", "differential", "disjoint_ball_scan",
-    "dtn_operator", "gamma", "gamma2", "gamma2_form", "gamma_form", "harmonic_extension",
-    "induced_interior_graph", "infer_equality_params", "inner_product_forms", "inner_product_functions",
-    "interior_edges", "join_equality_boundary", "laplacian", "laplacian_spectrum", "laplacian_square_form",
-    "make_example", "normal_derivative", "parse_graph_file", "serialize_graph",
+    "BoundaryGraph", "CDReport", "Classification", "CurvatureProfile", "CurvatureResult", "DtNOperator",
+    "ExampleFamily", "INF", "LichnerowiczReport", "OneForm", "RigidityClass", "RigidityReport", "Spectrum",
+    "SpectrumKind", "SteklovDiagnostics", "SteklovError", "VertexFunction", "WeightedGraph",
+    "assemble_interior_form", "attach_boundary", "boundary_degree", "build_graph", "cd_check",
+    "check_interior_inequality", "check_necessary_conditions", "check_rigidity", "classify_normalized",
+    "classify_partial", "classify_unit_weight", "construct_rigid_family", "curvature_at", "curvature_profile",
+    "differential", "disjoint_ball_scan", "dtn_operator", "harmonic_extension", "induced_interior_graph",
+    "inner_product_forms", "inner_product_functions", "interior_edges", "join_equality_boundary", "laplacian",
+    "laplacian_spectrum", "make_example", "normal_derivative", "parse_graph_file", "serialize_graph",
     "steklov_eigenfunction_diagnostics", "steklov_spectrum", "two_ball_identity_check", "verify_lichnerowicz",
-    "volume", "weighted_degree",
+    "weighted_degree",
 ]

@@ -36,12 +36,12 @@ import numpy as np
 
 from .errors import InvalidParams, IsolatedVertex
 from .graphs import (
-    EQUALITY_TOL,
     MULTIPLICITY_TOL,
     PSD_TOL,
     ZERO_TOL,
     BoundaryGraph,
     WeightedGraph,
+    attains_bound,
     lichnerowicz_bound,
     validate_dimension,
 )
@@ -61,10 +61,9 @@ def _shape_groups(g, centres):
 
 
 def _pinned_forms(g, balls, k):
-    """For one shape group: the Gamma2 forms with f(x) = 0 pinned, Delta[x, S1] and w_xy / (2 m_x) on S1."""
-    centre = balls[:, :1]
-    w, m = g.weights[centre, balls[:, 1:k + 1]], g.measures[centre]
-    return _gamma2_forms(g, balls, k + 1)[:, 1:, 1:], w / m, w / (2.0 * m)
+    """For one shape group, sliced from one assembly: pinned Gamma2 (f(x) = 0), Delta[x, S1], Gamma's S1 diagonal."""
+    q, gam, row = _gamma2_forms(g, balls, k + 1)
+    return q[:, 1:, 1:], row[:, 1:], np.diagonal(gam, axis1=1, axis2=2)[:, 1:]
 
 
 def _psd_rule(evals, scale):
@@ -305,6 +304,6 @@ def verify_lichnerowicz(subject, K, n):
         bound=bound,
         spectral_value=spectral,
         slack=slack,
-        equality=abs(slack) <= EQUALITY_TOL * bound,
+        equality=attains_bound(spectral, bound),
         cd_report=cd_report,
     )

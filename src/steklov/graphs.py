@@ -60,6 +60,11 @@ def lichnerowicz_bound(K, n):
     return K if is_infinite(n) else n * K / (n - 1.0)
 
 
+def attains_bound(value, bound):
+    """The equality verdict on a spectral value: |value - bound| <= EQUALITY_TOL * bound."""
+    return abs(value - bound) <= EQUALITY_TOL * bound
+
+
 def validate_dimension(n):
     """Accept the dimension parameter n from (1, inf]; reject everything else."""
     if n == INF:
@@ -71,22 +76,6 @@ def validate_dimension(n):
     if math.isnan(n) or n <= 1.0:
         raise InvalidDimensionParam(n)
     return n
-
-
-@dataclass(frozen=True)
-class CurvatureParams:
-    """A (K, n) pair for the curvature-dimension condition; n may be inf."""
-
-    K: float
-    n: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "K", float(self.K))
-        object.__setattr__(self, "n", validate_dimension(self.n))
-
-    @property
-    def lichnerowicz_bound(self):
-        return lichnerowicz_bound(self.K, self.n)
 
 
 def _check_positive(kind, element, value):
@@ -106,13 +95,11 @@ class WeightedGraph:
     vertices : tuple of vertex ids, declaration order
     measures : m, aligned with `vertices`
     weights  : symmetric matrix, zero diagonal, zero for non-adjacent pairs
-    relaxed  : True for interior-induced graphs, which may be disconnected
     """
 
     vertices: tuple
     measures: np.ndarray
     weights: np.ndarray
-    relaxed: bool = False
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -130,7 +117,6 @@ class WeightedGraph:
             return NotImplemented
         return (
             self.vertices == other.vertices
-            and self.relaxed == other.relaxed
             and np.array_equal(self.measures, other.measures)
             and np.array_equal(self.weights, other.weights)
         )
@@ -240,7 +226,7 @@ class WeightedGraph:
         """Same graph with every edge weight multiplied by lam > 0."""
         if not (math.isfinite(lam) and lam > 0):
             raise InvalidParams(f"weight scale must be finite positive, got {lam!r}")
-        return WeightedGraph(self.vertices, self.measures, lam * self.weights, relaxed=self.relaxed)
+        return WeightedGraph(self.vertices, self.measures, lam * self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,6 +262,19 @@ class BoundaryGraph:
     def interior_indices(self):
         """Graph indices of Omega in vertex order, built once per boundary graph, read-only."""
         return self._indices(self.interior)
+
+    @cached_property
+    def interior_cholesky(self):
+        """The lower Cholesky factor C of L_OO = C C^T, built once per boundary graph, read-only.
+
+        Raises LinAlgError when L_OO is not SPD or the factor overflows; a failure is not kept.
+        """
+        oi = self.interior_indices
+        chol = np.linalg.cholesky(self.graph.laplacian_matrix()[oi[:, None], oi])
+        if not np.isfinite(chol).all():
+            raise np.linalg.LinAlgError("the Cholesky factor of L_OO is not finite")
+        chol.setflags(write=False)
+        return chol
 
     def is_boundary(self, v):
         return v in set(self.boundary)
@@ -319,7 +318,7 @@ def build_graph(vertex_specs, edge_specs, relaxed=False):
         weights[i, j] = w
         weights[j, i] = w
 
-    g = WeightedGraph(tuple(vertices), np.array(measures), weights, relaxed=relaxed)
+    g = WeightedGraph(tuple(vertices), np.array(measures), weights)
     if not relaxed:
         reachable = np.isfinite(g.hop_distances(0))
         if not reachable.all():
@@ -366,23 +365,17 @@ def boundary_degree(bg, x):
     return float(g.weights[i, bg.boundary_indices].sum() / g.measures[i])
 
 
-def volume(g, s):
-    """V_S = sum of vertex measures over s."""
-    return float(sum(g.measures[g.index(v)] for v in s))
-
-
 def induced_interior_graph(bg):
     """The interior-induced graph, inheriting m and the interior edge weights.
 
-    The result is relaxed: it may be disconnected or edgeless, which is fine
-    for the structural checks that consume it.
+    The result may be disconnected or edgeless, which is fine for the
+    structural checks that consume it.
     """
     idx = bg.interior_indices
     return WeightedGraph(
         bg.interior,
         bg.graph.measures[idx],
         bg.graph.weights[np.ix_(idx, idx)],
-        relaxed=True,
     )
 
 

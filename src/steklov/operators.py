@@ -7,10 +7,11 @@ curvature-dimension machinery:
     Gamma(u, v)(x) = (1/2 m_x) sum_y (u(x) - u(y)) (v(x) - v(y)) w_xy
     Gamma2(u, v) = (Delta Gamma(u, v) - Gamma(Delta u, v) - Gamma(u, Delta v)) / 2
 
-Gamma is computed from the explicit sum (not from the product-rule identity,
-which cancels catastrophically); the identity is kept as a test oracle.
-Local quadratic-form assemblies express Gamma, Gamma2 and (Delta f)^2 at a
-vertex as symmetric matrices in the values of f on the ball around it.
+Local quadratic-form assemblies express Gamma and Gamma2 at a vertex as
+symmetric matrices in the values of f on the ball around it, stacked over
+the balls of one shape; Gamma comes from the explicit sum, not from the
+product-rule identity, which cancels catastrophically. The explicit-sum
+gamma and gamma2 and the identity are test oracles (tests/oracles.py).
 """
 
 from dataclasses import dataclass
@@ -57,11 +58,6 @@ class VertexFunction:
         return self.values[idx]
 
 
-def constant_function(domain, c=0.0):
-    domain = tuple(domain)
-    return VertexFunction(domain, np.full(len(domain), float(c)))
-
-
 def _aligned(u, domain):
     """Values of u on exactly `domain` (any order); strict domain check."""
     if set(u.domain) != set(domain):
@@ -81,32 +77,6 @@ class OneForm:
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
-
-    def value(self, x, y):
-        dom = {v: i for i, v in enumerate(self.domain)}
-        try:
-            return float(self.values[dom[x], dom[y]])
-        except KeyError:
-            raise DomainMismatch(self.domain, (x, y)) from None
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticForm:
-    """A symmetric form over an ordered local vertex index set."""
-
-    index_map: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "index_map", tuple(self.index_map))
-        object.__setattr__(self, "matrix", mat)
-        mat.setflags(write=False)
-
-    def evaluate(self, f):
-        """f^T Q f for f a VertexFunction covering index_map (extra vertices ignored)."""
-        vec = f.on(self.index_map) if isinstance(f, VertexFunction) else np.asarray(f, dtype=float)
-        return float(vec @ self.matrix @ vec)
 
 
 def laplacian(g, u):
@@ -162,25 +132,6 @@ def interior_edges(bg):
     return tuple((u, v) for u, v, _ in bg.graph.edge_list() if u in inside and v in inside)
 
 
-def gamma(g, u, v):
-    """Gamma(u, v) via the explicit sum."""
-    uv_ = _aligned(u, g.vertices)
-    vv_ = _aligned(v, g.vertices)
-    du = uv_[:, None] - uv_[None, :]
-    dv = vv_[:, None] - vv_[None, :]
-    out = np.sum(du * dv * g.weights, axis=1) / (2.0 * g.measures)
-    return VertexFunction(g.vertices, out)
-
-
-def gamma2(g, u, v):
-    """Gamma2(u, v) = (Delta Gamma(u,v) - Gamma(Delta u, v) - Gamma(u, Delta v)) / 2."""
-    guv = gamma(g, u, v)
-    lu = laplacian(g, u)
-    lv = laplacian(g, v)
-    out = 0.5 * (laplacian(g, guv).values - gamma(g, lu, v).values - gamma(g, u, lv).values)
-    return VertexFunction(g.vertices, out)
-
-
 # ---------------------------------------------------------------------------
 # local quadratic forms
 # ---------------------------------------------------------------------------
@@ -206,6 +157,8 @@ def _gamma_matrix(g, i):
 def _gamma2_forms(g, balls, k):
     """The (B, s, s) stack of Q with f^T Q f = Gamma2(f, f)(i) over B closed 2-balls of one shape.
 
+    Also returns the two objects the assembly builds on the way: the (B, k, k)
+    Gamma stack G on the closed 1-balls and the (B, k) rows Delta[i, B1].
     Each row of balls lists a centre i, its k - 1 neighbours S1, then S2.
     Every neighbour of a 1-ball vertex lies in the 2-ball, so with the true
     degrees deg = sum_y w_xy the forms are exact. With G the Gamma form at i,
@@ -217,51 +170,23 @@ def _gamma2_forms(g, balls, k):
     diag = np.arange(k)
     delta = w[:, :k] / mu[:, :, None]
     delta[:, diag, diag] -= deg / mu
-    c = delta[:, 0, :k] / (2.0 * mu)
+    row, gam = delta[:, 0, :k], _gamma_forms(g, balls[:, :k])
+    c = row / (2.0 * mu)
     p = np.zeros_like(w)
-    p[:, :k] = _gamma_forms(g, balls[:, :k]) @ delta + c[:, :, None] * w[:, :k]
+    p[:, :k] = gam @ delta + c[:, :, None] * w[:, :k]
     q = p + p.transpose(0, 2, 1)
     d = (w[:, :, :k] @ c[:, :, None])[:, :, 0]
     d[:, :k] += c * deg
     diag = np.arange(balls.shape[1])
     q[:, diag, diag] -= d
     q *= -0.5
-    return q
+    return q, gam, row
 
 
 def _gamma2_matrix(g, i):
     """The closed 2-ball around i (i, S1, S2) and its Gamma2 form, the one-centre _gamma2_forms."""
     ball = g.ball_indices(i, 2)
-    return ball, _gamma2_forms(g, ball[None], len(g.neighbor_indices(i)) + 1)[0]
-
-
-def _vertex_order_form(g, ball, q):
-    """A ball form as a QuadraticForm with the ball in vertex order."""
-    order = np.argsort(ball)
-    return QuadraticForm(tuple(g.vertices[j] for j in ball[order]), q[np.ix_(order, order)])
-
-
-def gamma_form(g, x):
-    """Gamma(f, f)(x) as a QuadraticForm over the closed 1-ball around x."""
-    return _vertex_order_form(g, *_gamma_matrix(g, g.index(x)))
-
-
-def gamma2_form(g, x):
-    """Gamma2(f, f)(x) as a QuadraticForm over the closed 2-ball around x.
-
-    Values of f outside the 2-ball cannot affect Gamma2(f, f)(x), so the
-    restriction is lossless.
-    """
-    return _vertex_order_form(g, *_gamma2_matrix(g, g.index(x)))
-
-
-def laplacian_square_form(g, x):
-    """(Delta f)(x)^2 as a rank-one QuadraticForm over the closed 1-ball."""
-    i = g.index(x)
-    ball = g.ball_indices(i, 1)
-    row = g.weights[i, ball] / g.measures[i]  # Delta[i, ball], the centre first
-    row[0] -= g.weight_sums[i] / g.measures[i]
-    return _vertex_order_form(g, ball, np.outer(row, row))
+    return ball, _gamma2_forms(g, ball[None], len(g.neighbor_indices(i)) + 1)[0][0]
 
 
 def _green_terms(bg, u, v):
@@ -277,18 +202,10 @@ def _green_terms(bg, u, v):
     return lhs, energy, boundary_term
 
 
-def check_green_identity(bg, u, v):
-    """Residual |<Delta u, v>_Omega + <du, dv> - <du/dn, v>_B|.
-
-    Green's formula makes this zero in exact arithmetic for every u, v.
-    """
-    lhs, energy, boundary_term = _green_terms(bg, u, v)
-    return abs(lhs + energy - boundary_term)
-
-
 def scaled_green_residual(bg, u, v):
-    """check_green_identity relative to |<Delta u, v>_Omega| + |<du, dv>| + |<du/dn, v>_B|; 0/0 counts as 0.
+    """|<Delta u, v>_Omega + <du, dv> - <du/dn, v>_B| relative to the sum of the three terms' magnitudes; 0/0 is 0.
 
+    Green's formula makes the residual zero in exact arithmetic for every u, v.
     Each term is linear in w and free of m, so the ratio is invariant under
     w -> c w and m -> d m up to rounding; there is no absolute floor.
     """

@@ -41,10 +41,9 @@ from .errors import (
 )
 from .graphs import (
     CONDITION_TOL,
-    EQUALITY_TOL,
     INF,
     SEARCH_TOL,
-    CurvatureParams,
+    attains_bound,
     boundary_degree,
     induced_interior_graph,
     is_infinite,
@@ -53,7 +52,7 @@ from .graphs import (
     validate_dimension,
     weighted_degree,
 )
-from .operators import VertexFunction, _gamma2_forms, _gamma_forms, interior_edges
+from .operators import VertexFunction, _gamma2_forms, interior_edges
 from .operators import _gamma2_matrix, _gamma_matrix  # noqa: F401 -- unused; perfbench traces calls via these names
 from .spectra import steklov_eigenfunction_diagnostics, steklov_spectrum
 
@@ -106,23 +105,6 @@ def _validate_params(K, n):
 def degree_targets(K, n):
     """The boundary degree nK/(n-1) and interior boundary-degree (n+2)K/(n-1)."""
     return lichnerowicz_bound(K, n), (K if is_infinite(n) else (n + 2.0) * K / (n - 1.0))
-
-
-def infer_equality_params(bg):
-    """Back out (K, n) from the degree pattern of a candidate equality graph.
-
-    Uses Deg(boundary) = nK/(n-1) and Deg_b = (n+2)K/(n-1); returns None when
-    the two degrees do not correspond to any K > 0, n > 1.
-    """
-    deg = weighted_degree(bg.graph, bg.boundary[0])
-    degb = boundary_degree(bg, bg.interior[0])
-    if _close(deg, degb):
-        return CurvatureParams(K=deg, n=INF)
-    ratio = degb / deg
-    if not 1.0 < ratio < 3.0:
-        return None
-    n = 2.0 / (ratio - 1.0)
-    return CurvatureParams(K=deg * (n - 1.0) / n, n=n)
 
 
 def _unjoined(bg):
@@ -206,7 +188,7 @@ def _necessary_measure(bg, K, n):
     return nec.boundary_measure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteriorFormAssembly:
     """The condition-(5) quadratic form at an interior vertex, f(x) = 0 pinned."""
 
@@ -252,8 +234,8 @@ def assemble_interior_form(bg, K, n, x):
 def _interior_forms(ig, K, n, m, centres):
     """The condition-(5) forms, f(x) = 0, at a range of centres x as a (B, |Omega|-1, |Omega|-1) stack; PSD scales.
 
-    Per 2-ball shape, one stacked Gamma2, one stacked Gamma on S1 and one
-    gather of Delta[x, B1] are scattered by fancy-index += (a ball lists each
+    Per 2-ball shape, the one stacked assembly gives Gamma2 on B2, Gamma on
+    B1 and Delta[x, B1]; they are scattered by fancy-index += (a ball lists each
     vertex once) onto copies of a3 diag(mu) - a5 mu mu^T in the one-centre
     order of operations. Callers keep B |Omega|^2 within FORM_STACK_ENTRIES.
     """
@@ -275,12 +257,9 @@ def _interior_forms(ig, K, n, m, centres):
     for (k, _), (balls, _) in _shape_groups(ig, centres).items():
         at = balls[:, 0] - centres[0]
         ball1, pos = balls[:, :k + 1], at[:, None, None]
-        g2 = _gamma2_forms(ig, balls, k + 1)
+        g2, gam, ell = _gamma2_forms(ig, balls, k + 1)
         q[pos, balls[:, :, None], balls[:, None, :]] += g2
-        ell = ig.weights[balls[:, :1], ball1] / mu[balls[:, :1]]
-        ell[:, 0] -= ig.weight_sums[balls[:, 0]] / mu[balls[:, 0]]
-        q[pos, ball1[:, :, None], ball1[:, None, :]] += (
-            a2 * _gamma_forms(ig, ball1) - a1 * (ell[:, :, None] * ell[:, None, :]))
+        q[pos, ball1[:, :, None], ball1[:, None, :]] += a2 * gam - a1 * (ell[:, :, None] * ell[:, None, :])
         cross = 0.5 * a4 * (ell[:, :, None] * mu)
         q[pos, ball1[:, :, None], every] -= cross
         q[pos, every[:, None], ball1[:, None, :]] -= cross.transpose(0, 2, 1)
@@ -471,7 +450,7 @@ def check_rigidity(bg, K, n):
         )
     else:
         diagnostics["sigma2_missing"] = "boundary has fewer than 2 vertices"
-    bound_equality = sigma2 is not None and abs(sigma2 - bound) <= EQUALITY_TOL * bound
+    bound_equality = sigma2 is not None and attains_bound(sigma2, bound)
 
     ig = induced_interior_graph(bg)
     scan = disjoint_ball_scan(ig)

@@ -29,7 +29,7 @@ class SpectrumKind(Enum):
     STEKLOV = "steklov"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues in ascending order with matching eigenfunctions.
 
@@ -65,7 +65,7 @@ class Spectrum:
         return tuple(tuple(grp) for grp in groups)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DtNOperator:
     """The Dirichlet-to-Neumann map, materialized as the pair (S, M_B)."""
 
@@ -101,18 +101,14 @@ def _singular_interior(bg):
 
 
 def _interior_factor(bg):
-    """L_BB, L_OB and the lower Cholesky factor C of L_OO = C C^T."""
+    """L_BB, L_OB and the lower Cholesky factor C of L_OO = C C^T, factored once per boundary graph."""
     L = bg.graph.laplacian_matrix()
     bi = bg.boundary_indices
-    oi = bg.interior_indices
-    rows = oi[:, None]
     try:
-        chol = np.linalg.cholesky(L[rows, oi])
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is None or not np.isfinite(chol).all():  # not SPD, or the weights overflowed
-        raise _singular_interior(bg)
-    return L[bi[:, None], bi], L[rows, bi], chol
+        chol = bg.interior_cholesky
+    except np.linalg.LinAlgError:  # not SPD, or the weights overflowed
+        raise _singular_interior(bg) from None
+    return L[bi[:, None], bi], L[bg.interior_indices[:, None], bi], chol
 
 
 def harmonic_extension(bg, f):

@@ -4,6 +4,8 @@ Everything here recomputes quantities through a route different from the one
 the library uses, so agreement is evidence rather than tautology:
 
   * dense matrix application for the Laplacian,
+  * the explicit per-vertex sums for Gamma and Gamma2, against the library's
+    stacked 2-ball forms,
   * the product-rule identity for Gamma,
   * polarization of the scalar operators for local quadratic forms,
   * bisection on a directly assembled pencil for the curvature function,
@@ -23,8 +25,6 @@ from steklov import (
     attach_boundary,
     build_graph,
     differential,
-    gamma,
-    gamma2,
     harmonic_extension,
     induced_interior_graph,
     inner_product_forms,
@@ -35,7 +35,7 @@ from steklov import (
     weighted_degree,
 )
 from steklov.graphs import INF, is_infinite
-from steklov.operators import _gamma2_matrix, _gamma_matrix
+from steklov.operators import _aligned, _gamma2_matrix, _gamma_matrix
 
 # ---------------------------------------------------------------------------
 # random generators
@@ -161,6 +161,31 @@ def laplacian_by_matrix(g, u):
     w = g.weights
     mat = np.linalg.solve(np.diag(g.measures), w - np.diag(w.sum(axis=1)))
     return mat @ u.on(g.vertices)
+
+
+def gamma(g, u, v):
+    """Gamma(u, v) via the explicit sum."""
+    uv_ = _aligned(u, g.vertices)
+    vv_ = _aligned(v, g.vertices)
+    du = uv_[:, None] - uv_[None, :]
+    dv = vv_[:, None] - vv_[None, :]
+    out = np.sum(du * dv * g.weights, axis=1) / (2.0 * g.measures)
+    return VertexFunction(g.vertices, out)
+
+
+def gamma2(g, u, v):
+    """Gamma2(u, v) = (Delta Gamma(u,v) - Gamma(Delta u, v) - Gamma(u, Delta v)) / 2."""
+    guv = gamma(g, u, v)
+    lu = laplacian(g, u)
+    lv = laplacian(g, v)
+    out = 0.5 * (laplacian(g, guv).values - gamma(g, lu, v).values - gamma(g, u, lv).values)
+    return VertexFunction(g.vertices, out)
+
+
+def ball_form_value(ball, q, f):
+    """f^T Q f for a ball form Q from _gamma_matrix or _gamma2_matrix, f a function on V."""
+    vec = f.values[ball]
+    return float(vec @ q @ vec)
 
 
 def gamma_by_identity(g, u, v):

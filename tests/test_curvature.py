@@ -12,8 +12,6 @@ from steklov import (
     cd_check,
     curvature_at,
     curvature_profile,
-    gamma,
-    gamma2,
     laplacian,
     make_example,
     verify_lichnerowicz,
@@ -26,6 +24,8 @@ from steklov.operators import _gamma2_matrix
 from oracles import (
     cd_matrix_by_polarization,
     cd_scalar_value,
+    gamma,
+    gamma2,
     kappa_by_bisection,
     random_connected_graph,
     random_function,

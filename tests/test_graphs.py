@@ -14,7 +14,6 @@ from steklov import (
     make_example,
     parse_graph_file,
     serialize_graph,
-    volume,
     weighted_degree,
 )
 from steklov.errors import (
@@ -24,7 +23,6 @@ from steklov.errors import (
     DuplicateVertex,
     EmptyBoundary,
     EmptyInterior,
-    InvalidDimensionParam,
     InvalidFamilyParams,
     NonPositiveValue,
     NotInteriorVertex,
@@ -32,7 +30,7 @@ from steklov.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from steklov.graphs import INF, CurvatureParams
+from steklov.graphs import INF
 
 from oracles import random_boundary_graph
 
@@ -135,21 +133,11 @@ def test_boundary_degree():
         boundary_degree(p5, "1")
 
 
-def test_volume():
-    g = unit_path(3)
-    assert volume(g, set()) == 0.0
-    assert volume(g, {"1", "2", "3"}) == pytest.approx(3.0)
-    bg = make_example("weighted_path3", n=3, K=2 / 3, m=1)
-    n, m = 3.0, 1.0
-    assert volume(bg.graph, bg.interior) == pytest.approx(2 * m * n / (n + 2), rel=1e-12)
-
-
 def test_induced_interior_graph():
     c4 = make_example("unit_square")
     ig = induced_interior_graph(c4)
     assert ig.vertices == ("2", "4")
     assert ig.edge_list() == ()
-    assert ig.relaxed
 
     diag = make_example("unit_square_diag")
     ig = induced_interior_graph(diag)
@@ -207,16 +195,6 @@ def test_make_example_complete_interior_degrees():
     for x in bg.interior:
         assert boundary_degree(bg, x) == pytest.approx(degb_target, rel=1e-12)
     assert induced_interior_graph(bg).weights.max() == pytest.approx(2.0)
-
-
-def test_curvature_params():
-    p = CurvatureParams(K=0.5, n=2)
-    assert p.lichnerowicz_bound == pytest.approx(1.0)
-    assert CurvatureParams(K=2, n=INF_).lichnerowicz_bound == pytest.approx(2.0)
-    with pytest.raises(InvalidDimensionParam):
-        CurvatureParams(K=1, n=1)
-    with pytest.raises(InvalidDimensionParam):
-        CurvatureParams(K=1, n=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +270,6 @@ def boundary_graphs(draw):
 @given(boundary_graphs())
 def test_round_trip_property(bg):
     assert parse_graph_file(serialize_graph(bg)) == bg
-
-
-@given(boundary_graphs(), st.integers(min_value=0, max_value=2**16))
-def test_volume_additivity(bg, mask):
-    g = bg.graph
-    picked = {v for i, v in enumerate(g.vertices) if (mask >> i) & 1}
-    rest = set(g.vertices) - picked
-    total = volume(g, picked) + volume(g, rest)
-    assert total == pytest.approx(volume(g, g.vertices), rel=1e-12)
 
 
 def test_boundary_edge_mass_identity():

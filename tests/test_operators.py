@@ -7,25 +7,29 @@ from hypothesis import given, strategies as st
 from steklov import (
     VertexFunction,
     build_graph,
-    check_green_identity,
-    constant_function,
     differential,
-    gamma,
-    gamma2,
-    gamma2_form,
-    gamma_form,
     inner_product_forms,
     inner_product_functions,
     laplacian,
-    laplacian_square_form,
     make_example,
 )
-from steklov.errors import DomainMismatch, UnknownVertex
+from steklov.curvature import _shape_groups
+from steklov.errors import DomainMismatch
 from steklov.graphs import GREEN_TOL, WeightedGraph, attach_boundary
-from steklov.operators import scaled_green_residual
+from steklov.operators import (
+    _gamma2_forms,
+    _gamma2_matrix,
+    _gamma_forms,
+    _gamma_matrix,
+    _green_terms,
+    scaled_green_residual,
+)
 
 from oracles import (
     assert_close,
+    ball_form_value,
+    gamma,
+    gamma2,
     gamma_by_identity,
     laplacian_by_matrix,
     random_boundary_graph,
@@ -43,8 +47,12 @@ def vf(g, *values):
     return VertexFunction(g.vertices, np.array(values, dtype=float))
 
 
+def const(domain, c):
+    return VertexFunction(tuple(domain), np.full(len(domain), float(c)))
+
+
 def test_laplacian_constants_are_harmonic(p3):
-    assert np.allclose(laplacian(p3, constant_function(p3.vertices, 3.7)).values, 0.0)
+    assert np.allclose(laplacian(p3, const(p3.vertices, 3.7)).values, 0.0)
 
 
 def test_laplacian_p3_values(p3):
@@ -74,11 +82,12 @@ def test_laplacian_domain_strict(p3):
 
 def test_differential(p3):
     du = differential(p3, vf(p3, 1, 0, 0))
-    assert du.value("1", "2") == -1.0
-    assert du.value("2", "1") == 1.0  # skew
-    assert du.value("2", "3") == 0.0
-    assert du.value("1", "3") == 0.0  # non-adjacent
-    zero = differential(p3, constant_function(p3.vertices, 5.0))
+    assert du.domain == p3.vertices
+    assert du.values[0, 1] == -1.0
+    assert du.values[1, 0] == 1.0  # skew
+    assert du.values[1, 2] == 0.0
+    assert du.values[0, 2] == 0.0  # non-adjacent
+    zero = differential(p3, const(p3.vertices, 5.0))
     assert np.all(zero.values == 0.0)
 
 
@@ -87,7 +96,7 @@ def test_inner_product_functions(p3):
     assert inner_product_functions(p3, u, u) == pytest.approx(1.0)
     c4 = make_example("unit_square")
     ub = VertexFunction(c4.boundary, [1.0, -1.0])
-    ones = constant_function(c4.boundary, 1.0)
+    ones = const(c4.boundary, 1.0)
     assert inner_product_functions(c4.graph, ub, ones) == 0.0
 
     wp = make_example("weighted_path3", n=3, K=2 / 3, m=1)
@@ -100,7 +109,7 @@ def test_inner_product_forms(p3):
     u = vf(p3, 1, 0, 0)
     du = differential(p3, u)
     assert inner_product_forms(p3, du, du) == pytest.approx(1.0)
-    zero = differential(p3, constant_function(p3.vertices, 2.0))
+    zero = differential(p3, const(p3.vertices, 2.0))
     assert inner_product_forms(p3, zero, du) == 0.0
     only_one_edge = inner_product_forms(p3, du, du, s=[("1", "2")])
     assert only_one_edge == pytest.approx(1.0)
@@ -160,17 +169,15 @@ def test_gamma2_p3(p3):
     assert lap_term == pytest.approx(0.5)
     assert gamma_term == pytest.approx(0.25)
     assert gamma2(p3, u, u)["2"] == pytest.approx(lap_term + gamma_term, rel=1e-12)
-    assert np.allclose(gamma2(p3, constant_function(p3.vertices, 4.0), constant_function(p3.vertices, 4.0)).values, 0.0)
+    assert np.allclose(gamma2(p3, const(p3.vertices, 4.0), const(p3.vertices, 4.0)).values, 0.0)
 
 
 def test_gamma_form(p3):
-    form = gamma_form(p3, "2")
-    assert form.index_map == ("1", "2", "3")
-    assert form.evaluate(vf(p3, 1, 0, 0)) == pytest.approx(0.5, rel=1e-12)
+    ball, q = _gamma_matrix(p3, p3.index("2"))
+    assert ball.tolist() == [1, 0, 2]  # the centre, then S1 in vertex order
+    assert ball_form_value(ball, q, vf(p3, 1, 0, 0)) == pytest.approx(0.5, rel=1e-12)
     # pinned to f(x) = 0 the form is diagonal with entries w/(2m)
-    keep = [0, 2]
-    sub = form.matrix[np.ix_(keep, keep)]
-    assert np.allclose(sub, np.diag([0.5, 0.5]))
+    assert np.allclose(q[1:, 1:], np.diag([0.5, 0.5]))
 
 
 def test_gamma_form_matches_gamma_random():
@@ -180,10 +187,8 @@ def test_gamma_form_matches_gamma_random():
         x = g.vertices[rng.integers(0, g.num_vertices)]
         f = random_function(rng, g.vertices)
         assert_close(
-            gamma_form(g, x).evaluate(f), gamma(g, f, f)[x], rel=1e-12, context="gamma form"
+            ball_form_value(*_gamma_matrix(g, g.index(x)), f), gamma(g, f, f)[x], rel=1e-12, context="gamma form"
         )
-    with pytest.raises(UnknownVertex):
-        gamma_form(g, "nope")
 
 
 def test_gamma2_form_matches_gamma2_random():
@@ -193,14 +198,14 @@ def test_gamma2_form_matches_gamma2_random():
         x = g.vertices[rng.integers(0, g.num_vertices)]
         f = random_function(rng, g.vertices)
         assert_close(
-            gamma2_form(g, x).evaluate(f), gamma2(g, f, f)[x], rel=1e-10, context="gamma2 form"
+            ball_form_value(*_gamma2_matrix(g, g.index(x)), f), gamma2(g, f, f)[x], rel=1e-10, context="gamma2 form"
         )
 
 
 def test_gamma2_form_p3_and_symmetry(p3):
-    form = gamma2_form(p3, "2")
-    assert form.evaluate(vf(p3, 1, 0, 0)) == pytest.approx(0.75, rel=1e-12)
-    assert np.array_equal(form.matrix, form.matrix.T)
+    ball, q = _gamma2_matrix(p3, p3.index("2"))
+    assert ball_form_value(ball, q, vf(p3, 1, 0, 0)) == pytest.approx(0.75, rel=1e-12)
+    assert np.array_equal(q, q.T)
 
 
 def test_gamma2_form_locality():
@@ -210,29 +215,49 @@ def test_gamma2_form_locality():
         [(str(i), str(i + 1), 1) for i in range(1, 6)],
     )
     rng = np.random.default_rng(4)
-    form = gamma2_form(g, "2")
-    assert set(form.index_map) == {"1", "2", "3", "4"}
+    ball, q = _gamma2_matrix(g, g.index("2"))
+    assert {g.vertices[j] for j in ball} == {"1", "2", "3", "4"}
     base = rng.standard_normal(6)
     perturbed = base.copy()
     perturbed[4:] += rng.standard_normal(2) * 10
     f0 = VertexFunction(g.vertices, base)
     f1 = VertexFunction(g.vertices, perturbed)
-    assert form.evaluate(f0) == form.evaluate(f1)
+    assert ball_form_value(ball, q, f0) == ball_form_value(ball, q, f1)
     assert gamma2(g, f0, f0)["2"] == pytest.approx(gamma2(g, f1, f1)["2"], rel=1e-12)
 
 
 def test_laplacian_square_form(p3):
-    form = laplacian_square_form(p3, "2")
-    assert form.evaluate(constant_function(p3.vertices, 3.0)) == pytest.approx(0.0, abs=1e-18)
-    assert form.evaluate(vf(p3, 0, 1, 0)) == pytest.approx(4.0, rel=1e-12)
-    assert np.linalg.matrix_rank(form.matrix, tol=1e-10) == 1
+    # (Delta f)(x)^2 is r r^T for the row r = Delta[x, B1] the Gamma2 assembly returns
+    ball = p3.ball_indices(1, 2)
+    _, _, rows = _gamma2_forms(p3, ball[None], 3)
+    ball1, form = ball[:3], np.outer(rows[0], rows[0])
+    assert ball_form_value(ball1, form, const(p3.vertices, 3.0)) == pytest.approx(0.0, abs=1e-18)
+    assert ball_form_value(ball1, form, vf(p3, 0, 1, 0)) == pytest.approx(4.0, rel=1e-12)
+    assert np.linalg.matrix_rank(form, tol=1e-10) == 1
+
+
+def test_gamma2_forms_return_their_gamma_stack_and_delta_rows():
+    # the by-products of one stacked assembly are the Gamma forms on B1,
+    # bitwise, and the rows Delta[x, B1] of the Laplacian
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        g = random_connected_graph(rng, n_max=7)
+        f = random_function(rng, g.vertices)
+        lap = laplacian(g, f)
+        for (k, _), (balls, _) in _shape_groups(g, range(g.num_vertices)).items():
+            _, gam, rows = _gamma2_forms(g, balls, k + 1)
+            assert np.array_equal(gam, _gamma_forms(g, balls[:, :k + 1]))
+            assert rows.shape == (len(balls), k + 1)
+            for ball, row in zip(balls, rows):
+                x = g.vertices[ball[0]]
+                assert_close(float(row @ f.values[ball[:k + 1]]), lap[x], rel=1e-12, context="Delta row")
 
 
 def test_green_identity_examples():
     p3 = make_example("unit_path3")
     u = VertexFunction(p3.graph.vertices, [1.0, 0.0, -1.0])
-    residual = check_green_identity(p3, u, u)
-    assert residual <= 1e-12
+    lhs, energy, boundary_term = _green_terms(p3, u, u)
+    assert abs(lhs + energy - boundary_term) <= 1e-12
     # the three ingredients, by hand
     du = differential(p3.graph, u)
     assert inner_product_forms(p3.graph, du, du) == pytest.approx(2.0)
@@ -265,14 +290,15 @@ def test_scaled_green_residual_is_scale_free():
         for cw, cm in ((2.0 ** -40, 1.0), (2.0 ** 40, 1.0), (1.0, 2.0 ** -30), (2.0 ** 40, 2.0 ** 30)):
             twin = attach_boundary(WeightedGraph(g.vertices, cm * g.measures, cw * g.weights), bg.boundary)
             assert scaled_green_residual(twin, u, v) == base
-    c = constant_function(bg.graph.vertices, 2.0)
+    c = const(bg.graph.vertices, 2.0)
     assert scaled_green_residual(bg, c, c) == 0.0  # 0/0
 
 
 def test_green_identity_constant():
     bg = make_example("unit_square")
-    c = constant_function(bg.graph.vertices, 2.0)
-    assert check_green_identity(bg, c, c) == 0.0
+    c = const(bg.graph.vertices, 2.0)
+    lhs, energy, boundary_term = _green_terms(bg, c, c)
+    assert abs(lhs + energy - boundary_term) == 0.0
 
 
 def test_operator_scaling_laws():

@@ -28,10 +28,8 @@ from steklov import (
     curvature_profile,
     disjoint_ball_scan,
     induced_interior_graph,
-    infer_equality_params,
     make_example,
     two_ball_identity_check,
-    volume,
 )
 from steklov.errors import (
     InteriorCurvatureNotPositive,
@@ -48,6 +46,8 @@ from steklov.rigidity import RigidityClass
 
 from oracles import (
     assert_close,
+    gamma,
+    gamma2,
     interior_form_by_scatter,
     interior_form_termwise,
     lemma_delta_boundary,
@@ -59,7 +59,7 @@ from oracles import (
     random_a1a4_graph,
     random_function,
 )
-from steklov.operators import gamma, gamma2, laplacian
+from steklov.operators import laplacian
 
 
 def unit_path(n, boundary):
@@ -143,7 +143,7 @@ def test_interior_form_characteristic_function_value():
     form = assemble_interior_form(bg, K, n, x)
     rest = [v for v in bg.interior if v != x]
     value = form.evaluate(VertexFunction(form.index_map, np.ones(len(rest))))
-    v_rest = volume(bg.graph, rest)
+    v_rest = float(sum(bg.graph.measure(v) for v in rest))
     a3 = (n + 2) ** 2 * K**2 / (8 * m * (n - 1) ** 2)
     a5 = n * (n + 2) ** 2 * K**2 / (8 * (n - 2) * (n - 1) ** 2 * m**2)
     assert value == pytest.approx(a3 * v_rest - a5 * v_rest**2, rel=1e-10)
@@ -569,20 +569,6 @@ def test_boundary_vertices_always_satisfy_cd():
         for c in report.checks:
             if c.vertex in set(bg.boundary):
                 assert c.holds
-
-
-def test_infer_equality_params():
-    params = infer_equality_params(make_example("unit_square"))
-    assert params.n == INF and params.K == pytest.approx(2.0)
-    params = infer_equality_params(make_example("weighted_path3", n=3, K=2 / 3, m=1))
-    assert params.n == pytest.approx(3.0, rel=1e-9)
-    assert params.K == pytest.approx(2 / 3, rel=1e-9)
-    # Deg_b / Deg outside (1, 3) admits no parameters: star with leaf boundary
-    star = build_graph(
-        [("c", 1), ("l1", 1), ("l2", 1), ("l3", 1)],
-        [("c", "l1", 1), ("c", "l2", 1), ("c", "l3", 1)],
-    )
-    assert infer_equality_params(attach_boundary(star, {"l1", "l2", "l3"})) is None
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ from steklov import (
     BoundaryGraph,
     VertexFunction,
     attach_boundary,
+    assemble_interior_form,
     build_graph,
-    constant_function,
+    check_rigidity,
     differential,
     dtn_operator,
     harmonic_extension,
@@ -34,7 +35,7 @@ def boundary_function(bg, *values):
 
 def test_harmonic_extension_constant():
     c4 = make_example("unit_square")
-    u = harmonic_extension(c4, constant_function(c4.boundary, 3.5))
+    u = harmonic_extension(c4, VertexFunction(c4.boundary, np.full(2, 3.5)))
     assert np.allclose(u.values, 3.5)
 
 
@@ -77,7 +78,7 @@ def test_singular_interior_system():
         [0.0, 1.0, 0.0],
         [1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0],
-    ]), relaxed=True)
+    ]))
     bad = BoundaryGraph(g, ("a",), ("b", "c"))
     with pytest.raises(SingularInteriorSystem) as e:
         harmonic_extension(bad, VertexFunction(("a",), [1.0]))
@@ -86,13 +87,52 @@ def test_singular_interior_system():
         dtn_operator(bad)
 
 
+def test_one_interior_factorization_per_boundary_graph(monkeypatch):
+    # check_rigidity's Steklov spectrum and its sigma_2 harmonic extension
+    # share one Cholesky factor of L_OO; a failed factorization is not kept,
+    # so a singular interior is factored, and raises, on every call
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    bg = make_example("complete_interior", interior_size=5, n=10, K=1, m=1)
+    check_rigidity(bg, 1.0, 10.0)
+    assert calls == [(5, 5)]
+    assert not bg.interior_cholesky.flags.writeable
+
+    g = WeightedGraph(("a", "b", "c"), np.ones(3), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    bad = BoundaryGraph(g, ("a",), ("b", "c"))
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(SingularInteriorSystem):
+            dtn_operator(bad)
+    assert calls == [(2, 2), (2, 2)]
+
+
+def test_array_holding_results_compare_by_identity():
+    # the generated __eq__ compared ndarray fields inside a tuple and raised
+    bg = make_example("unit_square")
+    spectrum = steklov_spectrum(bg)
+    assert spectrum == spectrum
+    assert (steklov_spectrum(bg) == steklov_spectrum(bg)) is False
+    assert (dtn_operator(bg) == dtn_operator(bg)) is False
+    rigid = make_example("complete_interior", interior_size=3, n=4, K=1, m=1)
+    form = assemble_interior_form(rigid, 1.0, 4.0, "x1")
+    assert form == form
+    assert (form == assemble_interior_form(rigid, 1.0, 4.0, "x1")) is False
+
+
 def test_normal_derivative():
     p3 = make_example("unit_path3")
     u = VertexFunction(p3.graph.vertices, [1.0, 0.0, -1.0])
     nd = normal_derivative(p3, u)
     assert nd["1"] == pytest.approx(1.0)
     assert nd["3"] == pytest.approx(-1.0)
-    zero = normal_derivative(p3, constant_function(p3.graph.vertices, 9.0))
+    zero = normal_derivative(p3, VertexFunction(p3.graph.vertices, np.full(3, 9.0)))
     assert np.allclose(zero.values, 0.0)
 
 

@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps library functions by the names modules bind them to."""
+"""The benchmark's tracer wraps library functions by the names modules bind them to; public names need callers."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import re
 import types
 from pathlib import Path
@@ -55,3 +57,35 @@ def test_star_import_binds_exactly_the_public_names():
     for name, value in namespace.items():
         assert not isinstance(value, types.ModuleType), f"{name} is a module"
         assert value is getattr(steklov, name)
+
+
+def _loaded_names(node):
+    """Every name a syntax tree reads, bare or as an attribute; import statements bind but do not read."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_public_function_has_a_caller():
+    # a public function earns its name through a caller: library code outside
+    # its own definition (the CLI included), the acceptance suite, the README,
+    # or a binding site the benchmark's tracer wraps
+    callers = {}  # name -> {(module, top-level definition or None)}
+    for path in sorted((ROOT / "src" / "steklov").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            for name in _loaded_names(stmt):
+                callers.setdefault(name, set()).add((path.stem, owner))
+    acceptance = _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    readme = (ROOT / "README.md").read_text()
+    traced = {site.rpartition(":")[2].rpartition(".")[2] for site in load_spans().BOUNDARIES}
+    uncalled = []
+    for name in steklov.__all__:
+        fn = getattr(steklov, name)
+        if not inspect.isfunction(fn):
+            continue  # classes are exempt
+        own = (fn.__module__.rpartition(".")[2], name)
+        if (callers.get(name, set()) - {own} or name in acceptance
+                or re.search(rf"\b{name}\b", readme) or name in traced):
+            continue
+        uncalled.append(name)
+    assert uncalled == []
