@@ -42,6 +42,7 @@ from .operators import (
     inner_product_functions,
     interior_edges,
     laplacian,
+    normal_derivative,
 )
 from .rigidity import (
     Classification,
@@ -66,7 +67,6 @@ from .spectra import (
     dtn_operator,
     harmonic_extension,
     laplacian_spectrum,
-    normal_derivative,
     steklov_eigenfunction_diagnostics,
     steklov_spectrum,
 )

@@ -26,6 +26,12 @@ group's pinned forms are assembled as one (B, s, s) stack. One stacked eigh
 per group solves every n (curvature) or decides every vertex (cd_check); the
 S2 inverse, sign fix, witnesses and Rayleigh quotients are array operations
 over the group. A single vertex is the one-centre case of the same kernel.
+
+cd_check and condition (5) of the rigidity module both ask whether a form
+pinned at each vertex is PSD. One builder, _vertex_checks, decides a stack of
+such forms and returns one VertexCheck per vertex, with a witness only where
+the form fails; a 0 x 0 form (an isolated vertex, or |Omega| = 1) holds with
+lambda_min inf.
 """
 
 import math
@@ -42,6 +48,7 @@ from .graphs import (
     BoundaryGraph,
     WeightedGraph,
     attains_bound,
+    finite_number,
     lichnerowicz_bound,
     validate_dimension,
 )
@@ -83,18 +90,32 @@ def _psd_verdict(matrices, scale):
     return (*_psd_rule(evals, scale), evecs[..., 0])
 
 
-def _embed_witness(vertex, coords, vec):
-    """Package a vector over coords, pinned to 0 at vertex, as a function on {vertex} + coords."""
-    return VertexFunction((vertex,) + tuple(coords), np.concatenate([[0.0], vec]))
-
-
 @dataclass(frozen=True)
-class CDVertexCheck:
+class VertexCheck:
+    """The PSD verdict on one vertex's form, pinned at f(vertex) = 0; on failure, a witness with f^T A f < 0."""
+
     vertex: object
     lambda_min: float
     form_norm: float
     holds: bool
     witness: VertexFunction | None
+
+
+def _vertex_checks(forms, scale, vertices, domain):
+    """A VertexCheck per form of a (B, s, s) stack, form j pinned at vertices[j].
+
+    One stacked eigh decides every form by the PSD rule. domain(j) lists
+    vertices[j], then form j's coordinates; it is called, and a witness built,
+    only where form j fails. A 0 x 0 form holds with lambda_min inf.
+    """
+    if not forms.shape[-1]:
+        return [VertexCheck(x, math.inf, 0.0, True, None) for x in vertices]
+    lam, norm, holds, vecs = _psd_verdict(forms, scale)
+    checks = []
+    for j, (x, low, top, ok) in enumerate(zip(vertices, lam.tolist(), norm.tolist(), holds.tolist())):
+        witness = None if ok else VertexFunction(domain(j), np.concatenate([[0.0], vecs[j]]))
+        checks.append(VertexCheck(x, low, top, ok, witness))
+    return checks
 
 
 @dataclass(frozen=True)
@@ -115,25 +136,19 @@ def cd_check(g, K, n, x=None):
     The verdict is lambda_min(A(K)) >= -PSD_TOL max(||A(K)||, q) over the
     pinned 2-ball space, q the largest entry of the pinned Gamma2 form; on
     failure the check carries a violating function f with f^T A f < 0. K may
-    be any real (non-positive K is useful diagnostically); n must lie in (1, inf].
+    be any finite real (non-positive K is useful diagnostically); n must lie in (1, inf].
     """
     n = validate_dimension(n)
-    K = float(K)
+    K = finite_number(K, "K", positive=False)
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
     for (k, _), (balls, domains) in _shape_groups(g, centres).items():
-        if k == 0:
-            checks.update((i, CDVertexCheck(g.vertices[i], math.inf, 0.0, True, None)) for i in balls[:, 0])
-            continue
         a, r, gamma_diag = _pinned_forms(g, balls, k)
-        scale = np.abs(a).max(axis=(1, 2))
+        scale = np.abs(a).max(axis=(1, 2), initial=0.0)
         a[:, :k, :k] -= r[:, :, None] * r[:, None, :] / n
         a[:, range(k), range(k)] -= K * gamma_diag
-        lam, norm, holds, vecs = _psd_verdict(a, scale)
-        for i, domain, low, top, ok, vec in zip(balls[:, 0].tolist(), domains, lam.tolist(), norm.tolist(),
-                                                holds.tolist(), vecs):
-            witness = None if ok else _embed_witness(domain[0], domain[1:], vec)
-            checks[i] = CDVertexCheck(domain[0], low, top, ok, witness)
+        vertices = [domain[0] for domain in domains]
+        checks.update(zip(balls[:, 0].tolist(), _vertex_checks(a, scale, vertices, domains.__getitem__)))
     checks = tuple(checks[i] for i in centres)
     return CDReport(K, n, all(c.holds for c in checks), checks)
 
@@ -275,9 +290,7 @@ def verify_lichnerowicz(subject, K, n):
     from the theorem when cd_holds is true and K > 0.
     """
     n = validate_dimension(n)
-    K = float(K)
-    if not (math.isfinite(K) and K > 0):
-        raise InvalidParams(f"the Lichnerowicz bound needs K > 0, got {K!r}")
+    K = finite_number(K, "K")
     if isinstance(subject, BoundaryGraph):
         if len(subject.boundary) < 2:
             raise InvalidParams("sigma_2 needs at least 2 boundary vertices")

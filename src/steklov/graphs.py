@@ -1,6 +1,7 @@
 """Weighted graphs with boundary: data model, validation, files, example families.
 
-It also holds the tolerance table and the bound nK/(n-1) all modules share.
+It also holds what all modules share: the tolerance table, the bound nK/(n-1)
+and the one check of numeric parameters, finite_number.
 
 A weighted graph is a finite simple connected graph together with a positive
 vertex measure m and positive symmetric edge weights w. A boundary graph adds
@@ -76,6 +77,20 @@ def validate_dimension(n):
     if math.isnan(n) or n <= 1.0:
         raise InvalidDimensionParam(n)
     return n
+
+
+def finite_number(value, name, positive=True):
+    """value as a float when it is a finite real number, positive unless positive=False; InvalidParams otherwise.
+
+    A bool is not a number here, as in the graph-file format.
+    """
+    try:
+        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        raise InvalidParams(f"{name} must be finite{' positive' if positive else ''}, got {value!r}")
+    return x
 
 
 def _check_positive(kind, element, value):
@@ -224,9 +239,7 @@ class WeightedGraph:
 
     def rescaled_weights(self, lam):
         """Same graph with every edge weight multiplied by lam > 0."""
-        if not (math.isfinite(lam) and lam > 0):
-            raise InvalidParams(f"weight scale must be finite positive, got {lam!r}")
-        return WeightedGraph(self.vertices, self.measures, lam * self.weights)
+        return WeightedGraph(self.vertices, self.measures, finite_number(lam, "weight scale") * self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,23 +405,6 @@ class ExampleFamily(str, Enum):
     COMPLETE_INTERIOR = "complete_interior"
 
 
-def _family_positive(family, name, value):
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise InvalidFamilyParams(family, f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(value) or value <= 0:
-        raise InvalidFamilyParams(family, f"{name} must be finite positive, got {value!r}")
-    return value
-
-
-def _family_dimension(family, n):
-    try:
-        return validate_dimension(n)
-    except InvalidDimensionParam:
-        raise InvalidFamilyParams(family, f"dimension n must be > 1 or inf, got {n!r}") from None
-
-
 def join_equality_boundary(interior, n, K, m):
     """Join a two-vertex boundary to an interior graph in the equality pattern.
 
@@ -420,10 +416,8 @@ def join_equality_boundary(interior, n, K, m):
     "1" or "2".
     """
     n = validate_dimension(n)
-    if not (math.isfinite(K) and K > 0):
-        raise InvalidParams(f"K must be finite positive, got {K!r}")
-    if not (math.isfinite(m) and m > 0):
-        raise InvalidParams(f"m must be finite positive, got {m!r}")
+    K = finite_number(K, "K")
+    m = finite_number(m, "m")
 
     if is_infinite(n):
         target_volume = 2.0 * m
@@ -490,36 +484,22 @@ def make_example(family, **params):
 
     if family is ExampleFamily.WEIGHTED_PATH3:
         n, K, m = take(("n", "K", "m"))
-        n = _family_dimension(family.value, n)
-        K = _family_positive(family.value, "K", K)
-        m = _family_positive(family.value, "m", m)
-        return join_equality_boundary(build_graph([("x", 1.0)], [], relaxed=True), n, K, m)
-
-    if family is ExampleFamily.WEIGHTED_SQUARE:
+        ids, pairs = ["x"], []
+    elif family is ExampleFamily.WEIGHTED_SQUARE:
         K, m = take(("K", "m"))
-        K = _family_positive(family.value, "K", K)
-        m = _family_positive(family.value, "m", m)
-        interior = build_graph([("x", 1.0), ("y", 1.0)], [], relaxed=True)
-        return join_equality_boundary(interior, INF, K, m)
-
-    if family is ExampleFamily.COMPLETE_INTERIOR:
+        n, ids, pairs = INF, ["x", "y"], []
+    else:
         size, n, K, m = take(("interior_size", "n", "K", "m"), ("lam",))
-        lam = params.get("lam", 1.0)
-        if not isinstance(size, int) or size < 1:
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise InvalidFamilyParams(family.value, f"interior_size must be a positive int, got {size!r}")
-        n = _family_dimension(family.value, n)
-        K = _family_positive(family.value, "K", K)
-        m = _family_positive(family.value, "m", m)
-        lam = _family_positive(family.value, "lam", lam)
         ids = [f"x{i}" for i in range(1, size + 1)]
-        interior = build_graph(
-            [(v, 1.0) for v in ids],
-            [(ids[i], ids[j], lam) for i in range(size) for j in range(i + 1, size)],
-            relaxed=(size == 1),
-        )
+        pairs = [(ids[i], ids[j]) for i in range(size) for j in range(i + 1, size)]
+    try:
+        lam = finite_number(params.get("lam", 1.0), "lam")
+        interior = build_graph([(v, 1.0) for v in ids], [(u, v, lam) for u, v in pairs], relaxed=not pairs)
         return join_equality_boundary(interior, n, K, m)
-
-    raise InvalidFamilyParams(family, "unknown family")  # pragma: no cover
+    except (InvalidParams, InvalidDimensionParam) as e:
+        raise InvalidFamilyParams(family.value, str(e)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,12 @@ def laplacian(g, u):
     return VertexFunction(g.vertices, out)
 
 
+def normal_derivative(bg, u):
+    """du/dn = -(Delta u) at boundary vertices."""
+    lu = laplacian(bg.graph, u)
+    return VertexFunction(bg.boundary, -lu.on(bg.boundary))
+
+
 def differential(g, u):
     """du(x, y) = u(y) - u(x) on edges, zero elsewhere; skew-symmetric."""
     vals = _aligned(u, g.vertices)
@@ -192,12 +198,10 @@ def _gamma2_matrix(g, i):
 def _green_terms(bg, u, v):
     """<Delta u, v>_Omega, <du, dv> and <du/dn, v>_B; Green's formula makes the first two sum to the third."""
     g = bg.graph
-    lu = laplacian(g, u)
-    lhs = inner_product_functions(g, lu, v, s=bg.interior)
+    lhs = inner_product_functions(g, laplacian(g, u), v, s=bg.interior)
     energy = inner_product_forms(g, differential(g, u), differential(g, v))
-    normal = VertexFunction(bg.boundary, -lu.on(bg.boundary))
     boundary_term = inner_product_functions(
-        g, normal, VertexFunction(bg.boundary, v.on(bg.boundary))
+        g, normal_derivative(bg, u), VertexFunction(bg.boundary, v.on(bg.boundary))
     )
     return lhs, energy, boundary_term
 

@@ -17,7 +17,9 @@ classifies the rigid graphs (unit weight, edgeless interior, normalized
 weight), runs the structural ball-scan diagnostics, and constructs equality
 graphs over complete interiors by searching for a large enough interior
 weight scale. Condition (5) builds the forms at all interior vertices as one
-stack, decided by one stacked eigh, in chunks of at most FORM_STACK_ENTRIES.
+stack, in chunks of at most FORM_STACK_ENTRIES, and decides each chunk with
+the per-vertex builder cd_check uses (curvature._vertex_checks), so both
+report VertexCheck records.
 """
 
 import math
@@ -26,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curvature import _embed_witness, _psd_verdict, _shape_groups, cd_check, curvature_profile
+from .curvature import _shape_groups, _vertex_checks, cd_check, curvature_profile
 from .curvature import curvature_at  # noqa: F401 -- unused; perfbench traces calls via this name
 from .errors import (
     DomainMismatch,
@@ -45,6 +47,7 @@ from .graphs import (
     SEARCH_TOL,
     attains_bound,
     boundary_degree,
+    finite_number,
     induced_interior_graph,
     is_infinite,
     join_equality_boundary,
@@ -96,10 +99,7 @@ class ConditionCheck:
 
 def _validate_params(K, n):
     n = validate_dimension(n)
-    K = float(K)
-    if not (math.isfinite(K) and K > 0):
-        raise InvalidParams(f"rigidity analysis needs K > 0, got {K!r}")
-    return K, n
+    return finite_number(K, "K"), n
 
 
 def degree_targets(K, n):
@@ -271,14 +271,6 @@ def _interior_forms(ig, K, n, m, centres):
 
 
 @dataclass(frozen=True)
-class InteriorFormCheck:
-    vertex: object
-    passed: bool
-    lambda_min: float | None
-    witness: VertexFunction | None
-
-
-@dataclass(frozen=True)
 class InteriorInequalityReport:
     passed: bool
     branch: str
@@ -311,17 +303,16 @@ def _interior_inequality(ig, K, n, m):
             "no equality graphs exist for 1 < n < 2 (the curvature condition "
             "fails at interior vertices)", ())
 
-    nv = ig.num_vertices
-    checks = [InteriorFormCheck(ig.vertices[0], True, None, None)] if nv == 1 else []  # a 0 x 0 form
+    nv, ids = ig.num_vertices, ig.vertices
+    checks = []
     step = max(1, FORM_STACK_ENTRIES // nv ** 2)
-    for start in range(0, nv, step) if nv > 1 else ():
+    for start in range(0, nv, step):
         centres = range(start, min(start + step, nv))
-        lam, _, ok, vecs = _psd_verdict(*_interior_forms(ig, K, n, m, centres))
-        for i, low, good, vec in zip(centres, lam.tolist(), ok.tolist(), vecs):
-            x = ig.vertices[i]
-            witness = None if good else _embed_witness(x, ig.vertices[:i] + ig.vertices[i + 1:], vec)
-            checks.append(InteriorFormCheck(x, good, low, witness))
-    passed = all(c.passed for c in checks)
+        # |Omega| = 1 leaves a 0 x 0 form, which needs no assembly
+        forms, scales = _interior_forms(ig, K, n, m, centres) if nv > 1 else (np.zeros((1, 0, 0)), None)
+        checks += _vertex_checks(forms, scales, ids[start:centres.stop],
+                                 lambda j, i0=start: (ids[i0 + j],) + ids[:i0 + j] + ids[i0 + j + 1:])
+    passed = all(c.holds for c in checks)
     return InteriorInequalityReport(
         passed, "psd", "interior form PSD at every interior vertex" if passed
         else "interior form not PSD", tuple(checks))
@@ -604,10 +595,8 @@ def construct_rigid_family(interior, n, K, m, lam=None):
     n = validate_dimension(n)
     if is_infinite(n) or n <= 2.0:
         raise InvalidParams(f"the construction needs a finite dimension n > 2, got {n!r}")
-    if not (math.isfinite(K) and K > 0):
-        raise InvalidParams(f"K must be finite positive, got {K!r}")
-    if not (math.isfinite(m) and m > 0):
-        raise InvalidParams(f"m must be finite positive, got {m!r}")
+    K = finite_number(K, "K")
+    m = finite_number(m, "m")
 
     nv = interior.num_vertices
     missing = np.argwhere(np.triu(interior.weights == 0.0, 1))
@@ -632,10 +621,9 @@ def construct_rigid_family(interior, n, K, m, lam=None):
         return check_interior_inequality(build(scale), K, n).passed
 
     if lam is not None:
-        if not (math.isfinite(lam) and lam > 0):
-            raise InvalidParams(f"lam must be finite positive, got {lam!r}")
+        lam = finite_number(lam, "lam")
         bg = build(lam)
-        return ConstructionResult(bg, float(lam), None, check_interior_inequality(bg, K, n))
+        return ConstructionResult(bg, lam, None, check_interior_inequality(bg, K, n))
 
     if feasible(1.0):
         threshold = 1.0

@@ -129,12 +129,6 @@ def harmonic_extension(bg, f):
     return u
 
 
-def normal_derivative(bg, u):
-    """du/dn = -(Delta u) at boundary vertices."""
-    lu = laplacian(bg.graph, u)
-    return VertexFunction(bg.boundary, -lu.on(bg.boundary))
-
-
 def dtn_operator(bg):
     """Materialize the Dirichlet-to-Neumann map as DtNOperator."""
     L_bb, L_ob, chol = _interior_factor(bg)

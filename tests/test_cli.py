@@ -196,6 +196,13 @@ def test_usage_and_module_errors(capture, tmp_path, p3_file):
     assert json.loads(out)["error"]["type"] == "InvalidFamilyParams"
 
 
+def test_cd_check_with_a_non_finite_k_is_an_input_error(capture, c4_file):
+    for K in ("--K=-inf", "--K=inf"):
+        code, out, _ = capture("cd-check", "--graph", c4_file, K, "--n", "2")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidParams"
+
+
 def test_reports_have_sorted_keys(capture, p3_file):
     _, out, _ = capture("steklov", "--graph", p3_file)
     doc = json.loads(out)

@@ -77,6 +77,14 @@ def test_cd_check_dimension_validation():
         curvature_at(build_graph([("a", 1.0)], []), "a", 2)
 
 
+@pytest.mark.parametrize("K", [float("nan"), float("inf"), float("-inf")])
+def test_cd_check_rejects_a_non_finite_k(K):
+    # a non-finite K makes the shifted form non-finite: -inf gave NaN lambda_min
+    # and a FAILS verdict for the trivially true CD(-inf, n), and nan escaped eigh
+    with pytest.raises(InvalidParams):
+        cd_check(make_example("unit_square").graph, K, 2)
+
+
 def test_curvature_p3():
     g = make_example("unit_path3").graph
     res = curvature_at(g, "2", 2)

@@ -185,6 +185,13 @@ def test_make_example_rejects_bad_params():
         make_example("complete_interior", interior_size=0, n=4, K=1, m=1)
 
 
+def test_make_example_rejects_bools_as_numbers():
+    with pytest.raises(InvalidFamilyParams):
+        make_example("complete_interior", interior_size=True, n=10, K=1, m=1)
+    with pytest.raises(InvalidFamilyParams):
+        make_example("weighted_path3", n=3, K=True, m=1)
+
+
 def test_make_example_complete_interior_degrees():
     bg = make_example("complete_interior", interior_size=3, n=4, K=1, m=1, lam=2)
     g = bg.graph

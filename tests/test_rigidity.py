@@ -28,7 +28,9 @@ from steklov import (
     curvature_profile,
     disjoint_ball_scan,
     induced_interior_graph,
+    laplacian_spectrum,
     make_example,
+    steklov_spectrum,
     two_ball_identity_check,
 )
 from steklov.errors import (
@@ -57,6 +59,7 @@ from oracles import (
     lemma_gamma_boundary,
     lemma_gamma_interior,
     random_a1a4_graph,
+    random_boundary_graph,
     random_function,
 )
 from steklov.operators import laplacian
@@ -212,7 +215,7 @@ def test_interior_inequality_lambda_threshold():
     small = make_example("complete_interior", interior_size=2, n=4, K=1, m=1, lam=0.05)
     rep = check_interior_inequality(small, 1, 4)
     assert not rep.passed
-    bad = [c for c in rep.vertex_checks if not c.passed]
+    bad = [c for c in rep.vertex_checks if not c.holds]
     assert bad
     for check in bad:  # each witness is pinned at its vertex and makes the form negative
         form = assemble_interior_form(small, 1, 4, check.vertex)
@@ -234,7 +237,7 @@ def random_interiors(seed, count):
 
 def vertex_check_summary(rep):
     """Every field of each vertex check, the witness down to its bytes."""
-    return tuple((c.vertex, c.passed, c.lambda_min) + (() if c.witness is None else (
+    return tuple((c.vertex, c.holds, c.lambda_min) + (() if c.witness is None else (
         c.witness.domain, c.witness.values.tobytes())) for c in rep.vertex_checks)
 
 
@@ -252,12 +255,12 @@ def test_stacked_interior_forms_match_the_one_centre_form_bitwise():
             assert form.tobytes() == interior_form_by_scatter(ig, K, n, m, x).tobytes()
             assert check.vertex == x
             if ig.num_vertices == 1:  # the 0 x 0 form never reaches eigh
-                assert (check.passed, check.lambda_min, check.witness) == (True, None, None)
+                assert (check.holds, check.lambda_min, check.form_norm, check.witness) == (True, INF, 0.0, None)
                 verdicts["empty"] += 1
                 continue
             lam, _, ok, vec = _psd_verdict(one.matrix, one.scale)
-            assert (check.passed, check.lambda_min) == (bool(ok), float(lam))
-            verdicts[check.passed] += 1
+            assert (check.holds, check.lambda_min) == (bool(ok), float(lam))
+            verdicts[check.holds] += 1
             if ok:
                 assert check.witness is None
             else:
@@ -364,6 +367,11 @@ def test_check_rigidity_validates_params():
         check_rigidity(p3, 0, 2)
     with pytest.raises(InvalidParams):
         check_rigidity(p3, -1, 2)
+
+
+def test_check_rigidity_rejects_a_bool_k():
+    with pytest.raises(InvalidParams):
+        check_rigidity(make_example("unit_square"), True, INF)
 
 
 def test_check_rigidity_decides_conditions_once(monkeypatch):
@@ -633,6 +641,11 @@ def test_construct_errors():
         construct_rigid_family(complete_interior_graph(2), 2.0, 1, 1)
 
 
+def test_construct_rejects_a_bool_lambda():
+    with pytest.raises(InvalidParams):
+        construct_rigid_family(complete_interior_graph(2), 4.0, 1.0, 1.0, lam=True)
+
+
 def scaled_graph(bg, c, d):
     """w -> c w and m -> d m."""
     g = bg.graph
@@ -665,6 +678,64 @@ def test_rigidity_verdicts_under_weight_and_measure_scaling(log_c, log_d):
         want = check_rigidity(bg, 1.0, 10.0)
         assert want.is_rigid is rigid_expected
         assert rigidity_verdict(check_rigidity(scaled_graph(bg, c, d), c / d, 10.0)) == rigidity_verdict(want)
+
+
+@functools.cache
+def rigid_family(size, n, lam=None):
+    return construct_rigid_family(complete_interior_graph(size), n, 1.0, 1.0, lam).graph
+
+
+def twin_of(bg, rng):
+    """bg with one random boundary edge weight times 1.01."""
+    g = bg.graph
+    b, x = bg.boundary[int(rng.integers(2))], bg.interior[int(rng.integers(len(bg.interior)))]
+    edges = [(u, v, w * 1.01 if {u, v} == {b, x} else w) for u, v, w in g.edge_list()]
+    return attach_boundary(build_graph(zip(g.vertices, g.measures), edges), set(bg.boundary))
+
+
+def relabelled(bg, rng):
+    """bg with its vertices declared in a random order and its edges in another, endpoints swapped at random."""
+    g = bg.graph
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in g.edge_list()]
+    moved = build_graph([(g.vertices[k], g.measures[k]) for k in rng.permutation(g.num_vertices)],
+                        [edges[k] for k in rng.permutation(len(edges))])
+    return attach_boundary(moved, set(bg.boundary))
+
+
+def assert_same_spectrum(a, b, scale):
+    assert np.abs(a.values - b.values).max() <= 1e-12 * scale
+    assert [len(grp) for grp in a.multiplicity_groups()] == [len(grp) for grp in b.multiplicity_groups()]
+
+
+def relabelling_verdict(rep):
+    """The rigidity verdicts, with condition (5) at each interior vertex keyed by vertex id."""
+    c5 = None if rep.interior_report is None else {c.vertex: c.holds for c in rep.interior_report.vertex_checks}
+    return rigidity_verdict(rep), c5
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_spectra_and_rigidity_verdicts_are_invariant_under_relabelling(seed):
+    # an equality graph, its twin, the same family below its lam threshold (condition
+    # (5) fails at every vertex), a graph meeting (1)-(4) whose condition-(5)
+    # verdicts differ between vertices, and a random boundary graph
+    rng = np.random.default_rng(seed)
+    size, n = int(rng.integers(3, 7)), float(rng.choice([6.0, 10.0]))
+    rigid = rigid_family(size, n)
+    a1a4, K_a1a4, n_a1a4, _ = random_a1a4_graph(rng, n=float(rng.choice([3.0, INF])), interior_size=size)
+    other = random_boundary_graph(rng)
+    n_other = float(rng.choice([3.0, INF]))
+    K_other = curvature_profile(other.graph, [n_other]).global_min[n_other][0]
+    cases = ((rigid, 1.0, n), (twin_of(rigid, rng), 1.0, n), (rigid_family(size, n, 0.05), 1.0, n),
+             (a1a4, K_a1a4, n_a1a4), (other, K_other if K_other > 1e-9 else 1.0, n_other))
+    for bg, K, n in cases:
+        moved = relabelled(bg, rng)
+        mu = laplacian_spectrum(bg.graph)
+        # the largest Laplacian eigenvalue bounds every Steklov eigenvalue too; with
+        # |B| = 1 the one Steklov value is a rounding residue of 0 and sets no scale
+        scale = mu.values[-1]
+        assert_same_spectrum(laplacian_spectrum(moved.graph), mu, scale)
+        assert_same_spectrum(steklov_spectrum(moved), steklov_spectrum(bg), scale)
+        assert relabelling_verdict(check_rigidity(moved, K, n)) == relabelling_verdict(check_rigidity(bg, K, n))
 
 
 # ---------------------------------------------------------------------------

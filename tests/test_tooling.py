@@ -89,3 +89,33 @@ def test_every_public_function_has_a_caller():
             continue
         uncalled.append(name)
     assert uncalled == []
+
+
+def _enclosing_functions(match):
+    """(module, innermost enclosing function or None) for each node of src/steklov that match(node) accepts."""
+    sites = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                sites.append((module, owner))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "steklov").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+def test_one_parameter_check_and_one_per_vertex_verdict():
+    # a parameter is judged finite (and positive) by graphs.finite_number, and a
+    # graph file's measures and weights by graphs._check_positive; per-vertex
+    # PSD verdicts, for CD(K, n) and condition (5) alike, come from one builder
+    isfinite = _enclosing_functions(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "isfinite"
+        and isinstance(node.value, ast.Name) and node.value.id == "math")
+        or (isinstance(node, ast.Name) and node.id == "isfinite"))
+    assert sorted(set(isfinite)) == [("graphs", "_check_positive"), ("graphs", "finite_number")]
+    psd_verdict = _enclosing_functions(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "_psd_verdict" or getattr(node.func, "attr", None) == "_psd_verdict"))
+    assert psd_verdict == [("curvature", "_vertex_checks")]
