@@ -21,16 +21,18 @@ a rank-one update in n of one form per vertex. That lambda_min is the
 curvature function kappa(x, n) returned here.
 
 kappa(x, .) depends on the 2-ball around x alone, so centres are grouped by
-2-ball shape (|S1|, |S2|), read off the cached adjacency lists, and each
-group's pinned forms are assembled as one (B, s, s) stack. One stacked eigh
-per group solves every n (curvature) or decides every vertex (cd_check); the
-S2 inverse, sign fix, witnesses and Rayleigh quotients are array operations
-over the group. A single vertex is the one-centre case of the same kernel.
+2-ball shape (|S1|, |S2|), read off the cached adjacency lists by one walk to
+radius 2, with a group's ids taken in one gather. Each group's pinned forms are
+one (B, s, s) stack, and one stacked eigh per group solves every n (curvature),
+one eigvalsh decides every vertex (cd_check); the S2 inverse, sign fix,
+witnesses and Rayleigh quotients are array operations over the group. A single
+vertex is the one-centre case of the same kernel.
 
 cd_check and condition (5) of the rigidity module both ask whether a form
 pinned at each vertex is PSD. One builder, _vertex_checks, decides a stack of
-such forms and returns one VertexCheck per vertex, with a witness only where
-the form fails; a 0 x 0 form (an isolated vertex, or |Omega| = 1) holds with
+such forms from its eigenvalues (eigvalsh) and returns one VertexCheck per
+vertex; eigenvectors are computed, and a witness built, only where the form
+fails. A 0 x 0 form (an isolated vertex, or |Omega| = 1) holds with
 lambda_min inf.
 """
 
@@ -61,10 +63,10 @@ def _shape_groups(g, centres):
     """{(|S1|, |S2|): (balls, domains)}, each 2-ball listed as centre, S1, S2 in a (B, s) array and as ids."""
     groups = {}
     for i in centres:
-        _, s1, s2 = g.hop_spheres(i, 2)
+        s1, s2 = g._two_spheres(i)
         groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
-    return {shape: (np.array(balls), [tuple(map(g.vertices.__getitem__, ball)) for ball in balls])
-            for shape, balls in groups.items()}
+    groups = {shape: np.array(balls) for shape, balls in groups.items()}
+    return {shape: (balls, list(map(tuple, g._id_array[balls].tolist()))) for shape, balls in groups.items()}
 
 
 def _pinned_forms(g, balls, k):
@@ -85,9 +87,14 @@ def _psd_rule(evals, scale):
 
 
 def _psd_verdict(matrices, scale):
-    """_psd_rule on the spectra of a stack of forms, plus a lambda_min eigenvector of each."""
-    evals, evecs = np.linalg.eigh(matrices)
-    return (*_psd_rule(evals, scale), evecs[..., 0])
+    """_psd_rule on the eigvalsh spectra of a stack of forms, plus a lambda_min eigenvector of each failing form.
+
+    eigh runs on the failing forms alone; LAPACK solves each matrix on its own,
+    so these are the vectors eigh gives on the whole stack.
+    """
+    lam, norm, holds = _psd_rule(np.linalg.eigvalsh(matrices), scale)
+    failing = matrices[~holds]
+    return lam, norm, holds, (np.linalg.eigh(failing)[1][:, :, 0] if len(failing) else failing[:, 0])
 
 
 @dataclass(frozen=True)
@@ -111,9 +118,9 @@ def _vertex_checks(forms, scale, vertices, domain):
     if not forms.shape[-1]:
         return [VertexCheck(x, math.inf, 0.0, True, None) for x in vertices]
     lam, norm, holds, vecs = _psd_verdict(forms, scale)
-    checks = []
+    vecs, checks = iter(vecs), []
     for j, (x, low, top, ok) in enumerate(zip(vertices, lam.tolist(), norm.tolist(), holds.tolist())):
-        witness = None if ok else VertexFunction(domain(j), np.concatenate([[0.0], vecs[j]]))
+        witness = None if ok else VertexFunction(domain(j), np.concatenate([[0.0], next(vecs)]))
         checks.append(VertexCheck(x, low, top, ok, witness))
     return checks
 

@@ -94,13 +94,14 @@ def finite_number(value, name, positive=True):
 
 
 def _check_positive(kind, element, value):
+    """value as a float when it is a finite positive real; NonPositiveValue otherwise, for a bool too."""
     try:
-        value = float(value)
+        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
-        raise NonPositiveValue(kind, element, value) from None
-    if not math.isfinite(value) or value <= 0.0:
+        x = math.nan
+    if not math.isfinite(x) or x <= 0.0:
         raise NonPositiveValue(kind, element, value)
-    return value
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +173,16 @@ class WeightedGraph:
     def neighbor_indices(self, i):
         return self._adjacency[i]
 
+    @cached_property
+    def _id_array(self):
+        """The vertex ids as a 1-D object array, filled one by one so that a tuple id stays one element."""
+        return np.fromiter(self.vertices, dtype=object, count=self.num_vertices)
+
+    def _two_spheres(self, i):
+        """The spheres S1 and S2 around i as sorted index lists; S1 is the cached neighbour list itself."""
+        s1 = self._adjacency[i]
+        return s1, sorted(set().union(*map(self._adjacency.__getitem__, s1)).difference(s1, (i,)))
+
     def edge_list(self):
         """Edges as (u, v, w) with u before v in vertex order."""
         iu, iv = np.nonzero(np.triu(self.weights))
@@ -203,7 +214,8 @@ class WeightedGraph:
         """Sorted index lists of the vertices at hop distance 0, 1, ..., radius from i.
 
         The search walks the cached neighbour lists, so it touches the ball
-        alone; an infinite radius stops at the last nonempty sphere.
+        alone; an infinite radius stops at the last nonempty sphere. The library
+        runs only the unbounded search; a 2-ball comes from _two_spheres.
         """
         adj = self._adjacency
         seen = {i}
@@ -224,8 +236,9 @@ class WeightedGraph:
         return dist
 
     def ball_indices(self, i, radius):
-        """Indices of the closed ball of hop radius `radius` around i: i first, then by distance."""
-        return np.array([j for sphere in self.hop_spheres(i, radius) for j in sphere])
+        """Indices of the closed ball of hop radius 1 or 2 around i: i, S1, then S2 at radius 2."""
+        s1, s2 = self._two_spheres(i)
+        return np.array([i, *s1, *{1: (), 2: s2}[radius]])
 
     def components(self):
         """Connected components as tuples of vertex ids, in vertex order."""

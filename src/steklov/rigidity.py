@@ -370,7 +370,7 @@ def two_ball_identity_check(bg, u):
     vals = u.on(g.vertices)
     residuals = {}
     for i in range(g.num_vertices):
-        for j in [j for j in g.hop_spheres(i, 2)[2] if j > i]:
+        for j in [j for j in g._two_spheres(i)[1] if j > i]:
             coeff = g.weights[i] * g.weights[j] / g.measures
             residuals[(g.vertices[i], g.vertices[j])] = (
                 (vals[i] + vals[j]) / 2.0 - float(coeff @ vals) / coeff.sum())

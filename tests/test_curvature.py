@@ -18,6 +18,7 @@ from steklov import (
 )
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 import steklov.curvature
+from steklov.curvature import _shape_groups
 from steklov.graphs import INF
 from steklov.operators import _gamma2_matrix
 
@@ -168,6 +169,58 @@ def test_curvature_at_reads_only_the_two_ball(monkeypatch):
     assert calls == []
     ball, q = _gamma2_matrix(g, g.index("20_20"))
     assert len(ball) == 13 and q.shape == (13, 13)
+
+
+def shape_groups_by_hop_spheres(g, centres):
+    """The 2-ball shape groups as the breadth-first search to radius 2 gives them, ids one ball at a time."""
+    groups = {}
+    for i in centres:
+        _, s1, s2 = g.hop_spheres(i, 2)
+        groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
+    return {shape: (np.array(balls), [tuple(g.vertices[j] for j in ball) for ball in balls])
+            for shape, balls in groups.items()}
+
+
+def walk_pin_graphs():
+    """Atlas graphs up to 6 vertices, random weighted graphs, relabelled grids, K8, and tuple vertex ids."""
+    import networkx as nx
+
+    rng = np.random.default_rng(23)
+    for G in nx.graph_atlas_g()[1:]:
+        if G.number_of_nodes() <= 6 and nx.is_connected(G):
+            yield build_graph([(v, 1.0) for v in G], [(u, v, 1.0) for u, v in G.edges()])
+    for _ in range(12):
+        yield random_connected_graph(rng, n_min=2, n_max=40, extra_edge_prob=float(rng.choice([0.05, 0.3])))
+    for k in (12, 30):
+        yield _rebuilt(unit_grid(k), rng.permutation(k * k))
+    yield build_graph([(v, 1.0) for v in range(8)], [(u, v, 1.0) for u in range(8) for v in range(u + 1, 8)])
+    yield build_graph([((0, 1), 1.0), ((1, 0), 2.0)], [((0, 1), (1, 0), 1.0)])
+    grid = {(i, j): ((i, j), f"{i}") for i in range(4) for j in range(3)}
+    yield build_graph([(v, 1.0) for v in grid.values()],
+                      [(v, grid[i + di, j + dj], 1.0) for (i, j), v in grid.items()
+                       for di, dj in ((1, 0), (0, 1)) if (i + di, j + dj) in grid])
+
+
+def test_two_sphere_walk_matches_the_radius_two_search_bitwise():
+    # the 2-ball layer reads S1 off the cached neighbour list and S2 off one
+    # union; balls, their order, their grouping and their ids must be those of
+    # the breadth-first search, with a tuple id kept whole as one vertex
+    count = 0
+    for g in walk_pin_graphs():
+        for i in range(g.num_vertices):
+            _, s1, s2 = g.hop_spheres(i, 2)
+            assert g._two_spheres(i) == (s1, s2)
+            for radius, ball in ((1, [i, *s1]), (2, [i, *s1, *s2])):
+                want = np.array(ball)
+                assert g.ball_indices(i, radius).tobytes() == want.tobytes()
+        got, want = _shape_groups(g, range(g.num_vertices)), shape_groups_by_hop_spheres(g, range(g.num_vertices))
+        assert list(got) == list(want)
+        for (balls, domains), (want_balls, want_domains) in zip(got.values(), want.values()):
+            assert balls.dtype == want_balls.dtype and balls.tobytes() == want_balls.tobytes()
+            assert domains == want_domains
+            assert all(a is b for ids, want_ids in zip(domains, want_domains) for a, b in zip(ids, want_ids))
+        count += 1
+    assert count == 143 + 12 + 2 + 1 + 2  # 143 connected atlas graphs with 1 to 6 vertices
 
 
 def _rebuilt(g, order, measure_scale=1.0):

@@ -82,6 +82,18 @@ def test_build_validation_errors():
     assert e.value.unreachable == ("3",)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_build_graph_rejects_bools_as_measures_and_weights(flag):
+    # a bool is not a number, as in the graph-file format and finite_number;
+    # float(True) would pass it as 1.0
+    with pytest.raises(NonPositiveValue) as e:
+        build_graph([("a", flag), ("b", 1.0)], [("a", "b", 1.0)])
+    assert (e.value.kind, e.value.element, e.value.value) == ("measure", "a", flag)
+    with pytest.raises(NonPositiveValue) as e:
+        build_graph([("a", 1.0), ("b", 1.0)], [("a", "b", flag)])
+    assert (e.value.kind, e.value.element, e.value.value) == ("weight", ("a", "b"), flag)
+
+
 def test_attach_boundary_p3():
     bg = unit_path(3, {"1", "3"})
     assert bg.boundary == ("1", "3")

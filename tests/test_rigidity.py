@@ -42,7 +42,7 @@ from steklov.errors import (
     WrongHypothesis,
     WrongWeightClass,
 )
-from steklov.curvature import _psd_verdict, _shape_groups
+from steklov.curvature import _psd_rule, _psd_verdict, _shape_groups
 from steklov.graphs import INF, PSD_TOL, WeightedGraph
 from steklov.rigidity import RigidityClass
 
@@ -60,6 +60,7 @@ from oracles import (
     lemma_gamma_interior,
     random_a1a4_graph,
     random_boundary_graph,
+    random_connected_graph,
     random_function,
 )
 from steklov.operators import laplacian
@@ -258,15 +259,79 @@ def test_stacked_interior_forms_match_the_one_centre_form_bitwise():
                 assert (check.holds, check.lambda_min, check.form_norm, check.witness) == (True, INF, 0.0, None)
                 verdicts["empty"] += 1
                 continue
-            lam, _, ok, vec = _psd_verdict(one.matrix, one.scale)
+            (lam,), _, (ok,), vecs = _psd_verdict(one.matrix[None], one.scale)
             assert (check.holds, check.lambda_min) == (bool(ok), float(lam))
             verdicts[check.holds] += 1
             if ok:
                 assert check.witness is None
             else:
                 assert check.witness.domain == (x,) + one.index_map
-                assert check.witness.values.tobytes() == np.concatenate([[0.0], vec]).tobytes()
+                assert check.witness.values.tobytes() == np.concatenate([[0.0], vecs[0]]).tobytes()
     assert min(verdicts[True], verdicts[False], verdicts["empty"]) > 0
+
+
+def recorded_vertex_checks(monkeypatch, module):
+    """Every (forms, scale, checks) that module's calls of _vertex_checks see, appended to the returned list."""
+    seen, build = [], module._vertex_checks
+
+    def spy(forms, scale, vertices, domain):
+        checks = build(forms, scale, vertices, domain)
+        seen.append((forms.copy(), scale, checks))
+        return checks
+
+    monkeypatch.setattr(module, "_vertex_checks", spy)
+    return seen
+
+
+def assert_verdicts_match_full_eigh(seen, verdicts):
+    # the reference decides every form from its full eigh, as before eigvalsh
+    # took over the verdicts
+    for forms, scale, checks in seen:
+        if not forms.shape[-1]:
+            continue
+        evals, evecs = np.linalg.eigh(forms)
+        lam, _, holds = _psd_rule(evals, scale)
+        for form, low, ok, vec, check in zip(forms, lam.tolist(), holds.tolist(), evecs[..., 0], checks):
+            assert check.holds == ok
+            assert abs(check.lambda_min - low) <= 1e-12 * check.form_norm
+            verdicts[ok] += 1
+            if not ok:
+                assert check.witness.values.tobytes() == np.concatenate([[0.0], vec]).tobytes()
+                assert vec @ form @ vec < 0.0
+
+
+def test_values_first_psd_verdicts_match_the_full_eigh(monkeypatch):
+    # eigvalsh decides, and eigh runs on the failing forms alone: same verdicts,
+    # lambda_min at rounding level, and witnesses bitwise the full-stack ones
+    seen, verdicts = recorded_vertex_checks(monkeypatch, steklov.rigidity), Counter()
+    for bg, K, n, m in random_interiors(7, 28):
+        check_interior_inequality(bg, K, n)
+    assert_verdicts_match_full_eigh(seen, verdicts)
+    assert min(verdicts[True], verdicts[False]) > 0
+    seen, verdicts = recorded_vertex_checks(monkeypatch, steklov.curvature), Counter()
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        g = random_connected_graph(rng, n_min=3, n_max=20)
+        kappas = [r.kappa for r in curvature_profile(g, (3.0,)).results[3.0].values()]
+        cd_check(g, float(np.median(kappas)), 3.0)  # about half the vertices fail
+    assert_verdicts_match_full_eigh(seen, verdicts)
+    assert min(verdicts[True], verdicts[False]) > 0
+
+
+def test_no_eigenvectors_when_every_form_passes(monkeypatch):
+    # a rigid complete interior passes condition (5) at every vertex, and a K
+    # below every kappa passes CD(K, n) everywhere: no witness, so no eigh
+    bg = construct_rigid_family(complete_interior_graph(12), 10.0, 1.0, 1.0).graph
+    calls = Counter()
+    count_calls(monkeypatch, calls, np.linalg, "eigh")
+    count_calls(monkeypatch, calls, np.linalg, "eigvalsh")
+    report = check_interior_inequality(bg, 1.0, 10.0)
+    assert report.passed and len(report.vertex_checks) == 12
+    assert calls == {"eigvalsh": 1}
+    assert cd_check(bg.graph, -1.0, 10.0).holds  # two 2-ball shapes: boundary and interior vertices
+    assert calls == {"eigvalsh": 1 + 2}
+    assert not cd_check(bg.graph, 10.0, 10.0).holds
+    assert calls == {"eigvalsh": 1 + 2 + 2, "eigh": 2}
 
 
 def count_calls(monkeypatch, calls, module, name):

@@ -107,6 +107,12 @@ def _enclosing_functions(match):
     return sites
 
 
+def _calls_of(name):
+    """(module, enclosing function) for each call of name in src/steklov, bare or as a method."""
+    return sorted(_enclosing_functions(lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)))
+
+
 def test_one_parameter_check_and_one_per_vertex_verdict():
     # a parameter is judged finite (and positive) by graphs.finite_number, and a
     # graph file's measures and weights by graphs._check_positive; per-vertex
@@ -116,6 +122,13 @@ def test_one_parameter_check_and_one_per_vertex_verdict():
         and isinstance(node.value, ast.Name) and node.value.id == "math")
         or (isinstance(node, ast.Name) and node.id == "isfinite"))
     assert sorted(set(isfinite)) == [("graphs", "_check_positive"), ("graphs", "finite_number")]
-    psd_verdict = _enclosing_functions(lambda node: isinstance(node, ast.Call) and (
-        getattr(node.func, "id", None) == "_psd_verdict" or getattr(node.func, "attr", None) == "_psd_verdict"))
-    assert psd_verdict == [("curvature", "_vertex_checks")]
+    assert _calls_of("_psd_verdict") == [("curvature", "_vertex_checks")]
+
+
+def test_one_breadth_first_search_and_one_two_sphere_walk():
+    # the unbounded search serves distances and components; every 2-ball (S1
+    # and S2) comes from one helper, and only the two grow a sphere by union
+    assert _calls_of("hop_spheres") == [("graphs", "components"), ("graphs", "hop_distances")]
+    assert _calls_of("_two_spheres") == [
+        ("curvature", "_shape_groups"), ("graphs", "ball_indices"), ("rigidity", "two_ball_identity_check")]
+    assert _calls_of("union") == [("graphs", "_two_spheres"), ("graphs", "hop_spheres")]
