@@ -1,5 +1,6 @@
 """Curvature-dimension checks, the curvature function, and the spectral bound."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -183,8 +184,6 @@ def shape_groups_by_hop_spheres(g, centres):
 
 def walk_pin_graphs():
     """Atlas graphs up to 6 vertices, random weighted graphs, relabelled grids, K8, and tuple vertex ids."""
-    import networkx as nx
-
     rng = np.random.default_rng(23)
     for G in nx.graph_atlas_g()[1:]:
         if G.number_of_nodes() <= 6 and nx.is_connected(G):
@@ -211,8 +210,7 @@ def test_two_sphere_walk_matches_the_radius_two_search_bitwise():
             _, s1, s2 = g.hop_spheres(i, 2)
             assert g._two_spheres(i) == (s1, s2)
             for radius, ball in ((1, [i, *s1]), (2, [i, *s1, *s2])):
-                want = np.array(ball)
-                assert g.ball_indices(i, radius).tobytes() == want.tobytes()
+                assert g.ball_indices(i, radius).tobytes() == np.array(ball).tobytes()
         got, want = _shape_groups(g, range(g.num_vertices)), shape_groups_by_hop_spheres(g, range(g.num_vertices))
         assert list(got) == list(want)
         for (balls, domains), (want_balls, want_domains) in zip(got.values(), want.values()):

@@ -284,8 +284,7 @@ def recorded_vertex_checks(monkeypatch, module):
 
 
 def assert_verdicts_match_full_eigh(seen, verdicts):
-    # the reference decides every form from its full eigh, as before eigvalsh
-    # took over the verdicts
+    # the reference decides every form from the full eigh of its stack
     for forms, scale, checks in seen:
         if not forms.shape[-1]:
             continue
