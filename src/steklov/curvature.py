@@ -22,11 +22,18 @@ curvature function kappa(x, n) returned here.
 
 kappa(x, .) depends on the 2-ball around x alone, so centres are grouped by
 2-ball shape (|S1|, |S2|), read off the cached adjacency lists by one walk to
-radius 2, with a group's ids taken in one gather. Each group's pinned forms are
-one (B, s, s) stack, and one stacked eigh per group solves every n (curvature),
-one eigvalsh decides every vertex (cd_check); the S2 inverse, sign fix,
-witnesses and Rayleigh quotients are array operations over the group. A single
-vertex is the one-centre case of the same kernel.
+radius 2, with a group's ids taken in one gather. On a small graph most shape
+groups hold one or two centres, and each stack pays a fixed numpy cost far
+above its arithmetic, so the curvature function merges the groups into
+padded stacks of one shape (1 + k + t), k and t the largest |S1| and |S2|:
+a ball's pad coordinates are masked out of the assembly and shifted out of
+the eigenvalue problem, and a merge is kept only while the padding it adds
+is at most PAD_ENTRIES entries. One assembly and one stacked eigh per stack
+solve every n; the S2 inverse, sign fix, witnesses and Rayleigh quotients
+are array operations over the stack. cd_check keeps exact shape groups, one
+eigvalsh deciding each: it reports every form's lambda_min and norm, which
+pad eigenvalues would change. A single vertex is the one-centre case of the
+same kernels.
 
 cd_check and condition (5) of the rigidity module both ask whether a form
 pinned at each vertex is PSD. One builder, _vertex_checks, decides a stack of
@@ -59,19 +66,64 @@ from .operators import _gamma2_matrix  # noqa: F401 -- unused; perfbench traces 
 from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
 
+PAD_ENTRIES = 2 ** 12  # most pad entries one merge may add to a curvature stack, about one stack's fixed cost
+
+
 def _shape_groups(g, centres):
-    """{(|S1|, |S2|): (balls, domains)}, each 2-ball listed as centre, S1, S2 in a (B, s) array and as ids."""
+    """{(|S1|, |S2|): (B, s) array of the 2-balls of that shape}, each row the centre, S1, then S2."""
     groups = {}
     for i in centres:
         s1, s2 = g._two_spheres(i)
         groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
-    groups = {shape: np.array(balls) for shape, balls in groups.items()}
-    return {shape: (balls, list(map(tuple, g._id_array[balls].tolist()))) for shape, balls in groups.items()}
+    return {shape: np.array(balls) for shape, balls in groups.items()}
 
 
-def _pinned_forms(g, balls, k):
-    """For one shape group, sliced from one assembly: pinned Gamma2 (f(x) = 0), Delta[x, S1], Gamma's S1 diagonal."""
-    q, gam, row = _gamma2_forms(g, balls, k + 1)
+def _ball_ids(g, balls):
+    """The rows of a (B, s) ball array as tuples of vertex ids, in one gather."""
+    return list(map(tuple, g._id_array[balls].tolist()))
+
+
+def _padded_stacks(g, groups):
+    """The shape groups merged, by ball size, into stacks of one padded shape.
+
+    Yields (k, t, balls, real, ids): k and t the largest |S1| and |S2| in the
+    stack, balls its (B, 1 + k + t) rows, each the centre, S1, pad, S2, pad
+    with every pad entry repeating the centre, real the mask of the entries
+    that are not pads, and ids each ball's vertex ids (x, S1, S2). A group
+    joins the open stack while the padding this adds, to the stack's rows and
+    to its own, is at most PAD_ENTRIES: a merge then costs no more arithmetic
+    than about the fixed numpy cost of the stack it saves, and one large
+    2-ball cannot blow up a stack of many small ones.
+    """
+    stacks = []  # [k, t, rows, shapes]
+    for k, t in sorted(groups, key=lambda shape: (sum(shape), shape)):
+        b = len(groups[k, t])
+        if stacks:
+            k0, t0, rows, shapes = stacks[-1]
+            old, new = 1 + k0 + t0, 1 + max(k0, k) + max(t0, t)
+            if rows * (new ** 2 - old ** 2) + b * (new ** 2 - (1 + k + t) ** 2) <= PAD_ENTRIES:
+                stacks[-1] = [max(k0, k), max(t0, t), rows + b, shapes + [(k, t)]]
+                continue
+        stacks.append([k, t, b, [(k, t)]])
+    for k, t, _, shapes in stacks:
+        parts = [groups[shape] for shape in shapes]
+        if len(parts) == 1:
+            yield k, t, parts[0], np.ones(parts[0].shape, dtype=bool), _ball_ids(g, parts[0])
+            continue
+        balls = np.repeat(np.concatenate([part[:, :1] for part in parts]), 1 + k + t, axis=1)
+        real = np.zeros(balls.shape, dtype=bool)
+        at = 0
+        for (k1, t1), part in zip(shapes, parts):
+            rows = slice(at, at + len(part))
+            balls[rows, :1 + k1], balls[rows, 1 + k:1 + k + t1] = part[:, :1 + k1], part[:, 1 + k1:]
+            real[rows, :1 + k1] = real[rows, 1 + k:1 + k + t1] = True
+            at += len(part)
+        yield k, t, balls, real, [ids for part in parts for ids in _ball_ids(g, part)]
+
+
+def _pinned_forms(g, balls, k, real=None):
+    """For a stack of 2-balls, from one assembly: pinned Gamma2 (f(x) = 0), Delta[x, S1], Gamma's S1 diagonal."""
+    q, gam, row = _gamma2_forms(g, balls, k + 1, real)
     return q[:, 1:, 1:], row[:, 1:], np.diagonal(gam, axis1=1, axis2=2)[:, 1:]
 
 
@@ -149,7 +201,8 @@ def cd_check(g, K, n, x=None):
     K = finite_number(K, "K", positive=False)
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
-    for (k, _), (balls, domains) in _shape_groups(g, centres).items():
+    for (k, _), balls in _shape_groups(g, centres).items():
+        domains = _ball_ids(g, balls)
         a, r, gamma_diag = _pinned_forms(g, balls, k)
         scale = np.abs(a).max(axis=(1, 2), initial=0.0)
         a[:, :k, :k] -= r[:, :, None] * r[:, None, :] / n
@@ -187,35 +240,55 @@ class CurvatureResult:
 
 
 def _curvature_stacks(g, centres, n_values):
-    """Per 2-ball shape, (centres, ball ids, kappas, kernel_ok, s2_lambda_min, quotients, witnesses).
+    """Per padded stack of 2-balls, (centres, ball ids, kappas, kernel_ok, s2_lambda_min, quotients, witnesses).
 
-    kappas and quotients are (B, |n|) arrays over the group's B centres and
-    witnesses a read-only (B, |n|, |ball|) stack. The Schur complements over
-    S1 differ only by the rank-one term r r^T / n, so one stacked eigh of
-    shape (B, |n|, |S1|, |S1|) solves every pencil of a group. Each witness
-    is checked against the full pinned form for its n.
+    kappas and quotients are (B, |n|) arrays over the stack's B centres and
+    witnesses a read-only (B, |n|, 1 + k + t) stack whose row for a ball
+    starts with the ball's own coordinates (x, S1, S2). The Schur complements
+    over S1 differ only by the rank-one term r r^T / n, so one stacked eigh
+    of shape (B, |n|, k, k) solves every pencil of a stack. Pad coordinates
+    drop out: the assembly leaves them zero rows and columns; a pad in S2 has
+    d = 0, so d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal of
+    2 k max|pencil entry| + 1, above every real block's Gershgorin bound, so
+    lambda_min and its vector come from the real block. kernel_ok and
+    s2_lambda_min are read off each row's real S2 alone. Each witness is
+    checked against the full pinned form for its n.
     """
+    groups = _shape_groups(g, centres)
+    if (0, 0) in groups:
+        raise IsolatedVertex(g.vertices[groups[0, 0][0, 0]])
     n_arr = np.array(n_values)
     stacks = []
-    for (k, t), (balls, domains) in _shape_groups(g, centres).items():
-        if k == 0:
-            raise IsolatedVertex(g.vertices[balls[0, 0]])
-        q, r, gamma_diag = _pinned_forms(g, balls, k)
+    for k, t, balls, real, domains in _padded_stacks(g, groups):
+        q, r, gamma_diag = _pinned_forms(g, balls, k, real)
+        s1, s2 = real[:, 1:k + 1], real[:, k + 1:]
         a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
         # pinv(diag(d), rcond=ZERO_TOL), elementwise
         keep = np.abs(d) > ZERO_TOL * np.abs(d).max(axis=1, keepdims=True, initial=0.0)
         d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=keep)
-        s2_min, _, kernel_ok = _psd_rule(d, 0.0) if t else (np.full(len(d), None), 0, np.full(len(d), True))
-        d_isqrt = 1.0 / np.sqrt(gamma_diag)
+        if t:  # the verdict on each row's real S2 alone: pads repeat its first entry
+            s2_min, _, kernel_ok = _psd_rule(np.where(s2, d, d[:, :1]), 0.0)
+            s2_min, kernel_ok = np.where(s2[:, 0], s2_min, None), kernel_ok | ~s2[:, 0]
+        else:
+            s2_min, kernel_ok = np.full(len(d), None), np.full(len(d), True)
+        d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=s1)
         schur = (q[:, None, :k, :k] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
                  - ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None])
         pencils = schur * d_isqrt[:, None, :, None] * d_isqrt[:, None, None, :]
-        evals, evecs = np.linalg.eigh((pencils + pencils.swapaxes(2, 3)) / 2.0)
+        pencils = (pencils + pencils.swapaxes(2, 3)) / 2.0
+        rows, pads = np.nonzero(~s1)
+        if rows.size:
+            pencils[rows, :, pads, pads] = 2.0 * k * np.abs(pencils).max() + 1.0
+        evals, evecs = np.linalg.eigh(pencils)
         f1 = d_isqrt[:, None] * evecs[..., 0]
         vecs = _sign_fix(np.concatenate([f1, -d_plus[:, None] * (f1 @ a12)], axis=2))
         quotients = ((np.sum((vecs @ q) * vecs, axis=2) - (vecs[..., :k] @ r[:, :, None])[..., 0] ** 2 / n_arr)
                      / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
         witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
+        if rows.size:  # each ball's own coordinates first
+            moved = np.flatnonzero(~real[:, k])
+            order = np.argsort(~real[moved], axis=1, kind="stable")
+            witnesses[moved] = witnesses[moved[:, None, None], np.arange(len(n_values))[:, None], order[:, None]]
         witnesses.setflags(write=False)
         stacks.append((balls[:, 0], domains, evals[..., 0], kernel_ok, s2_min, quotients, witnesses))
     return stacks
@@ -227,6 +300,7 @@ def _curvature_results(stacks, n_values):
     for centres, domains, kappas, kernel_ok, s2_min, quotients, witnesses in stacks:
         for i, domain, kaps, ok, s2, quots, rows in zip(centres.tolist(), domains, kappas.tolist(), kernel_ok.tolist(),
                                                         s2_min.tolist(), quotients.tolist(), witnesses):
+            rows = rows[:, :len(domain)]
             out[i] = [CurvatureResult(domain[0], n, kappa, ok, s2, quot, domain, row)
                       for n, kappa, quot, row in zip(n_values, kaps, quots, rows)]
     return out
@@ -264,9 +338,9 @@ def curvature_profile(g, n_grid):
 
     Ties go to the first vertex; kappas tie within MULTIPLICITY_TOL max(deg/m),
     the scale of the rounding in every kappa, so rescaling w and m keeps the
-    reported vertex.
+    reported vertex. A repeated n is solved and reported once, at its first place.
     """
-    n_values = tuple(validate_dimension(n) for n in n_grid)
+    n_values = tuple(dict.fromkeys(validate_dimension(n) for n in n_grid))
     stacks = _curvature_stacks(g, range(g.num_vertices), n_values) if n_values else []
     kappas = np.empty((g.num_vertices, len(n_values)))
     for centres, _, low, *_ in stacks:

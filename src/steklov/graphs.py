@@ -181,6 +181,8 @@ class WeightedGraph:
     def _two_spheres(self, i):
         """The spheres S1 and S2 around i as sorted index lists; S1 is the cached neighbour list itself."""
         s1 = self._adjacency[i]
+        if len(s1) == self.num_vertices - 1:
+            return s1, []
         return s1, sorted(set().union(*map(self._adjacency.__getitem__, s1)).difference(s1, (i,)))
 
     def edge_list(self):

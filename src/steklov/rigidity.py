@@ -254,7 +254,7 @@ def _interior_forms(ig, K, n, m, centres):
     q = np.repeat((a3 * np.diag(mu) - a5 * np.outer(mu, mu))[None], b, axis=0)
     scales = np.empty(b)
     every = np.arange(nv)
-    for (k, _), (balls, _) in _shape_groups(ig, centres).items():
+    for (k, _), balls in _shape_groups(ig, centres).items():
         at = balls[:, 0] - centres[0]
         ball1, pos = balls[:, :k + 1], at[:, None, None]
         g2, gam, ell = _gamma2_forms(ig, balls, k + 1)

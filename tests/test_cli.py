@@ -67,6 +67,15 @@ def test_curvature_command(capture, p3_file):
     assert set(results["kappa"]) == {"2", "3", "inf"}
 
 
+def test_curvature_command_reports_a_repeated_n_once(capture, p3_file):
+    code, out, err = capture("curvature", "--graph", p3_file, "--n", "2,2,inf,2.0")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["n_grid"] == [2.0, "inf"]
+    assert list(results["kappa"]) == list(results["global_min"]) == ["2", "inf"]
+    assert err.count("global curvature") == 2
+
+
 def test_cd_check_command(capture, p3_file):
     code, out, _ = capture("cd-check", "--graph", p3_file, "--K", "0.5", "--n", "2")
     assert code == 0

@@ -19,7 +19,7 @@ from steklov import (
 )
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 import steklov.curvature
-from steklov.curvature import _shape_groups
+from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks, _shape_groups
 from steklov.graphs import INF
 from steklov.operators import _gamma2_matrix
 
@@ -213,7 +213,8 @@ def test_two_sphere_walk_matches_the_radius_two_search_bitwise():
                 assert g.ball_indices(i, radius).tobytes() == np.array(ball).tobytes()
         got, want = _shape_groups(g, range(g.num_vertices)), shape_groups_by_hop_spheres(g, range(g.num_vertices))
         assert list(got) == list(want)
-        for (balls, domains), (want_balls, want_domains) in zip(got.values(), want.values()):
+        for balls, (want_balls, want_domains) in zip(got.values(), want.values()):
+            domains = _ball_ids(g, balls)
             assert balls.dtype == want_balls.dtype and balls.tobytes() == want_balls.tobytes()
             assert domains == want_domains
             assert all(a is b for ids, want_ids in zip(domains, want_domains) for a, b in zip(ids, want_ids))
@@ -347,7 +348,8 @@ def test_curvature_profile_matches_curvature_at():
                 assert got.vertex == want.vertex == x and got.n == n
                 assert got.kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
                 assert got.kernel_ok == want.kernel_ok
-                assert got.s2_lambda_min == want.s2_lambda_min
+                assert (got.s2_lambda_min is None) == (want.s2_lambda_min is None)
+                assert got.s2_lambda_min == pytest.approx(want.s2_lambda_min, rel=1e-12)
                 assert got.witness.domain == want.witness.domain
                 np.testing.assert_allclose(got.witness.values, want.witness.values, rtol=0, atol=1e-9)
                 assert got.witness_quotient == pytest.approx(want.witness_quotient, rel=1e-9, abs=1e-9)
@@ -361,26 +363,121 @@ def test_curvature_profile_matches_curvature_at():
     assert len(shapes) >= 20
 
 
-def test_curvature_profile_builds_each_form_once(monkeypatch):
-    # one stacked Gamma2 assembly per 2-ball shape, and every vertex in
-    # exactly one of them
-    calls = []
-    gamma2_forms = steklov.curvature._gamma2_forms
+def atlas_graphs(max_vertices):
+    """The connected unit-weight atlas graphs with 2 to max_vertices vertices."""
+    for G in nx.graph_atlas_g()[1:]:
+        if 2 <= G.number_of_nodes() <= max_vertices and nx.is_connected(G):
+            yield build_graph([(v, 1.0) for v in G], [(u, v, 1.0) for u, v in G.edges()])
 
-    def spy(g, balls, k):
+
+def test_curvature_profile_builds_each_form_once(monkeypatch):
+    # the 2-ball shapes of a small graph or a grid (the benchmark's 12 x 12 and
+    # 16 x 16 among them) merge into one padded stack: one Gamma2 assembly and
+    # one stacked eigh for every vertex and every n
+    calls, solves = [], []
+    gamma2_forms, eigh = steklov.curvature._gamma2_forms, np.linalg.eigh
+
+    def spy(g, balls, k, real=None):
         calls.append(balls[:, 0].tolist())
-        return gamma2_forms(g, balls, k)
+        return gamma2_forms(g, balls, k, real)
+
+    def eigh_spy(a):
+        solves.append(a.shape[:2])
+        return eigh(a)
 
     monkeypatch.setattr(steklov.curvature, "_gamma2_forms", spy)
-    g = unit_grid(6)
-    curvature_profile(g, (2.0, 3.0, 5.0, 10.0, INF))
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    grids = [unit_grid(k) for k in (6, 12, 16)]
+    assert [len(_shape_groups(g, range(g.num_vertices))) for g in grids] == [6, 6, 6]
+    count = 0
+    for g in (*grids, *atlas_graphs(6)):
+        calls.clear()
+        solves.clear()
+        curvature_profile(g, (2.0, 3.0, 5.0, 10.0, INF))
+        assert len(calls) == 1 and sorted(calls[0]) == list(range(g.num_vertices))
+        assert solves == [(g.num_vertices, 5)]
+        count += 1
+    assert count == 3 + 142
 
-    def shape(i):
-        return len(g.neighbor_indices(i)), len(g.ball_indices(i, 2))
 
-    assert sorted(sum(calls, [])) == list(range(36))
-    assert all(len({shape(i) for i in centres}) == 1 for centres in calls)
-    assert len(calls) == len({shape(i) for i in range(36)}) == 6
+def star_and_hub_grid():
+    """K_{1,50}, and an 8 x 8 grid with a hub joined to every other vertex."""
+    star = build_graph([(v, 1.0) for v in range(51)], [(0, v, 1.0) for v in range(1, 51)])
+    grid = unit_grid(8)
+    hub = build_graph([(v, 1.0) for v in grid.vertices] + [("hub", 2.0)],
+                      [*grid.edge_list(), *(("hub", v, 0.5) for v in grid.vertices[::2])])
+    return star, hub
+
+
+def test_padded_stacks_keep_each_merge_within_the_pad_budget():
+    # one large 2-ball must not pad a stack of small ones: K_{1,50} in one
+    # stack would take 51 * 100^2 entries against 133k exact, so it stays on
+    # two; the hub grid's 11 shapes go on three stacks, small, medium, hub
+    star, hub = star_and_hub_grid()
+    for g, want_stacks in ((star, [(1, 49, 50), (50, 0, 1)]), (hub, [(4, 9, 32), (5, 33, 32), (32, 32, 1)])):
+        stacks = list(_padded_stacks(g, _shape_groups(g, range(g.num_vertices))))
+        assert [(k, t, len(balls)) for k, t, balls, _, _ in stacks] == want_stacks
+        assert sorted(i for stack in stacks for i in stack[2][:, 0].tolist()) == list(range(g.num_vertices))
+        for k, t, balls, real, ids in stacks:
+            shapes = list(zip(real[:, 1:k + 1].sum(axis=1).tolist(), real[:, k + 1:].sum(axis=1).tolist()))
+            assert [len(ball) for ball in ids] == [1 + a + b for a, b in shapes]
+            exact = sum((1 + a + b) ** 2 for a, b in shapes)
+            # each merge into the stack added at most PAD_ENTRIES pad entries
+            assert len(balls) * (1 + k + t) ** 2 - exact <= PAD_ENTRIES * (len(set(shapes)) - 1)
+        profile = curvature_profile(g, (2.0, 10.0, INF))
+        for n in profile.n_values:
+            for x in g.vertices:
+                got, want = profile.results[n][x], curvature_at(g, x, n)
+                assert got.kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
+                assert got.kernel_ok == want.kernel_ok and got.ball == want.ball
+                assert got.s2_lambda_min == pytest.approx(want.s2_lambda_min, rel=1e-12)
+
+
+def test_a_merged_stack_mixes_centres_with_and_without_s2():
+    # in the path 0 - 1 - 2 the middle vertex sees every vertex at distance 1,
+    # the ends see the other end at distance 2; one stack holds all three
+    g = build_graph([(v, 1.0) for v in range(3)], [(0, 1, 1.0), (1, 2, 2.0)])
+    groups = _shape_groups(g, range(3))
+    assert sorted(groups) == [(1, 1), (2, 0)]
+    ((k, t, balls, real, ids),) = _padded_stacks(g, groups)
+    assert (k, t) == (2, 1) and real.sum(axis=1).tolist() == [3, 3, 3]
+    profile = curvature_profile(g, (2.0, INF))
+    for n in profile.n_values:
+        results = profile.results[n]
+        assert results[1].s2_lambda_min is None and results[1].kernel_ok
+        assert all(results[x].s2_lambda_min > 0.0 and results[x].kernel_ok for x in (0, 2))
+        for x in g.vertices:
+            want = curvature_at(g, x, n)
+            assert results[x].kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
+            assert results[x].s2_lambda_min == pytest.approx(want.s2_lambda_min, rel=1e-12)
+
+
+def test_witnesses_live_on_the_ball_without_pad_coordinates():
+    # a padded row carries pad coordinates between S1 and S2; the witness keeps
+    # the ball's own coordinates only, in the order x, S1, S2
+    rng = np.random.default_rng(21)
+    graphs = [*star_and_hub_grid(), unit_grid(5)]
+    graphs += [random_connected_graph(rng, n_min=3, n_max=25, extra_edge_prob=0.2) for _ in range(5)]
+    for g in graphs:
+        profile = curvature_profile(g, (3.0, INF))
+        for x in g.vertices:
+            i = g.index(x)
+            s1, s2 = g._two_spheres(i)
+            ball = tuple(g.vertices[j] for j in (i, *s1, *s2))
+            for n in profile.n_values:
+                res = profile.results[n][x]
+                assert res.ball == res.witness.domain == ball
+                assert res.witness_values.shape == (len(ball),) and res.witness_values[0] == 0.0
+                assert res.witness_quotient == pytest.approx(res.kappa, rel=1e-8, abs=1e-8)
+
+
+def test_curvature_profile_solves_a_repeated_n_once():
+    g = unit_grid(3)
+    profile = curvature_profile(g, (2, 2.0, INF, 3, INF, 2))
+    assert profile.n_values == (2.0, INF, 3.0)
+    assert list(profile.results) == list(profile.global_min) == [2.0, INF, 3.0]
+    once = curvature_profile(g, (2.0, INF, 3.0))
+    assert profile.global_min == once.global_min
 
 
 def test_curvature_profile_names_the_first_isolated_vertex():

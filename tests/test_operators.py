@@ -244,7 +244,7 @@ def test_gamma2_forms_return_their_gamma_stack_and_delta_rows():
         g = random_connected_graph(rng, n_max=7)
         f = random_function(rng, g.vertices)
         lap = laplacian(g, f)
-        for (k, _), (balls, _) in _shape_groups(g, range(g.num_vertices)).items():
+        for (k, _), balls in _shape_groups(g, range(g.num_vertices)).items():
             _, gam, rows = _gamma2_forms(g, balls, k + 1)
             assert np.array_equal(gam, _gamma_forms(g, balls[:, :k + 1]))
             assert rows.shape == (len(balls), k + 1)

@@ -132,3 +132,10 @@ def test_one_breadth_first_search_and_one_two_sphere_walk():
     assert _calls_of("_two_spheres") == [
         ("curvature", "_shape_groups"), ("graphs", "ball_indices"), ("rigidity", "two_ball_identity_check")]
     assert _calls_of("union") == [("graphs", "_two_spheres"), ("graphs", "hop_spheres")]
+
+
+def test_one_gamma2_assembly_for_every_local_form():
+    # curvature (padded stacks and exact shape groups alike), condition (5)
+    # and the one-centre form all assemble Gamma2 through one stacked builder
+    assert _calls_of("_gamma2_forms") == [
+        ("curvature", "_pinned_forms"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_forms")]
