@@ -28,12 +28,14 @@ above its arithmetic, so the curvature function merges the groups into
 padded stacks of one shape (1 + k + t), k and t the largest |S1| and |S2|:
 a ball's pad coordinates are masked out of the assembly and shifted out of
 the eigenvalue problem, and a merge is kept only while the padding it adds
-is at most PAD_ENTRIES entries. One assembly and one stacked eigh per stack
-solve every n; the S2 inverse, sign fix, witnesses and Rayleigh quotients
-are array operations over the stack. cd_check keeps exact shape groups, one
-eigvalsh deciding each: it reports every form's lambda_min and norm, which
-pad eigenvalues would change. A single vertex is the one-centre case of the
-same kernels.
+is at most PAD_ENTRIES entries; a stack of one shape has no pads and skips
+the pad masks. One assembly and one stacked eigh per stack solve every n,
+which gives the kappas. The ball ids, the S2 verdict, the sign-fixed
+witnesses and their Rayleigh quotients are array operations over the stack
+too, run only when a caller reads the results. cd_check keeps exact shape
+groups, one eigvalsh deciding each: it reports every form's lambda_min and
+norm, which pad eigenvalues would change. A single vertex is the one-centre
+case of the same kernels.
 
 cd_check and condition (5) of the rigidity module both ask whether a form
 pinned at each vertex is PSD. One builder, _vertex_checks, decides a stack of
@@ -45,7 +47,7 @@ lambda_min inf.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -83,17 +85,18 @@ def _ball_ids(g, balls):
     return list(map(tuple, g._id_array[balls].tolist()))
 
 
-def _padded_stacks(g, groups):
+def _padded_stacks(groups):
     """The shape groups merged, by ball size, into stacks of one padded shape.
 
-    Yields (k, t, balls, real, ids): k and t the largest |S1| and |S2| in the
-    stack, balls its (B, 1 + k + t) rows, each the centre, S1, pad, S2, pad
-    with every pad entry repeating the centre, real the mask of the entries
-    that are not pads, and ids each ball's vertex ids (x, S1, S2). A group
-    joins the open stack while the padding this adds, to the stack's rows and
-    to its own, is at most PAD_ENTRIES: a merge then costs no more arithmetic
-    than about the fixed numpy cost of the stack it saves, and one large
-    2-ball cannot blow up a stack of many small ones.
+    Yields (k, t, balls, real, parts): k and t the largest |S1| and |S2| in
+    the stack, balls its (B, 1 + k + t) rows, each the centre, S1, pad, S2,
+    pad with every pad entry repeating the centre, real the mask of the
+    entries that are not pads (None for a stack of one shape, which has no
+    pads), and parts the merged groups' own arrays, in the order of the rows.
+    A group joins the open stack while the padding this adds, to the stack's
+    rows and to its own, is at most PAD_ENTRIES: a merge then costs no more
+    arithmetic than about the fixed numpy cost of the stack it saves, and one
+    large 2-ball cannot blow up a stack of many small ones.
     """
     stacks = []  # [k, t, rows, shapes]
     for k, t in sorted(groups, key=lambda shape: (sum(shape), shape)):
@@ -108,7 +111,7 @@ def _padded_stacks(g, groups):
     for k, t, _, shapes in stacks:
         parts = [groups[shape] for shape in shapes]
         if len(parts) == 1:
-            yield k, t, parts[0], np.ones(parts[0].shape, dtype=bool), _ball_ids(g, parts[0])
+            yield k, t, parts[0], None, parts
             continue
         balls = np.repeat(np.concatenate([part[:, :1] for part in parts]), 1 + k + t, axis=1)
         real = np.zeros(balls.shape, dtype=bool)
@@ -118,7 +121,7 @@ def _padded_stacks(g, groups):
             balls[rows, :1 + k1], balls[rows, 1 + k:1 + k + t1] = part[:, :1 + k1], part[:, 1 + k1:]
             real[rows, :1 + k1] = real[rows, 1 + k:1 + k + t1] = True
             at += len(part)
-        yield k, t, balls, real, [ids for part in parts for ids in _ball_ids(g, part)]
+        yield k, t, balls, real, parts
 
 
 def _pinned_forms(g, balls, k, real=None):
@@ -240,64 +243,85 @@ class CurvatureResult:
 
 
 def _curvature_stacks(g, centres, n_values):
-    """Per padded stack of 2-balls, (centres, ball ids, kappas, kernel_ok, s2_lambda_min, quotients, witnesses).
+    """Per padded stack of 2-balls, (centres, kappas, finish): the curvature function's eager part.
 
-    kappas and quotients are (B, |n|) arrays over the stack's B centres and
-    witnesses a read-only (B, |n|, 1 + k + t) stack whose row for a ball
-    starts with the ball's own coordinates (x, S1, S2). The Schur complements
-    over S1 differ only by the rank-one term r r^T / n, so one stacked eigh
-    of shape (B, |n|, k, k) solves every pencil of a stack. Pad coordinates
-    drop out: the assembly leaves them zero rows and columns; a pad in S2 has
-    d = 0, so d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal of
+    kappas is a (B, |n|) array over the stack's B centres; finish() is
+    _finish_stack on what the stack keeps. The Schur complements over S1
+    differ only by the rank-one term r r^T / n, so one stacked eigh of shape
+    (B, |n|, k, k) solves every pencil of a stack. Pad coordinates drop out:
+    the assembly leaves them zero rows and columns; a pad in S2 has d = 0, so
+    d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal of
     2 k max|pencil entry| + 1, above every real block's Gershgorin bound, so
-    lambda_min and its vector come from the real block. kernel_ok and
-    s2_lambda_min are read off each row's real S2 alone. Each witness is
-    checked against the full pinned form for its n.
+    lambda_min and its vector come from the real block. A stack of one shape
+    has no pads and skips all of this.
     """
     groups = _shape_groups(g, centres)
     if (0, 0) in groups:
         raise IsolatedVertex(g.vertices[groups[0, 0][0, 0]])
     n_arr = np.array(n_values)
     stacks = []
-    for k, t, balls, real, domains in _padded_stacks(g, groups):
+    for k, t, balls, real, parts in _padded_stacks(groups):
         q, r, gamma_diag = _pinned_forms(g, balls, k, real)
-        s1, s2 = real[:, 1:k + 1], real[:, k + 1:]
         a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
         # pinv(diag(d), rcond=ZERO_TOL), elementwise
         keep = np.abs(d) > ZERO_TOL * np.abs(d).max(axis=1, keepdims=True, initial=0.0)
         d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=keep)
-        if t:  # the verdict on each row's real S2 alone: pads repeat its first entry
-            s2_min, _, kernel_ok = _psd_rule(np.where(s2, d, d[:, :1]), 0.0)
-            s2_min, kernel_ok = np.where(s2[:, 0], s2_min, None), kernel_ok | ~s2[:, 0]
+        if real is None:
+            d_isqrt = 1.0 / np.sqrt(gamma_diag)
         else:
-            s2_min, kernel_ok = np.full(len(d), None), np.full(len(d), True)
-        d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=s1)
+            d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=real[:, 1:k + 1])
         schur = (q[:, None, :k, :k] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
                  - ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None])
         pencils = schur * d_isqrt[:, None, :, None] * d_isqrt[:, None, None, :]
         pencils = (pencils + pencils.swapaxes(2, 3)) / 2.0
-        rows, pads = np.nonzero(~s1)
-        if rows.size:
-            pencils[rows, :, pads, pads] = 2.0 * k * np.abs(pencils).max() + 1.0
+        if real is not None:
+            rows, pads = np.nonzero(~real[:, 1:k + 1])
+            if rows.size:
+                pencils[rows, :, pads, pads] = 2.0 * k * np.abs(pencils).max() + 1.0
         evals, evecs = np.linalg.eigh(pencils)
-        f1 = d_isqrt[:, None] * evecs[..., 0]
-        vecs = _sign_fix(np.concatenate([f1, -d_plus[:, None] * (f1 @ a12)], axis=2))
-        quotients = ((np.sum((vecs @ q) * vecs, axis=2) - (vecs[..., :k] @ r[:, :, None])[..., 0] ** 2 / n_arr)
-                     / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
-        witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
-        if rows.size:  # each ball's own coordinates first
-            moved = np.flatnonzero(~real[:, k])
-            order = np.argsort(~real[moved], axis=1, kind="stable")
-            witnesses[moved] = witnesses[moved[:, None, None], np.arange(len(n_values))[:, None], order[:, None]]
-        witnesses.setflags(write=False)
-        stacks.append((balls[:, 0], domains, evals[..., 0], kernel_ok, s2_min, quotients, witnesses))
+        finish = partial(_finish_stack, g, n_arr, real, parts, q, r, gamma_diag, d_plus, d_isqrt, evecs[..., 0])
+        stacks.append((balls[:, 0], evals[..., 0], finish))
     return stacks
 
 
+def _finish_stack(g, n_arr, real, parts, q, r, gamma_diag, d_plus, d_isqrt, low_vecs):
+    """(ball ids, kernel_ok, s2_lambda_min, quotients, witnesses) of a stack, from its eager part.
+
+    low_vecs holds the pencils' lambda_min eigenvectors. quotients is a
+    (B, |n|) array and witnesses a read-only (B, |n|, 1 + k + t) stack whose
+    row for a ball starts with the ball's own coordinates (x, S1, S2).
+    kernel_ok and s2_lambda_min are read off each row's real S2 alone. Each
+    witness is checked against the full pinned form for its n.
+    """
+    ids = [ball for part in parts for ball in _ball_ids(g, part)]
+    k = r.shape[1]
+    a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
+    if not d.shape[1]:
+        s2_min, kernel_ok = np.full(len(d), None), np.full(len(d), True)
+    elif real is None:
+        s2_min, _, kernel_ok = _psd_rule(d, 0.0)
+    else:  # the verdict on each row's real S2 alone: pads repeat its first entry
+        s2 = real[:, k + 1:]
+        s2_min, _, kernel_ok = _psd_rule(np.where(s2, d, d[:, :1]), 0.0)
+        s2_min, kernel_ok = np.where(s2[:, 0], s2_min, None), kernel_ok | ~s2[:, 0]
+    f1 = d_isqrt[:, None] * low_vecs
+    vecs = _sign_fix(np.concatenate([f1, -d_plus[:, None] * (f1 @ a12)], axis=2))
+    quotients = ((np.sum((vecs @ q) * vecs, axis=2) - (vecs[..., :k] @ r[:, :, None])[..., 0] ** 2 / n_arr)
+                 / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
+    witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
+    if real is not None:  # each ball's own coordinates first (no row moves without an S1 pad)
+        moved = np.flatnonzero(~real[:, k])
+        order = np.argsort(~real[moved], axis=1, kind="stable")
+        witnesses[moved] = witnesses[moved[:, None, None], np.arange(len(n_arr))[:, None], order[:, None]]
+    witnesses.setflags(write=False)
+    return ids, kernel_ok, s2_min, quotients, witnesses
+
+
 def _curvature_results(stacks, n_values):
-    """{centre: [CurvatureResult for each n in n_values]}, wrapping the output of _curvature_stacks."""
+    """{centre: [CurvatureResult for each n in n_values]}, finishing each stack of _curvature_stacks."""
     out = {}
-    for centres, domains, kappas, kernel_ok, s2_min, quotients, witnesses in stacks:
+    for centres, kappas, finish in stacks:
+        domains, kernel_ok, s2_min, quotients, witnesses = finish()
         for i, domain, kaps, ok, s2, quots, rows in zip(centres.tolist(), domains, kappas.tolist(), kernel_ok.tolist(),
                                                         s2_min.tolist(), quotients.tolist(), witnesses):
             rows = rows[:, :len(domain)]
@@ -317,14 +341,17 @@ def curvature_at(g, x, n):
 class CurvatureProfile:
     """Per-vertex curvature over a grid of dimension parameters.
 
-    `results` wraps the kernel's stacked output as CurvatureResults on first
-    access; `global_min` is read off the stacked kappas directly.
+    `global_min` is read off the stacked kappas when the profile is built.
+    The ball ids, witnesses, quotients and S2 verdicts are not built until
+    `results` is first read, which finishes each stack and wraps its output
+    as CurvatureResults; a caller that reads `global_min` alone never pays
+    for them.
     """
 
     n_values: tuple
     global_min: dict  # n -> (kappa, first vertex in vertex order within MULTIPLICITY_TOL max(deg/m) of it)
     vertices: tuple = field(repr=False)
-    _stacks: list = field(repr=False, compare=False)  # the _curvature_stacks output
+    _stacks: list = field(repr=False, compare=False)  # the _curvature_stacks output, finished on first read
 
     @cached_property
     def results(self):
@@ -343,7 +370,7 @@ def curvature_profile(g, n_grid):
     n_values = tuple(dict.fromkeys(validate_dimension(n) for n in n_grid))
     stacks = _curvature_stacks(g, range(g.num_vertices), n_values) if n_values else []
     kappas = np.empty((g.num_vertices, len(n_values)))
-    for centres, _, low, *_ in stacks:
+    for centres, low, _ in stacks:
         kappas[centres] = low
     low = kappas.min(axis=0)
     first = np.argmax(kappas <= low + MULTIPLICITY_TOL * (g.weight_sums / g.measures).max(), axis=0)

@@ -13,7 +13,7 @@ is the standard problem for M^{-1/2} A M^{-1/2} with u = M^{-1/2} y. With the
 Cholesky factor L_OO = C C^T and Y = C^{-1} L_OB, S = L_BB - Y^T Y.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -35,19 +35,27 @@ class Spectrum:
 
     Eigenfunctions are orthonormal in the measure-weighted inner product of
     their domain (V for the Laplacian, B for Steklov) and sign-fixed so the
-    first significant coordinate in vertex order is positive. Row j of the
-    read-only `vectors` holds the values on `domain` of the eigenfunction of
-    values[j]; `functions` wraps the rows as VertexFunctions on first access.
+    first significant coordinate in vertex order is positive. `values` is
+    computed at once. Row j of the read-only `vectors` holds the values on
+    `domain` of the eigenfunction of values[j]; it is unscaled and sign-fixed
+    from the kept eigh output on first access, and `functions` wraps its rows
+    as VertexFunctions on first access.
     """
 
     kind: SpectrumKind
     values: np.ndarray
     domain: tuple
-    vectors: np.ndarray
+    _eigh_vectors: np.ndarray = field(repr=False)  # columns: eigh's vectors of M^{-1/2} A M^{-1/2}
+    _inv_root: np.ndarray = field(repr=False)  # 1 / sqrt(m) on domain
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        self.vectors.setflags(write=False)
+
+    @cached_property
+    def vectors(self):
+        vectors = _sign_fix((self._eigh_vectors * self._inv_root[:, None]).T)
+        vectors.setflags(write=False)
+        return vectors
 
     @cached_property
     def functions(self):
@@ -67,7 +75,7 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class DtNOperator:
-    """The Dirichlet-to-Neumann map, materialized as the pair (S, M_B)."""
+    """The Dirichlet-to-Neumann map, materialized as the pair (S, M_B) by dtn_operator."""
 
     boundary_order: tuple
     schur_matrix: np.ndarray
@@ -129,11 +137,16 @@ def harmonic_extension(bg, f):
     return u
 
 
-def dtn_operator(bg):
-    """Materialize the Dirichlet-to-Neumann map as DtNOperator."""
+def _schur(bg):
+    """The boundary Schur complement S = L_BB - Y^T Y and the boundary measures M_B."""
     L_bb, L_ob, chol = _interior_factor(bg)
     y = np.linalg.solve(chol, L_ob)
-    return DtNOperator(bg.boundary, L_bb - y.T @ y, bg.graph.measures[bg.boundary_indices])
+    return L_bb - y.T @ y, bg.graph.measures[bg.boundary_indices]
+
+
+def dtn_operator(bg):
+    """Materialize the Dirichlet-to-Neumann map as DtNOperator."""
+    return DtNOperator(bg.boundary, *_schur(bg))
 
 
 def _scaled(a, m_diag):
@@ -152,7 +165,7 @@ def _scaled(a, m_diag):
 
 def _generalized_spectrum(a, m_diag, domain, kind):
     values, vectors = np.linalg.eigh(_scaled(a, m_diag))
-    return Spectrum(kind, values, domain, _sign_fix((vectors * (1.0 / np.sqrt(m_diag))[:, None]).T))
+    return Spectrum(kind, values, domain, vectors, 1.0 / np.sqrt(m_diag))
 
 
 def laplacian_spectrum(g):
@@ -164,10 +177,7 @@ def laplacian_spectrum(g):
 
 def steklov_spectrum(bg):
     """Steklov eigenvalues 0 = sigma_1 < sigma_2 <= ... with eigenfunctions on B."""
-    dtn = dtn_operator(bg)
-    return _generalized_spectrum(
-        dtn.schur_matrix, dtn.measures, bg.boundary, SpectrumKind.STEKLOV
-    )
+    return _generalized_spectrum(*_schur(bg), bg.boundary, SpectrumKind.STEKLOV)
 
 
 @dataclass(frozen=True)

@@ -393,9 +393,11 @@ def test_curvature_profile_builds_each_form_once(monkeypatch):
     for g in (*grids, *atlas_graphs(6)):
         calls.clear()
         solves.clear()
-        curvature_profile(g, (2.0, 3.0, 5.0, 10.0, INF))
+        profile = curvature_profile(g, (2.0, 3.0, 5.0, 10.0, INF))
         assert len(calls) == 1 and sorted(calls[0]) == list(range(g.num_vertices))
         assert solves == [(g.num_vertices, 5)]
+        profile.results  # the witnesses are finished from the same stack, with no second solve
+        assert len(calls) == 1 and solves == [(g.num_vertices, 5)]
         count += 1
     assert count == 3 + 142
 
@@ -415,10 +417,16 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
     # two; the hub grid's 11 shapes go on three stacks, small, medium, hub
     star, hub = star_and_hub_grid()
     for g, want_stacks in ((star, [(1, 49, 50), (50, 0, 1)]), (hub, [(4, 9, 32), (5, 33, 32), (32, 32, 1)])):
-        stacks = list(_padded_stacks(g, _shape_groups(g, range(g.num_vertices))))
+        stacks = list(_padded_stacks(_shape_groups(g, range(g.num_vertices))))
         assert [(k, t, len(balls)) for k, t, balls, _, _ in stacks] == want_stacks
         assert sorted(i for stack in stacks for i in stack[2][:, 0].tolist()) == list(range(g.num_vertices))
-        for k, t, balls, real, ids in stacks:
+        for k, t, balls, real, parts in stacks:
+            # a stack of one shape has no pads and no mask
+            assert (real is None) == (len(parts) == 1)
+            if real is None:
+                assert balls is parts[0]
+                real = np.ones(balls.shape, dtype=bool)
+            ids = [ball for part in parts for ball in _ball_ids(g, part)]
             shapes = list(zip(real[:, 1:k + 1].sum(axis=1).tolist(), real[:, k + 1:].sum(axis=1).tolist()))
             assert [len(ball) for ball in ids] == [1 + a + b for a, b in shapes]
             exact = sum((1 + a + b) ** 2 for a, b in shapes)
@@ -439,7 +447,7 @@ def test_a_merged_stack_mixes_centres_with_and_without_s2():
     g = build_graph([(v, 1.0) for v in range(3)], [(0, 1, 1.0), (1, 2, 2.0)])
     groups = _shape_groups(g, range(3))
     assert sorted(groups) == [(1, 1), (2, 0)]
-    ((k, t, balls, real, ids),) = _padded_stacks(g, groups)
+    ((k, t, balls, real, _),) = _padded_stacks(groups)
     assert (k, t) == (2, 1) and real.sum(axis=1).tolist() == [3, 3, 3]
     profile = curvature_profile(g, (2.0, INF))
     for n in profile.n_values:
@@ -642,3 +650,87 @@ def test_witnesses_are_read_only_rows_of_one_stack_built_once():
                     witness.values[0] = 1.0
             # the rows for every n come from the one stacked output of the kernel
             assert all(np.shares_memory(res.witness_values, per_n[0].witness_values.base) for res in per_n)
+
+
+def spy_on(monkeypatch, module, names):
+    """{name: calls} for module's helpers, each wrapped to count its calls."""
+    counts = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+    return counts
+
+
+def result_bytes(profile):
+    return [(res.vertex, res.n, res.kappa, res.kernel_ok, res.s2_lambda_min, res.witness_quotient, res.ball,
+             res.witness_values.tobytes()) for per_n in profile.results.values() for res in per_n.values()]
+
+
+def test_curvature_profile_finishes_its_results_on_first_read(monkeypatch):
+    # the unit scan reads global_min alone: ball ids, witnesses, their sign fix,
+    # the quotients and the S2 verdict are built on the first read of results,
+    # one sign fix per padded stack and one id gather per 2-ball shape
+    counts = spy_on(monkeypatch, steklov.curvature, ("_sign_fix", "_ball_ids"))
+    rng = np.random.default_rng(31)
+    graphs = [*star_and_hub_grid(), unit_grid(6), make_example("unit_square").graph]
+    graphs += [random_connected_graph(rng, n_min=3, n_max=12) for _ in range(4)]
+    for g in graphs:
+        groups = _shape_groups(g, range(g.num_vertices))
+        stacks = len(list(_padded_stacks(groups)))
+        counts.update(dict.fromkeys(counts, 0))
+        profile = curvature_profile(g, (2.0, 5.0, INF))
+        assert profile.global_min and "results" not in profile.__dict__
+        assert counts == {"_sign_fix": 0, "_ball_ids": 0}
+        results = profile.results
+        assert counts == {"_sign_fix": stacks, "_ball_ids": len(groups)}
+        assert profile.results is results
+        assert counts == {"_sign_fix": stacks, "_ball_ids": len(groups)}
+        for per_n in results.values():
+            for res in per_n.values():
+                with pytest.raises(ValueError):
+                    res.witness_values[0] = 1.0
+        # the same bytes whether results is read before or after global_min
+        later = curvature_profile(g, (2.0, 5.0, INF))
+        first = later.results
+        assert result_bytes(later) == result_bytes(profile) and later.global_min == profile.global_min
+        assert later.results is first
+
+
+def test_curvature_at_finishes_its_one_result_at_once(monkeypatch):
+    counts = spy_on(monkeypatch, steklov.curvature, ("_sign_fix", "_ball_ids"))
+    g = make_example("weighted_square", K=1.0, m=1.0).graph
+    res = curvature_at(g, g.vertices[0], 3.0)
+    assert counts == {"_sign_fix": 1, "_ball_ids": 1}
+    assert res.ball[0] == g.vertices[0] and res.witness_quotient == pytest.approx(res.kappa)
+
+
+def test_a_stack_of_one_shape_has_no_pad_mask(monkeypatch):
+    # vertex-transitive graphs have one 2-ball shape: the stack has no pads,
+    # runs the assembly unmasked and gives the one-centre kernel's kappas and
+    # witnesses bitwise (the quotients' stacked matmul may round differently)
+    masks = []
+    gamma2_forms = steklov.curvature._gamma2_forms
+
+    def spy(g, balls, k, real=None):
+        masks.append(real)
+        return gamma2_forms(g, balls, k, real)
+
+    monkeypatch.setattr(steklov.curvature, "_gamma2_forms", spy)
+    for G in (nx.cycle_graph(6), nx.complete_graph(5), nx.petersen_graph(), nx.hypercube_graph(3)):
+        ids = {v: str(v) for v in G.nodes}
+        g = build_graph([(v, 1.0) for v in ids.values()], [(ids[a], ids[b], 1.0) for a, b in G.edges])
+        masks.clear()
+        profile = curvature_profile(g, (2.0, INF))
+        assert masks == [None]
+        for n in profile.n_values:
+            for x in g.vertices:
+                got, want = profile.results[n][x], curvature_at(g, x, n)
+                assert (got.kappa, got.ball) == (want.kappa, want.ball)
+                assert got.witness_quotient == pytest.approx(want.witness_quotient, rel=1e-14)
+                assert got.witness_values.tobytes() == want.witness_values.tobytes()

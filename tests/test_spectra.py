@@ -24,7 +24,8 @@ from steklov import (
 )
 from steklov.errors import DomainMismatch, InvalidParams, SingularInteriorSystem
 from steklov.graphs import ZERO_TOL, WeightedGraph
-from steklov.spectra import SpectrumKind, _sign_fix
+import steklov.spectra
+from steklov.spectra import SpectrumKind, _generalized_spectrum, _sign_fix
 
 from oracles import dtn_by_composition, random_boundary_graph, random_function
 
@@ -397,3 +398,45 @@ def test_graph_facts_are_computed_once_and_read_only():
     with pytest.raises(ValueError):
         lap[0, 0] = 0.0
     assert g.unit_weight is False and make_example("unit_square").graph.unit_weight is True
+
+
+def test_eigenvectors_are_finished_on_first_read(monkeypatch):
+    # sigma_2 alone needs no eigenvectors: they are unscaled and sign-fixed
+    # from the kept eigh output on the first read of vectors, once
+    fixes = []
+    sign_fix = steklov.spectra._sign_fix
+
+    def spy(vecs):
+        fixes.append(vecs.shape)
+        return sign_fix(vecs)
+
+    monkeypatch.setattr(steklov.spectra, "_sign_fix", spy)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        bg = random_boundary_graph(rng)
+        for spec in (laplacian_spectrum(bg.graph), steklov_spectrum(bg)):
+            fixes.clear()
+            assert spec.values[0] <= spec.values[-1] and spec.multiplicity_groups()
+            with pytest.raises(ValueError):
+                spec.values[0] = 1.0
+            assert fixes == [] and "vectors" not in spec.__dict__
+            vectors = spec.vectors
+            assert fixes == [(len(spec.values), len(spec.domain))]
+            assert spec.vectors is vectors and spec.functions[0].values.base is vectors
+            assert fixes == [(len(spec.values), len(spec.domain))]
+            with pytest.raises(ValueError):
+                vectors[0, 0] = 1.0
+
+
+def test_steklov_spectrum_reads_the_schur_complement_without_a_dtn_operator(monkeypatch):
+    rng = np.random.default_rng(10)
+    pairs = []
+    for _ in range(5):
+        bg = random_boundary_graph(rng)
+        dtn = dtn_operator(bg)
+        pairs.append((bg, _generalized_spectrum(dtn.schur_matrix, dtn.measures, bg.boundary, SpectrumKind.STEKLOV)))
+    monkeypatch.setattr(steklov.spectra, "DtNOperator", None)
+    for bg, want in pairs:
+        got = steklov_spectrum(bg)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()

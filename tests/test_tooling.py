@@ -139,3 +139,11 @@ def test_one_gamma2_assembly_for_every_local_form():
     # and the one-centre form all assemble Gamma2 through one stacked builder
     assert _calls_of("_gamma2_forms") == [
         ("curvature", "_pinned_forms"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_forms")]
+
+
+def test_eigenvector_sign_fix_and_ball_ids_run_only_where_they_are_read():
+    # a caller that reads eigenvalues or global minima alone pays for neither:
+    # Spectrum.vectors and the curvature finishing step fix the signs, and
+    # ball ids are gathered for cd_check's records and that finishing step
+    assert _calls_of("_sign_fix") == [("curvature", "_finish_stack"), ("spectra", "vectors")]
+    assert _calls_of("_ball_ids") == [("curvature", "_finish_stack"), ("curvature", "cd_check")]
