@@ -26,10 +26,10 @@ radius 2, with a group's ids taken in one gather. On a small graph most shape
 groups hold one or two centres, and each stack pays a fixed numpy cost far
 above its arithmetic, so the curvature function merges the groups into
 padded stacks of one shape (1 + k + t), k and t the largest |S1| and |S2|:
-a ball's pad coordinates are masked out of the assembly and shifted out of
-the eigenvalue problem, and a merge is kept only while the padding it adds
-is at most PAD_ENTRIES entries; a stack of one shape has no pads and skips
-the pad masks. One assembly and one stacked eigh per stack solve every n,
+a pad repeats the centre, so the assembly needs no mask, and the pad rows
+and columns are zeroed after it and shifted out of the eigenvalue problem;
+a merge is kept only while the padding it adds is at most PAD_ENTRIES
+entries. One assembly and one stacked eigh per stack solve every n,
 which gives the kappas. The ball ids, the S2 verdict, the sign-fixed
 witnesses and their Rayleigh quotients are array operations over the stack
 too, run only when a caller reads the results. cd_check keeps exact shape
@@ -124,9 +124,9 @@ def _padded_stacks(groups):
         yield k, t, balls, real, parts
 
 
-def _pinned_forms(g, balls, k, real=None):
+def _pinned_forms(g, balls, k):
     """For a stack of 2-balls, from one assembly: pinned Gamma2 (f(x) = 0), Delta[x, S1], Gamma's S1 diagonal."""
-    q, gam, row = _gamma2_forms(g, balls, k + 1, real)
+    q, gam, row = _gamma2_forms(g, balls, k + 1)
     return q[:, 1:, 1:], row[:, 1:], np.diagonal(gam, axis1=1, axis2=2)[:, 1:]
 
 
@@ -249,11 +249,12 @@ def _curvature_stacks(g, centres, n_values):
     _finish_stack on what the stack keeps. The Schur complements over S1
     differ only by the rank-one term r r^T / n, so one stacked eigh of shape
     (B, |n|, k, k) solves every pencil of a stack. Pad coordinates drop out:
-    the assembly leaves them zero rows and columns; a pad in S2 has d = 0, so
-    d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal of
-    2 k max|pencil entry| + 1, above every real block's Gershgorin bound, so
-    lambda_min and its vector come from the real block. A stack of one shape
-    has no pads and skips all of this.
+    a pad repeats the centre (no self-weight, so it adds only zero terms to
+    the real entries), and its rows and columns are zeroed after assembly;
+    a pad in S2 has d = 0, so d+ = 0; a pad in S1 has d^{-1/2} = 0 and a
+    pencil diagonal of 2 k max|pencil entry| + 1, above every real block's
+    Gershgorin bound, so lambda_min and its vector come from the real block.
+    A stack of one shape has no pads and skips all of this.
     """
     groups = _shape_groups(g, centres)
     if (0, 0) in groups:
@@ -261,7 +262,10 @@ def _curvature_stacks(g, centres, n_values):
     n_arr = np.array(n_values)
     stacks = []
     for k, t, balls, real, parts in _padded_stacks(groups):
-        q, r, gamma_diag = _pinned_forms(g, balls, k, real)
+        q, r, gamma_diag = _pinned_forms(g, balls, k)
+        if real is not None:
+            rows, pads = np.nonzero(~real[:, 1:])
+            q[rows, pads] = q[rows, :, pads] = 0.0
         a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
         # pinv(diag(d), rcond=ZERO_TOL), elementwise
         keep = np.abs(d) > ZERO_TOL * np.abs(d).max(axis=1, keepdims=True, initial=0.0)
@@ -275,25 +279,28 @@ def _curvature_stacks(g, centres, n_values):
         pencils = schur * d_isqrt[:, None, :, None] * d_isqrt[:, None, None, :]
         pencils = (pencils + pencils.swapaxes(2, 3)) / 2.0
         if real is not None:
-            rows, pads = np.nonzero(~real[:, 1:k + 1])
-            if rows.size:
-                pencils[rows, :, pads, pads] = 2.0 * k * np.abs(pencils).max() + 1.0
+            s1 = pads < k
+            if s1.any():
+                pencils[rows[s1], :, pads[s1], pads[s1]] = 2.0 * k * np.abs(pencils).max() + 1.0
         evals, evecs = np.linalg.eigh(pencils)
-        finish = partial(_finish_stack, g, n_arr, real, parts, q, r, gamma_diag, d_plus, d_isqrt, evecs[..., 0])
-        stacks.append((balls[:, 0], evals[..., 0], finish))
+        low = evals[..., 0]
+        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, real, parts,
+                         q, r, gamma_diag, d_plus, d_isqrt, evecs[..., 0])
+        stacks.append((balls[:, 0], low, finish))
     return stacks
 
 
-def _finish_stack(g, n_arr, real, parts, q, r, gamma_diag, d_plus, d_isqrt, low_vecs):
-    """(ball ids, kernel_ok, s2_lambda_min, quotients, witnesses) of a stack, from its eager part.
+def _finish_stack(g, n_values, centres, kappas, real, parts, q, r, gamma_diag, d_plus, d_isqrt, low_vecs):
+    """{centre: [CurvatureResult for each n in n_values]} for a stack, from its eager part.
 
-    low_vecs holds the pencils' lambda_min eigenvectors. quotients is a
-    (B, |n|) array and witnesses a read-only (B, |n|, 1 + k + t) stack whose
-    row for a ball starts with the ball's own coordinates (x, S1, S2).
-    kernel_ok and s2_lambda_min are read off each row's real S2 alone. Each
-    witness is checked against the full pinned form for its n.
+    low_vecs holds the pencils' lambda_min eigenvectors. The witnesses are
+    read-only rows of one (B, |n|, 1 + k + t) stack, a padded ball's row
+    reordered to start with the ball's own coordinates (x, S1, S2) and cut
+    to them. kernel_ok and s2_lambda_min are read off each row's real S2
+    alone. Each witness is checked against the full pinned form for its n.
     """
     ids = [ball for part in parts for ball in _ball_ids(g, part)]
+    n_arr = np.array(n_values)
     k = r.shape[1]
     a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
     if not d.shape[1]:
@@ -314,27 +321,19 @@ def _finish_stack(g, n_arr, real, parts, q, r, gamma_diag, d_plus, d_isqrt, low_
         order = np.argsort(~real[moved], axis=1, kind="stable")
         witnesses[moved] = witnesses[moved[:, None, None], np.arange(len(n_arr))[:, None], order[:, None]]
     witnesses.setflags(write=False)
-    return ids, kernel_ok, s2_min, quotients, witnesses
-
-
-def _curvature_results(stacks, n_values):
-    """{centre: [CurvatureResult for each n in n_values]}, finishing each stack of _curvature_stacks."""
-    out = {}
-    for centres, kappas, finish in stacks:
-        domains, kernel_ok, s2_min, quotients, witnesses = finish()
-        for i, domain, kaps, ok, s2, quots, rows in zip(centres.tolist(), domains, kappas.tolist(), kernel_ok.tolist(),
-                                                        s2_min.tolist(), quotients.tolist(), witnesses):
-            rows = rows[:, :len(domain)]
-            out[i] = [CurvatureResult(domain[0], n, kappa, ok, s2, quot, domain, row)
-                      for n, kappa, quot, row in zip(n_values, kaps, quots, rows)]
-    return out
+    if real is not None:
+        witnesses = [rows[:, :len(ball)] for rows, ball in zip(witnesses, ids)]
+    return {i: [CurvatureResult(ball[0], n, kappa, ok, s2, quot, ball, row)
+                for n, kappa, quot, row in zip(n_values, kaps, quots, rows)]
+            for i, ball, kaps, ok, s2, quots, rows in zip(centres.tolist(), ids, kappas.tolist(), kernel_ok.tolist(),
+                                                          s2_min.tolist(), quotients.tolist(), witnesses)}
 
 
 def curvature_at(g, x, n):
     """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction."""
     i = g.index(x)
-    n_values = (validate_dimension(n),)
-    return _curvature_results(_curvature_stacks(g, (i,), n_values), n_values)[i][0]
+    ((_, _, finish),) = _curvature_stacks(g, (i,), (validate_dimension(n),))
+    return finish()[i][0]
 
 
 @dataclass(frozen=True)
@@ -356,7 +355,7 @@ class CurvatureProfile:
     @cached_property
     def results(self):
         """n -> {vertex: CurvatureResult}, vertices in vertex order."""
-        rows = _curvature_results(self._stacks, self.n_values)
+        rows = {i: results for _, _, finish in self._stacks for i, results in finish().items()}
         return {n: {v: rows[i][j] for i, v in enumerate(self.vertices)} for j, n in enumerate(self.n_values)}
 
 

@@ -41,6 +41,16 @@ class NonPositiveValue(SteklovError):
         super().__init__(f"{kind} of {element!r} must be a finite positive number, got {value!r}")
 
 
+class DegreeOverflow(SteklovError):
+    """Deg(x) = (1/m_x) sum_y w_xy is so large that its square, the scale of the Gamma2 forms, overflows a float."""
+
+    def __init__(self, vertex, degree):
+        self.vertex = vertex
+        self.degree = degree
+        super().__init__(f"Deg({vertex!r}) = {degree:g} is too large: its square overflows a float; "
+                         "rescale the weights or the measures")
+
+
 class Disconnected(SteklovError):
     def __init__(self, unreachable):
         self.unreachable = tuple(unreachable)
@@ -135,6 +145,17 @@ class SingularInteriorSystem(SteklovError):
             f"interior system is singular; interior component {list(self.component)!r} "
             "has no boundary edge"
         )
+
+
+class NumericallySingularInterior(SingularInteriorSystem):
+    """Every interior component has a boundary edge, yet L_OO is singular in floating point."""
+
+    def __init__(self, interior):
+        self.component = tuple(interior)
+        SteklovError.__init__(self, f"interior system is numerically singular: every component of the interior "
+                              f"{list(self.component)!r} has a boundary edge, but L_OO is not positive definite, or "
+                              "too ill-conditioned for an accurate solve, in floating point (boundary weights lost in "
+                              "rounding beside far larger interior weights?)")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     BoundaryNotIndependent,
     BoundaryVertexIsolatedFromInterior,
+    DegreeOverflow,
     Disconnected,
     DuplicateEdge,
     DuplicateVertex,
@@ -315,8 +316,9 @@ def build_graph(vertex_specs, edge_specs, relaxed=False):
     edge_specs   : iterable of (id, id, weight)
 
     Raises DuplicateVertex, SelfLoop, DuplicateEdge, NonPositiveValue,
-    UnknownVertex, or Disconnected, each naming the offending element.
-    Connectivity is not enforced when relaxed=True.
+    UnknownVertex, DegreeOverflow (Deg(x)^2, the Gamma2 scale, overflows),
+    or Disconnected, each naming the offending element. Connectivity is not
+    enforced when relaxed=True.
     """
     vertices = []
     measures = []
@@ -347,6 +349,11 @@ def build_graph(vertex_specs, edge_specs, relaxed=False):
         weights[j, i] = w
 
     g = WeightedGraph(tuple(vertices), np.array(measures), weights)
+    with np.errstate(over="ignore"):
+        degrees = g.weight_sums / g.measures
+        huge = np.flatnonzero(~np.isfinite(degrees * degrees))
+    if huge.size:
+        raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
     if not relaxed:
         reachable = np.isfinite(g.hop_distances(0))
         if not reachable.all():

@@ -10,7 +10,9 @@ curvature-dimension machinery:
 Local quadratic-form assemblies express Gamma and Gamma2 at a vertex as
 symmetric matrices in the values of f on the ball around it, stacked over
 the balls of one shape; Gamma comes from the explicit sum, not from the
-product-rule identity, which cancels catastrophically. The explicit-sum
+product-rule identity, which cancels catastrophically. The curvature
+function also stacks smaller balls, padded with copies of the centre, and
+zeroes the pad rows and columns after assembly. The explicit-sum
 gamma and gamma2 and the identity are test oracles (tests/oracles.py).
 """
 
@@ -160,7 +162,7 @@ def _gamma_matrix(g, i):
     return ball, _gamma_forms(g, ball[None])[0]
 
 
-def _gamma2_forms(g, balls, k, real=None):
+def _gamma2_forms(g, balls, k):
     """The (B, s, s) stack of Q with f^T Q f = Gamma2(f, f)(i) over B closed 2-balls of one shape.
 
     Also returns the two objects the assembly builds on the way: the (B, k, k)
@@ -170,18 +172,9 @@ def _gamma2_forms(g, balls, k, real=None):
     degrees deg = sum_y w_xy the forms are exact. With G the Gamma form at i,
     c = Delta[i, :] / (2m) and sum_k Delta[i, k] Gamma_k in closed form,
         2Q = diag(c deg + W c) - P - P^T,  P = diag(c) W + G Delta.
-    Smaller balls may ride in a padded row: the (B, s) mask real marks their
-    entries, and a pad entry repeats the centre (no self-weight, so G and the
-    rows vanish there) and has its weights and degree zeroed. Every output is
-    then zero on pad rows and columns and, up to rounding, the unpadded
-    assembly on the rest.
     """
     w = g.weights[balls[:, :, None], balls[:, None, :]]
     deg, mu = g.weight_sums[balls[:, :k]], g.measures[balls[:, :k]]
-    if real is not None:
-        rows, pads = np.nonzero(~real)
-        w[rows, pads] = w[rows, :, pads] = 0.0
-        deg = deg * real[:, :k]
     diag = np.arange(k)
     delta = w[:, :k] / mu[:, :, None]
     delta[:, diag, diag] -= deg / mu

@@ -464,7 +464,7 @@ def check_rigidity(bg, K, n):
     if bound_equality and all_hold and cd_report.holds:
         if g.unit_weight:
             classification = classify_unit_weight(bg)
-        elif not interior_edges(bg):
+        elif not ig.weights.any():
             classification = classify_partial(bg, K, n)
         else:
             classification = Classification(RigidityClass.GENERAL_EQUALITY, {"K": K, "n": n})
@@ -617,13 +617,17 @@ def construct_rigid_family(interior, n, K, m, lam=None):
     def build(scale):
         return join_equality_boundary(interior.rescaled_weights(scale), n, K, m)
 
-    def feasible(scale):
-        return check_interior_inequality(build(scale), K, n).passed
-
     if lam is not None:
         lam = finite_number(lam, "lam")
         bg = build(lam)
         return ConstructionResult(bg, lam, None, check_interior_inequality(bg, K, n))
+
+    # scales change only the interior weights: each probe rescales one join's interior
+    base = build(1.0)
+    ig, boundary_measure = induced_interior_graph(base), _necessary_measure(base, K, n)
+
+    def feasible(scale):
+        return _interior_inequality(ig.rescaled_weights(scale), K, n, boundary_measure).passed
 
     if feasible(1.0):
         threshold = 1.0

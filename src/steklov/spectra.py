@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainMismatch, InvalidParams, SingularInteriorSystem
+from .errors import DomainMismatch, InvalidParams, NumericallySingularInterior, SingularInteriorSystem
 from .graphs import HARMONIC_TOL, MULTIPLICITY_TOL, ZERO_TOL, induced_interior_graph
 from .operators import VertexFunction, differential, inner_product_forms, inner_product_functions, laplacian
 
@@ -99,13 +99,13 @@ def _sign_fix(vecs):
 
 
 def _singular_interior(bg):
-    """SingularInteriorSystem naming an interior component with no boundary edge, else Omega."""
+    """SingularInteriorSystem naming an interior component with no boundary edge, else NumericallySingularInterior."""
     g = bg.graph
     bi = set(bg.boundary_indices.tolist())
     for comp in induced_interior_graph(bg).components():
         if not any(bi.intersection(g.neighbor_indices(g.index(v))) for v in comp):
             return SingularInteriorSystem(comp)
-    return SingularInteriorSystem(bg.interior)
+    return NumericallySingularInterior(bg.interior)
 
 
 def _interior_factor(bg):

@@ -205,6 +205,32 @@ def test_usage_and_module_errors(capture, tmp_path, p3_file):
     assert json.loads(out)["error"]["type"] == "InvalidFamilyParams"
 
 
+@pytest.mark.parametrize("lam", [1e160, 1e300])
+def test_a_degree_whose_square_overflows_is_an_input_error(capture, tmp_path, lam):
+    # generate refuses the family; a graph file with those interior weights,
+    # or with one weight of 1e300, is refused by every command with a JSON
+    # error naming the vertex (it used to crash with LinAlgError, exit 1)
+    code, out, _ = capture("generate", "--family", "complete_interior", "--out", str(tmp_path / "g.json"),
+                           "--interior-size", "3", "--n", "10", "--K", "1", "--m", "1", "--lam", str(lam))
+    assert code == 2 and json.loads(out)["error"]["type"] == "DegreeOverflow"
+    doc = json.loads(steklov.serialize_graph(steklov.make_example(
+        "complete_interior", interior_size=3, n=10, K=1, m=1)))
+    for edge in doc["edges"]:
+        if edge["u"].startswith("x") and edge["v"].startswith("x"):
+            edge["w"] = lam
+    single = json.loads(steklov.serialize_graph(steklov.make_example("unit_path3")))
+    single["edges"][0]["w"] = 1e300
+    for name, graph, vertex in (("scaled", doc, "x1"), ("single", single, "1")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(graph))
+        for command in (["curvature", "--n", "2,inf"], ["cd-check", "--K", "1", "--n", "10"],
+                        ["rigidity", "--K", "1", "--n", "10"], ["steklov"], ["spectrum"]):
+            code, out, _ = capture(*command, "--graph", str(path))
+            assert code == 2, command
+            error = json.loads(out)["error"]
+            assert error["type"] == "DegreeOverflow" and f"Deg({vertex!r})" in error["message"]
+
+
 def test_cd_check_with_a_non_finite_k_is_an_input_error(capture, c4_file):
     for K in ("--K=-inf", "--K=inf"):
         code, out, _ = capture("cd-check", "--graph", c4_file, K, "--n", "2")

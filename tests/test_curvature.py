@@ -21,7 +21,7 @@ from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 import steklov.curvature
 from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks, _shape_groups
 from steklov.graphs import INF
-from steklov.operators import _gamma2_matrix
+from steklov.operators import _gamma2_forms, _gamma2_matrix
 
 from oracles import (
     cd_matrix_by_polarization,
@@ -377,9 +377,9 @@ def test_curvature_profile_builds_each_form_once(monkeypatch):
     calls, solves = [], []
     gamma2_forms, eigh = steklov.curvature._gamma2_forms, np.linalg.eigh
 
-    def spy(g, balls, k, real=None):
+    def spy(g, balls, k):
         calls.append(balls[:, 0].tolist())
-        return gamma2_forms(g, balls, k, real)
+        return gamma2_forms(g, balls, k)
 
     def eigh_spy(a):
         solves.append(a.shape[:2])
@@ -439,6 +439,32 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
                 assert got.kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
                 assert got.kernel_ok == want.kernel_ok and got.ball == want.ball
                 assert got.s2_lambda_min == pytest.approx(want.s2_lambda_min, rel=1e-12)
+
+
+def test_a_padded_stack_needs_no_mask_in_the_assembly():
+    # a pad repeats the centre, which has no self-weight, so the assembly of a
+    # padded row gives the ball's own Gamma2 form, Gamma form and Delta row on
+    # its real entries; the curvature function only zeroes the pad rows and
+    # columns afterwards
+    padded = 0
+    for g in (*atlas_graphs(6), unit_grid(6), unit_grid(12)):
+        for k, _, balls, real, parts in _padded_stacks(_shape_groups(g, range(g.num_vertices))):
+            if real is None:
+                continue
+            q, gam, row = _gamma2_forms(g, balls, k + 1)
+            at = 0
+            for part in parts:
+                k1 = int(real[at, 1:k + 1].sum())
+                eq, egam, erow = _gamma2_forms(g, part, k1 + 1)
+                for j in range(len(part)):
+                    own = np.flatnonzero(real[at + j])
+                    ball1 = own[:k1 + 1]
+                    assert q[at + j][np.ix_(own, own)].tobytes() == eq[j].tobytes()
+                    assert gam[at + j][np.ix_(ball1, ball1)].tobytes() == egam[j].tobytes()
+                    assert row[at + j][ball1].tobytes() == erow[j].tobytes()
+                at += len(part)
+            padded += 1
+    assert padded > 100
 
 
 def test_a_merged_stack_mixes_centres_with_and_without_s2():
@@ -712,16 +738,17 @@ def test_curvature_at_finishes_its_one_result_at_once(monkeypatch):
 
 def test_a_stack_of_one_shape_has_no_pad_mask(monkeypatch):
     # vertex-transitive graphs have one 2-ball shape: the stack has no pads,
-    # runs the assembly unmasked and gives the one-centre kernel's kappas and
+    # skips the pad bookkeeping and gives the one-centre kernel's kappas and
     # witnesses bitwise (the quotients' stacked matmul may round differently)
     masks = []
-    gamma2_forms = steklov.curvature._gamma2_forms
+    padded_stacks = steklov.curvature._padded_stacks
 
-    def spy(g, balls, k, real=None):
-        masks.append(real)
-        return gamma2_forms(g, balls, k, real)
+    def spy(groups):
+        for stack in padded_stacks(groups):
+            masks.append(stack[3])
+            yield stack
 
-    monkeypatch.setattr(steklov.curvature, "_gamma2_forms", spy)
+    monkeypatch.setattr(steklov.curvature, "_padded_stacks", spy)
     for G in (nx.cycle_graph(6), nx.complete_graph(5), nx.petersen_graph(), nx.hypercube_graph(3)):
         ids = {v: str(v) for v in G.nodes}
         g = build_graph([(v, 1.0) for v in ids.values()], [(ids[a], ids[b], 1.0) for a, b in G.edges])

@@ -18,6 +18,7 @@ from steklov import (
 )
 from steklov.errors import (
     BoundaryNotIndependent,
+    DegreeOverflow,
     Disconnected,
     DuplicateEdge,
     DuplicateVertex,
@@ -80,6 +81,29 @@ def test_build_validation_errors():
     with pytest.raises(Disconnected) as e:
         build_graph([("1", 1), ("2", 1), ("3", 1)], [("1", "2", 1)])
     assert e.value.unreachable == ("3",)
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e300])
+def test_build_graph_rejects_a_degree_whose_square_overflows(lam):
+    # the Gamma2 forms scale as Deg^2: once that overflows a float, eigh fails
+    # to converge and the Steklov solve returns nonsense, so the graph is
+    # rejected where its measures and weights are checked, naming the vertex
+    with pytest.raises(DegreeOverflow) as e:
+        make_example("complete_interior", interior_size=3, n=10, K=1, m=1, lam=lam)
+    assert (e.value.vertex, e.value.degree) == ("x1", 2.0 * lam)
+    assert "x1" in str(e.value)
+    with pytest.raises(DegreeOverflow) as e:
+        build_graph([("a", 1.0), ("b", 1.0), ("c", 1.0)], [("a", "b", 1.0), ("b", "c", 1e300)])
+    assert e.value.vertex == "b"
+    with pytest.raises(DegreeOverflow) as e:
+        build_graph([("a", 1.0), ("b", 1e-300)], [("a", "b", 1.0)])
+    assert e.value.vertex == "b"
+    with pytest.raises(DegreeOverflow) as e:  # the weight sum itself overflows
+        build_graph([("a", 1e300), ("b", 1e300), ("c", 1e300)], [("a", "b", 1e308), ("b", "c", 1e308)])
+    assert (e.value.vertex, e.value.degree) == ("b", math.inf)
+    # a square just inside the range passes
+    bg = make_example("complete_interior", interior_size=3, n=10, K=1, m=1, lam=1e150)
+    assert np.isfinite(bg.graph.weight_sums).all()
 
 
 @pytest.mark.parametrize("flag", [True, np.True_])

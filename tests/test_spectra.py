@@ -22,7 +22,7 @@ from steklov import (
     steklov_eigenfunction_diagnostics,
     steklov_spectrum,
 )
-from steklov.errors import DomainMismatch, InvalidParams, SingularInteriorSystem
+from steklov.errors import DomainMismatch, InvalidParams, NumericallySingularInterior, SingularInteriorSystem
 from steklov.graphs import ZERO_TOL, WeightedGraph
 import steklov.spectra
 from steklov.spectra import SpectrumKind, _generalized_spectrum, _sign_fix
@@ -86,6 +86,25 @@ def test_singular_interior_system():
     assert "c" in e.value.component
     with pytest.raises(SingularInteriorSystem):
         dtn_operator(bad)
+
+
+def test_a_singular_interior_is_named_by_its_cause():
+    # a component without a boundary edge is named as such; an interior whose
+    # every component reaches the boundary but whose L_OO is not positive
+    # definite in floating point (boundary weights of about 1 lost beside
+    # interior weights of 1e100) gets its own message
+    g = WeightedGraph(("a", "b", "c"), np.ones(3), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(SingularInteriorSystem) as e:
+        steklov_spectrum(BoundaryGraph(g, ("a",), ("b", "c")))
+    assert type(e.value) is SingularInteriorSystem and e.value.component == ("c",)
+    assert "has no boundary edge" in str(e.value)
+
+    bg = make_example("complete_interior", interior_size=3, n=10, K=1, m=1, lam=1e100)
+    for solve in (steklov_spectrum, dtn_operator):
+        with pytest.raises(NumericallySingularInterior) as e:
+            solve(bg)
+        assert isinstance(e.value, SingularInteriorSystem) and e.value.component == bg.interior
+        assert "no boundary edge" not in str(e.value) and "numerically singular" in str(e.value)
 
 
 def test_one_interior_factorization_per_boundary_graph(monkeypatch):

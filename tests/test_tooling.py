@@ -141,6 +141,18 @@ def test_one_gamma2_assembly_for_every_local_form():
         ("curvature", "_pinned_forms"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_forms")]
 
 
+def test_pads_are_known_to_the_curvature_function_alone():
+    # a pad repeats the centre, so the assembly takes no mask; the padded
+    # stacks are built, zeroed on their pad rows and columns and finished by
+    # the curvature function, and nothing else names the pad mask
+    assert list(inspect.signature(steklov.operators._gamma2_forms).parameters) == ["g", "balls", "k"]
+    named = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id == "real")
+                                 or (isinstance(node, ast.arg) and node.arg == "real"))
+    assert sorted(set(named)) == [
+        ("curvature", "_curvature_stacks"), ("curvature", "_finish_stack"), ("curvature", "_padded_stacks")]
+    assert _calls_of("_padded_stacks") == [("curvature", "_curvature_stacks")]
+
+
 def test_eigenvector_sign_fix_and_ball_ids_run_only_where_they_are_read():
     # a caller that reads eigenvalues or global minima alone pays for neither:
     # Spectrum.vectors and the curvature finishing step fix the signs, and
