@@ -305,8 +305,12 @@ class BoundaryGraph:
         chol.setflags(write=False)
         return chol
 
+    @cached_property
+    def _boundary_set(self):
+        return frozenset(self.boundary)
+
     def is_boundary(self, v):
-        return v in set(self.boundary)
+        return v in self._boundary_set
 
 
 def build_graph(vertex_specs, edge_specs, relaxed=False):
@@ -349,16 +353,21 @@ def build_graph(vertex_specs, edge_specs, relaxed=False):
         weights[j, i] = w
 
     g = WeightedGraph(tuple(vertices), np.array(measures), weights)
-    with np.errstate(over="ignore"):
-        degrees = g.weight_sums / g.measures
-        huge = np.flatnonzero(~np.isfinite(degrees * degrees))
-    if huge.size:
-        raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
+    _check_degrees(g)
     if not relaxed:
         reachable = np.isfinite(g.hop_distances(0))
         if not reachable.all():
             raise Disconnected(g.vertices[i] for i in np.flatnonzero(~reachable))
     return g
+
+
+def _check_degrees(g):
+    """DegreeOverflow naming the first vertex whose Deg(x)^2, the Gamma2 scale, overflows a float."""
+    with np.errstate(over="ignore"):
+        degrees = g.weight_sums / g.measures
+        huge = np.flatnonzero(~np.isfinite(degrees * degrees))
+    if huge.size:
+        raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
 
 
 def attach_boundary(g, boundary):
@@ -435,7 +444,8 @@ def join_equality_boundary(interior, n, K, m):
     interior vertex x with weight w_x = m_x (n+2) K / (2(n-1)), which makes
     the two boundary degrees nK/(n-1) and every interior boundary-degree
     (n+2)K/(n-1). Boundary ids are chosen fresh if the interior already uses
-    "1" or "2".
+    "1" or "2". The join is one block matrix over the interior's arrays; it
+    raises what build_graph raises on the same vertices and edges.
     """
     n = validate_dimension(n)
     K = finite_number(K, "K")
@@ -457,14 +467,33 @@ def join_equality_boundary(interior, n, K, m):
     while b1 in taken or b2 in taken:
         b1, b2 = "b" + b1, "b" + b2
 
-    vertex_specs = [(b1, m), (b2, m)]
-    vertex_specs += [(v, interior_measures[i]) for i, v in enumerate(interior.vertices)]
-    edge_specs = []
-    for i, v in enumerate(interior.vertices):
-        edge_specs.append((b1, v, boundary_weights[i]))
-        edge_specs.append((b2, v, boundary_weights[i]))
-    edge_specs += interior.edge_list()
-    return attach_boundary(build_graph(vertex_specs, edge_specs), {b1, b2})
+    # build_graph's checks in its order: measures, the edges (b1, x) in vertex
+    # order (each (b2, x) carries the same weight), then the interior edges
+    ids, w = interior.vertices, interior.weights
+    bad = np.flatnonzero(_not_positive(interior_measures))
+    if bad.size:
+        raise NonPositiveValue("measure", ids[bad[0]], interior_measures[bad[0]])
+    bad = np.flatnonzero(_not_positive(boundary_weights))
+    if bad.size:
+        raise NonPositiveValue("weight", (b1, ids[bad[0]]), boundary_weights[bad[0]])
+    bad = np.argwhere(np.triu(_not_positive(w) & (w != 0.0)))
+    if len(bad):
+        i, j = bad[0]
+        raise NonPositiveValue("weight", (ids[i], ids[j]), float(w[i, j]))
+
+    nv = interior.num_vertices
+    weights = np.zeros((nv + 2, nv + 2))
+    weights[:2, 2:] = boundary_weights
+    weights[2:, :2] = boundary_weights[:, None]
+    weights[2:, 2:] = w
+    g = WeightedGraph((b1, b2) + ids, np.concatenate(([m, m], interior_measures)), weights)
+    _check_degrees(g)
+    return BoundaryGraph(g, (b1, b2), ids)
+
+
+def _not_positive(values):
+    """Where values are not finite positive numbers, NaN included: _check_positive's rule on arrays."""
+    return ~((values > 0.0) & (values < INF))
 
 
 def make_example(family, **params):

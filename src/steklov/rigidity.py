@@ -14,17 +14,18 @@ exactly when five structural conditions do:
 
 This module decides the conditions, assembles the condition-(5) form,
 classifies the rigid graphs (unit weight, edgeless interior, normalized
-weight), runs the structural ball-scan diagnostics, and constructs equality
-graphs over complete interiors by searching for a large enough interior
-weight scale. Condition (5) builds the forms at all interior vertices as one
-stack, in chunks of at most FORM_STACK_ENTRIES, and decides each chunk with
-the per-vertex builder cd_check uses (curvature._vertex_checks), so both
-report VertexCheck records.
+weight), runs the structural diagnostics on a report's first read of them,
+and constructs equality graphs over complete interiors by searching for a
+large enough interior weight scale. Condition (5) builds the forms at all
+interior vertices as one stack, in chunks of at most FORM_STACK_ENTRIES, and
+decides each chunk with the per-vertex builder cd_check uses
+(curvature._vertex_checks), so both report VertexCheck records.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .graphs import (
     INF,
     SEARCH_TOL,
     attains_bound,
-    boundary_degree,
     finite_number,
     induced_interior_graph,
     is_infinite,
@@ -63,8 +63,9 @@ LAMBDA_MAX = 1e8
 FORM_STACK_ENTRIES = 2 ** 22  # B |Omega|^2 in one stack of condition-(5) forms; more centres go in chunks
 
 
-def _close(a, b, tol=CONDITION_TOL):
-    return abs(a - b) <= tol * max(abs(a), abs(b), 1e-300)
+def _close(a, b):
+    """|a - b| <= CONDITION_TOL max(|a|, |b|), elementwise on arrays; the one tolerance rule of (1)-(4) and the classifiers."""
+    return np.abs(a - b) <= CONDITION_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
 
 
 class RigidityClass(Enum):
@@ -107,11 +108,14 @@ def degree_targets(K, n):
     return lichnerowicz_bound(K, n), (K if is_infinite(n) else (n + 2.0) * K / (n - 1.0))
 
 
-def _unjoined(bg):
-    """Interior vertices not adjacent to both boundary vertices; needs |B| = 2."""
-    g = bg.graph
-    b1, b2 = bg.boundary
-    return [x for x in bg.interior if g.weight(b1, x) == 0.0 or g.weight(b2, x) == 0.0]
+def _boundary_weights(bg):
+    """W[B, Omega] as a (|B|, |Omega|) array."""
+    return bg.graph.weights[bg.boundary_indices[:, None], bg.interior_indices]
+
+
+def _unjoined(w_bo):
+    """Interior positions not adjacent to every boundary vertex, given W[B, Omega]."""
+    return np.flatnonzero((w_bo == 0.0).any(axis=0))
 
 
 @dataclass(frozen=True)
@@ -125,54 +129,53 @@ class NecessaryConditions:
 
 
 def check_necessary_conditions(bg, K, n):
-    """Conditions (1)-(4), each with an explanatory witness on failure."""
+    """Conditions (1)-(4) read from W[B, Omega] and the degrees as arrays, each with a witness on failure."""
     K, n = _validate_params(K, n)
     g = bg.graph
     deg_target, degb_target = degree_targets(K, n)
-    checks = []
-
-    if len(bg.boundary) != 2:
-        checks.append(ConditionCheck(1, False, f"|B| = {len(bg.boundary)}, need 2"))
-    else:
-        missing = _unjoined(bg)
-        if missing:
-            checks.append(ConditionCheck(
-                1, False, f"interior vertex {missing[0]!r} not adjacent to both boundary vertices"))
-        else:
-            checks.append(ConditionCheck(1, True, "|B| = 2, interior fully joined"))
 
     if len(bg.boundary) != 2:
         skipped = "requires |B| = 2"
-        checks += [ConditionCheck(i, False, skipped) for i in (2, 3, 4)]
-        return NecessaryConditions(tuple(checks), None)
+        return NecessaryConditions(
+            (ConditionCheck(1, False, f"|B| = {len(bg.boundary)}, need 2"),)
+            + tuple(ConditionCheck(i, False, skipped) for i in (2, 3, 4)), None)
 
     b1, b2 = bg.boundary
-    m1, m2 = g.measure(b1), g.measure(b2)
+    bi, oi, ids = bg.boundary_indices, bg.interior_indices, bg.interior
+    w_bo = _boundary_weights(bg)
+    checks = []
+    missing = _unjoined(w_bo)
+    if missing.size:
+        checks.append(ConditionCheck(
+            1, False, f"interior vertex {ids[missing[0]]!r} not adjacent to both boundary vertices"))
+    else:
+        checks.append(ConditionCheck(1, True, "|B| = 2, interior fully joined"))
+
+    m1, m2 = g.measures[bi].tolist()
     if not _close(m1, m2):
         checks.append(ConditionCheck(2, False, f"m({b1!r}) = {m1:g} != m({b2!r}) = {m2:g}"))
     else:
-        bad = [x for x in bg.interior if not _close(g.weight(b1, x), g.weight(b2, x))]
-        if bad:
-            x = bad[0]
+        bad = np.flatnonzero(~_close(w_bo[0], w_bo[1]))
+        if bad.size:
+            j, x = bad[0], ids[bad[0]]
             checks.append(ConditionCheck(
-                2, False,
-                f"w({b1!r},{x!r}) = {g.weight(b1, x):g} != w({b2!r},{x!r}) = {g.weight(b2, x):g}"))
+                2, False, f"w({b1!r},{x!r}) = {w_bo[0, j]:g} != w({b2!r},{x!r}) = {w_bo[1, j]:g}"))
         else:
             checks.append(ConditionCheck(2, True, "boundary measures and edge weights symmetric"))
 
-    degs = (weighted_degree(g, b1), weighted_degree(g, b2))
-    if all(_close(d, deg_target) for d in degs):
+    degs = g.weight_sums[bi] / g.measures[bi]
+    if _close(degs, deg_target).all():
         checks.append(ConditionCheck(3, True, f"Deg(boundary) = {deg_target:g}"))
     else:
         checks.append(ConditionCheck(
             3, False,
             f"Deg({b1!r}) = {degs[0]:g}, Deg({b2!r}) = {degs[1]:g}, target {deg_target:g}"))
 
-    bad = [x for x in bg.interior if not _close(boundary_degree(bg, x), degb_target)]
-    if bad:
-        x = bad[0]
+    degb = w_bo.sum(axis=0) / g.measures[oi]
+    bad = np.flatnonzero(~_close(degb, degb_target))
+    if bad.size:
         checks.append(ConditionCheck(
-            4, False, f"Deg_b({x!r}) = {boundary_degree(bg, x):g}, target {degb_target:g}"))
+            4, False, f"Deg_b({ids[bad[0]]!r}) = {degb[bad[0]]:g}, target {degb_target:g}"))
     else:
         checks.append(ConditionCheck(4, True, f"Deg_b(interior) = {degb_target:g}"))
 
@@ -374,7 +377,7 @@ def two_ball_identity_check(bg, u):
             coeff = g.weights[i] * g.weights[j] / g.measures
             residuals[(g.vertices[i], g.vertices[j])] = (
                 (vals[i] + vals[j]) / 2.0 - float(coeff @ vals) / coeff.sum())
-    return TwoBallResiduals(residuals, max(map(abs, residuals.values()), default=0.0))
+    return TwoBallResiduals(residuals, float(max(map(abs, residuals.values()), default=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +386,12 @@ def two_ball_identity_check(bg, u):
 
 @dataclass(frozen=True)
 class RigidityReport:
+    """The verdict of check_rigidity; `diagnostics` runs the two-ball check and the ball scan on first read.
+
+    No verdict field reads `diagnostics`, and == does not compare it. A report
+    keeps its boundary graph and interior graph alive for that read.
+    """
+
     K: float
     n: float
     cd_holds: bool
@@ -393,7 +402,9 @@ class RigidityReport:
     conditions: tuple  # five ConditionCheck entries
     interior_report: InteriorInequalityReport | None
     classification: Classification
-    diagnostics: dict
+    _graph: object = field(repr=False, compare=False)  # BoundaryGraph
+    _interior: object = field(repr=False, compare=False)  # its interior-induced WeightedGraph
+    _eigenfunction: object = field(repr=False, compare=False)  # SteklovDiagnostics, None when |B| < 2
 
     @property
     def all_conditions_hold(self):
@@ -410,47 +421,53 @@ class RigidityReport:
             return True
         return self.bound_equality == self.all_conditions_hold
 
+    @cached_property
+    def diagnostics(self):
+        """The sigma_2 eigenfunction checks, the two-ball residual and the interior ball scan, as one dict."""
+        eig = self._eigenfunction
+        if eig is None:
+            diagnostics = {"sigma2_missing": "boundary has fewer than 2 vertices"}
+        else:
+            diagnostics = dict(
+                sigma2_interior_norm=eig.interior_norm,
+                sigma2_rayleigh_quotient=eig.rayleigh_quotient,
+                mu2=eig.mu2,
+                mu2_residual=eig.mu2_residual,
+                two_ball_max_residual=two_ball_identity_check(self._graph, eig.extension).max_abs,
+            )
+        scan = disjoint_ball_scan(self._interior)
+        diagnostics.update(
+            interior_connected=scan.connected,
+            interior_diameter=scan.diameter,
+            disjoint_ball_pair=scan.pair,
+        )
+        return diagnostics
+
 
 def check_rigidity(bg, K, n):
     """Decide equality in sigma_2 >= nK/(n-1) and classify the graph.
 
-    Runs the global curvature check, the Steklov spectrum, conditions (1)-(5),
-    eigenfunction and ball-scan diagnostics, and attaches a classification
-    label when equality holds.
+    Runs the global curvature check, the Steklov spectrum with its sigma_2
+    eigenfunction diagnostics (the residual-checked harmonic extension),
+    conditions (1)-(5), and attaches a classification label when equality
+    holds. The structural diagnostics (the two-ball identity and the
+    disjoint-ball scan) are built on the first read of the report's
+    `diagnostics`, so the report keeps bg alive.
     """
     K, n = _validate_params(K, n)
     g = bg.graph
     cd_report = cd_check(g, K, n)
     bound = lichnerowicz_bound(K, n)
 
-    sigma2 = None
-    slack = None
-    diagnostics = {}
+    sigma2 = slack = eig = None
     if len(bg.boundary) >= 2:
         spectrum = steklov_spectrum(bg)
         sigma2 = float(spectrum.values[1])
         slack = sigma2 - bound
         eig = steklov_eigenfunction_diagnostics(bg, spectrum)
-        two_ball = two_ball_identity_check(bg, eig.extension)
-        diagnostics.update(
-            sigma2_interior_norm=eig.interior_norm,
-            sigma2_rayleigh_quotient=eig.rayleigh_quotient,
-            mu2=eig.mu2,
-            mu2_residual=eig.mu2_residual,
-            two_ball_max_residual=two_ball.max_abs,
-        )
-    else:
-        diagnostics["sigma2_missing"] = "boundary has fewer than 2 vertices"
     bound_equality = sigma2 is not None and attains_bound(sigma2, bound)
 
     ig = induced_interior_graph(bg)
-    scan = disjoint_ball_scan(ig)
-    diagnostics.update(
-        interior_connected=scan.connected,
-        interior_diameter=scan.diameter,
-        disjoint_ball_pair=scan.pair,
-    )
-
     nec = check_necessary_conditions(bg, K, n)
     interior_report = None
     if nec.passed:
@@ -484,7 +501,9 @@ def check_rigidity(bg, K, n):
         conditions=conditions,
         interior_report=interior_report,
         classification=classification,
-        diagnostics=diagnostics,
+        _graph=bg,
+        _interior=ig,
+        _eigenfunction=eig,
     )
 
 
@@ -504,7 +523,7 @@ def classify_unit_weight(bg):
     g = bg.graph
     if not g.unit_weight:
         raise WrongWeightClass("graph is not unit-weighted (need m = 1 and w = 1 everywhere)")
-    if len(bg.boundary) != 2 or len(bg.interior) > 2 or _unjoined(bg):
+    if len(bg.boundary) != 2 or len(bg.interior) > 2 or _unjoined(_boundary_weights(bg)).size:
         return NOT_RIGID
     if len(bg.interior) == 1:
         return Classification(RigidityClass.UNIT_PATH3, {"K": 0.5, "n": 2.0})
@@ -622,7 +641,8 @@ def construct_rigid_family(interior, n, K, m, lam=None):
         bg = build(lam)
         return ConstructionResult(bg, lam, None, check_interior_inequality(bg, K, n))
 
-    # scales change only the interior weights: each probe rescales one join's interior
+    # scales change only the interior weights, and (1)-(4) do not read them: each
+    # probe, the returned report's included, rescales the interior of one join
     base = build(1.0)
     ig, boundary_measure = induced_interior_graph(base), _necessary_measure(base, K, n)
 
@@ -645,5 +665,5 @@ def construct_rigid_family(interior, n, K, m, lam=None):
                 lo = mid
         threshold = hi
     chosen = 2.0 * threshold
-    bg = build(chosen)
-    return ConstructionResult(bg, chosen, threshold, check_interior_inequality(bg, K, n))
+    return ConstructionResult(build(chosen), chosen, threshold,
+                              _interior_inequality(ig.rescaled_weights(chosen), K, n, boundary_measure))

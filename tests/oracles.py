@@ -14,7 +14,11 @@ the library uses, so agreement is evidence rather than tautology:
     assumptions (A1)-(A4) for Gamma, Delta and Gamma2,
   * a one-vertex-at-a-time ball scatter of the condition-(5) form, in the
     library's per-entry order of operations, for bitwise comparison with the
-    stacked assembly.
+    stacked assembly,
+  * the boundary join through an edge list and build_graph, conditions
+    (1)-(4) one vertex at a time, and the structural diagnostics built
+    eagerly, each for bitwise comparison with the library's array-built or
+    on-read route.
 """
 
 import numpy as np
@@ -25,6 +29,7 @@ from steklov import (
     attach_boundary,
     build_graph,
     differential,
+    disjoint_ball_scan,
     harmonic_extension,
     induced_interior_graph,
     inner_product_forms,
@@ -32,9 +37,13 @@ from steklov import (
     interior_edges,
     laplacian,
     normal_derivative,
+    steklov_eigenfunction_diagnostics,
+    steklov_spectrum,
+    two_ball_identity_check,
     weighted_degree,
 )
-from steklov.graphs import INF, is_infinite
+from steklov.graphs import CONDITION_TOL, INF, finite_number, is_infinite, validate_dimension
+from steklov.rigidity import ConditionCheck, NecessaryConditions, _validate_params, degree_targets
 from steklov.operators import _aligned, _gamma2_matrix, _gamma_matrix
 
 # ---------------------------------------------------------------------------
@@ -422,3 +431,94 @@ def interior_form_by_scatter(ig, K, n, m, x):
 def assert_close(a, b, rel=1e-10, context=""):
     scale = max(abs(a), abs(b), 1.0)
     assert abs(a - b) <= rel * scale, f"{context}: {a!r} vs {b!r} (scale {scale:g})"
+
+
+# ---------------------------------------------------------------------------
+# rigidity routes the library replaced, kept as references
+# ---------------------------------------------------------------------------
+
+
+def join_by_edge_list(interior, n, K, m):
+    """join_equality_boundary through vertex and edge lists, build_graph and attach_boundary."""
+    n = validate_dimension(n)
+    K = finite_number(K, "K")
+    m = finite_number(m, "m")
+    if is_infinite(n):
+        target_volume, w_factor = 2.0 * m, K / 2.0
+    else:
+        target_volume, w_factor = 2.0 * m * n / (n + 2.0), (n + 2.0) * K / (2.0 * (n - 1.0))
+    interior_measures = target_volume / float(interior.measures.sum()) * interior.measures
+    boundary_weights = w_factor * interior_measures
+    taken = set(interior.vertices)
+    b1, b2 = "1", "2"
+    while b1 in taken or b2 in taken:
+        b1, b2 = "b" + b1, "b" + b2
+    vertex_specs = [(b1, m), (b2, m)]
+    vertex_specs += [(v, interior_measures[i]) for i, v in enumerate(interior.vertices)]
+    edge_specs = []
+    for i, v in enumerate(interior.vertices):
+        edge_specs.append((b1, v, boundary_weights[i]))
+        edge_specs.append((b2, v, boundary_weights[i]))
+    edge_specs += interior.edge_list()
+    return attach_boundary(build_graph(vertex_specs, edge_specs), {b1, b2})
+
+
+def _close(a, b):
+    return abs(a - b) <= CONDITION_TOL * max(abs(a), abs(b), 1e-300)
+
+
+def necessary_conditions_by_loop(bg, K, n):
+    """Conditions (1)-(4) with one scalar test per vertex, witnesses as the library words them."""
+    K, n = _validate_params(K, n)
+    g = bg.graph
+    deg_target, degb_target = degree_targets(K, n)
+    if len(bg.boundary) != 2:
+        return NecessaryConditions(
+            (ConditionCheck(1, False, f"|B| = {len(bg.boundary)}, need 2"),)
+            + tuple(ConditionCheck(i, False, "requires |B| = 2") for i in (2, 3, 4)), None)
+    b1, b2 = bg.boundary
+    checks = []
+    missing = [x for x in bg.interior if g.weight(b1, x) == 0.0 or g.weight(b2, x) == 0.0]
+    checks.append(ConditionCheck(1, False, f"interior vertex {missing[0]!r} not adjacent to both boundary vertices")
+                  if missing else ConditionCheck(1, True, "|B| = 2, interior fully joined"))
+    m1, m2 = g.measure(b1), g.measure(b2)
+    bad = [x for x in bg.interior if not _close(g.weight(b1, x), g.weight(b2, x))]
+    if not _close(m1, m2):
+        checks.append(ConditionCheck(2, False, f"m({b1!r}) = {m1:g} != m({b2!r}) = {m2:g}"))
+    elif bad:
+        x = bad[0]
+        checks.append(ConditionCheck(
+            2, False, f"w({b1!r},{x!r}) = {g.weight(b1, x):g} != w({b2!r},{x!r}) = {g.weight(b2, x):g}"))
+    else:
+        checks.append(ConditionCheck(2, True, "boundary measures and edge weights symmetric"))
+    degs = (weighted_degree(g, b1), weighted_degree(g, b2))
+    checks.append(ConditionCheck(3, True, f"Deg(boundary) = {deg_target:g}")
+                  if all(_close(d, deg_target) for d in degs) else ConditionCheck(
+                      3, False, f"Deg({b1!r}) = {degs[0]:g}, Deg({b2!r}) = {degs[1]:g}, target {deg_target:g}"))
+    bad = [x for x in bg.interior if not _close(boundary_degree(bg, x), degb_target)]
+    checks.append(ConditionCheck(4, False, f"Deg_b({bad[0]!r}) = {boundary_degree(bg, bad[0]):g}, target {degb_target:g}")
+                  if bad else ConditionCheck(4, True, f"Deg_b(interior) = {degb_target:g}"))
+    return NecessaryConditions(tuple(checks), (m1 + m2) / 2.0)
+
+
+def rigidity_diagnostics_eagerly(bg):
+    """check_rigidity's diagnostics dict, every part computed at once, in the library's key order."""
+    diagnostics = {}
+    if len(bg.boundary) >= 2:
+        eig = steklov_eigenfunction_diagnostics(bg, steklov_spectrum(bg))
+        diagnostics.update(
+            sigma2_interior_norm=eig.interior_norm,
+            sigma2_rayleigh_quotient=eig.rayleigh_quotient,
+            mu2=eig.mu2,
+            mu2_residual=eig.mu2_residual,
+            two_ball_max_residual=two_ball_identity_check(bg, eig.extension).max_abs,
+        )
+    else:
+        diagnostics["sigma2_missing"] = "boundary has fewer than 2 vertices"
+    scan = disjoint_ball_scan(induced_interior_graph(bg))
+    diagnostics.update(
+        interior_connected=scan.connected,
+        interior_diameter=scan.diameter,
+        disjoint_ball_pair=scan.pair,
+    )
+    return diagnostics

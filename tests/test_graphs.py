@@ -11,6 +11,7 @@ from steklov import (
     boundary_degree,
     build_graph,
     induced_interior_graph,
+    join_equality_boundary,
     make_example,
     parse_graph_file,
     serialize_graph,
@@ -33,7 +34,7 @@ from steklov.errors import (
 )
 from steklov.graphs import INF
 
-from oracles import random_boundary_graph
+from oracles import join_by_edge_list, random_boundary_graph, random_connected_graph
 
 INF_ = INF
 
@@ -238,6 +239,51 @@ def test_make_example_complete_interior_degrees():
     for x in bg.interior:
         assert boundary_degree(bg, x) == pytest.approx(degb_target, rel=1e-12)
     assert induced_interior_graph(bg).weights.max() == pytest.approx(2.0)
+
+
+def complete_graph(size, weight=1.0, measure=1.0):
+    ids = [f"x{i}" for i in range(1, size + 1)]
+    return build_graph([(v, measure) for v in ids],
+                       [(ids[i], ids[j], weight) for i in range(size) for j in range(i + 1, size)],
+                       relaxed=(size == 1))
+
+
+def test_the_array_join_equals_the_edge_list_join():
+    # join_equality_boundary builds one block matrix from the interior's arrays;
+    # build_graph over an edge list must give the same graph, bit for bit
+    rng = np.random.default_rng(21)
+    interiors = [complete_graph(1), complete_graph(4, 2.5)]
+    interiors += [random_connected_graph(rng, 2, 9).rescaled_weights(10.0 ** rng.uniform(-6, 6)) for _ in range(12)]
+    interiors += [build_graph([(v, float(rng.uniform(0.2, 3.0))) for v in ids], [], relaxed=True)
+                  for ids in (["a"], ["a", "b", "c"], ["1", "2", "b1", "x"])]
+    for interior in interiors:
+        for n, K, m in ((3.0, 1.0, 1.0), (10.0, 0.3, 2.5), (INF, 2.0, 0.5)):
+            got, want = join_equality_boundary(interior, n, K, m), join_by_edge_list(interior, n, K, m)
+            assert (got.graph.vertices, got.boundary, got.interior) == (want.graph.vertices, want.boundary, want.interior)
+            assert got.graph.measures.tobytes() == want.graph.measures.tobytes()
+            assert got.graph.weights.tobytes() == want.graph.weights.tobytes()
+
+
+@pytest.mark.parametrize("weight, measure, lam, n, K, m", [
+    (1.0, 1.0, 1.0, 10.0, 1e300, 1.0),  # Deg(boundary) squared overflows
+    (1.0, 1.0, 1.0, 10.0, 1.0, 1e-320),  # interior measures nearly vanish: Deg(x) overflows
+    (1.0, 1.0, 1.0, 10.0, 1e-300, 1e-300),  # boundary weights underflow to 0
+    (1.0, 1.0, 1e300, 10.0, 1.0, 1.0),  # interior degrees overflow
+    (1e10, 1.0, 1e300, 10.0, 1.0, 1.0),  # an interior weight is inf
+    (1.0, 1.0, 1.0, 1.0001, 1e305, 1.0),  # boundary weights are inf
+    (1.0, 1.0, 1.0, 3.0, 1.0, 1e308),  # interior measures are inf
+    (1.0, 1e300, 1.0, 10.0, 1.0, 1e-300),  # interior measures underflow to 0
+])
+def test_a_hostile_join_raises_what_the_edge_list_join_raises(weight, measure, lam, n, K, m):
+    with np.errstate(over="ignore", under="ignore"):
+        interior = complete_graph(3, weight, measure).rescaled_weights(lam)
+        with pytest.raises((NonPositiveValue, DegreeOverflow)) as got:
+            join_equality_boundary(interior, n, K, m)
+        with pytest.raises((NonPositiveValue, DegreeOverflow)) as want:
+            join_by_edge_list(interior, n, K, m)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert repr(vars(got.value)) == repr(vars(want.value))
 
 
 # ---------------------------------------------------------------------------

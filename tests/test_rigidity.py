@@ -58,10 +58,13 @@ from oracles import (
     lemma_gamma2_interior,
     lemma_gamma_boundary,
     lemma_gamma_interior,
+    necessary_conditions_by_loop,
     random_a1a4_graph,
     random_boundary_graph,
     random_connected_graph,
     random_function,
+    random_join_boundary_graph,
+    rigidity_diagnostics_eagerly,
 )
 from steklov.operators import laplacian
 
@@ -118,6 +121,51 @@ def test_necessary_conditions_witnesses():
     nec = check_necessary_conditions(attach_boundary(tweaked, {"1", "2"}), 2 / 3, 3)
     assert not nec.checks[1].passed
     assert not nec.passed
+
+
+def with_data(bg, measures=None, weights=None):
+    """bg with the given measures and weights in place of its own."""
+    g = bg.graph
+    return attach_boundary(WeightedGraph(g.vertices, g.measures if measures is None else measures,
+                                         g.weights if weights is None else weights), set(bg.boundary))
+
+
+def test_array_conditions_equal_the_per_vertex_loop():
+    # conditions (1)-(4) read W[B, Omega] and the degrees as arrays; each
+    # verdict, witness and the boundary measure must equal the scalar loop's,
+    # on graphs where all hold and where each one fails first
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(12):
+        bg, K, n, _ = random_a1a4_graph(rng, interior_size=int(rng.integers(2, 6)))
+        g = bg.graph
+        (b1, b2), oi = bg.boundary_indices, bg.interior_indices
+        x, y = rng.choice(oi, 2, replace=False)
+        unjoined = g.weights.copy()
+        unjoined[b1, x] = unjoined[x, b1] = 0.0  # (1) first: x loses its edge to b1
+        lopsided = g.weights.copy()
+        lopsided[b2, y] = lopsided[y, b2] = 1.5 * g.weights[b2, y]  # (2) first, by the weights at y
+        heavier = g.measures.copy()
+        heavier[[b1, b2]] *= 2.0  # (3) alone: both boundary degrees halve
+        heavy_x = g.measures.copy()
+        heavy_x[y] *= 1.5  # (4) alone
+        unequal = g.measures.copy()
+        unequal[b2] *= 1.5  # (2) first, by the measures
+        cases += [(bg, K, n), (with_data(bg, weights=unjoined), K, n), (with_data(bg, weights=lopsided), K, n),
+                  (with_data(bg, measures=heavier), K, n), (with_data(bg, measures=heavy_x), K, n),
+                  (with_data(bg, measures=unequal), K, n)]
+    for size in (2, 2, 3):
+        bg = random_join_boundary_graph(rng, boundary_size=size)
+        cases.append((bg, 1.0, 3.0))
+    failing = Counter()
+    for bg, K, n in cases:
+        got, want = check_necessary_conditions(bg, K, n), necessary_conditions_by_loop(bg, K, n)
+        assert got == want
+        assert type(got.boundary_measure) is type(want.boundary_measure)
+        failing[tuple(not c.passed for c in got.checks)] += 1
+    assert (False,) * 4 in failing
+    for index in range(4):
+        assert any(key[index] and not any(key[:index]) for key in failing), f"({index + 1}) never fails first"
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +507,45 @@ def test_check_rigidity_decides_conditions_once(monkeypatch):
     assert calls.get("laplacian_spectrum", 0) == 0
 
 
+def test_structural_diagnostics_are_built_on_first_read(monkeypatch):
+    # the verdict never reads the two-ball residuals or the ball scan: they run
+    # once, on the first read of diagnostics; the sigma_2 eigenfunction
+    # diagnostics (the residual-checked harmonic solve) stay eager
+    calls = Counter()
+    for name in ("steklov_eigenfunction_diagnostics", "two_ball_identity_check", "disjoint_ball_scan"):
+        count_calls(monkeypatch, calls, steklov.rigidity, name)
+    rigid = make_example("complete_interior", interior_size=5, n=10, K=1, m=1)
+    for bg, K, n, eager in ((rigid, 1, 10, 1), (unit_path(3, {"1"}), 0.5, 2, 0)):
+        calls.clear()
+        rep = check_rigidity(bg, K, n)
+        _ = (rep.cd_holds, rep.sigma2, rep.slack, rep.bound_equality, rep.conditions, rep.interior_report,
+             rep.classification, rep.is_rigid, rep.consistent, rep.all_conditions_hold)
+        assert +calls == Counter(steklov_eigenfunction_diagnostics=eager)
+        first = rep.diagnostics
+        read = Counter(steklov_eigenfunction_diagnostics=eager, two_ball_identity_check=eager, disjoint_ball_scan=1)
+        assert +calls == read
+        assert rep.diagnostics is first
+        assert +calls == read
+
+
+def exact(diagnostics):
+    """The dict's items with floats as their round-trip reprs, so equal means bitwise equal."""
+    return [(k, repr(float(v)) if isinstance(v, float) else v) for k, v in diagnostics.items()]
+
+
+def test_diagnostics_read_later_equal_the_eager_dict():
+    rng = np.random.default_rng(8)
+    cases = [(make_example("unit_path3"), 0.5, 2), (make_example("unit_square"), 2, INF),
+             (make_example("unit_square_diag"), 2, INF), (make_example("weighted_path3", n=3, K=2 / 3, m=1), 2 / 3, 3),
+             (make_example("weighted_square", K=3, m=2), 3, INF), (unit_path(3, {"1"}), 0.5, 2)]
+    cases += [(make_example("complete_interior", interior_size=size, n=10, K=1, m=1), 1, 10) for size in range(3, 7)]
+    cases += [(random_boundary_graph(rng), 0.5, float(rng.choice([3.0, INF]))) for _ in range(12)]
+    for bg, K, n in cases:
+        got = check_rigidity(bg, K, n).diagnostics
+        assert exact(got) == exact(rigidity_diagnostics_eagerly(bg))
+        assert not any(isinstance(v, np.generic) for v in got.values())
+
+
 def test_rigidity_report_slack_exposed():
     p3 = make_example("unit_path3")
     rep = check_rigidity(p3, 0.5, 2)
@@ -681,6 +768,18 @@ def test_construct_explicit_lambda():
     assert res.lam == 7.0
     assert res.lam_threshold is None
     assert check_rigidity(res.graph, 1.0, 4.0).is_rigid
+
+
+def test_construction_reports_condition_5_on_the_interior_it_probed(monkeypatch):
+    # the returned report comes from the last probe's interior, with no second
+    # run of (1)-(4) on the built graph; it equals the check on that graph
+    calls = Counter()
+    count_calls(monkeypatch, calls, steklov.rigidity, "check_necessary_conditions")
+    for size, n, K in ((2, 4.0, 1.0), (3, 5.0, 1.0), (5, 10.0, 1.0), (4, 6.0, 20.0)):
+        calls.clear()
+        res = construct_rigid_family(complete_interior_graph(size), n, K, 1.0)
+        assert calls["check_necessary_conditions"] == 1
+        assert res.interior_report == check_interior_inequality(res.graph, K, n)
 
 
 def test_construct_threshold_bisection():
