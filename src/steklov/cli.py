@@ -154,6 +154,8 @@ def _cmd_steklov(args):
 def _cmd_curvature(args):
     bg = _load_graph(args.graph)
     grid = [_parse_float(part, "--n") for part in args.n.split(",") if part.strip()]
+    if not grid:
+        raise UsageError(f"--n expects at least one dimension value, got {args.n!r}")
     profile = curvature_profile(bg.graph, grid)
     kappa = {}
     global_min = {}

@@ -205,13 +205,13 @@ def cd_check(g, K, n, x=None):
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
     for (k, _), balls in _shape_groups(g, centres).items():
-        domains = _ball_ids(g, balls)
         a, r, gamma_diag = _pinned_forms(g, balls, k)
         scale = np.abs(a).max(axis=(1, 2), initial=0.0)
         a[:, :k, :k] -= r[:, :, None] * r[:, None, :] / n
         a[:, range(k), range(k)] -= K * gamma_diag
-        vertices = [domain[0] for domain in domains]
-        checks.update(zip(balls[:, 0].tolist(), _vertex_checks(a, scale, vertices, domains.__getitem__)))
+        at = balls[:, 0].tolist()
+        checks.update(zip(at, _vertex_checks(a, scale, [g.vertices[i] for i in at],
+                                             lambda j, balls=balls: _ball_ids(g, balls[j:j + 1])[0])))
     checks = tuple(checks[i] for i in centres)
     return CDReport(K, n, all(c.holds for c in checks), checks)
 

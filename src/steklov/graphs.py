@@ -161,8 +161,11 @@ class WeightedGraph:
 
     @cached_property
     def _adjacency(self):
-        """Neighbour index lists, one per vertex, built once per graph."""
-        return tuple(np.flatnonzero(row).tolist() for row in self.weights > 0.0)
+        """Neighbour index lists, one per vertex, built once per graph from one nonzero scan."""
+        rows, cols = np.nonzero(self.weights > 0.0)
+        ends = np.bincount(rows, minlength=self.num_vertices).cumsum().tolist()
+        cols = cols.tolist()
+        return tuple(cols[start:end] for start, end in zip([0] + ends, ends))
 
     @cached_property
     def weight_sums(self):

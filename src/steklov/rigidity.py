@@ -14,9 +14,9 @@ exactly when five structural conditions do:
 
 This module decides the conditions, assembles the condition-(5) form,
 classifies the rigid graphs (unit weight, edgeless interior, normalized
-weight), runs the structural diagnostics on a report's first read of them,
-and constructs equality graphs over complete interiors by searching for a
-large enough interior weight scale. Condition (5) builds the forms at all
+weight), runs the diagnostics on a report's first read of them, and
+constructs equality graphs over complete interiors by searching for a large
+enough interior weight scale. Condition (5) builds the forms at all
 interior vertices as one stack, in chunks of at most FORM_STACK_ENTRIES, and
 decides each chunk with the per-vertex builder cd_check uses
 (curvature._vertex_checks), so both report VertexCheck records.
@@ -238,9 +238,14 @@ def _interior_forms(ig, K, n, m, centres):
     """The condition-(5) forms, f(x) = 0, at a range of centres x as a (B, |Omega|-1, |Omega|-1) stack; PSD scales.
 
     Per 2-ball shape, the one stacked assembly gives Gamma2 on B2, Gamma on
-    B1 and Delta[x, B1]; they are scattered by fancy-index += (a ball lists each
-    vertex once) onto copies of a3 diag(mu) - a5 mu mu^T in the one-centre
-    order of operations. Callers keep B |Omega|^2 within FORM_STACK_ENTRIES.
+    B1 and Delta[x, B1]. Onto copies of a3 diag(mu) - a5 mu mu^T, Gamma2 is
+    added through one flat index per shape into the contiguous stack, and the
+    1-ball terms through its leading corner (a ball lists each vertex once,
+    so no index repeats); Delta[x, B1] is spread into dense rows e, zero off
+    the 1-ball, and the a4 cross terms are one broadcast over the stack (a
+    row off the 1-ball subtracts an exact +0.0). Every entry keeps the
+    one-centre order of operations. Callers keep B |Omega|^2 within
+    FORM_STACK_ENTRIES.
     """
     mu, nv, b = ig.measures, ig.num_vertices, len(centres)
     if is_infinite(n):
@@ -255,18 +260,18 @@ def _interior_forms(ig, K, n, m, centres):
         a5 = n * (n + 2.0) ** 2 * K * K / (8.0 * (n - 2.0) * (n - 1.0) ** 2 * m * m)
 
     q = np.repeat((a3 * np.diag(mu) - a5 * np.outer(mu, mu))[None], b, axis=0)
-    scales = np.empty(b)
-    every = np.arange(nv)
+    flat, e, scales = q.reshape(-1), np.zeros((b, nv)), np.empty(b)
     for (k, _), balls in _shape_groups(ig, centres).items():
         at = balls[:, 0] - centres[0]
-        ball1, pos = balls[:, :k + 1], at[:, None, None]
         g2, gam, ell = _gamma2_forms(ig, balls, k + 1)
-        q[pos, balls[:, :, None], balls[:, None, :]] += g2
-        q[pos, ball1[:, :, None], ball1[:, None, :]] += a2 * gam - a1 * (ell[:, :, None] * ell[:, None, :])
-        cross = 0.5 * a4 * (ell[:, :, None] * mu)
-        q[pos, ball1[:, :, None], every] -= cross
-        q[pos, every[:, None], ball1[:, None, :]] -= cross.transpose(0, 2, 1)
+        entries = (at[:, None, None] * nv + balls[:, :, None]) * nv + balls[:, None, :]
+        flat[entries] += g2
+        flat[entries[:, :k + 1, :k + 1]] += a2 * gam - a1 * (ell[:, :, None] * ell[:, None, :])
+        e[at[:, None], balls[:, :k + 1]] = ell
         scales[at] = np.maximum(np.abs(g2).max(axis=(1, 2)), a3 * mu.max())
+    cross = 0.5 * a4 * (e[:, :, None] * mu)
+    q -= cross
+    q -= cross.transpose(0, 2, 1)
     keep = np.ones((b, nv), dtype=bool)
     keep[np.arange(b), centres] = False
     q = q[keep[:, :, None] & keep[:, None, :]].reshape(b, nv - 1, nv - 1)
@@ -386,10 +391,11 @@ def two_ball_identity_check(bg, u):
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """The verdict of check_rigidity; `diagnostics` runs the two-ball check and the ball scan on first read.
+    """The verdict of check_rigidity; every diagnostic runs on the first read of `diagnostics`.
 
     No verdict field reads `diagnostics`, and == does not compare it. A report
-    keeps its boundary graph and interior graph alive for that read.
+    keeps its boundary graph, interior graph and Steklov spectrum alive for
+    that read.
     """
 
     K: float
@@ -404,7 +410,7 @@ class RigidityReport:
     classification: Classification
     _graph: object = field(repr=False, compare=False)  # BoundaryGraph
     _interior: object = field(repr=False, compare=False)  # its interior-induced WeightedGraph
-    _eigenfunction: object = field(repr=False, compare=False)  # SteklovDiagnostics, None when |B| < 2
+    _eigenfunction: object = field(repr=False, compare=False)  # the Steklov Spectrum, None when |B| < 2
 
     @property
     def all_conditions_hold(self):
@@ -423,11 +429,15 @@ class RigidityReport:
 
     @cached_property
     def diagnostics(self):
-        """The sigma_2 eigenfunction checks, the two-ball residual and the interior ball scan, as one dict."""
-        eig = self._eigenfunction
-        if eig is None:
+        """The sigma_2 eigenfunction checks, the two-ball residual and the interior ball scan, as one dict.
+
+        The first read runs the residual-checked harmonic solve, so an
+        interior system it finds singular raises here, not in check_rigidity.
+        """
+        if self._eigenfunction is None:
             diagnostics = {"sigma2_missing": "boundary has fewer than 2 vertices"}
         else:
+            eig = steklov_eigenfunction_diagnostics(self._graph, self._eigenfunction)
             diagnostics = dict(
                 sigma2_interior_norm=eig.interior_norm,
                 sigma2_rayleigh_quotient=eig.rayleigh_quotient,
@@ -447,24 +457,23 @@ class RigidityReport:
 def check_rigidity(bg, K, n):
     """Decide equality in sigma_2 >= nK/(n-1) and classify the graph.
 
-    Runs the global curvature check, the Steklov spectrum with its sigma_2
-    eigenfunction diagnostics (the residual-checked harmonic extension),
-    conditions (1)-(5), and attaches a classification label when equality
-    holds. The structural diagnostics (the two-ball identity and the
-    disjoint-ball scan) are built on the first read of the report's
-    `diagnostics`, so the report keeps bg alive.
+    Runs the global curvature check, the Steklov spectrum, conditions
+    (1)-(5), and attaches a classification label when equality holds. Every
+    diagnostic (the sigma_2 eigenfunction checks with their residual-checked
+    harmonic extension, the two-ball identity and the disjoint-ball scan) is
+    built on the first read of the report's `diagnostics`, so the report
+    keeps bg and its spectrum alive.
     """
     K, n = _validate_params(K, n)
     g = bg.graph
     cd_report = cd_check(g, K, n)
     bound = lichnerowicz_bound(K, n)
 
-    sigma2 = slack = eig = None
+    sigma2 = slack = spectrum = None
     if len(bg.boundary) >= 2:
         spectrum = steklov_spectrum(bg)
         sigma2 = float(spectrum.values[1])
         slack = sigma2 - bound
-        eig = steklov_eigenfunction_diagnostics(bg, spectrum)
     bound_equality = sigma2 is not None and attains_bound(sigma2, bound)
 
     ig = induced_interior_graph(bg)
@@ -503,7 +512,7 @@ def check_rigidity(bg, K, n):
         classification=classification,
         _graph=bg,
         _interior=ig,
-        _eigenfunction=eig,
+        _eigenfunction=spectrum,
     )
 
 

@@ -76,6 +76,18 @@ def test_curvature_command_reports_a_repeated_n_once(capture, p3_file):
     assert err.count("global curvature") == 2
 
 
+def test_curvature_command_refuses_an_empty_grid(capture, p3_file):
+    # an empty --n (a dropped shell variable) is a usage error naming the flag;
+    # empty items between values are still skipped
+    for grid in ("", ",", " , "):
+        code, out, _ = capture("curvature", "--graph", p3_file, "--n", grid)
+        assert code == 2, grid
+        error = json.loads(out)["error"]
+        assert error["type"] == "usage" and "--n" in error["message"]
+    code, out, _ = capture("curvature", "--graph", p3_file, "--n", "2,,inf")
+    assert code == 0 and json.loads(out)["results"]["n_grid"] == [2.0, "inf"]
+
+
 def test_cd_check_command(capture, p3_file):
     code, out, _ = capture("cd-check", "--graph", p3_file, "--K", "0.5", "--n", "2")
     assert code == 0

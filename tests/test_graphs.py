@@ -384,3 +384,18 @@ def test_graphs_are_immutable():
         g.weights[0, 1] = 5.0
     with pytest.raises(ValueError):
         g.measures[0] = 5.0
+
+
+def test_neighbour_lists_from_one_scan_equal_the_per_row_lists():
+    # one nonzero scan split by row counts gives each vertex's sorted
+    # neighbour list, an isolated vertex (first, middle or last) its empty one
+    rng = np.random.default_rng(17)
+    graphs = [random_connected_graph(rng, n_min=2, n_max=30, extra_edge_prob=p) for p in (0.05, 0.3, 0.9) * 5]
+    ids = ["a", "b", "c", "d", "e"]
+    graphs += [build_graph([(v, 1.0) for v in ids], edges, relaxed=True)
+               for edges in ([("b", "c", 1.0), ("c", "d", 2.0)], [("a", "b", 1.0), ("d", "e", 1.0)], [])]
+    for g in graphs:
+        adjacency = g._adjacency
+        assert adjacency == tuple(np.flatnonzero(row).tolist() for row in g.weights > 0.0)
+        assert all(type(i) is int for row in adjacency for i in row)
+    assert [len(row) for row in graphs[-3]._adjacency] == [0, 1, 2, 1, 0]

@@ -318,6 +318,26 @@ def test_stacked_interior_forms_match_the_one_centre_form_bitwise():
     assert min(verdicts[True], verdicts[False], verdicts["empty"]) > 0
 
 
+def test_complete_interior_forms_match_the_scatter_bitwise(monkeypatch):
+    # the flat-index stack equals the one-vertex np.ix_ scatter on the rigid
+    # complete interiors, whole, as sub-ranges of centres and in the chunks a
+    # lowered FORM_STACK_ENTRIES makes check_interior_inequality build
+    for size, n in ((10, 10.0), (20, 10.0), (10, 6.0), (20, 6.0)):
+        bg = construct_rigid_family(complete_interior_graph(size), n, 1.0, 1.0).graph
+        ig = induced_interior_graph(bg)
+        m = check_necessary_conditions(bg, 1.0, n).boundary_measure
+        reference = [interior_form_by_scatter(ig, 1.0, n, m, x).tobytes() for x in ig.vertices]
+        for centres in (range(size), range(3, 7), range(size - 1, size)):
+            forms, _ = steklov.rigidity._interior_forms(ig, 1.0, n, m, centres)
+            assert [form.tobytes() for form in forms] == reference[centres.start:centres.stop]
+        seen = recorded_vertex_checks(monkeypatch, steklov.rigidity)
+        calls = chunked(monkeypatch, size, 3)
+        assert check_interior_inequality(bg, 1.0, n).passed
+        assert calls["_interior_forms"] == -(-size // 3)
+        assert [form.tobytes() for forms, _, _ in seen for form in forms] == reference
+        monkeypatch.undo()
+
+
 def recorded_vertex_checks(monkeypatch, module):
     """Every (forms, scale, checks) that module's calls of _vertex_checks see, appended to the returned list."""
     seen, build = [], module._vertex_checks
@@ -508,21 +528,21 @@ def test_check_rigidity_decides_conditions_once(monkeypatch):
 
 
 def test_structural_diagnostics_are_built_on_first_read(monkeypatch):
-    # the verdict never reads the two-ball residuals or the ball scan: they run
-    # once, on the first read of diagnostics; the sigma_2 eigenfunction
-    # diagnostics (the residual-checked harmonic solve) stay eager
+    # the verdict never reads the sigma_2 eigenfunction checks (the
+    # residual-checked harmonic solve), the two-ball residuals or the ball
+    # scan: each runs once, on the first read of diagnostics
     calls = Counter()
     for name in ("steklov_eigenfunction_diagnostics", "two_ball_identity_check", "disjoint_ball_scan"):
         count_calls(monkeypatch, calls, steklov.rigidity, name)
     rigid = make_example("complete_interior", interior_size=5, n=10, K=1, m=1)
-    for bg, K, n, eager in ((rigid, 1, 10, 1), (unit_path(3, {"1"}), 0.5, 2, 0)):
+    for bg, K, n, solves in ((rigid, 1, 10, 1), (unit_path(3, {"1"}), 0.5, 2, 0)):
         calls.clear()
         rep = check_rigidity(bg, K, n)
         _ = (rep.cd_holds, rep.sigma2, rep.slack, rep.bound_equality, rep.conditions, rep.interior_report,
              rep.classification, rep.is_rigid, rep.consistent, rep.all_conditions_hold)
-        assert +calls == Counter(steklov_eigenfunction_diagnostics=eager)
+        assert +calls == Counter()
         first = rep.diagnostics
-        read = Counter(steklov_eigenfunction_diagnostics=eager, two_ball_identity_check=eager, disjoint_ball_scan=1)
+        read = Counter(steklov_eigenfunction_diagnostics=solves, two_ball_identity_check=solves, disjoint_ball_scan=1)
         assert +calls == read
         assert rep.diagnostics is first
         assert +calls == read

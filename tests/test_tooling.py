@@ -162,9 +162,10 @@ def test_eigenvector_sign_fix_and_ball_ids_run_only_where_they_are_read():
 
 
 def test_structural_diagnostics_run_on_read_and_conditions_share_one_tolerance_rule():
-    # check_rigidity's verdict reads neither diagnostic: only the report's
+    # check_rigidity's verdict reads no diagnostic: only the report's
     # diagnostics (and the CLI's ball-scan command) run them; conditions (1)-(4)
     # and the classifiers judge agreement through one rule
+    assert _calls_of("steklov_eigenfunction_diagnostics") == [("rigidity", "diagnostics")]
     assert _calls_of("two_ball_identity_check") == [("rigidity", "diagnostics")]
     assert _calls_of("disjoint_ball_scan") == [("cli", "_cmd_ball_scan"), ("rigidity", "diagnostics")]
     uses = _enclosing_functions(lambda node: isinstance(node, ast.Name) and node.id == "CONDITION_TOL")
