@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import cd_check, curvature_profile
-from .errors import SteklovError
+from .errors import ParseError, SteklovError
 from .graphs import (
     GREEN_TOL,
     induced_interior_graph,
@@ -68,6 +68,8 @@ def _load_graph(path):
             text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read graph file {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(None, f"graph file is not UTF-8 text: {e}") from None
     return parse_graph_file(text)
 
 

@@ -30,9 +30,9 @@ a pad repeats the centre, so the assembly needs no mask, and the pad rows
 and columns are zeroed after it and shifted out of the eigenvalue problem;
 a merge is kept only while the padding it adds is at most PAD_ENTRIES
 entries. One assembly and one stacked eigh per stack solve every n,
-which gives the kappas. The ball ids, the S2 verdict, the sign-fixed
-witnesses and their Rayleigh quotients are array operations over the stack
-too, run only when a caller reads the results. cd_check keeps exact shape
+which gives the kappas. The ball ids, the sign-fixed witnesses and their
+Rayleigh quotients are array operations over the stack too, run only when
+a caller reads the results. cd_check keeps exact shape
 groups, one eigvalsh deciding each: it reports every form's lambda_min and
 norm, which pad eigenvalues would change. A single vertex is the one-centre
 case of the same kernels.
@@ -55,7 +55,6 @@ from .errors import InvalidParams, IsolatedVertex
 from .graphs import (
     MULTIPLICITY_TOL,
     PSD_TOL,
-    ZERO_TOL,
     BoundaryGraph,
     WeightedGraph,
     attains_bound,
@@ -223,7 +222,8 @@ class CurvatureResult:
     The witness lives on the closed 2-ball, has witness(x) = 0, is normalized
     so Gamma(witness, witness)(x) = 1, and achieves the Rayleigh quotient
     `witness_quotient` (equal to kappa up to roundoff). kernel_ok records
-    that the S2 block of the local form was PSD, which must always hold.
+    that every S2 pivot d_z was inverted to a finite positive number; it is
+    false only when a pivot underflowed to 0 or its reciprocal overflowed.
     The witness is built on first access from `ball` (x, S1, S2) and its
     values there, a read-only row of the kernel's stacked output.
     """
@@ -232,7 +232,6 @@ class CurvatureResult:
     n: float
     kappa: float
     kernel_ok: bool
-    s2_lambda_min: float | None
     witness_quotient: float
     ball: tuple = field(repr=False)
     witness_values: np.ndarray = field(repr=False, compare=False)
@@ -254,7 +253,9 @@ def _curvature_stacks(g, centres, n_values):
     a pad in S2 has d = 0, so d+ = 0; a pad in S1 has d^{-1/2} = 0 and a
     pencil diagonal of 2 k max|pencil entry| + 1, above every real block's
     Gershgorin bound, so lambda_min and its vector come from the real block.
-    A stack of one shape has no pads and skips all of this.
+    A real pivot d_z = sum_y w_xy w_yz / (4 m_x m_y) and a real Gamma
+    diagonal w_xy / (2 m_x) are positive, so d > 0 and Gamma > 0 tell them
+    from pads; a stack of one shape has no pads to zero or shift.
     """
     groups = _shape_groups(g, centres)
     if (0, 0) in groups:
@@ -267,13 +268,8 @@ def _curvature_stacks(g, centres, n_values):
             rows, pads = np.nonzero(~real[:, 1:])
             q[rows, pads] = q[rows, :, pads] = 0.0
         a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
-        # pinv(diag(d), rcond=ZERO_TOL), elementwise
-        keep = np.abs(d) > ZERO_TOL * np.abs(d).max(axis=1, keepdims=True, initial=0.0)
-        d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=keep)
-        if real is None:
-            d_isqrt = 1.0 / np.sqrt(gamma_diag)
-        else:
-            d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=real[:, 1:k + 1])
+        d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+        d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
         schur = (q[:, None, :k, :k] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
                  - ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None])
         pencils = schur * d_isqrt[:, None, :, None] * d_isqrt[:, None, None, :]
@@ -296,21 +292,15 @@ def _finish_stack(g, n_values, centres, kappas, real, parts, q, r, gamma_diag, d
     low_vecs holds the pencils' lambda_min eigenvectors. The witnesses are
     read-only rows of one (B, |n|, 1 + k + t) stack, a padded ball's row
     reordered to start with the ball's own coordinates (x, S1, S2) and cut
-    to them. kernel_ok and s2_lambda_min are read off each row's real S2
-    alone. Each witness is checked against the full pinned form for its n.
+    to them. kernel_ok reads each row's real S2 pivots alone. Each witness is
+    checked against the full pinned form for its n.
     """
     ids = [ball for part in parts for ball in _ball_ids(g, part)]
     n_arr = np.array(n_values)
     k = r.shape[1]
-    a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
-    if not d.shape[1]:
-        s2_min, kernel_ok = np.full(len(d), None), np.full(len(d), True)
-    elif real is None:
-        s2_min, _, kernel_ok = _psd_rule(d, 0.0)
-    else:  # the verdict on each row's real S2 alone: pads repeat its first entry
-        s2 = real[:, k + 1:]
-        s2_min, _, kernel_ok = _psd_rule(np.where(s2, d, d[:, :1]), 0.0)
-        s2_min, kernel_ok = np.where(s2[:, 0], s2_min, None), kernel_ok | ~s2[:, 0]
+    a12 = q[:, :k, k:]
+    inverted = (d_plus > 0.0) & (d_plus < np.inf)
+    kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
     f1 = d_isqrt[:, None] * low_vecs
     vecs = _sign_fix(np.concatenate([f1, -d_plus[:, None] * (f1 @ a12)], axis=2))
     quotients = ((np.sum((vecs @ q) * vecs, axis=2) - (vecs[..., :k] @ r[:, :, None])[..., 0] ** 2 / n_arr)
@@ -323,10 +313,10 @@ def _finish_stack(g, n_values, centres, kappas, real, parts, q, r, gamma_diag, d
     witnesses.setflags(write=False)
     if real is not None:
         witnesses = [rows[:, :len(ball)] for rows, ball in zip(witnesses, ids)]
-    return {i: [CurvatureResult(ball[0], n, kappa, ok, s2, quot, ball, row)
+    return {i: [CurvatureResult(ball[0], n, kappa, ok, quot, ball, row)
                 for n, kappa, quot, row in zip(n_values, kaps, quots, rows)]
-            for i, ball, kaps, ok, s2, quots, rows in zip(centres.tolist(), ids, kappas.tolist(), kernel_ok.tolist(),
-                                                          s2_min.tolist(), quotients.tolist(), witnesses)}
+            for i, ball, kaps, ok, quots, rows in zip(centres.tolist(), ids, kappas.tolist(), kernel_ok.tolist(),
+                                                      quotients.tolist(), witnesses)}
 
 
 def curvature_at(g, x, n):
@@ -341,10 +331,10 @@ class CurvatureProfile:
     """Per-vertex curvature over a grid of dimension parameters.
 
     `global_min` is read off the stacked kappas when the profile is built.
-    The ball ids, witnesses, quotients and S2 verdicts are not built until
-    `results` is first read, which finishes each stack and wraps its output
-    as CurvatureResults; a caller that reads `global_min` alone never pays
-    for them.
+    The ball ids, witnesses and quotients are not built until `results` is
+    first read, which finishes each stack and wraps its output as
+    CurvatureResults; a caller that reads `global_min` alone never pays for
+    them.
     """
 
     n_values: tuple

@@ -49,7 +49,7 @@ EQUALITY_TOL = 1e-8  # |spectral value - bound| <= EQUALITY_TOL * bound
 HARMONIC_TOL = 1e-8  # interior residual of a harmonic extension, relative to max(deg/m) max |f|
 MULTIPLICITY_TOL = 1e-8  # ties: eigenvalues relative to max |eigenvalue|, global_min kappas relative to max(deg/m)
 GREEN_TOL = 1e-10  # Green's identity residual relative to the sum of its three terms' magnitudes
-ZERO_TOL = 1e-12  # entries below this fraction of the largest count as zero (sign fix, S2 inverse)
+ZERO_TOL = 1e-12  # the sign fix's leading entry: the first above this fraction of the row's largest
 SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops
 
 
@@ -73,7 +73,7 @@ def validate_dimension(n):
         return INF
     try:
         n = float(n)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidDimensionParam(n) from None
     if math.isnan(n) or n <= 1.0:
         raise InvalidDimensionParam(n)
@@ -98,7 +98,7 @@ def _check_positive(kind, element, value):
     """value as a float when it is a finite positive real; NonPositiveValue otherwise, for a bool too."""
     try:
         x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x) or x <= 0.0:
         raise NonPositiveValue(kind, element, value)
@@ -216,20 +216,16 @@ class WeightedGraph:
         """Matrix of the Laplacian operator: (Delta u) = A u with A = M^{-1}(W - D)."""
         return -self.laplacian_matrix() / self.measures[:, None]
 
-    def hop_spheres(self, i, radius=INF):
-        """Sorted index lists of the vertices at hop distance 0, 1, ..., radius from i.
+    def hop_spheres(self, i):
+        """Sorted index lists of the vertices at hop distance 0, 1, ... from i, to the last nonempty sphere.
 
-        The search walks the cached neighbour lists, so it touches the ball
-        alone; an infinite radius stops at the last nonempty sphere. The library
-        runs only the unbounded search; a 2-ball comes from _two_spheres.
+        The search walks the cached neighbour lists, so it touches i's component
+        alone; a 2-ball comes from _two_spheres.
         """
         adj = self._adjacency
         seen = {i}
         spheres = [[i]]
-        while len(spheres) <= radius:
-            nxt = set().union(*(adj[j] for j in spheres[-1])) - seen
-            if not nxt and radius == INF:
-                break
+        while nxt := set().union(*(adj[j] for j in spheres[-1])) - seen:
             seen |= nxt
             spheres.append(sorted(nxt))
         return spheres
@@ -564,9 +560,10 @@ _TOP_KEYS = ("vertices", "edges", "boundary")
 
 
 def _number(value, where):
+    """value when it is a JSON number; build_graph judges it (an int too large for a float is not finite)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(None, f"{where} must be a number, got {value!r}")
-    return float(value)
+    return value
 
 
 def parse_graph_file(text):
@@ -582,6 +579,8 @@ def parse_graph_file(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.lineno, e.msg) from None
+    except (ValueError, RecursionError) as e:  # an int over Python's digit limit, or nesting too deep
+        raise ParseError(None, str(e)) from None
 
     if not isinstance(doc, dict):
         raise ParseError(None, "top level must be an object")

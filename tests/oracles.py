@@ -9,6 +9,9 @@ the library uses, so agreement is evidence rather than tautology:
   * the product-rule identity for Gamma,
   * polarization of the scalar operators for local quadratic forms,
   * bisection on a directly assembled pencil for the curvature function,
+  * exact rational arithmetic (fractions.Fraction) on the float weights and
+    measures for the pinned CD form, decided PSD by exact LDL^T pivots with
+    no tolerance,
   * extension-plus-normal-derivative composition for the DtN map,
   * the specialized interior/boundary formulas valid under the degree
     assumptions (A1)-(A4) for Gamma, Delta and Gamma2,
@@ -20,6 +23,8 @@ the library uses, so agreement is evidence rather than tautology:
     eagerly, each for bitwise comparison with the library's array-built or
     on-read route.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -276,6 +281,49 @@ def dtn_by_composition(bg):
         f = VertexFunction(bg.boundary, np.eye(k)[j])
         out[:, j] = normal_derivative(bg, harmonic_extension(bg, f)).on(bg.boundary)
     return out
+
+
+def cd_form_exact(g, x, K, n):
+    """The pinned CD(K, n) form at x over V minus {x}, as Fractions: every float input is read exactly.
+
+    Entry (u, v) is Gamma2(e_u, e_v)(x) - (Delta e_u)(x) (Delta e_v)(x) / n
+    - K Gamma(e_u, e_v)(x), each operator from its defining sum.
+    """
+    size, at = g.num_vertices, g.index(x)
+    m = [Fraction(float(v)) for v in g.measures]
+    w = [[Fraction(float(v)) for v in row] for row in g.weights]
+
+    def delta(f):
+        return [sum(w[y][z] * (f[z] - f[y]) for z in range(size)) / m[y] for y in range(size)]
+
+    def gamma_at(f, h, y):
+        return sum(w[y][z] * (f[z] - f[y]) * (h[z] - h[y]) for z in range(size)) / (2 * m[y])
+
+    def gamma2_at_x(f, h):
+        gam = [gamma_at(f, h, y) for y in range(size)]
+        return (delta(gam)[at] - gamma_at(delta(f), h, at) - gamma_at(f, delta(h), at)) / 2
+
+    basis = [[Fraction(int(y == u)) for y in range(size)] for u in range(size) if u != at]
+    lap = [delta(e)[at] for e in basis]
+    K = Fraction(float(K))
+    inv_n = 0 if is_infinite(n) else 1 / Fraction(float(n))
+    return [[gamma2_at_x(e, h) - inv_n * lap[i] * lap[j] - K * gamma_at(e, h, at)
+             for j, h in enumerate(basis)] for i, e in enumerate(basis)]
+
+
+def is_psd_exact(a):
+    """PSD by exact symmetric elimination: no negative pivot, and a zero pivot only on a zero row."""
+    a = [row[:] for row in a]
+    for k, row in enumerate(a):
+        if row[k] < 0 or (row[k] == 0 and any(row[k + 1:])):
+            return False
+        if row[k] == 0:
+            continue
+        for other in a[k + 1:]:
+            ratio = other[k] / row[k]
+            for j in range(k + 1, len(a)):
+                other[j] -= ratio * row[j]
+    return True
 
 
 # ---------------------------------------------------------------------------

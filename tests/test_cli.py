@@ -243,6 +243,26 @@ def test_a_degree_whose_square_overflows_is_an_input_error(capture, tmp_path, la
             assert error["type"] == "DegreeOverflow" and f"Deg({vertex!r})" in error["message"]
 
 
+HOSTILE_P3 = ('{"vertices": [{"id": "1", "m": %s}, {"id": "2", "m": 1}, {"id": "3", "m": 1}], '
+              '"edges": [{"u": "1", "v": "2", "w": 1}, {"u": "2", "v": "3", "w": 1}], "boundary": ["1", "3"]}')
+
+
+@pytest.mark.parametrize("content, error", [
+    (HOSTILE_P3 % ("9" * 400), "NonPositiveValue"),  # an int too large for a float
+    (HOSTILE_P3 % ("9" * 5000), "ParseError"),  # an int over Python's digit limit for int(str)
+    ("[" * 100_000, "ParseError"),  # nesting deeper than the decoder recurses
+    (b"\xff\xfe" + (HOSTILE_P3 % 1).encode("utf-16-le"), "ParseError"),  # not UTF-8
+], ids=["int-400-digits", "int-5000-digits", "deep-nesting", "utf-16"])
+def test_a_hostile_graph_file_is_an_input_error(capture, tmp_path, content, error):
+    # each of these used to crash with a traceback and exit 1, the code for a
+    # negative verification, instead of a JSON error and exit 2
+    path = tmp_path / "hostile.json"
+    (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    for command in (["spectrum"], ["curvature", "--n", "2"]):
+        code, out, _ = capture(*command, "--graph", str(path))
+        assert code == 2 and json.loads(out)["error"]["type"] == error
+
+
 def test_cd_check_with_a_non_finite_k_is_an_input_error(capture, c4_file):
     for K in ("--K=-inf", "--K=inf"):
         code, out, _ = capture("cd-check", "--graph", c4_file, K, "--n", "2")

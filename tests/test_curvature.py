@@ -24,10 +24,12 @@ from steklov.graphs import INF
 from steklov.operators import _gamma2_forms, _gamma2_matrix
 
 from oracles import (
+    cd_form_exact,
     cd_matrix_by_polarization,
     cd_scalar_value,
     gamma,
     gamma2,
+    is_psd_exact,
     kappa_by_bisection,
     random_connected_graph,
     random_function,
@@ -172,11 +174,17 @@ def test_curvature_at_reads_only_the_two_ball(monkeypatch):
     assert len(ball) == 13 and q.shape == (13, 13)
 
 
-def shape_groups_by_hop_spheres(g, centres):
-    """The 2-ball shape groups as the breadth-first search to radius 2 gives them, ids one ball at a time."""
+def spheres_by_hop_distances(g, i):
+    """S1 and S2 of i, read off the unbounded breadth-first search's distances."""
+    dist = g.hop_distances(i)
+    return np.flatnonzero(dist == 1).tolist(), np.flatnonzero(dist == 2).tolist()
+
+
+def shape_groups_by_hop_distances(g, centres):
+    """The 2-ball shape groups as the breadth-first search gives them, ids one ball at a time."""
     groups = {}
     for i in centres:
-        _, s1, s2 = g.hop_spheres(i, 2)
+        s1, s2 = spheres_by_hop_distances(g, i)
         groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
     return {shape: (np.array(balls), [tuple(g.vertices[j] for j in ball) for ball in balls])
             for shape, balls in groups.items()}
@@ -207,11 +215,11 @@ def test_two_sphere_walk_matches_the_radius_two_search_bitwise():
     count = 0
     for g in walk_pin_graphs():
         for i in range(g.num_vertices):
-            _, s1, s2 = g.hop_spheres(i, 2)
+            s1, s2 = spheres_by_hop_distances(g, i)
             assert g._two_spheres(i) == (s1, s2)
             for radius, ball in ((1, [i, *s1]), (2, [i, *s1, *s2])):
                 assert g.ball_indices(i, radius).tobytes() == np.array(ball).tobytes()
-        got, want = _shape_groups(g, range(g.num_vertices)), shape_groups_by_hop_spheres(g, range(g.num_vertices))
+        got, want = _shape_groups(g, range(g.num_vertices)), shape_groups_by_hop_distances(g, range(g.num_vertices))
         assert list(got) == list(want)
         for balls, (want_balls, want_domains) in zip(got.values(), want.values()):
             domains = _ball_ids(g, balls)
@@ -348,8 +356,6 @@ def test_curvature_profile_matches_curvature_at():
                 assert got.vertex == want.vertex == x and got.n == n
                 assert got.kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
                 assert got.kernel_ok == want.kernel_ok
-                assert (got.s2_lambda_min is None) == (want.s2_lambda_min is None)
-                assert got.s2_lambda_min == pytest.approx(want.s2_lambda_min, rel=1e-12)
                 assert got.witness.domain == want.witness.domain
                 np.testing.assert_allclose(got.witness.values, want.witness.values, rtol=0, atol=1e-9)
                 assert got.witness_quotient == pytest.approx(want.witness_quotient, rel=1e-9, abs=1e-9)
@@ -438,7 +444,6 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
                 got, want = profile.results[n][x], curvature_at(g, x, n)
                 assert got.kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
                 assert got.kernel_ok == want.kernel_ok and got.ball == want.ball
-                assert got.s2_lambda_min == pytest.approx(want.s2_lambda_min, rel=1e-12)
 
 
 def test_a_padded_stack_needs_no_mask_in_the_assembly():
@@ -478,12 +483,11 @@ def test_a_merged_stack_mixes_centres_with_and_without_s2():
     profile = curvature_profile(g, (2.0, INF))
     for n in profile.n_values:
         results = profile.results[n]
-        assert results[1].s2_lambda_min is None and results[1].kernel_ok
-        assert all(results[x].s2_lambda_min > 0.0 and results[x].kernel_ok for x in (0, 2))
+        assert results[1].kernel_ok
+        assert all(results[x].kernel_ok for x in (0, 2))
         for x in g.vertices:
             want = curvature_at(g, x, n)
             assert results[x].kappa == pytest.approx(want.kappa, rel=1e-12, abs=1e-300)
-            assert results[x].s2_lambda_min == pytest.approx(want.s2_lambda_min, rel=1e-12)
 
 
 def test_witnesses_live_on_the_ball_without_pad_coordinates():
@@ -534,6 +538,52 @@ def test_s2_block_of_gamma2_is_a_positive_diagonal():
             block = q[k:, k:]
             assert np.all(block[~np.eye(len(block), dtype=bool)] == 0.0)
             assert np.all(np.diagonal(block) > 0.0)
+
+
+def seven_vertex_graph_with_a_small_s2_pivot():
+    """Measures and weights spanning 10^-10 to 10^9.6: at v4 one S2 pivot is below 1e-12 of the largest."""
+    measures = {"v0": 48940.84187595382, "v1": 16705.4261872439, "v2": 437717320.7583776,
+                "v3": 1.9890819006772516e-08, "v4": 38045.41638172163, "v5": 353572575.87209255,
+                "v6": 2283094030.3637404}
+    edges = [("v0", "v1", 1.96845775708109e-10), ("v0", "v3", 18741390.288118154),
+             ("v0", "v6", 4206305397.650742), ("v1", "v2", 1393810051.8124251),
+             ("v1", "v4", 9.446702632350444e-08), ("v1", "v5", 2835151536.040835),
+             ("v3", "v4", 62908758.487312704)]
+    return build_graph(list(measures.items()), edges)
+
+
+def test_kappa_passes_the_exact_cd_test_with_a_tiny_s2_pivot():
+    # a relative pseudo-inverse threshold dropped the small pivot and
+    # reported kappa = +378896.7; every real pivot is positive, and the exact
+    # inverse gives a kappa at which CD holds in exact rational arithmetic
+    g = seven_vertex_graph_with_a_small_s2_pivot()
+    res = curvature_at(g, "v4", 2.0)
+    assert res.kernel_ok
+    assert res.kappa == pytest.approx(-127401.24835014563, rel=1e-12)
+    assert is_psd_exact(cd_form_exact(g, "v4", res.kappa, 2.0))
+    assert not is_psd_exact(cd_form_exact(g, "v4", res.kappa + 1e-10 * abs(res.kappa), 2.0))
+    assert res.witness_quotient == pytest.approx(res.kappa, rel=1e-9)
+
+
+@pytest.mark.parametrize("weight", [1e-155, 1e-162])
+def test_kernel_ok_is_false_where_an_s2_pivot_leaves_the_float_range(weight):
+    # on the unit-measure 6-cycle each S2 pivot is w^2 / 4: at 1e-155 it is
+    # subnormal and its reciprocal overflows, at 1e-162 it underflows to 0
+    c6 = build_graph([(v, 1.0) for v in range(6)], [(v, (v + 1) % 6, weight) for v in range(6)])
+    with np.errstate(over="ignore", invalid="ignore"):  # the kappas at 1e-155 are NaN
+        profile = curvature_profile(c6, (2.0, INF))
+        assert not any(res.kernel_ok for per_n in profile.results.values() for res in per_n.values())
+        assert not curvature_at(c6, 0, 2.0).kernel_ok
+    assert all(res.kernel_ok for res in curvature_profile(c6.rescaled_weights(1e100), (2.0,)).results[2.0].values())
+
+
+def test_kernel_ok_holds_on_unit_graphs():
+    count = 0
+    for g in (*atlas_graphs(6), *(unit_grid(k) for k in (3, 6, 12, 16))):
+        profile = curvature_profile(g, (1.5, 2.0, INF))
+        assert all(res.kernel_ok for per_n in profile.results.values() for res in per_n.values())
+        count += 1
+    assert count == 142 + 4
 
 
 def test_global_min_reports_the_first_tied_vertex():
@@ -694,13 +744,13 @@ def spy_on(monkeypatch, module, names):
 
 
 def result_bytes(profile):
-    return [(res.vertex, res.n, res.kappa, res.kernel_ok, res.s2_lambda_min, res.witness_quotient, res.ball,
+    return [(res.vertex, res.n, res.kappa, res.kernel_ok, res.witness_quotient, res.ball,
              res.witness_values.tobytes()) for per_n in profile.results.values() for res in per_n.values()]
 
 
 def test_curvature_profile_finishes_its_results_on_first_read(monkeypatch):
     # the unit scan reads global_min alone: ball ids, witnesses, their sign fix,
-    # the quotients and the S2 verdict are built on the first read of results,
+    # the quotients and kernel_ok are built on the first read of results,
     # one sign fix per padded stack and one id gather per 2-ball shape
     counts = spy_on(monkeypatch, steklov.curvature, ("_sign_fix", "_ball_ids"))
     rng = np.random.default_rng(31)

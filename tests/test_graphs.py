@@ -10,6 +10,7 @@ from steklov import (
     attach_boundary,
     boundary_degree,
     build_graph,
+    cd_check,
     induced_interior_graph,
     join_equality_boundary,
     make_example,
@@ -25,6 +26,7 @@ from steklov.errors import (
     DuplicateVertex,
     EmptyBoundary,
     EmptyInterior,
+    InvalidDimensionParam,
     InvalidFamilyParams,
     NonPositiveValue,
     NotInteriorVertex,
@@ -32,7 +34,7 @@ from steklov.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from steklov.graphs import INF
+from steklov.graphs import INF, validate_dimension
 
 from oracles import join_by_edge_list, random_boundary_graph, random_connected_graph
 
@@ -117,6 +119,24 @@ def test_build_graph_rejects_bools_as_measures_and_weights(flag):
     with pytest.raises(NonPositiveValue) as e:
         build_graph([("a", 1.0), ("b", 1.0)], [("a", "b", flag)])
     assert (e.value.kind, e.value.element, e.value.value) == ("weight", ("a", "b"), flag)
+
+
+def test_a_number_too_large_for_a_float_is_an_input_error():
+    # float(10**400) raises OverflowError; each gate names it as its own input error
+    big = 10 ** 400
+    with pytest.raises(NonPositiveValue) as e:
+        build_graph([("a", big), ("b", 1.0)], [("a", "b", 1.0)])
+    assert (e.value.kind, e.value.element) == ("measure", "a")
+    with pytest.raises(NonPositiveValue) as e:
+        build_graph([("a", 1.0), ("b", 1.0)], [("a", "b", big)])
+    assert (e.value.kind, e.value.element) == ("weight", ("a", "b"))
+    with pytest.raises(InvalidDimensionParam):
+        validate_dimension(big)
+    with pytest.raises(InvalidDimensionParam):
+        cd_check(unit_path(3), 1, big)
+    for params in ({"n": big, "K": 1, "m": 1}, {"n": 2, "K": big, "m": 1}, {"n": 2, "K": 1, "m": big}):
+        with pytest.raises(InvalidFamilyParams):
+            make_example("weighted_path3", **params)
 
 
 def test_attach_boundary_p3():

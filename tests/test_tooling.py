@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps library functions by the names modules bind them to; public names need callers."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -170,3 +171,12 @@ def test_structural_diagnostics_run_on_read_and_conditions_share_one_tolerance_r
     assert _calls_of("disjoint_ball_scan") == [("cli", "_cmd_ball_scan"), ("rigidity", "diagnostics")]
     uses = _enclosing_functions(lambda node: isinstance(node, ast.Name) and node.id == "CONDITION_TOL")
     assert [site for site in uses if site[0] == "rigidity"] == [("rigidity", "_close")]
+
+
+def test_the_s2_block_is_inverted_exactly_and_carries_no_verdict_field():
+    # every real S2 pivot is positive by construction, so curvature needs no
+    # zero threshold; the relative zero tolerance serves the sign fix alone
+    readers = _enclosing_functions(lambda node: isinstance(node, ast.Name) and node.id == "ZERO_TOL"
+                                   and isinstance(node.ctx, ast.Load))
+    assert readers == [("spectra", "_sign_fix")]
+    assert "s2_lambda_min" not in {f.name for f in dataclasses.fields(steklov.CurvatureResult)}
