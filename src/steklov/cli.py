@@ -161,11 +161,15 @@ def _cmd_curvature(args):
     profile = curvature_profile(bg.graph, grid)
     kappa = {}
     global_min = {}
+    warnings = []
     for n in profile.n_values:
         key = _number_key(n)
         kappa[key] = {str(v): res.kappa for v, res in profile.results[n].items()}
         value, vertex = profile.global_min[n]
         global_min[key] = {"kappa": value, "vertex": str(vertex)}
+        warnings += [f"kernel_ok is false at vertex {v}, n = {key}: an S2 pivot underflowed to 0 "
+                     "or its reciprocal overflowed, so this kappa is not reliable"
+                     for v, res in profile.results[n].items() if not res.kernel_ok]
     results = {
         "n_grid": list(profile.n_values),
         "kappa": kappa,
@@ -176,7 +180,7 @@ def _cmd_curvature(args):
         f"at vertex {profile.global_min[n][1]}"
         for n in profile.n_values
     ]
-    return 0, results, lines
+    return 0, results, lines, warnings
 
 
 def _cmd_cd_check(args):
@@ -327,6 +331,8 @@ def _cmd_ball_scan(args):
     return 0, results, [line]
 
 
+# each handler returns (exit code, results, stderr summary lines), and a list
+# of warnings for the report when it can have any
 _HANDLERS = {
     "spectrum": _cmd_spectrum,
     "steklov": _cmd_steklov,
@@ -353,12 +359,12 @@ def run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code, results, lines = _HANDLERS[args.command](args)
+        code, results, lines, *warnings = _HANDLERS[args.command](args)
         report = {
             "command": args.command,
             "inputs": _echo_inputs(args),
             "results": results,
-            "warnings": [],
+            "warnings": warnings[0] if warnings else [],
         }
         _emit(report, lines)
         return code

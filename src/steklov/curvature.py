@@ -21,8 +21,10 @@ a rank-one update in n of one form per vertex. That lambda_min is the
 curvature function kappa(x, n) returned here.
 
 kappa(x, .) depends on the 2-ball around x alone, so centres are grouped by
-2-ball shape (|S1|, |S2|), read off the cached adjacency lists by one walk to
-radius 2, with a group's ids taken in one gather. On a small graph most shape
+2-ball shape (|S1|, |S2|). The graph owns that grouping
+(WeightedGraph._shape_groups): the groups of all its vertices are walked once
+per graph and kept, a single vertex walks its own 2-ball, and a group's ids
+are taken in one gather. On a small graph most shape
 groups hold one or two centres, and each stack pays a fixed numpy cost far
 above its arithmetic, so the curvature function merges the groups into
 padded stacks of one shape (1 + k + t), k and t the largest |S1| and |S2|:
@@ -68,15 +70,6 @@ from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
 
 PAD_ENTRIES = 2 ** 12  # most pad entries one merge may add to a curvature stack, about one stack's fixed cost
-
-
-def _shape_groups(g, centres):
-    """{(|S1|, |S2|): (B, s) array of the 2-balls of that shape}, each row the centre, S1, then S2."""
-    groups = {}
-    for i in centres:
-        s1, s2 = g._two_spheres(i)
-        groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
-    return {shape: np.array(balls) for shape, balls in groups.items()}
 
 
 def _ball_ids(g, balls):
@@ -203,7 +196,7 @@ def cd_check(g, K, n, x=None):
     K = finite_number(K, "K", positive=False)
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
-    for (k, _), balls in _shape_groups(g, centres).items():
+    for (k, _), balls in g._shape_groups(centres).items():
         a, r, gamma_diag = _pinned_forms(g, balls, k)
         scale = np.abs(a).max(axis=(1, 2), initial=0.0)
         a[:, :k, :k] -= r[:, :, None] * r[:, None, :] / n
@@ -257,7 +250,7 @@ def _curvature_stacks(g, centres, n_values):
     diagonal w_xy / (2 m_x) are positive, so d > 0 and Gamma > 0 tell them
     from pads; a stack of one shape has no pads to zero or shift.
     """
-    groups = _shape_groups(g, centres)
+    groups = g._shape_groups(centres)
     if (0, 0) in groups:
         raise IsolatedVertex(g.vertices[groups[0, 0][0, 0]])
     n_arr = np.array(n_values)

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,6 +113,11 @@ class WeightedGraph:
     vertices : tuple of vertex ids, declaration order
     measures : m, aligned with `vertices`
     weights  : symmetric matrix, zero diagonal, zero for non-adjacent pairs
+
+    What depends on the graph alone is built on first use and kept, read-only:
+    the neighbour lists, the weight sums, the Laplacian, and the grouping of
+    all vertices by 2-ball shape that the curvature function, cd_check and
+    condition (5) read. This module is the one that walks 2-balls.
     """
 
     vertices: tuple
@@ -189,6 +195,33 @@ class WeightedGraph:
             return s1, []
         return s1, sorted(set().union(*map(self._adjacency.__getitem__, s1)).difference(s1, (i,)))
 
+    def _shape_groups(self, centres):
+        """{(|S1|, |S2|): (B, s) array of the 2-balls of that shape}, each row the centre, S1, then S2.
+
+        All centres (centres == range(N)) read the groups walked once per graph;
+        any other centres are walked on each call and leave those untouched, so
+        a few centres cost what their own 2-balls cost.
+        """
+        if centres == range(self.num_vertices):
+            return self._two_ball_groups
+        return self._walk_shape_groups(centres)
+
+    def _walk_shape_groups(self, centres):
+        """The shape groups of the given centres, walked to radius 2 from each in turn."""
+        groups = {}
+        for i in centres:
+            s1, s2 = self._two_spheres(i)
+            groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
+        return {shape: np.array(balls) for shape, balls in groups.items()}
+
+    @cached_property
+    def _two_ball_groups(self):
+        """The shape groups of every centre, built once per graph: a read-only mapping of read-only arrays."""
+        groups = self._walk_shape_groups(range(self.num_vertices))
+        for balls in groups.values():
+            balls.setflags(write=False)
+        return MappingProxyType(groups)
+
     def edge_list(self):
         """Edges as (u, v, w) with u before v in vertex order."""
         iu, iv = np.nonzero(np.triu(self.weights))
@@ -239,6 +272,8 @@ class WeightedGraph:
 
     def ball_indices(self, i, radius):
         """Indices of the closed ball of hop radius 1 or 2 around i: i, S1, then S2 at radius 2."""
+        if radius not in (1, 2):
+            raise InvalidParams(f"a ball has hop radius 1 or 2, got {radius!r}")
         s1, s2 = self._two_spheres(i)
         return np.array([i, *s1, *{1: (), 2: s2}[radius]])
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import _shape_groups, _vertex_checks, cd_check, curvature_profile
+from .curvature import _vertex_checks, cd_check, curvature_profile
 from .curvature import curvature_at  # noqa: F401 -- unused; perfbench traces calls via this name
 from .errors import (
     DomainMismatch,
@@ -261,7 +261,7 @@ def _interior_forms(ig, K, n, m, centres):
 
     q = np.repeat((a3 * np.diag(mu) - a5 * np.outer(mu, mu))[None], b, axis=0)
     flat, e, scales = q.reshape(-1), np.zeros((b, nv)), np.empty(b)
-    for (k, _), balls in _shape_groups(ig, centres).items():
+    for (k, _), balls in ig._shape_groups(centres).items():
         at = balls[:, 0] - centres[0]
         g2, gam, ell = _gamma2_forms(ig, balls, k + 1)
         entries = (at[:, None, None] * nv + balls[:, :, None]) * nv + balls[:, None, :]

@@ -88,6 +88,40 @@ def test_curvature_command_refuses_an_empty_grid(capture, p3_file):
     assert code == 0 and json.loads(out)["results"]["n_grid"] == [2.0, "inf"]
 
 
+@pytest.mark.parametrize("weight", [1e-155, 1e-162])
+def test_curvature_command_warns_where_kernel_ok_is_false(capture, tmp_path, weight):
+    # on the unit-measure 6-cycle each S2 pivot w^2 / 4 leaves the float range
+    # (its reciprocal overflows at 1e-155, it underflows to 0 at 1e-162), so
+    # the kappas come out NaN or -0.0; the report names every (vertex, n)
+    g = steklov.build_graph([(str(v), 1.0) for v in range(6)],
+                            [(str(v), str((v + 1) % 6), weight) for v in range(6)])
+    path = tmp_path / "c6.json"
+    path.write_text(steklov.serialize_graph(steklov.attach_boundary(g, {"0", "2", "4"})))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = capture("curvature", "--graph", str(path), "--n", "2,inf")
+    assert code == 0
+    warnings = json.loads(out)["warnings"]
+    assert len(warnings) == 12
+    for (n, v), text in zip([(n, v) for n in ("2", "inf") for v in range(6)], warnings):
+        assert text.startswith(f"kernel_ok is false at vertex {v}, n = {n}: an S2 pivot underflowed")
+
+
+def test_unit_weight_reports_are_unchanged_and_carry_no_warnings(capture, tmp_path, monkeypatch):
+    # the kernel_ok warnings leave a healthy curvature report byte for byte as
+    # it was, and every other command's warnings list stays empty
+    monkeypatch.chdir(tmp_path)
+    assert capture("generate", "--family", "unit_square", "--out", "c4.json")[0] == 0
+    code, out, _ = capture("curvature", "--graph", "c4.json", "--n", "2,3,inf")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "15263ed36bb907cad937da4ff63deaa548303d937a3e262311b93e96ae87f029")
+    for argv in (("spectrum",), ("steklov",), ("cd-check", "--K", "1", "--n", "2"),
+                 ("rigidity", "--K", "1", "--n", "2"), ("classify", "--class", "unit"),
+                 ("green-check", "--trials", "3"), ("ball-scan",)):
+        _, out, _ = capture(argv[0], "--graph", "c4.json", *argv[1:])
+        assert json.loads(out)["warnings"] == [], argv
+
+
 def test_cd_check_command(capture, p3_file):
     code, out, _ = capture("cd-check", "--graph", p3_file, "--K", "0.5", "--n", "2")
     assert code == 0

@@ -8,18 +8,20 @@ from hypothesis import given, strategies as st
 from steklov import (
     VertexFunction,
     WeightedGraph,
+    assemble_interior_form,
     attach_boundary,
     build_graph,
     cd_check,
     curvature_at,
     curvature_profile,
+    join_equality_boundary,
     laplacian,
     make_example,
     verify_lichnerowicz,
 )
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 import steklov.curvature
-from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks, _shape_groups
+from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks
 from steklov.graphs import INF
 from steklov.operators import _gamma2_forms, _gamma2_matrix
 
@@ -219,7 +221,7 @@ def test_two_sphere_walk_matches_the_radius_two_search_bitwise():
             assert g._two_spheres(i) == (s1, s2)
             for radius, ball in ((1, [i, *s1]), (2, [i, *s1, *s2])):
                 assert g.ball_indices(i, radius).tobytes() == np.array(ball).tobytes()
-        got, want = _shape_groups(g, range(g.num_vertices)), shape_groups_by_hop_distances(g, range(g.num_vertices))
+        got, want = g._shape_groups(range(g.num_vertices)), shape_groups_by_hop_distances(g, range(g.num_vertices))
         assert list(got) == list(want)
         for balls, (want_balls, want_domains) in zip(got.values(), want.values()):
             domains = _ball_ids(g, balls)
@@ -228,6 +230,92 @@ def test_two_sphere_walk_matches_the_radius_two_search_bitwise():
             assert all(a is b for ids, want_ids in zip(domains, want_domains) for a, b in zip(ids, want_ids))
         count += 1
     assert count == 143 + 12 + 2 + 1 + 2  # 143 connected atlas graphs with 1 to 6 vertices
+
+
+def spy_on_walks(monkeypatch):
+    """The number of centres of every 2-ball walk, in call order."""
+    walks, walk = [], WeightedGraph._walk_shape_groups
+    monkeypatch.setattr(WeightedGraph, "_walk_shape_groups",
+                        lambda self, centres: walks.append(len(centres)) or walk(self, centres))
+    return walks
+
+
+def test_the_whole_graph_shape_groups_are_one_fresh_walk_kept_read_only():
+    # the shape groups of every centre are walked on first use and kept on the
+    # graph: the same keys, in the same order, and the same bytes as a fresh
+    # walk, read-only, and the same objects on every later read
+    rng = np.random.default_rng(29)
+    graphs = [*atlas_graphs(6), *(unit_grid(k) for k in (3, 6, 12, 16, 30)), star_and_hub_grid()[0]]
+    graphs += [random_connected_graph(rng, n_min=2, n_max=40, extra_edge_prob=float(rng.choice([0.05, 0.3])))
+               for _ in range(10)]
+    isolated = build_graph([("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)], [("a", "b", 1.0)], relaxed=True)
+    for g in [*graphs, isolated]:
+        everyone = range(g.num_vertices)
+        assert "_two_ball_groups" not in g.__dict__
+        got, want = g._shape_groups(everyone), g._walk_shape_groups(everyone)
+        assert got is g._two_ball_groups is g._shape_groups(range(g.num_vertices))
+        assert list(got) == list(want)
+        for balls, want_balls in zip(got.values(), want.values()):
+            assert balls.dtype == want_balls.dtype and balls.shape == want_balls.shape
+            assert balls.tobytes() == want_balls.tobytes()
+            with pytest.raises(ValueError):
+                balls[0, 0] = 0
+        with pytest.raises(TypeError):
+            got[0, 0] = want_balls
+    assert len(graphs) == 142 + 5 + 1 + 10
+    assert (0, 0) in isolated._two_ball_groups
+    for _ in range(2):  # the cached groups still name the isolated vertex
+        with pytest.raises(IsolatedVertex) as err:
+            curvature_profile(isolated, (2.0, INF))
+        assert err.value.vertex == "c"
+
+
+def test_repeated_calls_on_one_graph_walk_its_two_balls_once(monkeypatch):
+    # curvature_profile and cd_check on all centres read one partition per
+    # graph; the reports are those of a graph walked afresh
+    walks = spy_on_walks(monkeypatch)
+    reads, shape_groups = [], WeightedGraph._shape_groups
+    monkeypatch.setattr(WeightedGraph, "_shape_groups",
+                        lambda self, centres: reads.append(shape_groups(self, centres)) or reads[-1])
+    g = unit_grid(12)
+    profiles = [curvature_profile(g, (2.0, INF)) for _ in range(2)]
+    reports = [cd_check(g, K, 2.0) for K in (-1.0, 0.0)]
+    assert walks == [144]
+    assert len(reads) == 4 and all(groups is reads[0] for groups in reads)
+    fresh = unit_grid(12)
+    want = curvature_profile(fresh, (2.0, INF))
+    for profile in profiles:
+        assert profile.global_min == want.global_min
+        for n in want.n_values:
+            for x, res in profile.results[n].items():
+                assert res.kappa == want.results[n][x].kappa
+                assert res.witness_values.tobytes() == want.results[n][x].witness_values.tobytes()
+    for report, K in zip(reports, (-1.0, 0.0)):
+        for got, want in zip(report.checks, cd_check(fresh, K, 2.0).checks, strict=True):
+            assert (got.vertex, got.lambda_min, got.form_norm, got.holds) == (
+                want.vertex, want.lambda_min, want.form_norm, want.holds)
+            assert (got.witness is None) == (want.witness is None)
+            if got.witness is not None:
+                assert got.witness.domain == want.witness.domain
+                assert got.witness.values.tobytes() == want.witness.values.tobytes()
+
+
+def test_one_centre_leaves_the_whole_graph_partition_unbuilt(monkeypatch):
+    # curvature_at, cd_check at one vertex and the one-centre interior form
+    # walk their own 2-ball alone, so their cost does not grow with N
+    walks = spy_on_walks(monkeypatch)
+
+    def unbuilt(self):
+        raise AssertionError("the whole-graph 2-ball partition was built")
+
+    monkeypatch.setattr(WeightedGraph, "_two_ball_groups", property(unbuilt))
+    g = unit_grid(30)
+    assert curvature_at(g, "15_15", 2.0).kappa == pytest.approx(-2.0, rel=1e-12)
+    assert [c.vertex for c in cd_check(g, -2.0, 2.0, "0_0").checks] == ["0_0"]
+    bg = join_equality_boundary(g, 3.0, 1.0, 1.0)
+    form = assemble_interior_form(bg, 1.0, 3.0, "15_15")
+    assert form.matrix.shape == (899, 899)
+    assert walks == [1, 1, 1]
 
 
 def _rebuilt(g, order, measure_scale=1.0):
@@ -394,7 +482,7 @@ def test_curvature_profile_builds_each_form_once(monkeypatch):
     monkeypatch.setattr(steklov.curvature, "_gamma2_forms", spy)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     grids = [unit_grid(k) for k in (6, 12, 16)]
-    assert [len(_shape_groups(g, range(g.num_vertices))) for g in grids] == [6, 6, 6]
+    assert [len(g._shape_groups(range(g.num_vertices))) for g in grids] == [6, 6, 6]
     count = 0
     for g in (*grids, *atlas_graphs(6)):
         calls.clear()
@@ -423,7 +511,7 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
     # two; the hub grid's 11 shapes go on three stacks, small, medium, hub
     star, hub = star_and_hub_grid()
     for g, want_stacks in ((star, [(1, 49, 50), (50, 0, 1)]), (hub, [(4, 9, 32), (5, 33, 32), (32, 32, 1)])):
-        stacks = list(_padded_stacks(_shape_groups(g, range(g.num_vertices))))
+        stacks = list(_padded_stacks(g._shape_groups(range(g.num_vertices))))
         assert [(k, t, len(balls)) for k, t, balls, _, _ in stacks] == want_stacks
         assert sorted(i for stack in stacks for i in stack[2][:, 0].tolist()) == list(range(g.num_vertices))
         for k, t, balls, real, parts in stacks:
@@ -453,7 +541,7 @@ def test_a_padded_stack_needs_no_mask_in_the_assembly():
     # columns afterwards
     padded = 0
     for g in (*atlas_graphs(6), unit_grid(6), unit_grid(12)):
-        for k, _, balls, real, parts in _padded_stacks(_shape_groups(g, range(g.num_vertices))):
+        for k, _, balls, real, parts in _padded_stacks(g._shape_groups(range(g.num_vertices))):
             if real is None:
                 continue
             q, gam, row = _gamma2_forms(g, balls, k + 1)
@@ -476,7 +564,7 @@ def test_a_merged_stack_mixes_centres_with_and_without_s2():
     # in the path 0 - 1 - 2 the middle vertex sees every vertex at distance 1,
     # the ends see the other end at distance 2; one stack holds all three
     g = build_graph([(v, 1.0) for v in range(3)], [(0, 1, 1.0), (1, 2, 2.0)])
-    groups = _shape_groups(g, range(3))
+    groups = g._shape_groups(range(3))
     assert sorted(groups) == [(1, 1), (2, 0)]
     ((k, t, balls, real, _),) = _padded_stacks(groups)
     assert (k, t) == (2, 1) and real.sum(axis=1).tolist() == [3, 3, 3]
@@ -757,7 +845,7 @@ def test_curvature_profile_finishes_its_results_on_first_read(monkeypatch):
     graphs = [*star_and_hub_grid(), unit_grid(6), make_example("unit_square").graph]
     graphs += [random_connected_graph(rng, n_min=3, n_max=12) for _ in range(4)]
     for g in graphs:
-        groups = _shape_groups(g, range(g.num_vertices))
+        groups = g._shape_groups(range(g.num_vertices))
         stacks = len(list(_padded_stacks(groups)))
         counts.update(dict.fromkeys(counts, 0))
         profile = curvature_profile(g, (2.0, 5.0, INF))

@@ -28,6 +28,7 @@ from steklov.errors import (
     EmptyInterior,
     InvalidDimensionParam,
     InvalidFamilyParams,
+    InvalidParams,
     NonPositiveValue,
     NotInteriorVertex,
     ParseError,
@@ -404,6 +405,15 @@ def test_graphs_are_immutable():
         g.weights[0, 1] = 5.0
     with pytest.raises(ValueError):
         g.measures[0] = 5.0
+
+
+def test_a_ball_radius_other_than_one_or_two_is_an_input_error():
+    g = make_example("unit_square").graph
+    assert g.ball_indices(0, 1).tolist() == [0, 1, 3]
+    assert g.ball_indices(0, 2).tolist() == [0, 1, 3, 2]
+    for radius in (0, 3, 2.5, "2"):
+        with pytest.raises(InvalidParams, match=f"radius 1 or 2, got {radius!r}"):
+            g.ball_indices(0, radius)
 
 
 def test_neighbour_lists_from_one_scan_equal_the_per_row_lists():

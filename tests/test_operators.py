@@ -13,7 +13,6 @@ from steklov import (
     laplacian,
     make_example,
 )
-from steklov.curvature import _shape_groups
 from steklov.errors import DomainMismatch
 from steklov.graphs import GREEN_TOL, WeightedGraph, attach_boundary
 from steklov.operators import (
@@ -244,7 +243,7 @@ def test_gamma2_forms_return_their_gamma_stack_and_delta_rows():
         g = random_connected_graph(rng, n_max=7)
         f = random_function(rng, g.vertices)
         lap = laplacian(g, f)
-        for (k, _), balls in _shape_groups(g, range(g.num_vertices)).items():
+        for (k, _), balls in g._shape_groups(range(g.num_vertices)).items():
             _, gam, rows = _gamma2_forms(g, balls, k + 1)
             assert np.array_equal(gam, _gamma_forms(g, balls[:, :k + 1]))
             assert rows.shape == (len(balls), k + 1)

@@ -42,7 +42,7 @@ from steklov.errors import (
     WrongHypothesis,
     WrongWeightClass,
 )
-from steklov.curvature import _psd_rule, _psd_verdict, _shape_groups
+from steklov.curvature import _psd_rule, _psd_verdict
 from steklov.graphs import INF, PSD_TOL, WeightedGraph
 from steklov.rigidity import RigidityClass
 
@@ -439,7 +439,7 @@ def test_interior_inequality_assembles_once_per_shape_group_and_chunk(monkeypatc
     count_calls(monkeypatch, calls, steklov.rigidity, "_gamma2_forms")
     check_interior_inequality(bg, K, n)
     ig = induced_interior_graph(bg)
-    groups = sum(len(_shape_groups(ig, range(start, start + 4))) for start in (0, 4, 8))
+    groups = sum(len(ig._shape_groups(range(start, start + 4))) for start in (0, 4, 8))
     assert groups > 3  # some chunk holds several 2-ball shapes
     assert calls == Counter(_interior_forms=3, _gamma2_forms=groups)
 

@@ -131,8 +131,25 @@ def test_one_breadth_first_search_and_one_two_sphere_walk():
     # and S2) comes from one helper, and only the two grow a sphere by union
     assert _calls_of("hop_spheres") == [("graphs", "components"), ("graphs", "hop_distances")]
     assert _calls_of("_two_spheres") == [
-        ("curvature", "_shape_groups"), ("graphs", "ball_indices"), ("rigidity", "two_ball_identity_check")]
+        ("graphs", "_walk_shape_groups"), ("graphs", "ball_indices"), ("rigidity", "two_ball_identity_check")]
     assert _calls_of("union") == [("graphs", "_two_spheres"), ("graphs", "hop_spheres")]
+
+
+def test_the_graph_alone_groups_its_two_balls_by_shape():
+    # one walk groups centres by 2-ball shape, a WeightedGraph method whose
+    # whole-graph result is kept on the graph; curvature and condition (5)
+    # read that method and neither walks a 2-sphere itself (the two-ball
+    # identity check reads S2 pair by pair and builds no shape groups)
+    defined = _enclosing_functions(lambda node: isinstance(node, ast.FunctionDef) and "shape_groups" in node.name)
+    assert [module for module, _ in defined] == ["graphs", "graphs"]
+    assert _calls_of("_walk_shape_groups") == [("graphs", "_shape_groups"), ("graphs", "_two_ball_groups")]
+    assert _calls_of("_shape_groups") == [
+        ("curvature", "_curvature_stacks"), ("curvature", "cd_check"), ("rigidity", "_interior_forms")]
+    assert [site for site in _calls_of("_two_spheres") if site[0] in ("curvature", "rigidity")] == [
+        ("rigidity", "two_ball_identity_check")]
+    imported = _enclosing_functions(lambda node: isinstance(node, ast.ImportFrom)
+                                    and any("shape_groups" in alias.name for alias in node.names))
+    assert imported == []
 
 
 def test_one_gamma2_assembly_for_every_local_form():
