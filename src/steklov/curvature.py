@@ -32,9 +32,12 @@ a pad repeats the centre, so the assembly needs no mask, and the pad rows
 and columns are zeroed after it and shifted out of the eigenvalue problem;
 a merge is kept only while the padding it adds is at most PAD_ENTRIES
 entries. One assembly and one stacked eigh per stack solve every n,
-which gives the kappas. The ball ids, the sign-fixed witnesses and their
-Rayleigh quotients are array operations over the stack too, run only when
-a caller reads the results. cd_check keeps exact shape
+which gives the kappas. The assembly gives the pinned form as its blocks
+A11, A12 and d (operators._gamma2_blocks); no (B, s, s) stack and no
+S2 x S2 block is built, and the witness quotients read the same blocks.
+The ball ids, the sign-fixed witnesses and their Rayleigh quotients are
+array operations over the stack too, run only when a caller reads the
+results. cd_check keeps exact shape
 groups, one eigvalsh deciding each: it reports every form's lambda_min and
 norm, which pad eigenvalues would change. A single vertex is the one-centre
 case of the same kernels.
@@ -64,7 +67,7 @@ from .graphs import (
     lichnerowicz_bound,
     validate_dimension,
 )
-from .operators import VertexFunction, _gamma2_forms
+from .operators import VertexFunction, _gamma2_blocks, _gamma2_forms
 from .operators import _gamma2_matrix  # noqa: F401 -- unused; perfbench traces calls via this name
 from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
@@ -106,20 +109,14 @@ def _padded_stacks(groups):
             yield k, t, parts[0], None, parts
             continue
         balls = np.repeat(np.concatenate([part[:, :1] for part in parts]), 1 + k + t, axis=1)
-        real = np.zeros(balls.shape, dtype=bool)
         at = 0
         for (k1, t1), part in zip(shapes, parts):
             rows = slice(at, at + len(part))
             balls[rows, :1 + k1], balls[rows, 1 + k:1 + k + t1] = part[:, :1 + k1], part[:, 1 + k1:]
-            real[rows, :1 + k1] = real[rows, 1 + k:1 + k + t1] = True
             at += len(part)
+        real = balls != balls[:, :1]  # a ball lists distinct vertices, so only the pads repeat the centre
+        real[:, 0] = True
         yield k, t, balls, real, parts
-
-
-def _pinned_forms(g, balls, k):
-    """For a stack of 2-balls, from one assembly: pinned Gamma2 (f(x) = 0), Delta[x, S1], Gamma's S1 diagonal."""
-    q, gam, row = _gamma2_forms(g, balls, k + 1)
-    return q[:, 1:, 1:], row[:, 1:], np.diagonal(gam, axis1=1, axis2=2)[:, 1:]
 
 
 def _psd_rule(evals, scale):
@@ -197,7 +194,8 @@ def cd_check(g, K, n, x=None):
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
     for (k, _), balls in g._shape_groups(centres).items():
-        a, r, gamma_diag = _pinned_forms(g, balls, k)
+        q, gam, row = _gamma2_forms(g, balls, k + 1)
+        a, r, gamma_diag = q[:, 1:, 1:], row[:, 1:], np.diagonal(gam, axis1=1, axis2=2)[:, 1:]
         scale = np.abs(a).max(axis=(1, 2), initial=0.0)
         a[:, :k, :k] -= r[:, :, None] * r[:, None, :] / n
         a[:, range(k), range(k)] -= K * gamma_diag
@@ -238,17 +236,21 @@ def _curvature_stacks(g, centres, n_values):
     """Per padded stack of 2-balls, (centres, kappas, finish): the curvature function's eager part.
 
     kappas is a (B, |n|) array over the stack's B centres; finish() is
-    _finish_stack on what the stack keeps. The Schur complements over S1
+    _finish_stack on what the stack keeps. The pinned form is read as its
+    blocks A11, A12 and the S2 diagonal d. The Schur complements over S1
     differ only by the rank-one term r r^T / n, so one stacked eigh of shape
     (B, |n|, k, k) solves every pencil of a stack. Pad coordinates drop out:
     a pad repeats the centre (no self-weight, so it adds only zero terms to
-    the real entries), and its rows and columns are zeroed after assembly;
-    a pad in S2 has d = 0, so d+ = 0; a pad in S1 has d^{-1/2} = 0 and a
-    pencil diagonal of 2 k max|pencil entry| + 1, above every real block's
-    Gershgorin bound, so lambda_min and its vector come from the real block.
+    the real entries), and its rows and columns are zeroed, block by block,
+    after assembly; a pad in S2 has d = 0, so d+ = 0; a pad in S1 has
+    d^{-1/2} = 0 and a pencil diagonal of 2 k max|pencil entry| + 1, above
+    every real block's Gershgorin bound, so lambda_min and its vector come
+    from the real block.
     A real pivot d_z = sum_y w_xy w_yz / (4 m_x m_y) and a real Gamma
     diagonal w_xy / (2 m_x) are positive, so d > 0 and Gamma > 0 tell them
-    from pads; a stack of one shape has no pads to zero or shift.
+    from pads; a stack of one shape has no pads to zero or shift. A pivot
+    out of the float range makes NaN or infinite kappas without a numpy
+    warning: kernel_ok reports it.
     """
     groups = g._shape_groups(centres)
     if (0, 0) in groups:
@@ -256,48 +258,55 @@ def _curvature_stacks(g, centres, n_values):
     n_arr = np.array(n_values)
     stacks = []
     for k, t, balls, real, parts in _padded_stacks(groups):
-        q, r, gamma_diag = _pinned_forms(g, balls, k)
+        q1, d, gam, row = _gamma2_blocks(g, balls, k + 1)
+        a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], np.diagonal(gam, axis1=1, axis2=2)[:, 1:]
         if real is not None:
-            rows, pads = np.nonzero(~real[:, 1:])
-            q[rows, pads] = q[rows, :, pads] = 0.0
-        a12, d = q[:, :k, k:], np.diagonal(q, axis1=1, axis2=2)[:, k:]
-        d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
-        d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
-        schur = (q[:, None, :k, :k] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
-                 - ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None])
-        pencils = schur * d_isqrt[:, None, :, None] * d_isqrt[:, None, None, :]
-        pencils = (pencils + pencils.swapaxes(2, 3)) / 2.0
-        if real is not None:
-            s1 = pads < k
-            if s1.any():
-                pencils[rows[s1], :, pads[s1], pads[s1]] = 2.0 * k * np.abs(pencils).max() + 1.0
+            pads = ~real[:, 1:]
+            a[pads[:, :k]] = a.transpose(0, 2, 1)[pads] = d[pads[:, k:]] = 0.0
+        a11, a12 = a[:, :, :k], a[:, :, k:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+            d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
+            schur = a11[:, None] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
+            schur -= ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None]
+            schur *= d_isqrt[:, None, :, None]
+            schur *= d_isqrt[:, None, None, :]
+            pencils = schur + schur.swapaxes(2, 3)
+            pencils /= 2.0
+        if real is not None and pads[:, :k].any():
+            at, s1 = np.nonzero(pads[:, :k])
+            pencils[at, :, s1, s1] = 2.0 * k * np.abs(pencils).max() + 1.0
         evals, evecs = np.linalg.eigh(pencils)
         low = evals[..., 0]
         finish = partial(_finish_stack, g, n_values, balls[:, 0], low, real, parts,
-                         q, r, gamma_diag, d_plus, d_isqrt, evecs[..., 0])
+                         a11, a12, d, r, gamma_diag, d_plus, d_isqrt, evecs[..., 0])
         stacks.append((balls[:, 0], low, finish))
     return stacks
 
 
-def _finish_stack(g, n_values, centres, kappas, real, parts, q, r, gamma_diag, d_plus, d_isqrt, low_vecs):
+def _finish_stack(g, n_values, centres, kappas, real, parts, a11, a12, d, r, gamma_diag, d_plus, d_isqrt, low_vecs):
     """{centre: [CurvatureResult for each n in n_values]} for a stack, from its eager part.
 
     low_vecs holds the pencils' lambda_min eigenvectors. The witnesses are
     read-only rows of one (B, |n|, 1 + k + t) stack, a padded ball's row
     reordered to start with the ball's own coordinates (x, S1, S2) and cut
-    to them. kernel_ok reads each row's real S2 pivots alone. Each witness is
-    checked against the full pinned form for its n.
+    to them. kernel_ok reads each row's real S2 pivots alone. Each witness
+    f = (f1, f2) is checked against the pinned form for its n, read from
+    the blocks as f1^T A11 f1 + 2 f1^T A12 f2 + sum d f2^2.
     """
     ids = [ball for part in parts for ball in _ball_ids(g, part)]
     n_arr = np.array(n_values)
     k = r.shape[1]
-    a12 = q[:, :k, k:]
     inverted = (d_plus > 0.0) & (d_plus < np.inf)
     kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
-    f1 = d_isqrt[:, None] * low_vecs
-    vecs = _sign_fix(np.concatenate([f1, -d_plus[:, None] * (f1 @ a12)], axis=2))
-    quotients = ((np.sum((vecs @ q) * vecs, axis=2) - (vecs[..., :k] @ r[:, :, None])[..., 0] ** 2 / n_arr)
-                 / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = d_isqrt[:, None] * low_vecs
+        g12 = f1 @ a12
+        f2 = -d_plus[:, None] * g12
+        quotients = ((np.sum((f1 @ a11) * f1, axis=2) + 2.0 * np.sum(g12 * f2, axis=2)
+                      + np.sum(d[:, None] * f2 * f2, axis=2) - (f1 @ r[:, :, None])[..., 0] ** 2 / n_arr)
+                     / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
+    vecs = _sign_fix(np.concatenate([f1, f2], axis=2))
     witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
     if real is not None:  # each ball's own coordinates first (no row moves without an S1 pad)
         moved = np.flatnonzero(~real[:, k])

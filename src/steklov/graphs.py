@@ -127,7 +127,7 @@ class WeightedGraph:
 
     def __post_init__(self):
         m = np.asarray(self.measures, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        w = np.ascontiguousarray(self.weights, dtype=float)
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "measures", m)
         object.__setattr__(self, "weights", w)
@@ -340,6 +340,18 @@ class BoundaryGraph:
         return chol
 
     @cached_property
+    def interior_graph(self):
+        """The interior-induced graph, built once per boundary graph, read-only.
+
+        It inherits m and the interior edge weights, so its own cached
+        neighbour lists and 2-ball groups carry over between calls. It may be
+        disconnected or edgeless, which is fine for the structural checks
+        that consume it.
+        """
+        idx = self.interior_indices
+        return WeightedGraph(self.interior, self.graph.measures[idx], self.graph.weights[np.ix_(idx, idx)])
+
+    @cached_property
     def _boundary_set(self):
         return frozenset(self.boundary)
 
@@ -444,17 +456,8 @@ def boundary_degree(bg, x):
 
 
 def induced_interior_graph(bg):
-    """The interior-induced graph, inheriting m and the interior edge weights.
-
-    The result may be disconnected or edgeless, which is fine for the
-    structural checks that consume it.
-    """
-    idx = bg.interior_indices
-    return WeightedGraph(
-        bg.interior,
-        bg.graph.measures[idx],
-        bg.graph.weights[np.ix_(idx, idx)],
-    )
+    """The interior-induced graph, inheriting m and the interior edge weights: bg.interior_graph, one per boundary graph."""
+    return bg.interior_graph
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,16 @@ curvature-dimension machinery:
 Local quadratic-form assemblies express Gamma and Gamma2 at a vertex as
 symmetric matrices in the values of f on the ball around it, stacked over
 the balls of one shape; Gamma comes from the explicit sum, not from the
-product-rule identity, which cancels catastrophically. The curvature
-function also stacks smaller balls, padded with copies of the centre, and
-zeroes the pad rows and columns after assembly. The explicit-sum
-gamma and gamma2 and the identity are test oracles (tests/oracles.py).
+product-rule identity, which cancels catastrophically. Gamma2 is assembled
+by blocks (_gamma2_blocks): the B1 x B1 block, the B1 x S2 block and the
+diagonal of the S2 block, which is all of the S2 x S2 block that is not
+zero, so only the 1-ball rows of the weights are gathered. The curvature
+function reads the blocks as they are and never builds the S2 x S2 block;
+_gamma2_forms places them into full forms for cd_check, condition (5) and
+the one-centre form. The curvature function also stacks smaller balls,
+padded with copies of the centre, and zeroes the pad rows and columns
+after assembly. The explicit-sum gamma and gamma2, the identity and the
+dense (B, s, s) assembly are test oracles (tests/oracles.py).
 """
 
 from dataclasses import dataclass
@@ -144,12 +150,16 @@ def interior_edges(bg):
 # local quadratic forms
 # ---------------------------------------------------------------------------
 
+def _diagonal(a):
+    """A writable view of the diagonal of each square matrix in a stack."""
+    return np.einsum("...ii->...i", a)
+
+
 def _gamma_forms(g, balls):
     """The (B, k, k) stack of Q with f^T Q f = Gamma(f, f)(i) over closed 1-balls, each row centre first."""
     w = g.weights[balls[:, :1], balls]
     q = np.zeros(w.shape + w.shape[1:])
-    diag = np.arange(w.shape[1])
-    q[:, diag, diag] = w
+    _diagonal(q)[:] = w
     q[:, 0, 0] = g.weight_sums[balls[:, 0]]
     q[:, 0, 1:] = q[:, 1:, 0] = -w[:, 1:]
     q /= (2.0 * g.measures[balls[:, :1]])[:, :, None]
@@ -162,32 +172,60 @@ def _gamma_matrix(g, i):
     return ball, _gamma_forms(g, ball[None])[0]
 
 
-def _gamma2_forms(g, balls, k):
-    """The (B, s, s) stack of Q with f^T Q f = Gamma2(f, f)(i) over B closed 2-balls of one shape.
+def _gamma2_blocks(g, balls, k):
+    """The Gamma2 forms Q, f^T Q f = Gamma2(f, f)(i), over B closed 2-balls of one shape, by blocks.
 
-    Also returns the two objects the assembly builds on the way: the (B, k, k)
-    Gamma stack G on the closed 1-balls and the (B, k) rows Delta[i, B1].
-    Each row of balls lists a centre i, its k - 1 neighbours S1, then S2.
-    Every neighbour of a 1-ball vertex lies in the 2-ball, so with the true
-    degrees deg = sum_y w_xy the forms are exact. With G the Gamma form at i,
-    c = Delta[i, :] / (2m) and sum_k Delta[i, k] Gamma_k in closed form,
-        2Q = diag(c deg + W c) - P - P^T,  P = diag(c) W + G Delta.
+    Each row of balls lists a centre i, its k - 1 neighbours S1, then S2;
+    B1 is (i, S1). Returns the (B, k, s) rows of Q on B1, whose first k
+    columns are the B1 x B1 block and the rest the B1 x S2 block, the (B, t)
+    diagonal of the S2 block, and the two objects the assembly builds on the
+    way: the (B, k, k) Gamma stack G on the closed 1-balls and the (B, k)
+    rows Delta[i, B1]. The rest of the S2 block is zero: a vertex z of S2
+    enters Gamma2(i) only through w_iy w_yz (f(z) - f(y))^2. Every neighbour
+    of a 1-ball vertex lies in the 2-ball, so with the true degrees
+    deg = sum_y w_xy the forms are exact. With c = Delta[i, :] / (2m) and
+    sum_k Delta[i, k] Gamma_k in closed form,
+        2Q = diag(c deg + W c) - P - P^T,  P = diag(c) W + G Delta,
+    and P is zero off the 1-ball rows, so only the rows W[B1, ball] and the
+    columns W[ball, B1] are gathered. Every entry is the full form's
+    -(P + P^T - diag(d)) / 2 in the same order of operations, the zero
+    P entries included.
     """
-    w = g.weights[balls[:, :, None], balls[:, None, :]]
-    deg, mu = g.weight_sums[balls[:, :k]], g.measures[balls[:, :k]]
-    diag = np.arange(k)
-    delta = w[:, :k] / mu[:, :, None]
-    delta[:, diag, diag] -= deg / mu
-    row, gam = delta[:, 0, :k], _gamma_forms(g, balls[:, :k])
+    b1, flat, at = balls[:, :k], g.weights.ravel(), balls * g.num_vertices  # W[i, j] is flat[i N + j]
+    w = flat.take(at[:, :k, None] + balls[:, None, :])
+    deg, mu = g.weight_sums[b1], g.measures[b1]
+    delta = w / mu[:, :, None]
+    diagonal = _diagonal(delta[:, :, :k])
+    diagonal -= deg / mu
+    row, gam = delta[:, 0, :k], _gamma_forms(g, b1)
     c = row / (2.0 * mu)
-    p = np.zeros_like(w)
-    p[:, :k] = gam @ delta + c[:, :, None] * w[:, :k]
-    q = p + p.transpose(0, 2, 1)
-    d = (w[:, :, :k] @ c[:, :, None])[:, :, 0]
+    q = gam @ delta
+    q += np.multiply(c[:, :, None], w, out=w)
+    d = (flat.take(at[:, :, None] + b1[:, None, :]) @ c[:, :, None])[:, :, 0]
     d[:, :k] += c * deg
-    diag = np.arange(balls.shape[1])
-    q[:, diag, diag] -= d
+    q[:, :, :k] += q[:, :, :k].transpose(0, 2, 1)  # numpy reads an overlapping operand as if copied first
+    q[:, :, k:] += 0.0
+    diagonal = _diagonal(q[:, :, :k])
+    diagonal -= d[:, :k]
     q *= -0.5
+    return q, (0.0 - d[:, k:]) * -0.5, gam, row
+
+
+def _gamma2_forms(g, balls, k):
+    """The (B, s, s) stack of Gamma2 forms over B closed 2-balls of one shape: the _gamma2_blocks placed.
+
+    Also returns the blocks' Gamma stack on the closed 1-balls and rows
+    Delta[i, B1]. The S2 entries off the diagonal are -0.0, as -(0 + 0) / 2
+    gives them; with S2 empty the B1 rows are the form itself.
+    """
+    q1, d, gam, row = _gamma2_blocks(g, balls, k)
+    if not d.shape[1]:
+        return q1, gam, row
+    s = balls.shape[1]
+    q = np.full((len(balls), s, s), -0.0)
+    q[:, :k] = q1
+    q[:, k:, :k] = q1[:, :, k:].transpose(0, 2, 1)
+    _diagonal(q)[:, k:] = d
     return q, gam, row
 
 

@@ -8,6 +8,8 @@ the library uses, so agreement is evidence rather than tautology:
     stacked 2-ball forms,
   * the product-rule identity for Gamma,
   * polarization of the scalar operators for local quadratic forms,
+  * the dense 2-ball Gamma2 assembly, with the whole (B, s, s) weight stack
+    and P stack, for bitwise comparison with the library's block assembly,
   * bisection on a directly assembled pencil for the curvature function,
   * exact rational arithmetic (fractions.Fraction) on the float weights and
     measures for the pinned CD form, decided PSD by exact LDL^T pivots with
@@ -49,7 +51,7 @@ from steklov import (
 )
 from steklov.graphs import CONDITION_TOL, INF, finite_number, is_infinite, validate_dimension
 from steklov.rigidity import ConditionCheck, NecessaryConditions, _validate_params, degree_targets
-from steklov.operators import _aligned, _gamma2_matrix, _gamma_matrix
+from steklov.operators import _aligned, _gamma2_matrix, _gamma_forms, _gamma_matrix
 
 # ---------------------------------------------------------------------------
 # random generators
@@ -200,6 +202,31 @@ def ball_form_value(ball, q, f):
     """f^T Q f for a ball form Q from _gamma_matrix or _gamma2_matrix, f a function on V."""
     vec = f.values[ball]
     return float(vec @ q @ vec)
+
+
+def gamma2_forms_dense(g, balls, k):
+    """_gamma2_forms as one dense assembly: W on the whole 2-ball, P and Q as (B, s, s) stacks.
+
+    Each row of balls lists a centre, its k - 1 neighbours, then S2. With c =
+    Delta[i, :] / (2m), 2Q = diag(c deg + W c) - P - P^T, P = diag(c) W + G Delta,
+    P zero off the 1-ball rows. Returns Q, the Gamma stack G and the rows Delta[i, B1].
+    """
+    w = g.weights[balls[:, :, None], balls[:, None, :]]
+    deg, mu = g.weight_sums[balls[:, :k]], g.measures[balls[:, :k]]
+    diag = np.arange(k)
+    delta = w[:, :k] / mu[:, :, None]
+    delta[:, diag, diag] -= deg / mu
+    row, gam = delta[:, 0, :k], _gamma_forms(g, balls[:, :k])
+    c = row / (2.0 * mu)
+    p = np.zeros_like(w)
+    p[:, :k] = gam @ delta + c[:, :, None] * w[:, :k]
+    q = p + p.transpose(0, 2, 1)
+    d = (w[:, :, :k] @ c[:, :, None])[:, :, 0]
+    d[:, :k] += c * deg
+    diag = np.arange(balls.shape[1])
+    q[:, diag, diag] -= d
+    q *= -0.5
+    return q, gam, row
 
 
 def gamma_by_identity(g, u, v):

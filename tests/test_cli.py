@@ -106,6 +106,20 @@ def test_curvature_command_warns_where_kernel_ok_is_false(capture, tmp_path, wei
         assert text.startswith(f"kernel_ok is false at vertex {v}, n = {n}: an S2 pivot underflowed")
 
 
+@pytest.mark.parametrize("weight", [1e-155, 1e-162])
+def test_curvature_command_prints_no_numpy_warnings_where_kernel_ok_is_false(tmp_path, weight):
+    # in a fresh process with numpy's default error handling, the report's
+    # warnings alone say what went wrong: stderr carries no RuntimeWarning
+    g = steklov.build_graph([(str(v), 1.0) for v in range(6)],
+                            [(str(v), str((v + 1) % 6), weight) for v in range(6)])
+    path = tmp_path / "c6.json"
+    path.write_text(steklov.serialize_graph(steklov.attach_boundary(g, {"0", "2", "4"})))
+    code, out, err = _fresh_process("curvature", "--graph", str(path), "--n", "2,inf")
+    assert code == 0
+    assert "RuntimeWarning" not in err
+    assert len(json.loads(out)["warnings"]) == 12
+
+
 def test_unit_weight_reports_are_unchanged_and_carry_no_warnings(capture, tmp_path, monkeypatch):
     # the kernel_ok warnings leave a healthy curvature report byte for byte as
     # it was, and every other command's warnings list stays empty

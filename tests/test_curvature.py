@@ -23,7 +23,7 @@ from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 import steklov.curvature
 from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks
 from steklov.graphs import INF
-from steklov.operators import _gamma2_forms, _gamma2_matrix
+from steklov.operators import _gamma2_blocks, _gamma2_forms, _gamma2_matrix
 
 from oracles import (
     cd_form_exact,
@@ -31,6 +31,7 @@ from oracles import (
     cd_scalar_value,
     gamma,
     gamma2,
+    gamma2_forms_dense,
     is_psd_exact,
     kappa_by_bisection,
     random_connected_graph,
@@ -469,17 +470,17 @@ def test_curvature_profile_builds_each_form_once(monkeypatch):
     # 16 x 16 among them) merge into one padded stack: one Gamma2 assembly and
     # one stacked eigh for every vertex and every n
     calls, solves = [], []
-    gamma2_forms, eigh = steklov.curvature._gamma2_forms, np.linalg.eigh
+    gamma2_blocks, eigh = steklov.curvature._gamma2_blocks, np.linalg.eigh
 
     def spy(g, balls, k):
         calls.append(balls[:, 0].tolist())
-        return gamma2_forms(g, balls, k)
+        return gamma2_blocks(g, balls, k)
 
     def eigh_spy(a):
         solves.append(a.shape[:2])
         return eigh(a)
 
-    monkeypatch.setattr(steklov.curvature, "_gamma2_forms", spy)
+    monkeypatch.setattr(steklov.curvature, "_gamma2_blocks", spy)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     grids = [unit_grid(k) for k in (6, 12, 16)]
     assert [len(g._shape_groups(range(g.num_vertices))) for g in grids] == [6, 6, 6]
@@ -558,6 +559,58 @@ def test_a_padded_stack_needs_no_mask_in_the_assembly():
                 at += len(part)
             padded += 1
     assert padded > 100
+
+
+def widely_weighted_graph(rng):
+    """A random connected graph with log-uniform weights in [1e-3, 1e3] and measures in [0.1, 10]."""
+    g = random_connected_graph(rng, n_max=25, extra_edge_prob=float(rng.choice([0.1, 0.3, 0.6])))
+    n = g.num_vertices
+    w = np.triu(10.0 ** rng.uniform(-3.0, 3.0, (n, n)) * (g.weights > 0.0), 1)
+    return WeightedGraph(g.vertices, 10.0 ** rng.uniform(-1.0, 1.0, n), w + w.T)
+
+
+def guard_graphs():
+    """Unit grids 6, 12 and 16, the <= 6-vertex atlas, K_{1,50}, the hub grid and 40 widely weighted graphs."""
+    rng = np.random.default_rng(20)
+    return [*(unit_grid(k) for k in (6, 12, 16)), *atlas_graphs(6), *star_and_hub_grid(),
+            *(widely_weighted_graph(rng) for _ in range(40))]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_the_block_assembly_is_the_dense_assembly_bitwise():
+    # the placed blocks are, byte for byte, the dense (B, s, s) assembly's
+    # forms (the S2 entries off the diagonal are -0.0), Gamma stacks and
+    # Delta rows, in every exact shape group; so are the blocks the
+    # curvature function reads from a padded stack. The widely weighted
+    # graphs are where another gather of W[ball, B1] moves the last bit
+    groups = stacks = 0
+    for g in guard_graphs():
+        for (k, _), balls in g._shape_groups(range(g.num_vertices)).items():
+            for got, want in zip(_gamma2_forms(g, balls, k + 1), gamma2_forms_dense(g, balls, k + 1), strict=True):
+                assert same_bits(got, want)
+            groups += 1
+        for k, _, balls, _, _ in _padded_stacks(g._shape_groups(range(g.num_vertices))):
+            q1, d, gam, row = _gamma2_blocks(g, balls, k + 1)
+            q, want_gam, want_row = gamma2_forms_dense(g, balls, k + 1)
+            assert same_bits(q1, q[:, :k + 1]) and same_bits(d, np.diagonal(q, axis1=1, axis2=2)[:, k + 1:])
+            assert same_bits(gam, want_gam) and same_bits(row, want_row)
+            stacks += 1
+    assert groups > 700 and stacks >= 190
+
+
+def test_witness_quotients_from_the_blocks_agree_with_kappa():
+    # the quotient reads the pinned form as f1^T A11 f1 + 2 f1^T A12 f2 + sum d f2^2
+    count = 0
+    for g in guard_graphs():
+        profile = curvature_profile(g, (2.0, 3.0, 5.0, 10.0, INF))
+        for per_n in profile.results.values():
+            for res in per_n.values():
+                assert abs(res.witness_quotient - res.kappa) <= 1e-8 * (1.0 + abs(res.kappa))
+                count += 1
+    assert count > 9000
 
 
 def test_a_merged_stack_mixes_centres_with_and_without_s2():

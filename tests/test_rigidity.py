@@ -566,6 +566,27 @@ def test_diagnostics_read_later_equal_the_eager_dict():
         assert not any(isinstance(v, np.generic) for v in got.values())
 
 
+def test_repeated_rigidity_calls_walk_the_interior_two_balls_once(monkeypatch):
+    # the interior-induced graph is kept on the boundary graph, so its 2-ball
+    # groups carry over between calls; the reports are those of fresh graphs
+    walked, walk = [], WeightedGraph._walk_shape_groups
+    monkeypatch.setattr(WeightedGraph, "_walk_shape_groups",
+                        lambda self, centres: walked.append(self) or walk(self, centres))
+
+    def rigid():
+        return make_example("complete_interior", interior_size=6, n=10, K=1, m=1)
+
+    bg = rigid()
+    reports = [check_rigidity(bg, 1, 10) for _ in range(3)]
+    interior = induced_interior_graph(bg)
+    assert interior is bg.interior_graph and interior.num_vertices == 6
+    assert [graph for graph in walked if graph is interior] == [interior]
+    fresh = check_rigidity(rigid(), 1, 10)
+    for rep in reports:
+        assert rep.is_rigid and repr(rep) == repr(fresh)
+        assert exact(rep.diagnostics) == exact(fresh.diagnostics)
+
+
 def test_rigidity_report_slack_exposed():
     p3 = make_example("unit_path3")
     rep = check_rigidity(p3, 0.5, 2)

@@ -153,17 +153,23 @@ def test_the_graph_alone_groups_its_two_balls_by_shape():
 
 
 def test_one_gamma2_assembly_for_every_local_form():
-    # curvature (padded stacks and exact shape groups alike), condition (5)
-    # and the one-centre form all assemble Gamma2 through one stacked builder
+    # one stacked builder assembles Gamma2 by blocks, for the curvature
+    # function's padded stacks and, through its one placement into full
+    # forms, for cd_check, condition (5) and the one-centre form; the
+    # curvature function reads the blocks and builds no (B, s, s) stack
+    assert _calls_of("_gamma2_blocks") == [("curvature", "_curvature_stacks"), ("operators", "_gamma2_forms")]
     assert _calls_of("_gamma2_forms") == [
-        ("curvature", "_pinned_forms"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_forms")]
+        ("curvature", "cd_check"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_forms")]
+    assert _calls_of("_gamma_forms") == [("operators", "_gamma2_blocks"), ("operators", "_gamma_matrix")]
+    assert _calls_of("_pinned_forms") == []
 
 
 def test_pads_are_known_to_the_curvature_function_alone():
     # a pad repeats the centre, so the assembly takes no mask; the padded
     # stacks are built, zeroed on their pad rows and columns and finished by
     # the curvature function, and nothing else names the pad mask
-    assert list(inspect.signature(steklov.operators._gamma2_forms).parameters) == ["g", "balls", "k"]
+    for assembly in (steklov.operators._gamma2_blocks, steklov.operators._gamma2_forms):
+        assert list(inspect.signature(assembly).parameters) == ["g", "balls", "k"]
     named = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id == "real")
                                  or (isinstance(node, ast.arg) and node.arg == "real"))
     assert sorted(set(named)) == [
