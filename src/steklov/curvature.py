@@ -194,10 +194,12 @@ def cd_check(g, K, n, x=None):
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
     for (k, _), balls in g._shape_groups(centres).items():
-        q, gam, row = _gamma2_forms(g, balls, k + 1)
-        a, r, gamma_diag = q[:, 1:, 1:], row[:, 1:], np.diagonal(gam, axis1=1, axis2=2)[:, 1:]
+        q, gamma_diag, row = _gamma2_forms(g, balls, k + 1)
+        a, r, gamma_diag = q[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
         scale = np.abs(a).max(axis=(1, 2), initial=0.0)
-        a[:, :k, :k] -= r[:, :, None] * r[:, None, :] / n
+        rr = r[:, :, None] * r[:, None, :]
+        rr /= n
+        a[:, :k, :k] -= rr
         a[:, range(k), range(k)] -= K * gamma_diag
         at = balls[:, 0].tolist()
         checks.update(zip(at, _vertex_checks(a, scale, [g.vertices[i] for i in at],
@@ -258,8 +260,8 @@ def _curvature_stacks(g, centres, n_values):
     n_arr = np.array(n_values)
     stacks = []
     for k, t, balls, real, parts in _padded_stacks(groups):
-        q1, d, gam, row = _gamma2_blocks(g, balls, k + 1)
-        a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], np.diagonal(gam, axis1=1, axis2=2)[:, 1:]
+        q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
+        a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
         if real is not None:
             pads = ~real[:, 1:]
             a[pads[:, :k]] = a.transpose(0, 2, 1)[pads] = d[pads[:, k:]] = 0.0

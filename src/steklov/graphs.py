@@ -114,6 +114,8 @@ class WeightedGraph:
     measures : m, aligned with `vertices`
     weights  : symmetric matrix, zero diagonal, zero for non-adjacent pairs
 
+    The graph keeps read-only copies of the measures and weights it is given.
+
     What depends on the graph alone is built on first use and kept, read-only:
     the neighbour lists, the weight sums, the Laplacian, and the grouping of
     all vertices by 2-ball shape that the curvature function, cd_check and
@@ -126,8 +128,8 @@ class WeightedGraph:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.measures, dtype=float)
-        w = np.ascontiguousarray(self.weights, dtype=float)
+        m = np.array(self.measures, dtype=float)
+        w = np.array(self.weights, dtype=float, order="C")
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "measures", m)
         object.__setattr__(self, "weights", w)

@@ -155,21 +155,24 @@ def _diagonal(a):
     return np.einsum("...ii->...i", a)
 
 
-def _gamma_forms(g, balls):
-    """The (B, k, k) stack of Q with f^T Q f = Gamma(f, f)(i) over closed 1-balls, each row centre first."""
-    w = g.weights[balls[:, :1], balls]
+def _gamma_forms(w, deg, m):
+    """The (B, k, k) stack of Q with f^T Q f = Gamma(f, f)(x) over closed 1-balls B1 = (x, S1).
+
+    w holds each centre's row W[x, B1], centre first, deg its degree
+    sum_y w_xy and m its measure, as the caller gathered them.
+    """
     q = np.zeros(w.shape + w.shape[1:])
     _diagonal(q)[:] = w
-    q[:, 0, 0] = g.weight_sums[balls[:, 0]]
+    q[:, 0, 0] = deg
     q[:, 0, 1:] = q[:, 1:, 0] = -w[:, 1:]
-    q /= (2.0 * g.measures[balls[:, :1]])[:, :, None]
+    q /= (2.0 * m)[:, None, None]
     return q
 
 
 def _gamma_matrix(g, i):
     """The closed 1-ball around i (i first) and its Gamma form, the one-centre _gamma_forms."""
     ball = g.ball_indices(i, 1)
-    return ball, _gamma_forms(g, ball[None])[0]
+    return ball, _gamma_forms(g.weights[i, ball][None], g.weight_sums[i:i + 1], g.measures[i:i + 1])[0]
 
 
 def _gamma2_blocks(g, balls, k):
@@ -178,43 +181,54 @@ def _gamma2_blocks(g, balls, k):
     Each row of balls lists a centre i, its k - 1 neighbours S1, then S2;
     B1 is (i, S1). Returns the (B, k, s) rows of Q on B1, whose first k
     columns are the B1 x B1 block and the rest the B1 x S2 block, the (B, t)
-    diagonal of the S2 block, and the two objects the assembly builds on the
-    way: the (B, k, k) Gamma stack G on the closed 1-balls and the (B, k)
-    rows Delta[i, B1]. The rest of the S2 block is zero: a vertex z of S2
-    enters Gamma2(i) only through w_iy w_yz (f(z) - f(y))^2. Every neighbour
-    of a 1-ball vertex lies in the 2-ball, so with the true degrees
-    deg = sum_y w_xy the forms are exact. With c = Delta[i, :] / (2m) and
-    sum_k Delta[i, k] Gamma_k in closed form,
+    diagonal of the S2 block, and two by-products: the (B, k) diagonal of the
+    Gamma stack G on the closed 1-balls and the (B, k) rows Delta[i, B1].
+    The diagonal is all of G: off it G is zero but for its first row and
+    column, which are the diagonal negated past the corner. The rest of the
+    S2 block is zero: a vertex z of S2 enters Gamma2(i) only through
+    w_iy w_yz (f(z) - f(y))^2. Every neighbour of a 1-ball vertex lies in
+    the 2-ball, so with the true degrees deg = sum_y w_xy the forms are
+    exact. With c = Delta[i, :] / (2m) and sum_k Delta[i, k] Gamma_k in
+    closed form,
         2Q = diag(c deg + W c) - P - P^T,  P = diag(c) W + G Delta,
     and P is zero off the 1-ball rows, so only the rows W[B1, ball] and the
-    columns W[ball, B1] are gathered. Every entry is the full form's
+    columns W[ball, B1] are gathered, each by broadcast indexing (no index
+    array) into a contiguous array. Every entry is the full form's
     -(P + P^T - diag(d)) / 2 in the same order of operations, the zero
     P entries included.
+
+    Four arrays of the stack's size are live at most, and one is left when
+    it returns: the rows W[B1, ball], which then take c W; G; Delta on B1,
+    whose buffer takes P + P^T once P is formed and is returned as the B1
+    rows; and P. The columns W[ball, B1] are dropped once they give d,
+    before Delta and P are made.
     """
-    b1, flat, at = balls[:, :k], g.weights.ravel(), balls * g.num_vertices  # W[i, j] is flat[i N + j]
-    w = flat.take(at[:, :k, None] + balls[:, None, :])
+    b1 = balls[:, :k]
+    w = g.weights[b1[:, :, None], balls[:, None, :]]
     deg, mu = g.weight_sums[b1], g.measures[b1]
+    gam = _gamma_forms(w[:, 0, :k], deg[:, 0], mu[:, 0])
+    row = w[:, 0, :k] / mu[:, :1]  # Delta's first row, as the whole Delta below gives it
+    row[:, 0] -= deg[:, 0] / mu[:, 0]
+    c = row / (2.0 * mu)
+    d = (g.weights[balls[:, :, None], b1[:, None, :]] @ c[:, :, None])[:, :, 0]
+    d[:, :k] += c * deg
     delta = w / mu[:, :, None]
     diagonal = _diagonal(delta[:, :, :k])
     diagonal -= deg / mu
-    row, gam = delta[:, 0, :k], _gamma_forms(g, b1)
-    c = row / (2.0 * mu)
-    q = gam @ delta
-    q += np.multiply(c[:, :, None], w, out=w)
-    d = (flat.take(at[:, :, None] + b1[:, None, :]) @ c[:, :, None])[:, :, 0]
-    d[:, :k] += c * deg
-    q[:, :, :k] += q[:, :, :k].transpose(0, 2, 1)  # numpy reads an overlapping operand as if copied first
-    q[:, :, k:] += 0.0
-    diagonal = _diagonal(q[:, :, :k])
+    p = gam @ delta
+    p += np.multiply(c[:, :, None], w, out=w)
+    q = delta  # Delta is spent: its buffer, diagonal view included, takes the form
+    np.add(p[:, :, :k], p[:, :, :k].transpose(0, 2, 1), out=q[:, :, :k])
+    np.add(p[:, :, k:], 0.0, out=q[:, :, k:])
     diagonal -= d[:, :k]
     q *= -0.5
-    return q, (0.0 - d[:, k:]) * -0.5, gam, row
+    return q, (0.0 - d[:, k:]) * -0.5, _diagonal(gam).copy(), row
 
 
 def _gamma2_forms(g, balls, k):
     """The (B, s, s) stack of Gamma2 forms over B closed 2-balls of one shape: the _gamma2_blocks placed.
 
-    Also returns the blocks' Gamma stack on the closed 1-balls and rows
+    Also returns the blocks' Gamma diagonal on the closed 1-balls and rows
     Delta[i, B1]. The S2 entries off the diagonal are -0.0, as -(0 + 0) / 2
     gives them; with S2 empty the B1 rows are the form itself.
     """

@@ -55,7 +55,7 @@ from .graphs import (
     validate_dimension,
     weighted_degree,
 )
-from .operators import VertexFunction, _gamma2_forms, interior_edges
+from .operators import VertexFunction, _diagonal, _gamma2_forms, interior_edges
 from .operators import _gamma2_matrix, _gamma_matrix  # noqa: F401 -- unused; perfbench traces calls via these names
 from .spectra import steklov_eigenfunction_diagnostics, steklov_spectrum
 
@@ -230,22 +230,40 @@ def assemble_interior_form(bg, K, n, x):
         raise NotInteriorVertex(x)
     ig = induced_interior_graph(bg)
     i = ig.index(x)
-    forms, scales = _interior_forms(ig, K, n, m, range(i, i + 1))
+    centres = range(i, i + 1)
+    forms, scales = _interior_forms(ig, K, n, m, centres, _interior_blocks(ig, centres))
     return InteriorFormAssembly(x, tuple(v for v in ig.vertices if v != x), forms[0], n, K, m, float(scales[0]))
 
 
-def _interior_forms(ig, K, n, m, centres):
+def _interior_blocks(ig, centres):
+    """Per 2-ball shape group of a range of centres, (balls, Gamma2 on B2, Gamma's diagonal on B1, Delta[x, B1]).
+
+    These are the summands of the condition-(5) forms that read the interior
+    weights, one _gamma2_forms call per group; _interior_forms reads them
+    and does not write to them.
+    """
+    return [(balls,) + _gamma2_forms(ig, balls, k + 1) for (k, _), balls in ig._shape_groups(centres).items()]
+
+
+def _interior_forms(ig, K, n, m, centres, blocks):
     """The condition-(5) forms, f(x) = 0, at a range of centres x as a (B, |Omega|-1, |Omega|-1) stack; PSD scales.
 
-    Per 2-ball shape, the one stacked assembly gives Gamma2 on B2, Gamma on
-    B1 and Delta[x, B1]. Onto copies of a3 diag(mu) - a5 mu mu^T, Gamma2 is
-    added through one flat index per shape into the contiguous stack, and the
-    1-ball terms through its leading corner (a ball lists each vertex once,
-    so no index repeats); Delta[x, B1] is spread into dense rows e, zero off
-    the 1-ball, and the a4 cross terms are one broadcast over the stack (a
-    row off the 1-ball subtracts an exact +0.0). Every entry keeps the
-    one-centre order of operations. Callers keep B |Omega|^2 within
-    FORM_STACK_ENTRIES.
+    blocks are _interior_blocks(ig, centres), or the same arrays for ig with
+    its weights scaled: only ig's vertices and measures are read here. The
+    stack starts as copies of A0 = a3 diag(mu) - a5 mu mu^T. Per shape group,
+    one take of A0 on the balls gets Gamma2 and then the 1-ball terms
+    a2 Gamma - a1 ell ell^T added, and one scatter puts it into the stack (a
+    ball lists each vertex once and the groups' centres differ, so the take
+    reads A0 alone). a2 Gamma is +0.0 off its diagonal, first row and first
+    column, which its diagonal gives. Delta[x, B1] is spread into dense rows
+    e, zero off the 1-ball, and the a4 cross terms are one broadcast over
+    the stack (a row off the 1-ball subtracts an exact +0.0). The stack is
+    symmetrized as (q + q^T) / 2 and then pinned by a mask gather. Every
+    entry keeps the one-centre order of operations. Two arrays of the
+    stack's size are kept, the accumulator q and a work buffer for |Gamma2|,
+    the 1-ball terms, the cross terms and the symmetrized stack; the group's
+    take and the pinned result, made once q is dropped, are the only others.
+    Callers keep B |Omega|^2 within FORM_STACK_ENTRIES.
     """
     mu, nv, b = ig.measures, ig.num_vertices, len(centres)
     if is_infinite(n):
@@ -259,23 +277,34 @@ def _interior_forms(ig, K, n, m, centres):
         a4 = (n + 2.0) * K / ((n - 1.0) * (n - 2.0) * m)
         a5 = n * (n + 2.0) ** 2 * K * K / (8.0 * (n - 2.0) * (n - 1.0) ** 2 * m * m)
 
-    q = np.repeat((a3 * np.diag(mu) - a5 * np.outer(mu, mu))[None], b, axis=0)
-    flat, e, scales = q.reshape(-1), np.zeros((b, nv)), np.empty(b)
-    for (k, _), balls in ig._shape_groups(centres).items():
-        at = balls[:, 0] - centres[0]
-        g2, gam, ell = _gamma2_forms(ig, balls, k + 1)
-        entries = (at[:, None, None] * nv + balls[:, :, None]) * nv + balls[:, None, :]
-        flat[entries] += g2
-        flat[entries[:, :k + 1, :k + 1]] += a2 * gam - a1 * (ell[:, :, None] * ell[:, None, :])
-        e[at[:, None], balls[:, :k + 1]] = ell
-        scales[at] = np.maximum(np.abs(g2).max(axis=(1, 2)), a3 * mu.max())
-    cross = 0.5 * a4 * (e[:, :, None] * mu)
+    base = a3 * np.diag(mu) - a5 * np.outer(mu, mu)
+    q = np.repeat(base[None], b, axis=0)
+    work, e, scales = np.empty_like(q), np.zeros((b, nv)), np.empty(b)
+    for balls, g2, gamma_diag, ell in blocks:
+        at, (size, s), k1 = balls[:, 0] - centres[0], balls.shape, ell.shape[1]
+        scales[at] = np.maximum(np.abs(g2, out=work[:size, :s, :s]).max(axis=(1, 2)), a3 * mu.max())
+        acc = base[balls[:, :, None], balls[:, None, :]]
+        acc += g2
+        term = np.multiply(ell[:, :, None], ell[:, None, :], out=work[:size, :k1, :k1])
+        term *= a1
+        rim = a2 * np.concatenate([gamma_diag[:, :1], -gamma_diag[:, 1:]], axis=1) - term[:, 0]
+        diagonal = a2 * gamma_diag - _diagonal(term)
+        np.subtract(0.0, term, out=term)
+        term[:, 0] = term[:, :, 0] = rim
+        _diagonal(term)[:] = diagonal
+        acc[:, :k1, :k1] += term
+        q[at[:, None, None], balls[:, :, None], balls[:, None, :]] = acc
+        e[at[:, None], balls[:, :k1]] = ell
+    cross = np.multiply(e[:, :, None], mu, out=work)
+    cross *= 0.5 * a4
     q -= cross
     q -= cross.transpose(0, 2, 1)
+    sym = np.add(q, q.transpose(0, 2, 1), out=work)
+    sym /= 2.0
+    del q
     keep = np.ones((b, nv), dtype=bool)
     keep[np.arange(b), centres] = False
-    q = q[keep[:, :, None] & keep[:, None, :]].reshape(b, nv - 1, nv - 1)
-    return (q + q.transpose(0, 2, 1)) / 2.0, scales
+    return sym[keep[:, :, None] & keep[:, None, :]].reshape(b, nv - 1, nv - 1), scales
 
 
 @dataclass(frozen=True)
@@ -299,8 +328,19 @@ def check_interior_inequality(bg, K, n):
     return _interior_inequality(induced_interior_graph(bg), K, n, m)
 
 
-def _interior_inequality(ig, K, n, m):
-    """Condition (5) on the interior-induced graph ig, given (1)-(4) with boundary measure m."""
+def _form_chunks(nv):
+    """The ranges of centres whose condition-(5) forms are built as one stack: B nv^2 within FORM_STACK_ENTRIES."""
+    step = max(1, FORM_STACK_ENTRIES // nv ** 2)
+    return [range(start, min(start + step, nv)) for start in range(0, nv, step)]
+
+
+def _interior_inequality(ig, K, n, m, blocks=None):
+    """Condition (5) on the interior-induced graph ig, given (1)-(4) with boundary measure m.
+
+    blocks, when given, holds the _interior_blocks of each of _form_chunks'
+    ranges, for ig or for ig with its weights scaled; otherwise each chunk's
+    blocks are assembled from ig in turn.
+    """
     if n == 2.0:
         ok = ig.num_vertices == 1
         return InteriorInequalityReport(
@@ -311,15 +351,17 @@ def _interior_inequality(ig, K, n, m):
             "no equality graphs exist for 1 < n < 2 (the curvature condition "
             "fails at interior vertices)", ())
 
-    nv, ids = ig.num_vertices, ig.vertices
-    checks = []
-    step = max(1, FORM_STACK_ENTRIES // nv ** 2)
-    for start in range(0, nv, step):
-        centres = range(start, min(start + step, nv))
-        # |Omega| = 1 leaves a 0 x 0 form, which needs no assembly
-        forms, scales = _interior_forms(ig, K, n, m, centres) if nv > 1 else (np.zeros((1, 0, 0)), None)
-        checks += _vertex_checks(forms, scales, ids[start:centres.stop],
-                                 lambda j, i0=start: (ids[i0 + j],) + ids[:i0 + j] + ids[i0 + j + 1:])
+    ids = ig.vertices
+    if len(ids) == 1:  # a 0 x 0 form, which needs no assembly
+        checks = _vertex_checks(np.zeros((1, 0, 0)), None, ids, None)
+    else:
+        checks, chunks = [], _form_chunks(len(ids))
+        if blocks is None:
+            blocks = (_interior_blocks(ig, centres) for centres in chunks)  # one chunk's blocks live at a time
+        for centres, chunk in zip(chunks, blocks):
+            forms, scales = _interior_forms(ig, K, n, m, centres, chunk)
+            checks += _vertex_checks(forms, scales, ids[centres.start:centres.stop],
+                                     lambda j, i0=centres.start: (ids[i0 + j],) + ids[:i0 + j] + ids[i0 + j + 1:])
     passed = all(c.holds for c in checks)
     return InteriorInequalityReport(
         passed, "psd", "interior form PSD at every interior vertex" if passed
@@ -618,7 +660,9 @@ def construct_rigid_family(interior, n, K, m, lam=None):
     data is chosen to satisfy the four degree conditions, and the interior
     weights are scaled by lam. When lam is not given, the least feasible
     lam >= 1 is located by doubling plus bisection (to relative 1e-6) and the
-    returned graph uses twice that threshold, safely inside the region.
+    returned graph uses twice that threshold, safely inside the region; its
+    condition-(5) report reads the threshold probe's Gamma2 blocks, which the
+    search keeps for all interior vertices at once.
     """
     n = validate_dimension(n)
     if is_infinite(n) or n <= 2.0:
@@ -651,28 +695,36 @@ def construct_rigid_family(interior, n, K, m, lam=None):
         return ConstructionResult(bg, lam, None, check_interior_inequality(bg, K, n))
 
     # scales change only the interior weights, and (1)-(4) do not read them: each
-    # probe, the returned report's included, rescales the interior of one join
+    # probe rescales the interior of one join
     base = build(1.0)
     ig, boundary_measure = induced_interior_graph(base), _necessary_measure(base, K, n)
 
-    def feasible(scale):
-        return _interior_inequality(ig.rescaled_weights(scale), K, n, boundary_measure).passed
+    def probe(scale):
+        """Whether condition (5) holds at this weight scale, and the interior blocks it read."""
+        scaled = ig.rescaled_weights(scale)
+        blocks = [_interior_blocks(scaled, centres) for centres in _form_chunks(nv)]
+        return _interior_inequality(scaled, K, n, boundary_measure, blocks).passed, blocks
 
-    if feasible(1.0):
-        threshold = 1.0
-    else:
-        lo, hi = 1.0, 2.0
-        while not feasible(hi):
-            lo, hi = hi, hi * 2.0
-            if hi > LAMBDA_MAX:
-                raise FeasibilitySearchFailed(LAMBDA_MAX)
-        while hi / lo > 1.0 + SEARCH_TOL:
-            mid = math.sqrt(lo * hi)
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-        threshold = hi
-    chosen = 2.0 * threshold
-    return ConstructionResult(build(chosen), chosen, threshold,
-                              _interior_inequality(ig.rescaled_weights(chosen), K, n, boundary_measure))
+    lo, hi = None, 1.0
+    passed, blocks = probe(hi)
+    while not passed:
+        lo, hi = hi, hi * 2.0
+        if hi > LAMBDA_MAX:
+            raise FeasibilitySearchFailed(LAMBDA_MAX)
+        passed, blocks = probe(hi)
+    while lo is not None and hi / lo > 1.0 + SEARCH_TOL:
+        mid = math.sqrt(lo * hi)
+        passed, mid_blocks = probe(mid)
+        if passed:
+            hi, blocks = mid, mid_blocks
+        else:
+            lo = mid
+    # the returned graph doubles the threshold's weights, which scales its Gamma2,
+    # Gamma and Delta blocks by exactly 4, 2 and 2 (powers of two round alike,
+    # short of overflow and subnormals): its report reads the probe's blocks scaled
+    for _, g2, gamma_diag, ell in (group for chunk in blocks for group in chunk):
+        g2 *= 4.0
+        gamma_diag *= 2.0
+        ell *= 2.0
+    chosen = 2.0 * hi
+    return ConstructionResult(build(chosen), chosen, hi, _interior_inequality(ig, K, n, boundary_measure, blocks))

@@ -209,14 +209,14 @@ def gamma2_forms_dense(g, balls, k):
 
     Each row of balls lists a centre, its k - 1 neighbours, then S2. With c =
     Delta[i, :] / (2m), 2Q = diag(c deg + W c) - P - P^T, P = diag(c) W + G Delta,
-    P zero off the 1-ball rows. Returns Q, the Gamma stack G and the rows Delta[i, B1].
+    P zero off the 1-ball rows. Returns Q, the diagonal of the Gamma stack G and the rows Delta[i, B1].
     """
     w = g.weights[balls[:, :, None], balls[:, None, :]]
     deg, mu = g.weight_sums[balls[:, :k]], g.measures[balls[:, :k]]
     diag = np.arange(k)
     delta = w[:, :k] / mu[:, :, None]
     delta[:, diag, diag] -= deg / mu
-    row, gam = delta[:, 0, :k], _gamma_forms(g, balls[:, :k])
+    row, gam = delta[:, 0, :k], _gamma_forms(w[:, 0, :k], deg[:, 0], mu[:, 0])
     c = row / (2.0 * mu)
     p = np.zeros_like(w)
     p[:, :k] = gam @ delta + c[:, :, None] * w[:, :k]
@@ -226,7 +226,7 @@ def gamma2_forms_dense(g, balls, k):
     diag = np.arange(balls.shape[1])
     q[:, diag, diag] -= d
     q *= -0.5
-    return q, gam, row
+    return q, np.diagonal(gam, axis1=1, axis2=2).copy(), row
 
 
 def gamma_by_identity(g, u, v):

@@ -537,8 +537,8 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
 
 def test_a_padded_stack_needs_no_mask_in_the_assembly():
     # a pad repeats the centre, which has no self-weight, so the assembly of a
-    # padded row gives the ball's own Gamma2 form, Gamma form and Delta row on
-    # its real entries; the curvature function only zeroes the pad rows and
+    # padded row gives the ball's own Gamma2 form, Gamma diagonal and Delta row
+    # on its real entries; the curvature function only zeroes the pad rows and
     # columns afterwards
     padded = 0
     for g in (*atlas_graphs(6), unit_grid(6), unit_grid(12)):
@@ -554,7 +554,7 @@ def test_a_padded_stack_needs_no_mask_in_the_assembly():
                     own = np.flatnonzero(real[at + j])
                     ball1 = own[:k1 + 1]
                     assert q[at + j][np.ix_(own, own)].tobytes() == eq[j].tobytes()
-                    assert gam[at + j][np.ix_(ball1, ball1)].tobytes() == egam[j].tobytes()
+                    assert gam[at + j][ball1].tobytes() == egam[j].tobytes()
                     assert row[at + j][ball1].tobytes() == erow[j].tobytes()
                 at += len(part)
             padded += 1
@@ -582,7 +582,7 @@ def same_bits(a, b):
 
 def test_the_block_assembly_is_the_dense_assembly_bitwise():
     # the placed blocks are, byte for byte, the dense (B, s, s) assembly's
-    # forms (the S2 entries off the diagonal are -0.0), Gamma stacks and
+    # forms (the S2 entries off the diagonal are -0.0), Gamma diagonals and
     # Delta rows, in every exact shape group; so are the blocks the
     # curvature function reads from a padded stack. The widely weighted
     # graphs are where another gather of W[ball, B1] moves the last bit

@@ -35,7 +35,7 @@ from steklov.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from steklov.graphs import INF, validate_dimension
+from steklov.graphs import INF, WeightedGraph, validate_dimension
 
 from oracles import join_by_edge_list, random_boundary_graph, random_connected_graph
 
@@ -56,6 +56,17 @@ def test_build_p3():
     assert g.weight("1", "2") == 1.0
     assert g.weight("1", "3") == 0.0
     assert g.edge_list() == (("1", "2", 1.0), ("2", "3", 1.0))
+
+
+def test_a_graph_copies_the_arrays_it_is_given():
+    # the caller's float64 arrays stay writable, and a later write to them
+    # does not reach the graph, whose own arrays are read-only
+    m, w = np.ones(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    g = WeightedGraph(("a", "b"), m, w)
+    assert m.flags.writeable and w.flags.writeable
+    m[0], w[0, 1], w[1, 0] = 3.0, 5.0, 5.0
+    assert (g.measure("a"), g.weight("a", "b"), g.weight("b", "a")) == (1.0, 1.0, 1.0)
+    assert not (g.measures.flags.writeable or g.weights.flags.writeable)
 
 
 def test_single_vertex_is_connected():

@@ -18,7 +18,6 @@ from steklov.graphs import GREEN_TOL, WeightedGraph, attach_boundary
 from steklov.operators import (
     _gamma2_forms,
     _gamma2_matrix,
-    _gamma_forms,
     _gamma_matrix,
     _green_terms,
     scaled_green_residual,
@@ -235,9 +234,11 @@ def test_laplacian_square_form(p3):
     assert np.linalg.matrix_rank(form, tol=1e-10) == 1
 
 
-def test_gamma2_forms_return_their_gamma_stack_and_delta_rows():
-    # the by-products of one stacked assembly are the Gamma forms on B1,
-    # bitwise, and the rows Delta[x, B1] of the Laplacian
+def test_gamma2_forms_return_their_gamma_diagonal_and_delta_rows():
+    # the by-products of one stacked assembly are the diagonals of the Gamma
+    # forms on B1, bitwise, which give the whole form (zero off the diagonal
+    # but for the first row and column, the diagonal negated past the
+    # corner), and the rows Delta[x, B1] of the Laplacian
     rng = np.random.default_rng(6)
     for _ in range(30):
         g = random_connected_graph(rng, n_max=7)
@@ -245,7 +246,10 @@ def test_gamma2_forms_return_their_gamma_stack_and_delta_rows():
         lap = laplacian(g, f)
         for (k, _), balls in g._shape_groups(range(g.num_vertices)).items():
             _, gam, rows = _gamma2_forms(g, balls, k + 1)
-            assert np.array_equal(gam, _gamma_forms(g, balls[:, :k + 1]))
+            for ball, diagonal in zip(balls, gam):
+                form = np.diag(diagonal)
+                form[0, 1:] = form[1:, 0] = -diagonal[1:]
+                assert form.tobytes() == _gamma_matrix(g, ball[0])[1].tobytes()
             assert rows.shape == (len(balls), k + 1)
             for ball, row in zip(balls, rows):
                 x = g.vertices[ball[0]]

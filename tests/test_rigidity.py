@@ -34,6 +34,7 @@ from steklov import (
     two_ball_identity_check,
 )
 from steklov.errors import (
+    FeasibilitySearchFailed,
     InteriorCurvatureNotPositive,
     InteriorNotComplete,
     InvalidParams,
@@ -285,9 +286,10 @@ def random_interiors(seed, count):
 
 
 def vertex_check_summary(rep):
-    """Every field of each vertex check, the witness down to its bytes."""
-    return tuple((c.vertex, c.holds, c.lambda_min) + (() if c.witness is None else (
-        c.witness.domain, c.witness.values.tobytes())) for c in rep.vertex_checks)
+    """Every field of each vertex check down to its bytes."""
+    return tuple((c.vertex, c.holds, np.float64(c.lambda_min).tobytes(), np.float64(c.form_norm).tobytes())
+                 + (() if c.witness is None else (c.witness.domain, c.witness.values.tobytes()))
+                 for c in rep.vertex_checks)
 
 
 def test_stacked_interior_forms_match_the_one_centre_form_bitwise():
@@ -295,7 +297,9 @@ def test_stacked_interior_forms_match_the_one_centre_form_bitwise():
     for bg, K, n, m in random_interiors(7, 28):
         ig = induced_interior_graph(bg)
         m = check_necessary_conditions(bg, K, n).boundary_measure
-        forms, scales = steklov.rigidity._interior_forms(ig, K, n, m, range(ig.num_vertices))
+        centres = range(ig.num_vertices)
+        forms, scales = steklov.rigidity._interior_forms(
+            ig, K, n, m, centres, steklov.rigidity._interior_blocks(ig, centres))
         rep = check_interior_inequality(bg, K, n)
         assert len(rep.vertex_checks) == ig.num_vertices
         for x, form, scale, check in zip(ig.vertices, forms, scales, rep.vertex_checks):
@@ -328,7 +332,8 @@ def test_complete_interior_forms_match_the_scatter_bitwise(monkeypatch):
         m = check_necessary_conditions(bg, 1.0, n).boundary_measure
         reference = [interior_form_by_scatter(ig, 1.0, n, m, x).tobytes() for x in ig.vertices]
         for centres in (range(size), range(3, 7), range(size - 1, size)):
-            forms, _ = steklov.rigidity._interior_forms(ig, 1.0, n, m, centres)
+            forms, _ = steklov.rigidity._interior_forms(
+                ig, 1.0, n, m, centres, steklov.rigidity._interior_blocks(ig, centres))
             assert [form.tobytes() for form in forms] == reference[centres.start:centres.stop]
         seen = recorded_vertex_checks(monkeypatch, steklov.rigidity)
         calls = chunked(monkeypatch, size, 3)
@@ -824,11 +829,44 @@ def test_construction_reports_condition_5_on_the_interior_it_probed(monkeypatch)
 
 
 def test_construct_threshold_bisection():
-    # K2 at n = 4 has its feasibility threshold strictly inside (0, 1], so the
-    # search reports lam = 2 * threshold; scaled-down interiors must fail
-    res = construct_rigid_family(complete_interior_graph(2), 4.0, 1.0, 1.0)
-    assert res.lam == pytest.approx(2.0 * res.lam_threshold)
+    # K3 at n = 6 and K = 1e4 fails at lam = 1, so the search doubles to 2048
+    # and bisects to a threshold of about 2000.001: the interior fails just
+    # below it and passes at it. The returned report, read from the threshold
+    # probe's blocks scaled by 4, 2 and 2, is the check on the returned graph
+    # bit for bit
+    K, n = 1e4, 6.0
+    res = construct_rigid_family(complete_interior_graph(3), n, K, 1.0)
+    assert res.lam_threshold == pytest.approx(2000.001, rel=1e-6)
+    assert res.lam == 2.0 * res.lam_threshold
     assert res.interior_report.passed
+    checked = check_interior_inequality(res.graph, K, n)
+    assert (res.interior_report.passed, res.interior_report.detail) == (checked.passed, checked.detail)
+    assert vertex_check_summary(res.interior_report) == vertex_check_summary(checked)
+    for scale, passed in ((res.lam_threshold, True), (res.lam_threshold * (1.0 - 1e-5), False)):
+        probe = construct_rigid_family(complete_interior_graph(3), n, K, 1.0, lam=scale)
+        assert probe.interior_report.passed is passed
+
+
+def test_construct_gives_up_above_lambda_max():
+    # at K = 1e9 no interior weight scale up to LAMBDA_MAX makes K3 at n = 6 rigid
+    with pytest.raises(FeasibilitySearchFailed):
+        construct_rigid_family(complete_interior_graph(3), 6.0, 1e9, 1.0)
+
+
+def test_construction_assembles_gamma2_once_per_probe(monkeypatch):
+    # each probe assembles its interior's blocks once (a complete interior is
+    # one 2-ball shape in one chunk), and the returned report reads the
+    # threshold probe's blocks scaled, with no assembly of its own
+    calls = Counter()
+    count_calls(monkeypatch, calls, steklov.rigidity, "_gamma2_forms")
+    count_calls(monkeypatch, calls, steklov.rigidity, "_interior_inequality")
+    probes = []
+    for size, n, K in ((30, 10.0, 1.0), (3, 6.0, 1e4)):
+        calls.clear()
+        construct_rigid_family(complete_interior_graph(size), n, K, 1.0)
+        assert calls["_gamma2_forms"] == calls["_interior_inequality"] - 1
+        probes.append(calls["_gamma2_forms"])
+    assert probes[0] == 1 and probes[1] > 20  # lam = 1 passes at once; K = 1e4 doubles, then bisects
 
 
 def test_construct_errors():

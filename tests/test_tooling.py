@@ -144,7 +144,7 @@ def test_the_graph_alone_groups_its_two_balls_by_shape():
     assert [module for module, _ in defined] == ["graphs", "graphs"]
     assert _calls_of("_walk_shape_groups") == [("graphs", "_shape_groups"), ("graphs", "_two_ball_groups")]
     assert _calls_of("_shape_groups") == [
-        ("curvature", "_curvature_stacks"), ("curvature", "cd_check"), ("rigidity", "_interior_forms")]
+        ("curvature", "_curvature_stacks"), ("curvature", "cd_check"), ("rigidity", "_interior_blocks")]
     assert [site for site in _calls_of("_two_spheres") if site[0] in ("curvature", "rigidity")] == [
         ("rigidity", "two_ball_identity_check")]
     imported = _enclosing_functions(lambda node: isinstance(node, ast.ImportFrom)
@@ -156,10 +156,14 @@ def test_one_gamma2_assembly_for_every_local_form():
     # one stacked builder assembles Gamma2 by blocks, for the curvature
     # function's padded stacks and, through its one placement into full
     # forms, for cd_check, condition (5) and the one-centre form; the
-    # curvature function reads the blocks and builds no (B, s, s) stack
+    # curvature function reads the blocks and builds no (B, s, s) stack.
+    # Condition (5) takes its blocks from one helper, which the construction's
+    # probes call and its returned report does not
     assert _calls_of("_gamma2_blocks") == [("curvature", "_curvature_stacks"), ("operators", "_gamma2_forms")]
     assert _calls_of("_gamma2_forms") == [
-        ("curvature", "cd_check"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_forms")]
+        ("curvature", "cd_check"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_blocks")]
+    assert _calls_of("_interior_blocks") == [
+        ("rigidity", "_interior_inequality"), ("rigidity", "assemble_interior_form"), ("rigidity", "probe")]
     assert _calls_of("_gamma_forms") == [("operators", "_gamma2_blocks"), ("operators", "_gamma_matrix")]
     assert _calls_of("_pinned_forms") == []
 
