@@ -20,34 +20,18 @@ to K <= lambda_min(D^{-1/2} S(n) D^{-1/2}), with
 a rank-one update in n of one form per vertex. That lambda_min is the
 curvature function kappa(x, n) returned here.
 
-kappa(x, .) depends on the 2-ball around x alone, so centres are grouped by
-2-ball shape (|S1|, |S2|). The graph owns that grouping
-(WeightedGraph._shape_groups): the groups of all its vertices are walked once
-per graph and kept, a single vertex walks its own 2-ball, and a group's ids
-are taken in one gather. On a small graph most shape
-groups hold one or two centres, and each stack pays a fixed numpy cost far
-above its arithmetic, so the curvature function merges the groups into
-padded stacks of one shape (1 + k + t), k and t the largest |S1| and |S2|:
-a pad repeats the centre, so the assembly needs no mask, and the pad rows
-and columns are zeroed after it and shifted out of the eigenvalue problem;
-a merge is kept only while the padding it adds is at most PAD_ENTRIES
-entries. One assembly and one stacked eigh per stack solve every n,
-which gives the kappas. The assembly gives the pinned form as its blocks
-A11, A12 and d (operators._gamma2_blocks); no (B, s, s) stack and no
-S2 x S2 block is built, and the witness quotients read the same blocks.
-The ball ids, the sign-fixed witnesses and their Rayleigh quotients are
-array operations over the stack too, run only when a caller reads the
-results. cd_check keeps exact shape
-groups, one eigvalsh deciding each: it reports every form's lambda_min and
-norm, which pad eigenvalues would change. A single vertex is the one-centre
-case of the same kernels.
+kappa(x, .) depends on the 2-ball around x alone. Centres are grouped by
+2-ball shape (WeightedGraph._shape_groups) into padded stacks
+(_padded_stacks), whose pinned forms are assembled as blocks A11, A12 and d
+(operators._gamma2_blocks), never as a (B, s, s) stack, and turned into
+(B, |n|, k, k) pencils (_pencils) that one stacked eigh solves for every n.
+Ball ids, witnesses and quotients are built only when the results are read.
 
-cd_check and condition (5) of the rigidity module both ask whether a form
-pinned at each vertex is PSD. One builder, _vertex_checks, decides a stack of
-such forms from its eigenvalues (eigvalsh) and returns one VertexCheck per
-vertex; eigenvectors are computed, and a witness built, only where the form
-fails. A 0 x 0 form (an isolated vertex, or |Omega| = 1) holds with
-lambda_min inf.
+By the Schur step, CD(K, n) holds at x exactly when kappa(x, n) >= K, so
+cd_check reads the same pencils over exact shape groups (pads would change
+the kappa - K and norm it reports). It shares one per-vertex verdict with
+condition (5) of the rigidity module (_vertex_checks): one eigvalsh per
+stack against the caller's tolerance; eigh and a witness only on failure.
 """
 
 import math
@@ -59,7 +43,6 @@ import numpy as np
 from .errors import InvalidParams, IsolatedVertex
 from .graphs import (
     MULTIPLICITY_TOL,
-    PSD_TOL,
     BoundaryGraph,
     WeightedGraph,
     attains_bound,
@@ -67,7 +50,7 @@ from .graphs import (
     lichnerowicz_bound,
     validate_dimension,
 )
-from .operators import VertexFunction, _gamma2_blocks, _gamma2_forms
+from .operators import VertexFunction, _gamma2_blocks
 from .operators import _gamma2_matrix  # noqa: F401 -- unused; perfbench traces calls via this name
 from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
@@ -119,24 +102,22 @@ def _padded_stacks(groups):
         yield k, t, balls, real, parts
 
 
-def _psd_rule(evals, scale):
-    """lambda_min, max |lambda| and lambda_min >= -PSD_TOL max(max |lambda|, scale) along the trailing axis.
+def _psd_rule(evals, tol):
+    """lambda_min, max |lambda| and lambda_min >= -tol(max |lambda|) along the trailing axis.
 
-    scale, the size of the summands (for cd_check the largest entry of the
-    form before the shift by K), judges a form that cancels to rounding noise;
-    no absolute floor breaks covariance under w -> c w, m -> d m.
+    tol(norm), each form's rounding scale, is built by the caller from the sizes
+    the form is made of, with no absolute floor (covariance under w -> c w, m -> d m).
     """
     lam, norm = evals.min(axis=-1), np.abs(evals).max(axis=-1)
-    return lam, norm, lam >= -PSD_TOL * np.maximum(norm, scale)
+    return lam, norm, lam >= -tol(norm)
 
 
-def _psd_verdict(matrices, scale):
-    """_psd_rule on the eigvalsh spectra of a stack of forms, plus a lambda_min eigenvector of each failing form.
+def _psd_verdict(matrices, tol, shift=0.0):
+    """_psd_rule on the eigvalsh spectra of a stack of forms less shift, and a lambda_min vector of each failing form.
 
-    eigh runs on the failing forms alone; LAPACK solves each matrix on its own,
-    so these are the vectors eigh gives on the whole stack.
+    eigh runs on the failing forms alone, unshifted: the vectors it gives on the whole stack.
     """
-    lam, norm, holds = _psd_rule(np.linalg.eigvalsh(matrices), scale)
+    lam, norm, holds = _psd_rule(np.linalg.eigvalsh(matrices) - shift, tol)
     failing = matrices[~holds]
     return lam, norm, holds, (np.linalg.eigh(failing)[1][:, :, 0] if len(failing) else failing[:, 0])
 
@@ -152,16 +133,19 @@ class VertexCheck:
     witness: VertexFunction | None
 
 
-def _vertex_checks(forms, scale, vertices, domain):
-    """A VertexCheck per form of a (B, s, s) stack, form j pinned at vertices[j].
+def _vertex_checks(forms, tol, vertices, domain, lift=None, shift=0.0):
+    """A VertexCheck per form of a (B, s, s) stack less shift, form j pinned at vertices[j].
 
-    One stacked eigh decides every form by the PSD rule. domain(j) lists
-    vertices[j], then form j's coordinates; it is called, and a witness built,
-    only where form j fails. A 0 x 0 form holds with lambda_min inf.
+    One stacked eigvalsh decides every form by _psd_rule. Where form j fails,
+    its witness is 0 at vertices[j], then form j's lambda_min vector, or its
+    row of lift(failing, vectors), on domain(j), which lists vertices[j]
+    first. A 0 x 0 form holds with lambda_min inf.
     """
     if not forms.shape[-1]:
         return [VertexCheck(x, math.inf, 0.0, True, None) for x in vertices]
-    lam, norm, holds, vecs = _psd_verdict(forms, scale)
+    lam, norm, holds, vecs = _psd_verdict(forms, tol, shift)
+    if lift is not None and len(vecs):
+        vecs = lift(np.flatnonzero(~holds), vecs)
     vecs, checks = iter(vecs), []
     for j, (x, low, top, ok) in enumerate(zip(vertices, lam.tolist(), norm.tolist(), holds.tolist())):
         witness = None if ok else VertexFunction(domain(j), np.concatenate([[0.0], next(vecs)]))
@@ -184,26 +168,26 @@ class CDReport:
 def cd_check(g, K, n, x=None):
     """Decide CD(K, n) at one vertex (or everywhere when x is omitted).
 
-    The verdict is lambda_min(A(K)) >= -PSD_TOL max(||A(K)||, q) over the
-    pinned 2-ball space, q the largest entry of the pinned Gamma2 form; on
-    failure the check carries a violating function f with f^T A f < 0. K may
-    be any finite real (non-positive K is useful diagnostically); n must lie in (1, inf].
+    It holds at x exactly when kappa(x, n) >= K, read from the curvature
+    function's pencils: lambda_min is kappa - K, form_norm the largest
+    |eigenvalue| of the pencil less K, and the check holds where
+    kappa - K >= -MULTIPLICITY_TOL Deg(x), Deg(x) = (1/m_x) sum_y w_xy, the
+    curvature unit at x: covariant under w -> c w, m -> d m, and not widened
+    by a large degree elsewhere or a large pencil entry. A failing check
+    carries the pencil's lambda_min vector lifted to the 2-ball (_lift), with
+    f^T A(K) f = kappa - K < 0. K may be any finite real; n must lie in (1, inf].
     """
     n = validate_dimension(n)
     K = finite_number(K, "K", positive=False)
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
     for (k, _), balls in g._shape_groups(centres).items():
-        q, gamma_diag, row = _gamma2_forms(g, balls, k + 1)
-        a, r, gamma_diag = q[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
-        scale = np.abs(a).max(axis=(1, 2), initial=0.0)
-        rr = r[:, :, None] * r[:, None, :]
-        rr /= n
-        a[:, :k, :k] -= rr
-        a[:, range(k), range(k)] -= K * gamma_diag
-        at = balls[:, 0].tolist()
-        checks.update(zip(at, _vertex_checks(a, scale, [g.vertices[i] for i in at],
-                                             lambda j, balls=balls: _ball_ids(g, balls[j:j + 1])[0])))
+        (_, a12, _, _, _, d_plus, d_isqrt), pencils = _pencils(g, balls, k, None, np.array([n]))
+        at = balls[:, 0]
+        tau = MULTIPLICITY_TOL * g.weight_sums[at] / g.measures[at]
+        checks.update(zip(at.tolist(), _vertex_checks(
+            pencils[:, 0], lambda norm, tau=tau: tau, [g.vertices[i] for i in at.tolist()],
+            lambda j, balls=balls: _ball_ids(g, balls[j:j + 1])[0], partial(_lift_rows, a12, d_plus, d_isqrt), K)))
     checks = tuple(checks[i] for i in centres)
     return CDReport(K, n, all(c.holds for c in checks), checks)
 
@@ -234,25 +218,57 @@ class CurvatureResult:
         return VertexFunction(self.ball, self.witness_values)
 
 
+def _pencils(g, balls, k, real, n_arr):
+    """The pinned forms over a stack of 2-balls as their blocks, and their (B, |n|, k, k) pencils.
+
+    Returns (a11, a12, d, r, gamma_diag, d_plus, d_isqrt) and the pencils
+    D^{-1/2} S(n) D^{-1/2}, one per n; real is _padded_stacks' pad mask, or
+    None. A pad repeats the centre, adding only zero terms to real entries,
+    and its rows and columns are zeroed after assembly. A pad in S2 has
+    d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal above every
+    real block's Gershgorin bound. Real pivots and Gamma diagonals are
+    positive, unlike pads; a pivot out of the float range makes NaN or
+    infinite entries with no numpy warning (kernel_ok reports it).
+    """
+    q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
+    a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
+    if real is not None:
+        pads = ~real[:, 1:]
+        a[pads[:, :k]] = a.transpose(0, 2, 1)[pads] = d[pads[:, k:]] = 0.0
+    a11, a12 = a[:, :, :k], a[:, :, k:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+        d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
+        schur = a11[:, None] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
+        schur -= ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None]
+        schur *= d_isqrt[:, None, :, None]
+        schur *= d_isqrt[:, None, None, :]
+        pencils = schur + schur.swapaxes(2, 3)
+        pencils /= 2.0
+    if real is not None and pads[:, :k].any():
+        at, s1 = np.nonzero(pads[:, :k])
+        pencils[at, :, s1, s1] = 2.0 * k * np.abs(pencils).max() + 1.0
+    return (a11, a12, d, r, gamma_diag, d_plus, d_isqrt), pencils
+
+
+def _lift(vecs, a12, d_plus, d_isqrt):
+    """Pencil vectors v, (B, |n|, k), as f1 = D^{-1/2} v on S1 and the minimizing f2 = -d+ A12^T f1; also f1 A12."""
+    f1 = d_isqrt[:, None] * vecs
+    g12 = f1 @ a12
+    return f1, g12, -d_plus[:, None] * g12
+
+
+def _lift_rows(a12, d_plus, d_isqrt, rows, vecs):
+    """The (F, k + t) values (f1, f2) that _lift gives pencil vectors (F, k) at some rows of a stack."""
+    f1, _, f2 = _lift(vecs[:, None], a12[rows], d_plus[rows], d_isqrt[rows])
+    return np.concatenate([f1, f2], axis=2)[:, 0]
+
+
 def _curvature_stacks(g, centres, n_values):
     """Per padded stack of 2-balls, (centres, kappas, finish): the curvature function's eager part.
 
-    kappas is a (B, |n|) array over the stack's B centres; finish() is
-    _finish_stack on what the stack keeps. The pinned form is read as its
-    blocks A11, A12 and the S2 diagonal d. The Schur complements over S1
-    differ only by the rank-one term r r^T / n, so one stacked eigh of shape
-    (B, |n|, k, k) solves every pencil of a stack. Pad coordinates drop out:
-    a pad repeats the centre (no self-weight, so it adds only zero terms to
-    the real entries), and its rows and columns are zeroed, block by block,
-    after assembly; a pad in S2 has d = 0, so d+ = 0; a pad in S1 has
-    d^{-1/2} = 0 and a pencil diagonal of 2 k max|pencil entry| + 1, above
-    every real block's Gershgorin bound, so lambda_min and its vector come
-    from the real block.
-    A real pivot d_z = sum_y w_xy w_yz / (4 m_x m_y) and a real Gamma
-    diagonal w_xy / (2 m_x) are positive, so d > 0 and Gamma > 0 tell them
-    from pads; a stack of one shape has no pads to zero or shift. A pivot
-    out of the float range makes NaN or infinite kappas without a numpy
-    warning: kernel_ok reports it.
+    kappas, a (B, |n|) array over the stack's B centres, comes from one stacked
+    eigh of its _pencils; finish() is _finish_stack on what the stack keeps.
     """
     groups = g._shape_groups(centres)
     if (0, 0) in groups:
@@ -260,28 +276,10 @@ def _curvature_stacks(g, centres, n_values):
     n_arr = np.array(n_values)
     stacks = []
     for k, t, balls, real, parts in _padded_stacks(groups):
-        q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
-        a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
-        if real is not None:
-            pads = ~real[:, 1:]
-            a[pads[:, :k]] = a.transpose(0, 2, 1)[pads] = d[pads[:, k:]] = 0.0
-        a11, a12 = a[:, :, :k], a[:, :, k:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
-            d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
-            schur = a11[:, None] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
-            schur -= ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None]
-            schur *= d_isqrt[:, None, :, None]
-            schur *= d_isqrt[:, None, None, :]
-            pencils = schur + schur.swapaxes(2, 3)
-            pencils /= 2.0
-        if real is not None and pads[:, :k].any():
-            at, s1 = np.nonzero(pads[:, :k])
-            pencils[at, :, s1, s1] = 2.0 * k * np.abs(pencils).max() + 1.0
+        blocks, pencils = _pencils(g, balls, k, real, n_arr)
         evals, evecs = np.linalg.eigh(pencils)
         low = evals[..., 0]
-        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, real, parts,
-                         a11, a12, d, r, gamma_diag, d_plus, d_isqrt, evecs[..., 0])
+        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, real, parts, *blocks, evecs[..., 0])
         stacks.append((balls[:, 0], low, finish))
     return stacks
 
@@ -302,9 +300,7 @@ def _finish_stack(g, n_values, centres, kappas, real, parts, a11, a12, d, r, gam
     inverted = (d_plus > 0.0) & (d_plus < np.inf)
     kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        f1 = d_isqrt[:, None] * low_vecs
-        g12 = f1 @ a12
-        f2 = -d_plus[:, None] * g12
+        f1, g12, f2 = _lift(low_vecs, a12, d_plus, d_isqrt)
         quotients = ((np.sum((f1 @ a11) * f1, axis=2) + 2.0 * np.sum(g12 * f2, axis=2)
                       + np.sum(d[:, None] * f2 * f2, axis=2) - (f1 @ r[:, :, None])[..., 0] ** 2 / n_arr)
                      / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))

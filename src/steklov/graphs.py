@@ -44,11 +44,11 @@ from .errors import (
 INF = math.inf
 
 # Numerical tolerances, the single table every module reads.
-PSD_TOL = 1e-9  # PSD: lambda_min >= -PSD_TOL * max(max |lambda|, largest entry before any shift by K)
+PSD_TOL = 1e-9  # condition (5) PSD: lambda_min >= -PSD_TOL * max(max |lambda|, largest summand of the form)
 CONDITION_TOL = 1e-9  # (1)-(4): measures, weights, degrees agree to |a - b| <= tol max(|a|, |b|) (rigidity._close)
 EQUALITY_TOL = 1e-8  # |spectral value - bound| <= EQUALITY_TOL * bound
 HARMONIC_TOL = 1e-8  # interior residual of a harmonic extension, relative to max(deg/m) max |f|
-MULTIPLICITY_TOL = 1e-8  # ties: eigenvalues relative to max |eigenvalue|, global_min kappas relative to max(deg/m)
+MULTIPLICITY_TOL = 1e-8  # relative to max |eigenvalue| (ties), max(deg/m) (global_min ties), deg(x)/m(x) (CD: kappa - K)
 GREEN_TOL = 1e-10  # Green's identity residual relative to the sum of its three terms' magnitudes
 ZERO_TOL = 1e-12  # the sign fix's leading entry: the first above this fraction of the row's largest
 SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops

@@ -14,9 +14,9 @@ product-rule identity, which cancels catastrophically. Gamma2 is assembled
 by blocks (_gamma2_blocks): the B1 x B1 block, the B1 x S2 block and the
 diagonal of the S2 block, which is all of the S2 x S2 block that is not
 zero, so only the 1-ball rows of the weights are gathered. The curvature
-function reads the blocks as they are and never builds the S2 x S2 block;
-_gamma2_forms places them into full forms for cd_check, condition (5) and
-the one-centre form. The curvature function also stacks smaller balls,
+function and cd_check read the blocks as they are and never build the S2 x S2
+block; _gamma2_forms places them into full forms for condition (5) and the
+one-centre form. The curvature function also stacks smaller balls,
 padded with copies of the centre, and zeroes the pad rows and columns
 after assembly. The explicit-sum gamma and gamma2, the identity and the
 dense (B, s, s) assembly are test oracles (tests/oracles.py).

@@ -45,6 +45,7 @@ from .errors import (
 from .graphs import (
     CONDITION_TOL,
     INF,
+    PSD_TOL,
     SEARCH_TOL,
     attains_bound,
     finite_number,
@@ -360,7 +361,8 @@ def _interior_inequality(ig, K, n, m, blocks=None):
             blocks = (_interior_blocks(ig, centres) for centres in chunks)  # one chunk's blocks live at a time
         for centres, chunk in zip(chunks, blocks):
             forms, scales = _interior_forms(ig, K, n, m, centres, chunk)
-            checks += _vertex_checks(forms, scales, ids[centres.start:centres.stop],
+            checks += _vertex_checks(forms, lambda norm, scales=scales: PSD_TOL * np.maximum(norm, scales),
+                                     ids[centres.start:centres.stop],
                                      lambda j, i0=centres.start: (ids[i0 + j],) + ids[:i0 + j] + ids[i0 + j + 1:])
     passed = all(c.holds for c in checks)
     return InteriorInequalityReport(

@@ -82,6 +82,14 @@ def random_connected_graph(rng, n_min=2, n_max=8, unit=False, extra_edge_prob=0.
     )
 
 
+def unit_grid(k):
+    """The k x k grid with unit weights and measures, vertices "i_j"."""
+    ids = {(i, j): f"{i}_{j}" for i in range(k) for j in range(k)}
+    edges = [(v, ids[i + 1, j], 1.0) for (i, j), v in ids.items() if i + 1 < k]
+    edges += [(v, ids[i, j + 1], 1.0) for (i, j), v in ids.items() if j + 1 < k]
+    return build_graph([(v, 1.0) for v in ids.values()], edges)
+
+
 def random_boundary_graph(rng, n_min=3, n_max=8, unit=False, extra_edge_prob=0.45,
                           weight_range=(0.2, 3.0), measure_range=(0.2, 3.0)):
     """Random boundary graph: random graph plus a random independent boundary."""

@@ -1,5 +1,8 @@
 """Curvature-dimension checks, the curvature function, and the spectral bound."""
 
+from collections import Counter
+from fractions import Fraction
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from steklov import (
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 import steklov.curvature
 from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks
-from steklov.graphs import INF
+from steklov.graphs import INF, MULTIPLICITY_TOL
 from steklov.operators import _gamma2_blocks, _gamma2_forms, _gamma2_matrix
 
 from oracles import (
@@ -37,6 +40,7 @@ from oracles import (
     random_connected_graph,
     random_function,
     random_join_boundary_graph,
+    unit_grid,
 )
 
 
@@ -136,7 +140,7 @@ def test_curvature_matches_oracles_on_sparse_graphs():
             assert res.kappa == pytest.approx(kappa_by_bisection(g, x, n), abs=1e-7, rel=1e-7)
 
             # the pinned CD form at a violated K: the polarized form over
-            # V minus {x} vanishes off the 2-ball and has cd_check's lambda_min on it
+            # V minus {x} vanishes off the 2-ball, and cd_check's witness is negative on it
             K = res.kappa + 0.5
             rest = [v for v in g.vertices if v != x]
             local = [rest.index(v) for v in res.witness.domain[1:]]
@@ -144,17 +148,12 @@ def test_curvature_matches_oracles_on_sparse_graphs():
             polarized = cd_matrix_by_polarization(g, x, K, n)
             scale = 1.0 + np.abs(polarized).max()
             assert np.abs(polarized[outside]).max() <= 1e-10 * scale
-            lam = np.linalg.eigvalsh(polarized[np.ix_(local, local)])[0]
             check = cd_check(g, K, n, x=x).checks[0]
             assert not check.holds
-            assert check.lambda_min == pytest.approx(lam, abs=1e-10 * scale)
-
-
-def unit_grid(k):
-    ids = {(i, j): f"{i}_{j}" for i in range(k) for j in range(k)}
-    edges = [(v, ids[i + 1, j], 1.0) for (i, j), v in ids.items() if i + 1 < k]
-    edges += [(v, ids[i, j + 1], 1.0) for (i, j), v in ids.items() if j + 1 < k]
-    return build_graph([(v, 1.0) for v in ids.values()], edges)
+            assert check.lambda_min == pytest.approx(res.kappa - K, abs=1e-10 * scale)
+            on = [rest.index(v) for v in check.witness.domain[1:]]
+            f = check.witness.values[1:]
+            assert f @ polarized[np.ix_(on, on)] @ f < 0.0
 
 
 def test_curvature_at_reads_only_the_two_ball(monkeypatch):
@@ -704,6 +703,16 @@ def test_kappa_passes_the_exact_cd_test_with_a_tiny_s2_pivot():
     assert is_psd_exact(cd_form_exact(g, "v4", res.kappa, 2.0))
     assert not is_psd_exact(cd_form_exact(g, "v4", res.kappa + 1e-10 * abs(res.kappa), 2.0))
     assert res.witness_quotient == pytest.approx(res.kappa, rel=1e-9)
+    # cd_check reads the same kernel; judged on the full form by PSD_TOL
+    # times its largest entry, it held at K = 378,897 and 3,788,970
+    assert cd_check(g, res.kappa, 2.0, "v4").holds
+    rest = [v for v in g.vertices if v != "v4"]
+    for K in (378897.0, 3788970.0):
+        check = cd_check(g, K, 2.0, "v4").checks[0]
+        assert not check.holds and check.lambda_min == res.kappa - K
+        f = [Fraction(float(check.witness[v])) if v in check.witness.domain else 0 for v in rest]
+        exact = cd_form_exact(g, "v4", K, 2.0)  # the witness is negative on it in exact arithmetic
+        assert sum(a * b * f[j] for row, a in zip(exact, f) for j, b in enumerate(row)) < 0
 
 
 @pytest.mark.parametrize("weight", [1e-155, 1e-162])
@@ -772,6 +781,32 @@ def test_cd_check_rejects_k_above_kappa_at_small_weights():
         assert not cd_check(g, kappa * (1.0 + 1e-6), INF).holds
         assert not cd_check(g, 100.0 * kappa, INF).holds
         assert not verify_lichnerowicz(attach_boundary(g, {"1", "3"}), 100.0 * kappa, INF).cd_holds
+
+
+def test_cd_check_agrees_with_the_exact_form_off_the_tolerance():
+    # weights and measures spread by log-uniform factors over 1e2, 1e6 and
+    # 1e10; K a relative 1e-6 either side of kappa. The exact pinned form
+    # in Fractions decides CD(K, n); cd_check must agree wherever K and
+    # kappa are further apart than its tolerance MULTIPLICITY_TOL Deg(x)
+    rng = np.random.default_rng(18)
+    decided = Counter()
+    for t in range(12):
+        spread = (1e2, 1e6, 1e10)[t % 3]
+        base = random_connected_graph(rng, n_min=3, n_max=7)
+        factors = np.triu(spread ** rng.uniform(size=base.weights.shape))
+        g = WeightedGraph(base.vertices, base.measures * spread ** rng.uniform(size=base.num_vertices),
+                          base.weights * (factors + factors.T))
+        i = int(rng.integers(g.num_vertices))
+        x, tau = g.vertices[i], MULTIPLICITY_TOL * g.weight_sums[i] / g.measures[i]
+        for n in (2.0, INF):
+            kappa = curvature_at(g, x, n).kappa
+            for K in (kappa - 1e-6 * max(1.0, abs(kappa)), kappa + 1e-6 * max(1.0, abs(kappa))):
+                if abs(K - kappa) <= tau:
+                    continue
+                holds = is_psd_exact(cd_form_exact(g, x, K, n))
+                assert cd_check(g, K, n, x).holds is holds, (t, x, n, K, kappa)
+                decided[holds] += 1
+    assert min(decided[True], decided[False]) >= 10
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0), st.floats(-12.0, 12.0))

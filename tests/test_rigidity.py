@@ -28,6 +28,7 @@ from steklov import (
     curvature_profile,
     disjoint_ball_scan,
     induced_interior_graph,
+    join_equality_boundary,
     laplacian_spectrum,
     make_example,
     steklov_spectrum,
@@ -66,6 +67,7 @@ from oracles import (
     random_function,
     random_join_boundary_graph,
     rigidity_diagnostics_eagerly,
+    unit_grid,
 )
 from steklov.operators import laplacian
 
@@ -311,7 +313,7 @@ def test_stacked_interior_forms_match_the_one_centre_form_bitwise():
                 assert (check.holds, check.lambda_min, check.form_norm, check.witness) == (True, INF, 0.0, None)
                 verdicts["empty"] += 1
                 continue
-            (lam,), _, (ok,), vecs = _psd_verdict(one.matrix[None], one.scale)
+            (lam,), _, (ok,), vecs = _psd_verdict(one.matrix[None], lambda norm: PSD_TOL * np.maximum(norm, one.scale))
             assert (check.holds, check.lambda_min) == (bool(ok), float(lam))
             verdicts[check.holds] += 1
             if ok:
@@ -344,12 +346,12 @@ def test_complete_interior_forms_match_the_scatter_bitwise(monkeypatch):
 
 
 def recorded_vertex_checks(monkeypatch, module):
-    """Every (forms, scale, checks) that module's calls of _vertex_checks see, appended to the returned list."""
+    """Every (forms, (tol, domain, lift, shift), checks) that module's calls of _vertex_checks see, appended to the returned list."""
     seen, build = [], module._vertex_checks
 
-    def spy(forms, scale, vertices, domain):
-        checks = build(forms, scale, vertices, domain)
-        seen.append((forms.copy(), scale, checks))
+    def spy(forms, tol, vertices, domain, lift=None, shift=0.0):
+        checks = build(forms, tol, vertices, domain, lift, shift)
+        seen.append((forms.copy(), (tol, domain, lift, shift), checks))
         return checks
 
     monkeypatch.setattr(module, "_vertex_checks", spy)
@@ -357,19 +359,23 @@ def recorded_vertex_checks(monkeypatch, module):
 
 
 def assert_verdicts_match_full_eigh(seen, verdicts):
-    # the reference decides every form from the full eigh of its stack
-    for forms, scale, checks in seen:
+    # the reference decides every form from the full eigh of its stack, and
+    # lifts the failing forms' vectors from that stack to their witnesses
+    for forms, (tol, domain, lift, shift), checks in seen:
         if not forms.shape[-1]:
             continue
         evals, evecs = np.linalg.eigh(forms)
-        lam, _, holds = _psd_rule(evals, scale)
-        for form, low, ok, vec, check in zip(forms, lam.tolist(), holds.tolist(), evecs[..., 0], checks):
+        lam, _, holds = _psd_rule(evals - shift, tol)
+        failing = np.flatnonzero(~holds)
+        lifted = iter(evecs[failing, :, 0] if lift is None or not len(failing) else lift(failing, evecs[failing, :, 0]))
+        for j, (form, low, ok, vec, check) in enumerate(zip(forms, lam.tolist(), holds.tolist(), evecs[..., 0], checks)):
             assert check.holds == ok
             assert abs(check.lambda_min - low) <= 1e-12 * check.form_norm
             verdicts[ok] += 1
             if not ok:
-                assert check.witness.values.tobytes() == np.concatenate([[0.0], vec]).tobytes()
-                assert vec @ form @ vec < 0.0
+                assert check.witness.domain == domain(j)
+                assert check.witness.values.tobytes() == np.concatenate([[0.0], next(lifted)]).tobytes()
+                assert vec @ form @ vec < shift
 
 
 def test_values_first_psd_verdicts_match_the_full_eigh(monkeypatch):
@@ -452,6 +458,19 @@ def test_interior_inequality_assembles_once_per_shape_group_and_chunk(monkeypatc
 # ---------------------------------------------------------------------------
 # full rigidity decision
 # ---------------------------------------------------------------------------
+
+def test_grid_join_is_not_rigid_at_any_interior_weight_scale():
+    # the 8 x 8 unit grid joined to the equality boundary attains the bound
+    # but has kappa < 1 at some vertex (min kappa -0.0428 at lam = 1, -0.0442
+    # at lam = 50), so CD(1, 10) fails; judged on the full form by PSD_TOL
+    # times its largest entry, which grows like lam^2, CD held at lam = 50
+    for lam in (1.0, 50.0):
+        bg = join_equality_boundary(unit_grid(8).rescaled_weights(lam), n=10, K=1, m=1)
+        assert curvature_profile(bg.graph, (10.0,)).global_min[10.0][0] < 1.0 - 1e-3
+        report = check_rigidity(bg, 1, 10)
+        assert not report.cd_holds
+        assert report.classification.label is RigidityClass.NOT_RIGID
+
 
 def test_check_rigidity_equality_graphs():
     cases = [

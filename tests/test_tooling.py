@@ -153,15 +153,14 @@ def test_the_graph_alone_groups_its_two_balls_by_shape():
 
 
 def test_one_gamma2_assembly_for_every_local_form():
-    # one stacked builder assembles Gamma2 by blocks, for the curvature
-    # function's padded stacks and, through its one placement into full
-    # forms, for cd_check, condition (5) and the one-centre form; the
-    # curvature function reads the blocks and builds no (B, s, s) stack.
+    # one stacked function assembles Gamma2 by blocks, for the pencils that
+    # the curvature function and cd_check read and, through its one
+    # placement into full forms, for condition (5) and the one-centre form;
+    # the pencils are built from the blocks, with no (B, s, s) stack.
     # Condition (5) takes its blocks from one helper, which the construction's
     # probes call and its returned report does not
-    assert _calls_of("_gamma2_blocks") == [("curvature", "_curvature_stacks"), ("operators", "_gamma2_forms")]
-    assert _calls_of("_gamma2_forms") == [
-        ("curvature", "cd_check"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_blocks")]
+    assert _calls_of("_gamma2_blocks") == [("curvature", "_pencils"), ("operators", "_gamma2_forms")]
+    assert _calls_of("_gamma2_forms") == [("operators", "_gamma2_matrix"), ("rigidity", "_interior_blocks")]
     assert _calls_of("_interior_blocks") == [
         ("rigidity", "_interior_inequality"), ("rigidity", "assemble_interior_form"), ("rigidity", "probe")]
     assert _calls_of("_gamma_forms") == [("operators", "_gamma2_blocks"), ("operators", "_gamma_matrix")]
@@ -176,8 +175,8 @@ def test_pads_are_known_to_the_curvature_function_alone():
         assert list(inspect.signature(assembly).parameters) == ["g", "balls", "k"]
     named = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id == "real")
                                  or (isinstance(node, ast.arg) and node.arg == "real"))
-    assert sorted(set(named)) == [
-        ("curvature", "_curvature_stacks"), ("curvature", "_finish_stack"), ("curvature", "_padded_stacks")]
+    assert sorted(set(named)) == [("curvature", "_curvature_stacks"), ("curvature", "_finish_stack"),
+                                  ("curvature", "_padded_stacks"), ("curvature", "_pencils")]
     assert _calls_of("_padded_stacks") == [("curvature", "_curvature_stacks")]
 
 
@@ -187,6 +186,19 @@ def test_eigenvector_sign_fix_and_ball_ids_run_only_where_they_are_read():
     # ball ids are gathered for cd_check's records and that finishing step
     assert _calls_of("_sign_fix") == [("curvature", "_finish_stack"), ("spectra", "vectors")]
     assert _calls_of("_ball_ids") == [("curvature", "_finish_stack"), ("curvature", "cd_check")]
+
+
+def test_one_cd_route():
+    # CD(K, n) is decided from the curvature function's pencils alone:
+    # cd_check and the curvature stacks share the one pencil step and the
+    # one lift of a pencil vector to the 2-ball; cd_check places no full
+    # pinned form and solves its pencils through the per-vertex verdict
+    assert _calls_of("_pencils") == [("curvature", "_curvature_stacks"), ("curvature", "cd_check")]
+    assert _calls_of("_lift") == [("curvature", "_finish_stack"), ("curvature", "_lift_rows")]
+    assert ("curvature", "cd_check") not in _calls_of("_gamma2_forms")
+    assert sorted(set(_calls_of("_vertex_checks"))) == [("curvature", "cd_check"), ("rigidity", "_interior_inequality")]
+    assert [site for site in _calls_of("eigh") + _calls_of("eigvalsh") if site[0] == "curvature"] == [
+        ("curvature", "_curvature_stacks"), ("curvature", "_psd_verdict"), ("curvature", "_psd_verdict")]
 
 
 def test_structural_diagnostics_run_on_read_and_conditions_share_one_tolerance_rule():
