@@ -204,7 +204,11 @@ def _cmd_cd_check(args):
     if not report.holds:
         bad = report.first_violation
         lines.append(f"violated at vertex {bad.vertex} (lambda_min = {bad.lambda_min:.6g})")
-    return (0 if report.holds else 1), results, lines
+    # NaN, not inf: a one-vertex graph's empty form holds with lambda_min inf
+    warnings = [f"lambda_min is NaN at vertex {c.vertex}: an S2 pivot underflowed to 0 "
+                "or its reciprocal overflowed, so this verdict is not reliable"
+                for c in report.checks if math.isnan(c.lambda_min)]
+    return (0 if report.holds else 1), results, lines, warnings
 
 
 def _condition_payload(report):

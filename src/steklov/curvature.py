@@ -24,14 +24,18 @@ kappa(x, .) depends on the 2-ball around x alone. Centres are grouped by
 2-ball shape (WeightedGraph._shape_groups) into padded stacks
 (_padded_stacks), whose pinned forms are assembled as blocks A11, A12 and d
 (operators._gamma2_blocks), never as a (B, s, s) stack, and turned into
-(B, |n|, k, k) pencils (_pencils) that one stacked eigh solves for every n.
-Ball ids, witnesses and quotients are built only when the results are read.
+(B, |n|, k, k) pencils (_pencils) whose lowest eigenvalues, one stacked
+eigvalsh for every n, are the kappas. The pencils are kept, and one stacked
+eigh of them gives the witnesses, with ball ids and quotients, only when the
+results are read.
 
 By the Schur step, CD(K, n) holds at x exactly when kappa(x, n) >= K, so
 cd_check reads the same pencils over exact shape groups (pads would change
-the kappa - K and norm it reports). It shares one per-vertex verdict with
-condition (5) of the rigidity module (_vertex_checks): one eigvalsh per
-stack against the caller's tolerance; eigh and a witness only on failure.
+the kappa - K and norm it reports), through the same eigvalsh: on a graph of
+one 2-ball shape, lambda_min at K = kappa(x, n) is exactly 0. It shares one
+per-vertex verdict with condition (5) of the rigidity module
+(_vertex_checks): one eigvalsh per stack against the caller's tolerance;
+eigh and a witness only on failure.
 """
 
 import math
@@ -268,7 +272,8 @@ def _curvature_stacks(g, centres, n_values):
     """Per padded stack of 2-balls, (centres, kappas, finish): the curvature function's eager part.
 
     kappas, a (B, |n|) array over the stack's B centres, comes from one stacked
-    eigh of its _pencils; finish() is _finish_stack on what the stack keeps.
+    eigvalsh of its _pencils (no eigenvectors); finish() is _finish_stack on
+    what the stack keeps, the pencils among it.
     """
     groups = g._shape_groups(centres)
     if (0, 0) in groups:
@@ -277,17 +282,18 @@ def _curvature_stacks(g, centres, n_values):
     stacks = []
     for k, t, balls, real, parts in _padded_stacks(groups):
         blocks, pencils = _pencils(g, balls, k, real, n_arr)
-        evals, evecs = np.linalg.eigh(pencils)
-        low = evals[..., 0]
-        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, real, parts, *blocks, evecs[..., 0])
+        low = np.linalg.eigvalsh(pencils)[..., 0]
+        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, real, parts, pencils, *blocks)
         stacks.append((balls[:, 0], low, finish))
     return stacks
 
 
-def _finish_stack(g, n_values, centres, kappas, real, parts, a11, a12, d, r, gamma_diag, d_plus, d_isqrt, low_vecs):
+def _finish_stack(g, n_values, centres, kappas, real, parts, pencils, a11, a12, d, r, gamma_diag, d_plus, d_isqrt):
     """{centre: [CurvatureResult for each n in n_values]} for a stack, from its eager part.
 
-    low_vecs holds the pencils' lambda_min eigenvectors. The witnesses are
+    One stacked eigh of the kept pencils gives their lambda_min eigenvectors;
+    each result's kappa stays the eigvalsh value of the eager part, which
+    cd_check shares, so the quotients match it up to roundoff. The witnesses are
     read-only rows of one (B, |n|, 1 + k + t) stack, a padded ball's row
     reordered to start with the ball's own coordinates (x, S1, S2) and cut
     to them. kernel_ok reads each row's real S2 pivots alone. Each witness
@@ -299,6 +305,7 @@ def _finish_stack(g, n_values, centres, kappas, real, parts, a11, a12, d, r, gam
     k = r.shape[1]
     inverted = (d_plus > 0.0) & (d_plus < np.inf)
     kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
+    low_vecs = np.linalg.eigh(pencils)[1][..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
         f1, g12, f2 = _lift(low_vecs, a12, d_plus, d_isqrt)
         quotients = ((np.sum((f1 @ a11) * f1, axis=2) + 2.0 * np.sum(g12 * f2, axis=2)
@@ -330,9 +337,10 @@ def curvature_at(g, x, n):
 class CurvatureProfile:
     """Per-vertex curvature over a grid of dimension parameters.
 
-    `global_min` is read off the stacked kappas when the profile is built.
-    The ball ids, witnesses and quotients are not built until `results` is
-    first read, which finishes each stack and wraps its output as
+    `global_min` is read off the stacked kappas, one eigvalsh per stack,
+    when the profile is built. The eigenvectors, ball ids, witnesses and
+    quotients are not built until `results` is first read, which finishes
+    each stack (one eigh of its kept pencils) and wraps its output as
     CurvatureResults; a caller that reads `global_min` alone never pays for
     them.
     """

@@ -120,6 +120,22 @@ def test_curvature_command_prints_no_numpy_warnings_where_kernel_ok_is_false(tmp
     assert len(json.loads(out)["warnings"]) == 12
 
 
+def test_cd_check_command_warns_where_lambda_min_is_nan(tmp_path):
+    # an S2 pivot out of the float range makes every pencil NaN; the report
+    # names each vertex, and stderr carries no RuntimeWarning
+    g = steklov.build_graph([(str(v), 1.0) for v in range(6)],
+                            [(str(v), str((v + 1) % 6), 1e-155) for v in range(6)])
+    path = tmp_path / "c6.json"
+    path.write_text(steklov.serialize_graph(steklov.attach_boundary(g, {"0", "2", "4"})))
+    code, out, err = _fresh_process("cd-check", "--graph", str(path), "--K", "-1", "--n", "2")
+    assert code == 1
+    assert "RuntimeWarning" not in err
+    warnings = json.loads(out)["warnings"]
+    assert len(warnings) == 6
+    for v, text in enumerate(warnings):
+        assert text.startswith(f"lambda_min is NaN at vertex {v}: an S2 pivot underflowed")
+
+
 def test_unit_weight_reports_are_unchanged_and_carry_no_warnings(capture, tmp_path, monkeypatch):
     # the kernel_ok warnings leave a healthy curvature report byte for byte as
     # it was, and every other command's warnings list stays empty

@@ -467,20 +467,26 @@ def atlas_graphs(max_vertices):
 def test_curvature_profile_builds_each_form_once(monkeypatch):
     # the 2-ball shapes of a small graph or a grid (the benchmark's 12 x 12 and
     # 16 x 16 among them) merge into one padded stack: one Gamma2 assembly and
-    # one stacked eigh for every vertex and every n
+    # one stacked eigvalsh for every vertex and every n; the eigenvectors are
+    # solved, by one stacked eigh of the same pencils, only when results is read
     calls, solves = [], []
-    gamma2_blocks, eigh = steklov.curvature._gamma2_blocks, np.linalg.eigh
+    gamma2_blocks, eigh, eigvalsh = steklov.curvature._gamma2_blocks, np.linalg.eigh, np.linalg.eigvalsh
 
     def spy(g, balls, k):
         calls.append(balls[:, 0].tolist())
         return gamma2_blocks(g, balls, k)
 
     def eigh_spy(a):
-        solves.append(a.shape[:2])
+        solves.append(("eigh", a.shape[:2]))
         return eigh(a)
+
+    def eigvalsh_spy(a):
+        solves.append(("eigvalsh", a.shape[:2]))
+        return eigvalsh(a)
 
     monkeypatch.setattr(steklov.curvature, "_gamma2_blocks", spy)
     monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
     grids = [unit_grid(k) for k in (6, 12, 16)]
     assert [len(g._shape_groups(range(g.num_vertices))) for g in grids] == [6, 6, 6]
     count = 0
@@ -489,9 +495,9 @@ def test_curvature_profile_builds_each_form_once(monkeypatch):
         solves.clear()
         profile = curvature_profile(g, (2.0, 3.0, 5.0, 10.0, INF))
         assert len(calls) == 1 and sorted(calls[0]) == list(range(g.num_vertices))
-        assert solves == [(g.num_vertices, 5)]
-        profile.results  # the witnesses are finished from the same stack, with no second solve
-        assert len(calls) == 1 and solves == [(g.num_vertices, 5)]
+        assert solves == [("eigvalsh", (g.num_vertices, 5))]
+        profile.results  # the witnesses are finished from the same stack, with no second assembly
+        assert len(calls) == 1 and solves == [("eigvalsh", (g.num_vertices, 5)), ("eigh", (g.num_vertices, 5))]
         count += 1
     assert count == 3 + 142
 
@@ -960,6 +966,45 @@ def test_curvature_at_finishes_its_one_result_at_once(monkeypatch):
     res = curvature_at(g, g.vertices[0], 3.0)
     assert counts == {"_sign_fix": 1, "_ball_ids": 1}
     assert res.ball[0] == g.vertices[0] and res.witness_quotient == pytest.approx(res.kappa)
+
+
+def one_shape_graphs(rng):
+    """Cycles and complete graphs on 3 to 8 vertices, with unit and with random weights and measures."""
+    for N in range(3, 9):
+        for G in (nx.cycle_graph(N), nx.complete_graph(N)):
+            yield build_graph([(str(v), 1.0) for v in G], [(str(a), str(b), 1.0) for a, b in G.edges])
+            yield build_graph([(str(v), float(rng.uniform(0.2, 3.0))) for v in G],
+                              [(str(a), str(b), float(rng.uniform(0.2, 3.0))) for a, b in G.edges])
+
+
+def test_cd_check_reads_the_curvature_functions_kappa():
+    # kappa has one definition: on a graph of one 2-ball shape the profile's
+    # stack and cd_check's shape group hold the same pencils, solved by the
+    # same eigvalsh, so CD(kappa(x, n), n) at x has lambda_min exactly 0
+    rng = np.random.default_rng(24)
+    ns = (2.0, 3.0, 10.0, INF)
+    cases = 0
+    for g in one_shape_graphs(rng):
+        profile = curvature_profile(g, ns)
+        for n in ns:
+            for v, res in profile.results[n].items():
+                check = cd_check(g, res.kappa, n, v).checks[0]
+                assert check.lambda_min == 0.0 and check.holds, (g.vertices, n, v)
+                cases += 1
+    assert cases == 528
+
+
+def test_cd_check_holds_at_the_global_minimum_on_small_graphs():
+    # padded stacks round the kappas a little differently from cd_check's
+    # exact shape groups, always within cd_check's tolerance
+    ns = (1.5, 2.0, 3.0, 10.0, INF)
+    count = 0
+    for g in atlas_graphs(6):
+        profile = curvature_profile(g, ns)
+        for n in ns:
+            assert cd_check(g, profile.global_min[n][0], n).holds, (g.edge_list(), n)
+        count += 1
+    assert count == 142
 
 
 def test_a_stack_of_one_shape_has_no_pad_mask(monkeypatch):

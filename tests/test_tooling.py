@@ -197,8 +197,11 @@ def test_one_cd_route():
     assert _calls_of("_lift") == [("curvature", "_finish_stack"), ("curvature", "_lift_rows")]
     assert ("curvature", "cd_check") not in _calls_of("_gamma2_forms")
     assert sorted(set(_calls_of("_vertex_checks"))) == [("curvature", "cd_check"), ("rigidity", "_interior_inequality")]
-    assert [site for site in _calls_of("eigh") + _calls_of("eigvalsh") if site[0] == "curvature"] == [
-        ("curvature", "_curvature_stacks"), ("curvature", "_psd_verdict"), ("curvature", "_psd_verdict")]
+    # kappa is one eigvalsh value wherever it is read; eigh runs only for witnesses
+    assert [site for site in _calls_of("eigvalsh") if site[0] == "curvature"] == [
+        ("curvature", "_curvature_stacks"), ("curvature", "_psd_verdict")]
+    assert [site for site in _calls_of("eigh") if site[0] == "curvature"] == [
+        ("curvature", "_finish_stack"), ("curvature", "_psd_verdict")]
 
 
 def test_structural_diagnostics_run_on_read_and_conditions_share_one_tolerance_rule():
