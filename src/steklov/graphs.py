@@ -655,8 +655,29 @@ def parse_graph_file(text):
             raise ParseError(None, f"boundary[{k}] must be a string")
     if len(set(boundary)) != len(boundary):
         raise ParseError(None, "boundary has duplicate entries")
+    _check_utf8(vertex_specs, edge_specs, boundary)
 
     return attach_boundary(build_graph(vertex_specs, edge_specs), set(boundary))
+
+
+def _check_utf8(vertex_specs, edge_specs, boundary):
+    """ParseError naming the first id that UTF-8 cannot encode, so no report carries it.
+
+    JSON escapes such as "\\ud800" decode to lone surrogates, which no output
+    stream can write; one encode of all ids together finds them.
+    """
+    texts = [v for v, _ in vertex_specs] + [s for u, v, _ in edge_specs for s in (u, v)] + boundary
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError as e:
+        names = ([f"vertices[{k}].id" for k in range(len(vertex_specs))]
+                 + [f"edges[{k}].{end}" for k in range(len(edge_specs)) for end in "uv"]
+                 + [f"boundary[{k}]" for k in range(len(boundary))])
+        at = e.start
+        for name, text in zip(names, texts):
+            if at < len(text):
+                raise ParseError(None, f"{name} {text!r} is not encodable as UTF-8") from None
+            at -= len(text)
 
 
 def serialize_graph(bg):

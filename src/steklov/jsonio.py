@@ -5,7 +5,37 @@ used. Floats: `.1f` when integer-valued with |x| < 1e16 (`2.0`, `-0.0`),
 `.17g` otherwise (an exact round-trip for doubles); infinities and NaN are
 the strings "inf", "-inf" and "nan". Strings: `"` and `\\` are
 backslash-escaped and U+0000-U+001F become `\\uXXXX` (a newline is `\\u000a`).
-1-D float64 arrays and lists of strings are written in bulk, with the same bytes.
+Booleans, numpy's included, are `true` and `false`.
+
+`format_json` walks the document once into a list of text parts and joins
+them. A list of strings is written in bulk, once per list object (a
+spectrum report repeats its domain list in every eigenfunction). Float64
+arrays (a 2-D array is a list of its rows) are set aside and written after
+the walk: a report with fewer than `_BULK_MIN` of their floats writes each
+array with one `%` pass (or `_format_float` per entry where an entry is
+integer-valued or not finite); a larger one runs them all, `_CHUNK` floats
+at a time, through one array kernel, `_format_chunk`, with the same bytes,
+and joins the parts each chunk completes into one segment.
+
+The kernel's fast lane takes the entries that are finite, not
+integer-valued and in 1e-4 <= |x| < 1e15, where `%.17g` prints fixed
+notation; every other entry goes through `_format_float`. With
+k = floor(log10 |x|), `%.17g` prints the 17-digit integer nearest to
+|x|·10^(16-k), ties to even, placed around the point. That product is
+formed exactly: 10^(16-k) (at most 1e21) is a double, and Dekker's
+TwoProduct with Veltkamp's split gives |x|·10^(16-k) = hi + lo exactly. The
+k from `log10` is checked against the exact product, which must lie in
+[1e16, 1e17), and moved by one where it does not. hi >= 1e16 > 2^53 is an
+even integer, so hi + rint(lo) is the nearest integer with ties to even.
+17 digits are finer than the spacing of doubles, so no entry's digits carry
+to 10^17 (the double below each power of ten in the lane lies at least 8
+units of the 17th digit below it) and a non-integer keeps a nonzero
+fraction digit. The digits are then laid out as text, a column per entry
+of a byte table: sign, integer part (`0` when k < 0), point, the zeros
+after the point when k < 0, and the fraction with its trailing zeros
+stripped. `tests/test_jsonio.py` compares the writer with the reference
+writer in `tests/oracles.py` on a million random doubles and on ties,
+powers of ten and special values.
 """
 
 import math
@@ -13,6 +43,17 @@ import math
 import numpy as np
 
 _ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
+
+# Below this many float64 array entries in one report the kernel's fixed cost
+# of about 60 numpy calls exceeds what it saves over `%` (0.8 us a float).
+_BULK_MIN = 512
+# Floats per kernel call: large enough to spread the fixed cost, small enough
+# that every temporary array stays a few hundred kB.
+_CHUNK = 8192
+
+_POW10 = np.array([10 ** e for e in range(19)])  # int64
+_POW10_FLOAT = np.array([float(10 ** e) for e in range(23)])  # every one an exact double
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's constant for doubles
 
 
 def _format_float(x):
@@ -32,34 +73,223 @@ def _format_floats(a):
     return "[" + ", ".join(map(_format_float, a.tolist())) + "]"
 
 
-def format_json(obj, sort_keys=False):
-    """Serialize nested dicts/lists/scalars to deterministic JSON text."""
+def _two_product(a, b):
+    """hi, lo with hi = fl(a b) and hi + lo = a b exactly (Dekker, Veltkamp)."""
+    hi = a * b
+    t = _SPLITTER * a
+    a1 = t - (t - a)
+    a2 = a - a1
+    t = _SPLITTER * b
+    b1 = t - (t - b)
+    b2 = b - b1
+    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _significands(x, k):
+    """The nearest integer to x·10^(16-k), ties to even; k is corrected in place to give 17 digits."""
+    hi, lo = _two_product(x, _POW10_FLOAT[16 - k])
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        k[off] += high[off].astype(k.dtype) - low[off]
+        hi[off], lo[off] = _two_product(x[off], _POW10_FLOAT[16 - k[off]])
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _ascii_digits(g):
+    """(r, m) uint16 integers below 10**4 -> (4 r, m) ASCII digits, most significant first."""
+    hi = g // 100
+    lo = g - hi * 100
+    out = np.empty((g.shape[0], 4, g.shape[1]), np.uint8)
+    t = hi // 10
+    out[:, 0] = t
+    out[:, 1] = hi - t * 10
+    t = lo // 10
+    out[:, 2] = t
+    out[:, 3] = lo - t * 10
+    out += 48
+    return out.reshape(-1, g.shape[1])
+
+
+def _lane_digits(x):
+    """k = floor(log10 x) and the 17 digits of each x > 0 as rows of ASCII digits.
+
+    The integer part (k + 1 digits; 0 when k < 0) is right-aligned in the
+    first 4 ng rows, ng = max(k, 0) // 4 + 1; the fraction is left-aligned
+    in the last 20.
+    """
+    k = np.floor(np.log10(x)).astype(np.intp)
+    n = _significands(x, k)
+    unit = _POW10[np.minimum(16 - k, 17)]
+    ip = n // unit
+    frac = n - ip * unit
+    # the fraction as a 12-digit and an 8-digit integer
+    unit = _POW10[np.maximum(4 - k, 0)]
+    f12 = frac // unit
+    f8 = (frac - f12 * unit) * _POW10[4 + k]
+    f12 *= _POW10[np.maximum(k - 4, 0)]
+    ng = max(int(k.max()), 0) // 4 + 1
+    groups = np.empty((ng + 5, x.size), np.uint16)  # 4-digit groups
+    for j in range(ng - 1, -1, -1):
+        q = ip // 10 ** 4
+        groups[j] = ip - q * 10 ** 4
+        ip = q
+    q = f12 // 10 ** 4
+    groups[ng + 2] = f12 - q * 10 ** 4
+    f12 = q // 10 ** 4
+    groups[ng] = f12
+    groups[ng + 1] = q - f12 * 10 ** 4
+    q = f8 // 10 ** 4
+    groups[ng + 3] = q
+    groups[ng + 4] = f8 - q * 10 ** 4
+    return k, _ascii_digits(groups)
+
+
+def _format_chunk(a):
+    """The text of a 1-D float64 array, each entry followed by ", ", and where each entry's text ends.
+
+    The text is built as a (width, m) byte table, one column per entry with NUL
+    where it has no character, and compacted at the end.
+    """
+    m = a.size
+    ax = np.abs(a)
+    with np.errstate(invalid="ignore"):  # trunc of NaN
+        fast = (ax >= 1e-4) & (ax < 1e15) & (a != np.trunc(a))
+    # entries off the lane are laid out as 0.5, then replaced
+    k, digits = _lane_digits(np.where(fast, ax, 0.5))
+    kmax = max(int(k.max()), 0)
+    fraction = digits[-20:]
+    kept = ((fraction != 48) * np.arange(1, 21, dtype=np.uint8)[:, None]).max(axis=0)  # to the last nonzero
+    wi, wf = kmax + 2, int(kept.max())  # a sign place and kmax + 1 digits; the longest fraction
+    slow = np.flatnonzero(~fast)
+    texts = [_format_float(v).encode() for v in a[slow].tolist()]
+    width = max([wi + 1 + wf] + [len(t) for t in texts]) + 2
+    table = np.zeros((width, m), np.uint8)
+    o = width - 2 - (wi + 1 + wf)
+    table[o:o + wi] = digits[-20 - wi:-20]
+    lead = wi - 1 - np.maximum(k, 0)  # places before the first digit
+    table[o:o + wi] *= np.arange(wi)[:, None] >= lead
+    table[o + wi] = 46
+    table[o + wi + 1:o + wi + 1 + wf] = fraction[:wf]
+    table[o + wi + 1:o + wi + 1 + wf] *= np.arange(wf, dtype=np.uint8)[:, None] < kept
+    neg = np.flatnonzero(a < 0)
+    table[o + lead[neg] - 1, neg] = 45
+    if texts:
+        table[:width - 2, slow] = np.array(texts, f"S{width - 2}").view(np.uint8).reshape(-1, width - 2).T
+    table[-2] = 44
+    table[-1] = 32
+    ends = np.cumsum(np.count_nonzero(table, axis=0))
+    del ax, digits, fraction  # the compaction's copies are the chunk's largest arrays
+    flat = table.T.ravel()
+    del table
+    return str(flat[flat != 0], "ascii"), ends
+
+
+def _join(parts, arrays):
+    """The text of parts with each array's place filled, `_CHUNK` floats per kernel call.
+
+    After each chunk the parts it completes are joined into one segment and
+    dropped, so the writer holds a string per chunk rather than one per array.
+    """
+    if sum(a.size for _, a in arrays) < _BULK_MIN:
+        for i, a in arrays:
+            parts[i] = _format_floats(a)
+        return "".join(parts)
+    todo = iter(arrays)
+    place, a = next(todo)
+    first, pieces = 0, ["["]
+    segments, done = [], 0  # parts[:done] are in segments
+    while a is not None:
+        chunk = []  # (place, array, first, stop) for each array part in this chunk
+        room = _CHUNK
+        while room and a is not None:
+            stop = min(a.size, first + room)
+            chunk.append((place, a, first, stop))
+            room -= stop - first
+            first = stop
+            if stop == a.size:
+                place, a = next(todo, (None, None))
+                first = 0
+        text, ends = _format_chunk(np.concatenate([b[s:e] for _, b, s, e in chunk]))
+        item = begin = 0
+        upto = done
+        for i, b, s, e in chunk:
+            item += e - s
+            end = int(ends[item - 1])
+            if e < b.size:
+                pieces.append(text[begin:end])
+            else:
+                pieces += (text[begin:end - 2], "]")  # no ", " after the array's last entry
+                parts[i] = "".join(pieces)
+                pieces, upto = ["["], i + 1
+            begin = end
+        if upto > done:
+            segments.append("".join(parts[done:upto]))
+            parts[done:upto] = [None] * (upto - done)
+            done = upto
+    segments.append("".join(parts[done:]))
+    return "".join(segments)
+
+
+def _write(obj, sort_keys, parts, arrays, lists):
+    """Append obj's text to parts; a 1-D float64 array leaves a place to fill, noted in arrays."""
     if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return f'"{obj.translate(_ESCAPES)}"'
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype == np.float64:
-            return _format_floats(obj)
-        return format_json(obj.tolist(), sort_keys=sort_keys)
-    if isinstance(obj, dict):
-        keys = sorted(obj, key=str) if sort_keys else list(obj)
-        items = (f'"{str(k).translate(_ESCAPES)}": {format_json(obj[k], sort_keys=sort_keys)}' for k in keys)
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, str):
+        parts.append(f'"{obj.translate(_ESCAPES)}"')
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_format_float(float(obj)))
+    elif isinstance(obj, np.bool_):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim == 0:
+            _write(obj.tolist(), sort_keys, parts, arrays, lists)
+        elif obj.ndim > 1:
+            _write(list(np.asarray(obj)), sort_keys, parts, arrays, lists)  # rows (a matrix's rows stay 2-D)
+        elif obj.size:
+            arrays.append((len(parts), obj))
+            parts.append(None)
+        else:
+            parts.append("[]")
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for j, key in enumerate(sorted(obj, key=str) if sort_keys else obj):
+            parts.append(f'{", " if j else ""}"{str(key).translate(_ESCAPES)}": ')
+            _write(obj[key], sort_keys, parts, arrays, lists)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        if id(obj) in lists:  # a spectrum report repeats one domain list in every eigenfunction
+            parts.append(lists[id(obj)][1])
+            return
         try:
             joined = "".join(obj)  # a TypeError unless every item is a string
         except TypeError:
-            return "[" + ", ".join(format_json(v, sort_keys=sort_keys) for v in obj) + "]"
+            parts.append("[")
+            for j, v in enumerate(obj):
+                if j:
+                    parts.append(", ")
+                _write(v, sort_keys, parts, arrays, lists)
+            parts.append("]")
+            return
+        items = obj
         if joined.translate(_ESCAPES) != joined:  # escape item by item only when needed
-            obj = [s.translate(_ESCAPES) for s in obj]
-        return '["' + '", "'.join(obj) + '"]' if obj else "[]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            items = [s.translate(_ESCAPES) for s in obj]
+        text = '["' + '", "'.join(items) + '"]' if items else "[]"
+        lists[id(obj)] = obj, text  # holding obj keeps its id from being reused
+        parts.append(text)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def format_json(obj, sort_keys=False):
+    """Serialize nested dicts/lists/scalars to deterministic JSON text."""
+    parts, arrays = [], []
+    _write(obj, sort_keys, parts, arrays, {})
+    return _join(parts, arrays) if arrays else "".join(parts)

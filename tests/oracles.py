@@ -23,9 +23,13 @@ the library uses, so agreement is evidence rather than tautology:
   * the boundary join through an edge list and build_graph, conditions
     (1)-(4) one vertex at a time, and the structural diagnostics built
     eagerly, each for bitwise comparison with the library's array-built or
-    on-read route.
+    on-read route,
+  * the JSON writer as it was before the bulk float kernel (one recursive
+    walk, one `%` pass or `_format_float` call per entry), for byte
+    comparison with `steklov.jsonio.format_json`.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -605,3 +609,61 @@ def rigidity_diagnostics_eagerly(bg):
         disjoint_ball_pair=scan.pair,
     )
     return diagnostics
+
+
+# ---------------------------------------------------------------------------
+# the reference JSON writer: one recursive walk, CPython's own float formatting
+# ---------------------------------------------------------------------------
+
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord('"'): '\\"', ord("\\"): "\\\\"}
+
+
+def _reference_format_float(x):
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if math.isnan(x):
+        return '"nan"'
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return f"{x:.17g}"
+
+
+def _reference_format_floats(a):
+    """A 1-D float64 array: one `%.17g` pass when every entry is finite and not integer-valued."""
+    if np.isfinite(a).all() and (a != np.trunc(a)).all():
+        return "[" + ", ".join(["%.17g"] * a.size) % tuple(a.tolist()) + "]"
+    return "[" + ", ".join(map(_reference_format_float, a.tolist())) + "]"
+
+
+def reference_format_json(obj, sort_keys=False):
+    """Serialize nested dicts/lists/scalars to deterministic JSON text."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return f'"{obj.translate(_ESCAPES)}"'
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_format_float(float(obj))
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64:
+            return _reference_format_floats(obj)
+        return reference_format_json(obj.tolist(), sort_keys=sort_keys)
+    if isinstance(obj, dict):
+        keys = sorted(obj, key=str) if sort_keys else list(obj)
+        items = (f'"{str(k).translate(_ESCAPES)}": {reference_format_json(obj[k], sort_keys=sort_keys)}'
+                 for k in keys)
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        try:
+            joined = "".join(obj)  # a TypeError unless every item is a string
+        except TypeError:
+            return "[" + ", ".join(reference_format_json(v, sort_keys=sort_keys) for v in obj) + "]"
+        if joined.translate(_ESCAPES) != joined:  # escape item by item only when needed
+            obj = [s.translate(_ESCAPES) for s in obj]
+        return '["' + '", "'.join(obj) + '"]' if obj else "[]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -359,6 +359,26 @@ def _fresh_process(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+SURROGATE_P3 = ('{"vertices": [{"id": "1", "m": 1}, {"id": %s, "m": 1}, {"id": "3", "m": 1}], '
+                '"edges": [{"u": "1", "v": "2", "w": 1}, {"u": %s, "v": "3", "w": 1}], "boundary": ["1", %s]}')
+
+
+@pytest.mark.parametrize("where, fields", [
+    ("vertices[1].id", ('"\\ud800"', '"2"', '"3"')),
+    ("edges[1].u", ('"2"', '"x\\udfff"', '"3"')),
+    ("boundary[1]", ('"2"', '"2"', '"\\ud800"')),
+])
+def test_an_id_utf8_cannot_encode_is_an_input_error(tmp_path, where, fields):
+    # a fresh process: an in-process StringIO accepts lone surrogates and hides
+    # the UnicodeEncodeError that crashed every command at output with exit 1
+    path = tmp_path / "surrogate.json"
+    path.write_text(SURROGATE_P3 % fields)
+    code, out, err = _fresh_process("spectrum", "--graph", str(path))
+    assert code == 2 and "Traceback" not in err
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError" and f"{where} " in error["message"]
+
+
 def test_parser_reuse_after_errors_matches_a_fresh_process(capture, p3_file):
     assert steklov.cli._build_parser() is steklov.cli._build_parser()
     assert capture("bogus")[0] == 2

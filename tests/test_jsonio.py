@@ -1,10 +1,16 @@
 """The deterministic JSON writer: every expected string is a byte contract."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from steklov import make_example, serialize_graph
+import steklov.cli
+from steklov import jsonio, make_example, serialize_graph
 from steklov.jsonio import format_json
+
+from oracles import random_boundary_graph, reference_format_json
 
 INF = float("inf")
 
@@ -25,6 +31,8 @@ INF = float("inf")
     (np.int64(4), "4"),
     (True, "true"),
     (False, "false"),
+    (np.True_, "true"),
+    (np.False_, "false"),
     (None, "null"),
 ])
 def test_scalars(value, text):
@@ -82,3 +90,147 @@ def test_serialize_graph_bytes():
         '{"id": "x", "m": 1.5600000000000001}], "edges": [{"u": "1", "v": "x", "w": 1.365}, '
         '{"u": "2", "v": "x", "w": 1.365}], "boundary": ["1", "2"]}\n'
     )
+
+
+def test_numpy_bools_are_json_booleans():
+    assert format_json(np.array([True, False])) == "[true, false]"
+    assert format_json({"holds": np.bool_(True), "all": np.array([1.0, 2.0]) > 1.5}) == (
+        '{"holds": true, "all": [false, true]}')
+
+
+def _assert_like_reference(doc, sort_keys=False):
+    text, want = format_json(doc, sort_keys=sort_keys), reference_format_json(doc, sort_keys=sort_keys)
+    if text != want:  # name the first differing float, not a megabyte of text
+        got, ref = text.split(", "), want.split(", ")
+        first = next(i for i, (a, b) in enumerate(zip(got, ref)) if a != b)
+        pytest.fail(f"entry {first}: writer {got[first]!r}, reference {ref[first]!r}")
+
+
+def _bits(rng, size, exponents):
+    """Doubles with random sign and mantissa bits and a biased exponent drawn from exponents."""
+    bits = rng.integers(0, 2 ** 52, size, dtype=np.uint64) | (rng.integers(0, 2, size, dtype=np.uint64) << 63)
+    bits |= rng.choice(np.asarray(exponents, np.uint64), size) << 52
+    return bits.view(np.float64)
+
+
+def test_the_bulk_writer_matches_the_reference_on_random_bit_patterns():
+    """10^6 patterns over the exponents around the fast lane, 2^14 over every exponent.
+
+    Exponents 2^-16 to 2^52 cover the lane (1e-4 <= |x| < 1e15) with an
+    octave or more on either side; the lane holds about a thirtieth of all
+    doubles, so patterns over every exponent (CPython's slow bignum path for
+    the rest) add inf, NaN payloads, subnormals and the far exponents.
+    """
+    rng = np.random.default_rng(2025)
+    for values in (_bits(rng, 10 ** 6, range(1023 - 16, 1023 + 53)), _bits(rng, 2 ** 14, range(2048))):
+        with np.errstate(invalid="ignore"):
+            integral = values == np.trunc(values)
+        # the reference writes an array with no integer-valued entry in one `%` pass
+        _assert_like_reference([values[~integral], values[integral]])
+
+
+def test_the_bulk_writer_rounds_ties_to_even():
+    # odd integers in [2^52, 2^53) over 2^j have j fraction bits; the 17th
+    # significant digit of some is followed by exactly 5
+    rng = np.random.default_rng(3)
+    odd = rng.integers(2 ** 51, 2 ** 52, 2000, dtype=np.int64) * 2 + 1
+    ties = np.concatenate([odd / 2.0 ** j for j in range(1, 12)])
+    lane = ties[(ties >= 1e14) & (ties < 1e15)].tolist()  # 17 digits leave two decimals
+    assert sum((Fraction(x) * 100).denominator == 2 for x in lane) > 1000
+    _assert_like_reference(np.concatenate([ties, -ties]))
+
+
+def test_no_double_in_the_fast_lane_carries_to_an_18th_digit():
+    # the kernel has no carry branch: the double just below each power of ten
+    # in the lane rounds, at 17 digits, to 99999999999999999 or less
+    for j in range(-4, 16):
+        p = Fraction(10) ** j
+        x = float(p)
+        while Fraction(x) >= p:
+            x = math.nextafter(x, 0.0)
+        assert Fraction(x) * Fraction(10) ** (17 - j) <= 10 ** 17 - 8
+
+
+def test_the_bulk_writer_at_powers_of_ten_and_special_values():
+    below = above = [np.array([float(f"1e{e}") for e in range(-6, 18)])]
+    for _ in range(3):  # three ulps either side
+        below = below + [np.nextafter(below[-1], 0.0)]
+        above = above + [np.nextafter(above[-1], np.inf)]
+    near = np.concatenate(below + above[1:])
+    tiny = np.array([5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 2.0 ** 52, 2.0 ** 53 + 2, 1e15 - 0.125,
+                        1e15, 123456789012345.0, 0.5, 0.25, 99999.99999999999, 9.9999999999999995e-5])
+    integral = np.arange(-3000.0, 3000.0) * 7919.0
+    values = np.concatenate([near, -near, tiny, -tiny, special, integral])
+    _assert_like_reference(np.tile(values, 3))
+
+
+@pytest.mark.parametrize("sizes", [
+    [jsonio._BULK_MIN - 1], [jsonio._BULK_MIN], [jsonio._BULK_MIN + 1],
+    [jsonio._CHUNK - 1], [jsonio._CHUNK], [jsonio._CHUNK + 1], [2 * jsonio._CHUNK + 3],
+    [300] * 60, [1, jsonio._CHUNK - 1, 1, 0, 2, jsonio._BULK_MIN], [jsonio._BULK_MIN // 2] * 2,
+])
+def test_the_bulk_writer_across_the_crossover_and_chunk_edges(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    arrays = [rng.standard_normal(n) / rng.uniform(1, 40) for n in sizes]
+    for a in arrays[::2]:
+        a[::7] = np.round(a[::7])  # integer-valued entries take the fallback in either route
+    _assert_like_reference({"rows": arrays, "n": len(sizes)})
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+def test_the_bulk_writer_in_nested_documents():
+    rng = np.random.default_rng(8)
+    doc = {
+        "z": {"b": rng.standard_normal(700), "a": [rng.standard_normal((40, 30)), "x"]},
+        3: [{"values": rng.standard_normal(10), "ids": ["1", "2"]}, np.array([[1.5, np.nan]])],
+        "a": (rng.standard_normal((2, 0)), np.zeros((0, 3)), np.float64(0.1), rng.integers(0, 9, 4)),
+        "m": [np.asmatrix(rng.standard_normal((3, 2))), rng.standard_normal((2, 3, 4))],
+    }
+    _assert_like_reference(doc, sort_keys=True)
+    _assert_like_reference(doc)
+
+
+@pytest.fixture
+def capture(capsys):
+    def invoke(*argv):
+        code = steklov.cli.run(list(argv))
+        return code, capsys.readouterr().out
+    return invoke
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    inner = getattr(jsonio, name)
+    monkeypatch.setattr(jsonio, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+SIX_FAMILIES = {
+    "unit_path3": {}, "unit_square": {}, "unit_square_diag": {},
+    "weighted_path3": {"n": 3.0, "K": 1.0, "m": 1.0}, "weighted_square": {"K": 1.0, "m": 1.0},
+    "complete_interior": {"interior_size": 4, "n": 10.0, "K": 1.0, "m": 1.0},
+}
+
+
+def test_large_reports_take_the_kernel_and_small_ones_keep_the_percent_route(capture, tmp_path, monkeypatch):
+    bg = random_boundary_graph(np.random.default_rng(25), 300, 300, extra_edge_prob=0.02)
+    path = tmp_path / "random300.json"
+    path.write_text(serialize_graph(bg))
+    kernel, percent = _counted(monkeypatch, "_format_chunk"), _counted(monkeypatch, "_format_floats")
+    for family, params in SIX_FAMILIES.items():
+        small = tmp_path / f"{family}.json"
+        small.write_text(serialize_graph(make_example(family, **params)))
+        for command in ("spectrum", "steklov"):
+            assert capture(command, "--graph", str(small))[0] == 0
+    assert not kernel and len(percent) >= 6 * 2 * 3  # values and at least two eigenfunctions each
+
+    percent.clear()
+    outputs = {command: capture(command, "--graph", str(path)) for command in ("spectrum", "steklov")}
+    n, b = bg.graph.num_vertices, len(bg.boundary)
+    # each report's float64 arrays: the values and one eigenfunction per value
+    assert n >= 300 and len(kernel) == -(-(n + n * n) // jsonio._CHUNK) + -(-(b + b * b) // jsonio._CHUNK)
+    assert not percent
+    monkeypatch.setattr(steklov.cli, "format_json", reference_format_json)
+    for command, (code, out) in outputs.items():
+        assert code == 0 and capture(command, "--graph", str(path)) == (code, out)
