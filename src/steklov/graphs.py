@@ -661,23 +661,20 @@ def parse_graph_file(text):
 
 
 def _check_utf8(vertex_specs, edge_specs, boundary):
-    """ParseError naming the first id that UTF-8 cannot encode, so no report carries it.
+    """ParseError naming an id that UTF-8 cannot encode, so no report carries it.
 
     JSON escapes such as "\\ud800" decode to lone surrogates, which no output
-    stream can write; one encode of all ids together finds them.
+    stream can write.
     """
-    texts = [v for v, _ in vertex_specs] + [s for u, v, _ in edge_specs for s in (u, v)] + boundary
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError as e:
-        names = ([f"vertices[{k}].id" for k in range(len(vertex_specs))]
-                 + [f"edges[{k}].{end}" for k in range(len(edge_specs)) for end in "uv"]
-                 + [f"boundary[{k}]" for k in range(len(boundary))])
-        at = e.start
-        for name, text in zip(names, texts):
-            if at < len(text):
-                raise ParseError(None, f"{name} {text!r} is not encodable as UTF-8") from None
-            at -= len(text)
+    for name, texts in (("vertices[{}].id", [v for v, _ in vertex_specs]),
+                        ("edges[{}].u", [u for u, _, _ in edge_specs]),
+                        ("edges[{}].v", [v for _, v, _ in edge_specs]),
+                        ("boundary[{}]", boundary)):
+        for k, text in enumerate(texts):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(None, f"{name.format(k)} {text!r} is not encodable as UTF-8") from None
 
 
 def serialize_graph(bg):

@@ -8,11 +8,10 @@ backslash-escaped and U+0000-U+001F become `\\uXXXX` (a newline is `\\u000a`).
 Booleans, numpy's included, are `true` and `false`.
 
 `format_json` walks the document once into a list of text parts and joins
-them. A list of strings is written in bulk, once per list object (a
-spectrum report repeats its domain list in every eigenfunction). Float64
-arrays (a 2-D array is a list of its rows) are set aside and written after
-the walk: a report with fewer than `_BULK_MIN` of their floats writes each
-array with one `%` pass (or `_format_float` per entry where an entry is
+them. A list of strings is written with one join. Float64 arrays (a 2-D
+array is a list of its rows) are set aside and written after the walk: a
+report with fewer than `_BULK_MIN` of their floats writes each array with
+one `%` pass (or `_format_float` per entry where an entry is
 integer-valued or not finite); a larger one runs them all, `_CHUNK` floats
 at a time, through one array kernel, `_format_chunk`, with the same bytes,
 and joins the parts each chunk completes into one segment.
@@ -116,8 +115,8 @@ def _lane_digits(x):
     """k = floor(log10 x) and the 17 digits of each x > 0 as rows of ASCII digits.
 
     The integer part (k + 1 digits; 0 when k < 0) is right-aligned in the
-    first 4 ng rows, ng = max(k, 0) // 4 + 1; the fraction is left-aligned
-    in the last 20.
+    first 4 ng rows, ng = max(k, 0) // 4 + 1, so that there are at least
+    max(k) + 1 of them; the fraction is left-aligned in the last 20.
     """
     k = np.floor(np.log10(x)).astype(np.intp)
     n = _significands(x, k)
@@ -167,7 +166,7 @@ def _format_chunk(a):
     width = max([wi + 1 + wf] + [len(t) for t in texts]) + 2
     table = np.zeros((width, m), np.uint8)
     o = width - 2 - (wi + 1 + wf)
-    table[o:o + wi] = digits[-20 - wi:-20]
+    table[o + 1:o + wi] = digits[-21 - kmax:-20]  # the digits hold at least kmax + 1 integer rows
     lead = wi - 1 - np.maximum(k, 0)  # places before the first digit
     table[o:o + wi] *= np.arange(wi)[:, None] >= lead
     table[o + wi] = 46
@@ -232,7 +231,7 @@ def _join(parts, arrays):
     return "".join(segments)
 
 
-def _write(obj, sort_keys, parts, arrays, lists):
+def _write(obj, sort_keys, parts, arrays):
     """Append obj's text to parts; a 1-D float64 array leaves a place to fill, noted in arrays."""
     if obj is None:
         parts.append("null")
@@ -250,9 +249,9 @@ def _write(obj, sort_keys, parts, arrays, lists):
         parts.append("true" if obj else "false")
     elif isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim == 0:
-            _write(obj.tolist(), sort_keys, parts, arrays, lists)
+            _write(obj.tolist(), sort_keys, parts, arrays)
         elif obj.ndim > 1:
-            _write(list(np.asarray(obj)), sort_keys, parts, arrays, lists)  # rows (a matrix's rows stay 2-D)
+            _write(list(np.asarray(obj)), sort_keys, parts, arrays)  # rows (a matrix's rows stay 2-D)
         elif obj.size:
             arrays.append((len(parts), obj))
             parts.append(None)
@@ -262,12 +261,9 @@ def _write(obj, sort_keys, parts, arrays, lists):
         parts.append("{")
         for j, key in enumerate(sorted(obj, key=str) if sort_keys else obj):
             parts.append(f'{", " if j else ""}"{str(key).translate(_ESCAPES)}": ')
-            _write(obj[key], sort_keys, parts, arrays, lists)
+            _write(obj[key], sort_keys, parts, arrays)
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
-        if id(obj) in lists:  # a spectrum report repeats one domain list in every eigenfunction
-            parts.append(lists[id(obj)][1])
-            return
         try:
             joined = "".join(obj)  # a TypeError unless every item is a string
         except TypeError:
@@ -275,15 +271,12 @@ def _write(obj, sort_keys, parts, arrays, lists):
             for j, v in enumerate(obj):
                 if j:
                     parts.append(", ")
-                _write(v, sort_keys, parts, arrays, lists)
+                _write(v, sort_keys, parts, arrays)
             parts.append("]")
             return
-        items = obj
         if joined.translate(_ESCAPES) != joined:  # escape item by item only when needed
-            items = [s.translate(_ESCAPES) for s in obj]
-        text = '["' + '", "'.join(items) + '"]' if items else "[]"
-        lists[id(obj)] = obj, text  # holding obj keeps its id from being reused
-        parts.append(text)
+            obj = [s.translate(_ESCAPES) for s in obj]
+        parts.append('["' + '", "'.join(obj) + '"]' if obj else "[]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -291,5 +284,5 @@ def _write(obj, sort_keys, parts, arrays, lists):
 def format_json(obj, sort_keys=False):
     """Serialize nested dicts/lists/scalars to deterministic JSON text."""
     parts, arrays = [], []
-    _write(obj, sort_keys, parts, arrays, {})
+    _write(obj, sort_keys, parts, arrays)
     return _join(parts, arrays) if arrays else "".join(parts)

@@ -165,6 +165,19 @@ def test_the_bulk_writer_at_powers_of_ten_and_special_values():
     _assert_like_reference(np.tile(values, 3))
 
 
+def test_the_bulk_writer_at_every_largest_magnitude():
+    # the layout's integer width follows the largest k in a kernel call, so
+    # each decade up to 1e14 is the top of its own call; smaller entries and
+    # signs share it
+    rng = np.random.default_rng(11)
+    for j in range(-6, 17):
+        values = rng.uniform(1.0, 10.0, 600) * 10.0 ** j
+        values[::3] /= 10.0 ** rng.integers(1, 6, 200)
+        values[::5] *= -1
+        values[-1] = np.nextafter(10.0 ** (j + 1), 0.0)
+        _assert_like_reference(values)
+
+
 @pytest.mark.parametrize("sizes", [
     [jsonio._BULK_MIN - 1], [jsonio._BULK_MIN], [jsonio._BULK_MIN + 1],
     [jsonio._CHUNK - 1], [jsonio._CHUNK], [jsonio._CHUNK + 1], [2 * jsonio._CHUNK + 3],
