@@ -1,39 +1,53 @@
 """Command-line surface: machine-readable reports over the whole toolkit.
 
 Reports are deterministic JSON on stdout (sorted keys, 17-significant-digit
-floats, so identical invocations are byte-identical); short human summaries
-go to stderr. Exit codes: 0 success, 1 verification failure (a check the
-command ran came out negative), 2 input or usage errors.
+floats, so identical invocations on one BLAS build and thread count are
+byte-identical); short human summaries go to stderr. Exit codes: 0 success,
+1 verification failure (a check the command ran came out negative), 2 input
+or usage errors.
+
+A call loads only the library layers its command runs: --version and --help
+load none, and a usage error only the JSON writer (and numpy).
 """
 
 import argparse
 import functools
+import importlib
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .curvature import cd_check, curvature_profile
 from .errors import ParseError, SteklovError
-from .graphs import (
-    GREEN_TOL,
-    induced_interior_graph,
-    is_infinite,
-    make_example,
-    parse_graph_file,
-    serialize_graph,
-)
-from .jsonio import format_json
-from .operators import VertexFunction, scaled_green_residual
-from .rigidity import (
-    check_rigidity,
-    classify_normalized,
-    classify_partial,
-    classify_unit_weight,
-    disjoint_ball_scan,
-)
-from .spectra import laplacian_spectrum, steklov_spectrum
+
+# the library names the handlers read from this module's globals, by module;
+# each is bound on the first dispatch of a command that needs it (or on the
+# first attribute lookup here, as when perfbench's tracer wraps the name)
+_LIBRARY = {
+    "jsonio": ("format_json",),
+    "graphs": ("GREEN_TOL", "induced_interior_graph", "is_infinite", "make_example", "parse_graph_file",
+               "serialize_graph"),
+    "spectra": ("laplacian_spectrum", "steklov_spectrum"),
+    "curvature": ("cd_check", "curvature_profile"),
+    "operators": ("VertexFunction", "scaled_green_residual"),
+    "rigidity": ("check_rigidity", "classify_normalized", "classify_partial", "classify_unit_weight",
+                 "disjoint_ball_scan"),
+}
+
+
+@functools.cache
+def _bind(module):
+    """Bind module's names from _LIBRARY here, keeping any name already bound (a tracer's wrapper, a test's patch)."""
+    lib = importlib.import_module(f"{__package__}.{module}")
+    for name in _LIBRARY[module]:
+        globals().setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name):
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -88,7 +102,9 @@ def _spectrum_payload(spec):
 
 
 def _emit(report, summary_lines):
-    sys.stdout.write(format_json(report, sort_keys=True) + "\n")
+    _bind("jsonio")
+    sys.stdout.write(format_json(report, sort_keys=True))
+    sys.stdout.write("\n")
     for line in summary_lines:
         print(line, file=sys.stderr)
 
@@ -143,14 +159,14 @@ def _cmd_spectrum(args):
     bg = _load_graph(args.graph)
     spec = laplacian_spectrum(bg.graph)
     results = _spectrum_payload(spec)
-    return 0, results, [f"laplacian spectrum: {np.round(spec.values, 12).tolist()}"]
+    return 0, results, [f"laplacian spectrum: {spec.values.round(12).tolist()}"]
 
 
 def _cmd_steklov(args):
     bg = _load_graph(args.graph)
     spec = steklov_spectrum(bg)
     results = _spectrum_payload(spec)
-    return 0, results, [f"steklov spectrum: {np.round(spec.values, 12).tolist()}"]
+    return 0, results, [f"steklov spectrum: {spec.values.round(12).tolist()}"]
 
 
 def _cmd_curvature(args):
@@ -275,6 +291,9 @@ def _cmd_green_check(args):
     g = bg.graph
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
+    import numpy as np
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -336,17 +355,19 @@ def _cmd_ball_scan(args):
 
 
 # each handler returns (exit code, results, stderr summary lines), and a list
-# of warnings for the report when it can have any
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "steklov": _cmd_steklov,
-    "curvature": _cmd_curvature,
-    "cd-check": _cmd_cd_check,
-    "rigidity": _cmd_rigidity,
-    "classify": _cmd_classify,
-    "green-check": _cmd_green_check,
-    "generate": _cmd_generate,
-    "ball-scan": _cmd_ball_scan,
+# of warnings for the report when it can have any; with it, the library
+# modules whose names it reads besides graphs' (every command reads or
+# writes a graph file)
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, ("spectra",)),
+    "steklov": (_cmd_steklov, ("spectra",)),
+    "curvature": (_cmd_curvature, ("curvature",)),
+    "cd-check": (_cmd_cd_check, ("curvature",)),
+    "rigidity": (_cmd_rigidity, ("rigidity",)),
+    "classify": (_cmd_classify, ("rigidity",)),
+    "green-check": (_cmd_green_check, ("operators",)),
+    "generate": (_cmd_generate, ()),
+    "ball-scan": (_cmd_ball_scan, ("rigidity",)),
 }
 
 
@@ -363,7 +384,10 @@ def run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code, results, lines, *warnings = _HANDLERS[args.command](args)
+        handler, modules = _COMMANDS[args.command]
+        for module in ("graphs", *modules):
+            _bind(module)
+        code, results, lines, *warnings = handler(args)
         report = {
             "command": args.command,
             "inputs": _echo_inputs(args),

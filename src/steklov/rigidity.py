@@ -65,8 +65,13 @@ FORM_STACK_ENTRIES = 2 ** 22  # B |Omega|^2 in one stack of condition-(5) forms;
 
 
 def _close(a, b):
-    """|a - b| <= CONDITION_TOL max(|a|, |b|), elementwise on arrays; the one tolerance rule of (1)-(4) and the classifiers."""
-    return np.abs(a - b) <= CONDITION_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    """|a - b| <= CONDITION_TOL max(|a|, |b|), elementwise on arrays; the one tolerance rule of (1)-(4) and the classifiers.
+
+    An infinite difference is never close: against an overflowed target every
+    finite value would be within tolerance of it.
+    """
+    diff = np.abs(a - b)
+    return (diff <= CONDITION_TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)) & (diff < np.inf)
 
 
 class RigidityClass(Enum):
@@ -100,8 +105,12 @@ class ConditionCheck:
 
 
 def _validate_params(K, n):
+    """(K, n) when K is finite positive, n in (1, inf] and the degree targets do not overflow; InvalidParams otherwise."""
     n = validate_dimension(n)
-    return finite_number(K, "K"), n
+    K = finite_number(K, "K")
+    for target, name in zip(degree_targets(K, n), ("nK/(n-1)", "(n+2)K/(n-1)")):
+        finite_number(target, f"the degree target {name} with K = {K!r} and n = {n!r}")
+    return K, n
 
 
 def degree_targets(K, n):

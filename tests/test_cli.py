@@ -334,6 +334,26 @@ def test_cd_check_with_a_non_finite_k_is_an_input_error(capture, c4_file):
         assert json.loads(out)["error"]["type"] == "InvalidParams"
 
 
+def test_a_k_whose_degree_target_overflows_is_an_input_error(capture, tmp_path):
+    # it used to report weighted_path3 matched at K = 1e308, and rigidity
+    # crashed with LinAlgError and exit 1 after passing conditions (3)-(4)
+    for family, params, command in (
+        ("weighted_path3", ("--n", "3", "--K", "1", "--m", "1"), ("classify", "--class", "partial")),
+        ("complete_interior", ("--interior-size", "3", "--n", "10", "--K", "1", "--m", "1"), ("rigidity",)),
+    ):
+        path = str(tmp_path / f"{family}.json")
+        assert capture("generate", "--family", family, "--out", path, *params)[0] == 0
+        code, out, err = capture(*command, "--graph", path, "--K", "1e308", "--n", params[params.index("--n") + 1])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InvalidParams" and "degree target" in err
+
+
+def test_a_negative_seed_is_a_usage_error(capture, c4_file):
+    code, out, _ = capture("green-check", "--graph", c4_file, "--seed", "-5")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "usage", "message": "--seed must be non-negative"}
+
+
 def test_reports_have_sorted_keys(capture, p3_file):
     _, out, _ = capture("steklov", "--graph", p3_file)
     doc = json.loads(out)
@@ -348,6 +368,36 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.stdout.strip() == "False"
+
+
+LOADED_AT_EXIT = """import atexit, json, sys
+atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("steklov"))),
+                              file=sys.stderr))
+"""
+RUN_CLI = 'import runpy; runpy.run_module("steklov.cli", run_name="__main__")'
+CLI_BASE = ["steklov", "steklov.errors"]  # the CLI runs as __main__
+SPECTRA = ["numpy", *CLI_BASE, "steklov.graphs", "steklov.jsonio", "steklov.operators", "steklov.spectra"]
+
+
+@pytest.mark.parametrize("code, argv, loaded", [
+    ("import steklov", [], ["steklov"]),
+    (RUN_CLI, ["--version"], CLI_BASE),
+    (RUN_CLI, ["--help"], CLI_BASE),
+    (RUN_CLI, ["spectrum"], ["numpy", *CLI_BASE, "steklov.jsonio"]),  # --graph missing: the report needs jsonio
+    (RUN_CLI, ["spectrum", "--graph", "{graph}"], SPECTRA),
+    (RUN_CLI, ["steklov", "--graph", "{graph}"], SPECTRA),
+    (RUN_CLI, ["generate", "--family", "unit_square", "--out", "{out}"],
+     ["numpy", *CLI_BASE, "steklov.graphs", "steklov.jsonio"]),
+], ids=["import", "version", "help", "usage-error", "spectrum", "steklov", "generate"])
+def test_a_process_loads_only_the_layers_its_command_runs(tmp_path, p3_file, code, argv, loaded):
+    # `import steklov` and the parser load no library module; a command loads
+    # the layers whose names it reads, and neither curvature nor rigidity here
+    src = str(Path(steklov.__file__).resolve().parents[1])
+    argv = [a.format(graph=p3_file, out=tmp_path / "c4.json") for a in argv]
+    proc = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT + code, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == loaded
 
 
 def _fresh_process(*argv):

@@ -525,6 +525,28 @@ def test_check_rigidity_validates_params():
         check_rigidity(p3, -1, 2)
 
 
+def test_a_degree_target_that_overflows_is_an_input_error():
+    # nK/(n-1) = inf took every finite degree as within tolerance of it:
+    # classify_partial matched weighted_path3 at K = 1e308, and check_rigidity
+    # passed conditions (3)-(4) and then crashed in condition (5)'s eigvalsh
+    path3 = make_example("weighted_path3", n=3, K=1, m=1)
+    interior = make_example("complete_interior", interior_size=3, n=10, K=1, m=1)
+    for call, args in ((classify_partial, (path3, 1e308, 3)), (check_rigidity, (interior, 1e308, 10)),
+                       (check_necessary_conditions, (interior, 1e308, 10)),
+                       (check_interior_inequality, (interior, 1e308, 10))):
+        with pytest.raises(InvalidParams, match="degree target"):
+            call(*args)
+
+
+def test_a_weight_target_that_overflows_matches_no_weight():
+    # the degree targets are finite, but m nK/(n-1) overflows: no finite
+    # boundary weight is close to it
+    heavy = make_example("weighted_path3", n=3, K=1, m=1e10)
+    assert classify_partial(heavy, 1, 3).matched
+    assert not classify_partial(heavy, 1e300, 3).matched
+    assert not steklov.rigidity._close(5.0, math.inf) and not steklov.rigidity._close(-math.inf, 1.0)
+
+
 def test_check_rigidity_rejects_a_bool_k():
     with pytest.raises(InvalidParams):
         check_rigidity(make_example("unit_square"), True, INF)

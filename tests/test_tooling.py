@@ -9,7 +9,10 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import steklov
+import steklov.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -37,6 +40,45 @@ def test_every_traced_binding_site_resolves():
         assert callable(target), f"{site} is not callable"
 
 
+@pytest.fixture
+def unbound_cli(monkeypatch):
+    """steklov.cli as a fresh process has it: no library name bound yet."""
+    for module, names in steklov.cli._LIBRARY.items():
+        steklov.cli._bind(module)  # so that every name is restored afterwards
+        for name in names:
+            monkeypatch.delitem(vars(steklov.cli), name)
+    steklov.cli._bind.cache_clear()
+
+
+def test_the_cli_binds_a_library_name_only_where_none_is_bound(unbound_cli, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c4.json"
+    path.write_text(steklov.serialize_graph(steklov.make_example("unit_square")))
+    calls = []
+    monkeypatch.setitem(vars(steklov.cli), "format_json", lambda obj, sort_keys: calls.append(obj) or "{}")
+    assert steklov.cli.run(["spectrum", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out == "{}\n" and calls[0]["command"] == "spectrum"
+
+
+def test_a_traced_cli_call_records_spans_at_the_cli_binding_sites(unbound_cli, tmp_path, capsys):
+    # the CLI binds its library names on first use and never over a bound
+    # one, so the tracer's wrappers (installed here before any binding) are
+    # what its handlers call
+    path = tmp_path / "c4.json"
+    path.write_text(steklov.serialize_graph(steklov.make_example("unit_square")))
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert steklov.cli.run(["rigidity", "--graph", str(path), "--K", "2", "--n", "inf"]) == 0
+        assert steklov.cli.run(["spectrum", "--graph", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    under_run = {span[0] for span in tracer.spans if span[3] is not None and tracer.spans[span[3]][0] == "cli.run"}
+    assert {"rigidity.check_rigidity", "spectra.laplacian_spectrum", "graphs.parse_graph_file",
+            "jsonio.format_json"} <= under_run
+    assert tracer.counts["cli.run"] == 2
+
+
 def test_imports_kept_for_the_tracer_are_still_traced():
     # an import kept only so the tracer can wrap it is dead once the
     # benchmark stops wrapping that binding site; this names it for deletion
@@ -52,7 +94,7 @@ def test_star_import_binds_exactly_the_public_names():
     namespace = {}
     exec("from steklov import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(steklov.__all__)
+    assert sorted(namespace) == sorted(steklov.__all__) == dir(steklov)
     assert len(set(steklov.__all__)) == len(steklov.__all__)
     assert "__version__" not in namespace
     for name, value in namespace.items():
