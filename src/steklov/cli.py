@@ -220,10 +220,10 @@ def _cmd_cd_check(args):
     if not report.holds:
         bad = report.first_violation
         lines.append(f"violated at vertex {bad.vertex} (lambda_min = {bad.lambda_min:.6g})")
-    # NaN, not inf: a one-vertex graph's empty form holds with lambda_min inf
-    warnings = [f"lambda_min is NaN at vertex {c.vertex}: an S2 pivot underflowed to 0 "
-                "or its reciprocal overflowed, so this verdict is not reliable"
-                for c in report.checks if math.isnan(c.lambda_min)]
+    # NaN or -inf, not inf: a one-vertex graph's empty form holds with lambda_min inf
+    warnings = [f"lambda_min is {'NaN' if math.isnan(c.lambda_min) else '-inf'} at vertex {c.vertex}: an S2 pivot "
+                "underflowed to 0 or its reciprocal overflowed, so this verdict is not reliable"
+                for c in report.checks if math.isnan(c.lambda_min) or c.lambda_min == -math.inf]
     return (0 if report.holds else 1), results, lines, warnings
 
 

@@ -385,7 +385,7 @@ def build_graph(vertex_specs, edge_specs, relaxed=False):
         raise InvalidParams("a graph needs at least one vertex")
 
     n = len(vertices)
-    weights = np.zeros((n, n))
+    edges = {}  # flat index i n + j into W to the weight, both orientations of each edge
     for u, v, w in edge_specs:
         if u not in index:
             raise UnknownVertex(u)
@@ -394,13 +394,14 @@ def build_graph(vertex_specs, edge_specs, relaxed=False):
         if u == v:
             raise SelfLoop(u)
         i, j = index[u], index[v]
-        if weights[i, j] != 0.0:
+        key = i * n + j
+        if key in edges:
             raise DuplicateEdge(u, v)
-        w = _check_positive("weight", (u, v), w)
-        weights[i, j] = w
-        weights[j, i] = w
+        edges[key] = edges[j * n + i] = _check_positive("weight", (u, v), w)
+    weights = np.zeros(n * n)
+    weights[np.fromiter(edges, np.intp, len(edges))] = np.fromiter(edges.values(), float, len(edges))
 
-    g = WeightedGraph(tuple(vertices), np.array(measures), weights)
+    g = WeightedGraph(tuple(vertices), np.array(measures), weights.reshape(n, n))
     _check_degrees(g)
     if not relaxed:
         reachable = np.isfinite(g.hop_distances(0))
@@ -597,12 +598,13 @@ def make_example(family, **params):
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = ("vertices", "edges", "boundary")
+_VERTEX_KEYS, _EDGE_KEYS = frozenset(("id", "m")), frozenset(("u", "v", "w"))
 
 
-def _number(value, where):
+def _number(value, where, k):
     """value when it is a JSON number; build_graph judges it (an int too large for a float is not finite)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(None, f"{where} must be a number, got {value!r}")
+        raise ParseError(None, f"{where.format(k)} must be a number, got {value!r}")
     return value
 
 
@@ -635,19 +637,19 @@ def parse_graph_file(text):
 
     vertex_specs = []
     for k, entry in enumerate(doc["vertices"]):
-        if not isinstance(entry, dict) or set(entry) != {"id", "m"}:
+        if not isinstance(entry, dict) or entry.keys() != _VERTEX_KEYS:
             raise ParseError(None, f"vertices[{k}] must be an object with keys id, m")
         if not isinstance(entry["id"], str):
             raise ParseError(None, f"vertices[{k}].id must be a string")
-        vertex_specs.append((entry["id"], _number(entry["m"], f"vertices[{k}].m")))
+        vertex_specs.append((entry["id"], _number(entry["m"], "vertices[{}].m", k)))
 
     edge_specs = []
     for k, entry in enumerate(doc["edges"]):
-        if not isinstance(entry, dict) or set(entry) != {"u", "v", "w"}:
+        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
             raise ParseError(None, f"edges[{k}] must be an object with keys u, v, w")
         if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
             raise ParseError(None, f"edges[{k}] endpoints must be strings")
-        edge_specs.append((entry["u"], entry["v"], _number(entry["w"], f"edges[{k}].w")))
+        edge_specs.append((entry["u"], entry["v"], _number(entry["w"], "edges[{}].w", k)))
 
     boundary = doc["boundary"]
     for k, v in enumerate(boundary):

@@ -8,35 +8,38 @@ backslash-escaped and U+0000-U+001F become `\\uXXXX` (a newline is `\\u000a`).
 Booleans, numpy's included, are `true` and `false`.
 
 `format_json` walks the document once into a list of text parts and joins
-them. A list of strings is written with one join. Float64 arrays (a 2-D
-array is a list of its rows) are set aside and written after the walk: a
-report with fewer than `_BULK_MIN` of their floats writes each array with
-one `%` pass (or `_format_float` per entry where an entry is
-integer-valued or not finite); a larger one runs them all, `_CHUNK` floats
-at a time, through one array kernel, `_format_chunk`, with the same bytes,
-and joins the parts each chunk completes into one segment.
+them. A list of strings is written with one join, once per document.
+Float64 arrays (a 2-D array is a list of its rows) are set aside and
+written after the walk: a report with fewer than `_BULK_MIN` of their
+floats writes each array with one `%` pass (`_format_float` per entry where
+one pass over the report finds an entry integer-valued or not finite); a
+larger one runs them all, `_CHUNK` floats at a time, through one array
+kernel, `_format_chunk`, and joins the parts each chunk completes.
 
 The kernel's fast lane takes the entries that are finite, not
-integer-valued and in 1e-4 <= |x| < 1e15, where `%.17g` prints fixed
-notation; every other entry goes through `_format_float`. With
-k = floor(log10 |x|), `%.17g` prints the 17-digit integer nearest to
-|x|·10^(16-k), ties to even, placed around the point. That product is
-formed exactly: 10^(16-k) (at most 1e21) is a double, and Dekker's
-TwoProduct with Veltkamp's split gives |x|·10^(16-k) = hi + lo exactly. The
-k from `log10` is checked against the exact product, which must lie in
-[1e16, 1e17), and moved by one where it does not. hi >= 1e16 > 2^53 is an
-even integer, so hi + rint(lo) is the nearest integer with ties to even.
-17 digits are finer than the spacing of doubles, so no entry's digits carry
-to 10^17 (the double below each power of ten in the lane lies at least 8
-units of the 17th digit below it) and a non-integer keeps a nonzero
-fraction digit. The digits are then laid out as text, a column per entry
-of a byte table: sign, integer part (`0` when k < 0), point, the zeros
-after the point when k < 0, and the fraction with its trailing zeros
-stripped. `tests/test_jsonio.py` compares the writer with the reference
-writer in `tests/oracles.py` on a million random doubles and on ties,
-powers of ten and special values.
+integer-valued and in 1e-6 < |x| < 1e15; every other entry goes through
+`_format_float`. With k = floor(log10 |x|), `%.17g` prints the 17-digit
+integer nearest to |x|·10^(16-k), ties to even, placed around the point
+(d.ddd…e-05 or e-06 when k < -4). That product is formed exactly:
+10^(16-k) (at most 1e22, hence the lane's end: the double nearest 1e-6 has
+k = -7) is a double, and Dekker's TwoProduct with Veltkamp's split gives
+|x|·10^(16-k) = hi + lo exactly. The k from `log10` is checked against the
+exact product, which must lie in [1e16, 1e17), and moved by one where it
+does not. hi >= 1e16 > 2^53 is an even integer, so hi + rint(lo) is the
+nearest integer with ties to even. 17 digits are finer than the spacing of
+doubles, so no entry's digits carry to 10^17 (the double below each power
+of ten in the lane lies at least 8 units of the 17th digit below it) and
+every entry keeps a nonzero fraction digit. The digits are then laid out as
+text, a column per entry of a byte table: sign, integer part (`0` when
+-4 <= k < 0, the first digit when k < -4), point, the zeros after the point
+when -4 <= k < 0, the fraction with its trailing zeros stripped, and the
+exponent in four places the fraction's span leaves free; each text's length
+follows from the layout. `tests/test_jsonio.py` compares the writer with
+`tests/oracles.py`'s reference on a million random doubles, ties, powers of
+ten and special values.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -65,9 +68,9 @@ def _format_float(x):
     return f"{x:.17g}"
 
 
-def _format_floats(a):
-    """A 1-D float64 array: one `%.17g` pass when every entry is finite and not integer-valued."""
-    if np.isfinite(a).all() and (a != np.trunc(a)).all():
+def _format_floats(a, plain):
+    """A 1-D float64 array: one `%.17g` pass when plain, that is every entry finite and not integer-valued."""
+    if plain:
         return "[" + ", ".join(["%.17g"] * a.size) % tuple(a.tolist()) + "]"
     return "[" + ", ".join(map(_format_float, a.tolist())) + "]"
 
@@ -112,22 +115,23 @@ def _ascii_digits(g):
 
 
 def _lane_digits(x):
-    """k = floor(log10 x) and the 17 digits of each x > 0 as rows of ASCII digits.
+    """k = floor(log10 x) and the 17 digits of each x > 1e-6 as rows of ASCII digits.
 
-    The integer part (k + 1 digits; 0 when k < 0) is right-aligned in the
-    first 4 ng rows, ng = max(k, 0) // 4 + 1, so that there are at least
-    max(k) + 1 of them; the fraction is left-aligned in the last 20.
+    The integer part (k + 1 digits; 0 when -4 <= k < 0; one when k < -4) is
+    right-aligned in the first 4 ng rows, ng = max(k, 0) // 4 + 1, so that
+    there are at least max(k) + 1 of them; the fraction is left-aligned in the last 20.
     """
-    k = np.floor(np.log10(x)).astype(np.intp)
+    k = np.maximum(np.floor(np.log10(x)), -6).astype(np.intp)  # a log10 one unit low must not index past 10^22
     n = _significands(x, k)
-    unit = _POW10[np.minimum(16 - k, 17)]
+    kl = k * (k >= -4)  # the exponent form (k < -4) is laid out as k = 0
+    unit = _POW10[np.minimum(16 - kl, 17)]
     ip = n // unit
     frac = n - ip * unit
     # the fraction as a 12-digit and an 8-digit integer
-    unit = _POW10[np.maximum(4 - k, 0)]
+    unit = _POW10[np.maximum(4 - kl, 0)]
     f12 = frac // unit
-    f8 = (frac - f12 * unit) * _POW10[4 + k]
-    f12 *= _POW10[np.maximum(k - 4, 0)]
+    f8 = (frac - f12 * unit) * _POW10[4 + kl]
+    f12 *= _POW10[np.maximum(kl - 4, 0)]
     ng = max(int(k.max()), 0) // 4 + 1
     groups = np.empty((ng + 5, x.size), np.uint16)  # 4-digit groups
     for j in range(ng - 1, -1, -1):
@@ -154,35 +158,45 @@ def _format_chunk(a):
     m = a.size
     ax = np.abs(a)
     with np.errstate(invalid="ignore"):  # trunc of NaN
-        fast = (ax >= 1e-4) & (ax < 1e15) & (a != np.trunc(a))
+        fast = (ax > 1e-6) & (ax < 1e15) & (a != np.trunc(a))
     # entries off the lane are laid out as 0.5, then replaced
     k, digits = _lane_digits(np.where(fast, ax, 0.5))
     kmax = max(int(k.max()), 0)
     fraction = digits[-20:]
     kept = ((fraction != 48) * np.arange(1, 21, dtype=np.uint8)[:, None]).max(axis=0)  # to the last nonzero
+    expo = np.flatnonzero(k < -4)  # d.ddd...e-05 or e-06: the exponent takes the fraction's last 4 places
     wi, wf = kmax + 2, int(kept.max())  # a sign place and kmax + 1 digits; the longest fraction
+    if expo.size:
+        wf = max(wf, int(kept[expo].max()) + 4)
     slow = np.flatnonzero(~fast)
     texts = [_format_float(v).encode() for v in a[slow].tolist()]
     width = max([wi + 1 + wf] + [len(t) for t in texts]) + 2
     table = np.zeros((width, m), np.uint8)
     o = width - 2 - (wi + 1 + wf)
     table[o + 1:o + wi] = digits[-21 - kmax:-20]  # the digits hold at least kmax + 1 integer rows
-    lead = wi - 1 - np.maximum(k, 0)  # places before the first digit
+    top = np.maximum(k, 0)  # integer digits less one
+    lead = wi - 1 - top  # places before the first digit
     table[o:o + wi] *= np.arange(wi)[:, None] >= lead
     table[o + wi] = 46
     table[o + wi + 1:o + wi + 1 + wf] = fraction[:wf]
     table[o + wi + 1:o + wi + 1 + wf] *= np.arange(wf, dtype=np.uint8)[:, None] < kept
-    neg = np.flatnonzero(a < 0)
+    table[width - 6:width - 3, expo] = np.array([[101], [45], [48]], np.uint8)  # "e-0"
+    table[width - 3, expo] = 48 - k[expo]
+    sign = a < 0
+    neg = np.flatnonzero(sign)
     table[o + lead[neg] - 1, neg] = 45
+    # each text's length: sign, top + 1 digits, point, kept digits, exponent, ", "
+    sizes = sign + top + kept + 4
+    sizes[expo] += 4
     if texts:
         table[:width - 2, slow] = np.array(texts, f"S{width - 2}").view(np.uint8).reshape(-1, width - 2).T
+        sizes[slow] = [len(t) + 2 for t in texts]
     table[-2] = 44
     table[-1] = 32
-    ends = np.cumsum(np.count_nonzero(table, axis=0))
     del ax, digits, fraction  # the compaction's copies are the chunk's largest arrays
-    flat = table.T.ravel()
+    text = table.T.tobytes()
     del table
-    return str(flat[flat != 0], "ascii"), ends
+    return text.translate(None, b"\0").decode("ascii"), np.cumsum(sizes)
 
 
 def _join(parts, arrays):
@@ -191,9 +205,14 @@ def _join(parts, arrays):
     After each chunk the parts it completes are joined into one segment and
     dropped, so the writer holds a string per chunk rather than one per array.
     """
-    if sum(a.size for _, a in arrays) < _BULK_MIN:
-        for i, a in arrays:
-            parts[i] = _format_floats(a)
+    sizes = [a.size for _, a in arrays]
+    if sum(sizes) < _BULK_MIN:  # which arrays are plain, from one pass over the report's floats
+        values = np.concatenate([a for _, a in arrays])
+        with np.errstate(invalid="ignore"):  # trunc of a signalling NaN
+            plain = np.isfinite(values) & (values != np.trunc(values))
+        plain = np.logical_and.reduceat(plain, list(itertools.accumulate(sizes[:-1], initial=0)))
+        for (i, a), ok in zip(arrays, plain.tolist()):
+            parts[i] = _format_floats(a, ok)
         return "".join(parts)
     todo = iter(arrays)
     place, a = next(todo)
@@ -231,9 +250,23 @@ def _join(parts, arrays):
     return "".join(segments)
 
 
-def _write(obj, sort_keys, parts, arrays):
-    """Append obj's text to parts; a 1-D float64 array leaves a place to fill, noted in arrays."""
-    if obj is None:
+def _write(obj, sort_keys, parts, arrays, lists):
+    """Append obj's text to parts; a 1-D float64 array leaves a place to fill, noted in arrays.
+
+    lists maps the id of each string list l written to (l, text); holding l keeps its id from reuse.
+    """
+    kind = type(obj)  # the commonest exact types before the isinstance chain
+    if kind is str:
+        parts.append(f'"{obj.translate(_ESCAPES)}"')
+    elif kind is float:
+        parts.append(_format_float(obj))
+    elif kind is dict:
+        parts.append("{")
+        for j, key in enumerate(sorted(obj, key=str) if sort_keys else obj):
+            parts.append(f'{", " if j else ""}"{str(key).translate(_ESCAPES)}": ')
+            _write(obj[key], sort_keys, parts, arrays, lists)
+        parts.append("}")
+    elif obj is None:
         parts.append("null")
     elif obj is True:
         parts.append("true")
@@ -249,21 +282,20 @@ def _write(obj, sort_keys, parts, arrays):
         parts.append("true" if obj else "false")
     elif isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim == 0:
-            _write(obj.tolist(), sort_keys, parts, arrays)
+            _write(obj.tolist(), sort_keys, parts, arrays, lists)
         elif obj.ndim > 1:
-            _write(list(np.asarray(obj)), sort_keys, parts, arrays)  # rows (a matrix's rows stay 2-D)
+            _write(list(np.asarray(obj)), sort_keys, parts, arrays, lists)  # rows (a matrix's rows stay 2-D)
         elif obj.size:
             arrays.append((len(parts), obj))
             parts.append(None)
         else:
             parts.append("[]")
     elif isinstance(obj, dict):
-        parts.append("{")
-        for j, key in enumerate(sorted(obj, key=str) if sort_keys else obj):
-            parts.append(f'{", " if j else ""}"{str(key).translate(_ESCAPES)}": ')
-            _write(obj[key], sort_keys, parts, arrays)
-        parts.append("}")
+        _write(dict(obj), sort_keys, parts, arrays, lists)
     elif isinstance(obj, (list, tuple)):
+        if id(obj) in lists:
+            parts.append(lists[id(obj)][1])
+            return
         try:
             joined = "".join(obj)  # a TypeError unless every item is a string
         except TypeError:
@@ -271,12 +303,13 @@ def _write(obj, sort_keys, parts, arrays):
             for j, v in enumerate(obj):
                 if j:
                     parts.append(", ")
-                _write(v, sort_keys, parts, arrays)
+                _write(v, sort_keys, parts, arrays, lists)
             parts.append("]")
             return
-        if joined.translate(_ESCAPES) != joined:  # escape item by item only when needed
-            obj = [s.translate(_ESCAPES) for s in obj]
-        parts.append('["' + '", "'.join(obj) + '"]' if obj else "[]")
+        items = obj if joined.translate(_ESCAPES) == joined else [s.translate(_ESCAPES) for s in obj]
+        text = '["' + '", "'.join(items) + '"]' if obj else "[]"
+        lists[id(obj)] = obj, text
+        parts.append(text)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -284,5 +317,5 @@ def _write(obj, sort_keys, parts, arrays):
 def format_json(obj, sort_keys=False):
     """Serialize nested dicts/lists/scalars to deterministic JSON text."""
     parts, arrays = [], []
-    _write(obj, sort_keys, parts, arrays)
+    _write(obj, sort_keys, parts, arrays, {})
     return _join(parts, arrays) if arrays else "".join(parts)

@@ -136,6 +136,65 @@ def test_cd_check_command_warns_where_lambda_min_is_nan(tmp_path):
         assert text.startswith(f"lambda_min is NaN at vertex {v}: an S2 pivot underflowed")
 
 
+def _unit_path_with_heavy_end(tmp_path, m_a):
+    g = steklov.build_graph([("a", m_a), ("b", 1.0), ("c", 1.0)], [("a", "b", 1.0), ("b", "c", 1.0)])
+    path = tmp_path / "p3_heavy.json"
+    path.write_text(steklov.serialize_graph(steklov.attach_boundary(g, {"a", "c"})))
+    return str(path)
+
+
+def test_cd_check_command_warns_where_lambda_min_is_minus_inf(tmp_path):
+    # with m_a = 8e307 the S2 pivot at a is subnormal and its reciprocal
+    # overflows, so lambda_min is -inf there; +inf stays valid (the one-vertex
+    # empty form's value)
+    path = _unit_path_with_heavy_end(tmp_path, 8e307)
+    code, out, err = _fresh_process("cd-check", "--graph", path, "--K", "0", "--n", "2")
+    assert code == 1
+    assert "RuntimeWarning" not in err
+    doc = json.loads(out)
+    assert doc["results"]["vertices"][0]["lambda_min"] == "-inf"
+    assert doc["warnings"] == ["lambda_min is -inf at vertex a: an S2 pivot underflowed to 0 or its reciprocal "
+                               "overflowed, so this verdict is not reliable"]
+
+
+def test_curvature_command_keeps_healthy_vertices_beside_a_ball_out_of_range(capture, tmp_path):
+    # a's pencil is not finite; c shares its padded stack, and a pad taken
+    # over the whole stack made kappa(c) read 0.0
+    path = _unit_path_with_heavy_end(tmp_path, 8e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = capture("curvature", "--graph", path, "--n", "2")
+        lambda_c = steklov.cd_check(steklov.parse_graph_file(Path(path).read_text()).graph, 0.0, 2.0, "c")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["kappa"]["2"]["c"] == lambda_c.checks[0].lambda_min == pytest.approx(0.5)
+    assert [text.split(",")[0] for text in doc["warnings"]] == ["kernel_ok is false at vertex a"]
+
+
+@pytest.mark.parametrize("argv", [("curvature", "--n", "2"), ("cd-check", "--K", "0", "--n", "2"),
+                                  ("rigidity", "--K", "1", "--n", "2")])
+def test_a_measure_above_half_the_float_range_prints_no_numpy_warnings(tmp_path, argv):
+    # 2 m overflows for m = 1e308, which build_graph accepts; the Gamma forms
+    # halve the weights before dividing by m instead
+    path = _unit_path_with_heavy_end(tmp_path, 1e308)
+    code, out, err = _fresh_process(argv[0], "--graph", path, *argv[1:])
+    assert code in (0, 1)
+    assert "RuntimeWarning" not in err
+    assert json.loads(out)["command"] == argv[0]
+
+
+def test_large_reports_are_byte_identical_across_runs_under_one_blas_thread(tmp_path):
+    # the README's contract: identical invocations give identical bytes on one
+    # BLAS build and thread count
+    bg = random_boundary_graph(np.random.default_rng(25), 300, 300, extra_edge_prob=0.02)
+    assert bg.graph.num_vertices >= 300
+    path = tmp_path / "random300.json"
+    path.write_text(steklov.serialize_graph(bg))
+    for command in ("spectrum", "steklov"):
+        first, second = (_fresh_process(command, "--graph", str(path), OPENBLAS_NUM_THREADS="1") for _ in range(2))
+        assert first[0] == 0 and len(first[1]) > 10 ** 5
+        assert first == second
+
+
 def test_unit_weight_reports_are_unchanged_and_carry_no_warnings(capture, tmp_path, monkeypatch):
     # the kernel_ok warnings leave a healthy curvature report byte for byte as
     # it was, and every other command's warnings list stays empty
@@ -400,11 +459,11 @@ def test_a_process_loads_only_the_layers_its_command_runs(tmp_path, p3_file, cod
     assert json.loads(proc.stderr.splitlines()[-1]) == loaded
 
 
-def _fresh_process(*argv):
+def _fresh_process(*argv, **env):
     src = str(Path(steklov.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "steklov.cli", *argv], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=src, **env),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -733,6 +733,19 @@ def test_kernel_ok_is_false_where_an_s2_pivot_leaves_the_float_range(weight):
     assert all(res.kernel_ok for res in curvature_profile(c6.rescaled_weights(1e100), (2.0,)).results[2.0].values())
 
 
+def test_a_ball_out_of_the_float_range_leaves_the_other_balls_of_its_stack_exact():
+    # a's and b's S2 pivots underflow, so their pencils are not finite; c, d
+    # and e share one padded stack with them, and a pad diagonal taken over
+    # the whole stack was NaN at e, where kappa then read 0.0 with kernel_ok
+    g = build_graph([(v, 1.0) for v in "abcde"],
+                    [("a", "b", 1e-160), ("b", "c", 1e-160), ("c", "d", 1.0), ("d", "e", 1.0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = curvature_profile(g, (2.0,)).results[2.0]["e"]
+        assert res.kernel_ok
+        assert res.kappa == curvature_at(g, "e", 2.0).kappa == pytest.approx(0.5)
+        assert cd_check(g, 0.4, 2.0, "e").holds
+
+
 def test_kernel_ok_holds_on_unit_graphs():
     count = 0
     for g in (*atlas_graphs(6), *(unit_grid(k) for k in (3, 6, 12, 16))):

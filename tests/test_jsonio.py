@@ -1,6 +1,7 @@
 """The deterministic JSON writer: every expected string is a byte contract."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,14 @@ def test_containers():
         format_json(object())
 
 
+def test_a_signalling_nan_is_written_without_a_numpy_warning():
+    snan = np.array([0x7FF0000000000001], np.uint64).view(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert format_json([snan, np.array([1.5, 2.5])]) == '[["nan"], [1.5, 2.5]]'
+        assert format_json(np.resize(snan, jsonio._BULK_MIN)) == "[" + ", ".join(['"nan"'] * jsonio._BULK_MIN) + "]"
+
+
 def test_float_arrays_match_scalar_formatting():
     rng = np.random.default_rng(7)
     a = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
@@ -116,13 +125,13 @@ def _bits(rng, size, exponents):
 def test_the_bulk_writer_matches_the_reference_on_random_bit_patterns():
     """10^6 patterns over the exponents around the fast lane, 2^14 over every exponent.
 
-    Exponents 2^-16 to 2^52 cover the lane (1e-4 <= |x| < 1e15) with an
+    Exponents 2^-22 to 2^52 cover the lane (1e-6 < |x| < 1e15) with an
     octave or more on either side; the lane holds about a thirtieth of all
     doubles, so patterns over every exponent (CPython's slow bignum path for
     the rest) add inf, NaN payloads, subnormals and the far exponents.
     """
     rng = np.random.default_rng(2025)
-    for values in (_bits(rng, 10 ** 6, range(1023 - 16, 1023 + 53)), _bits(rng, 2 ** 14, range(2048))):
+    for values in (_bits(rng, 10 ** 6, range(1023 - 22, 1023 + 53)), _bits(rng, 2 ** 14, range(2048))):
         with np.errstate(invalid="ignore"):
             integral = values == np.trunc(values)
         # the reference writes an array with no integer-valued entry in one `%` pass
@@ -137,18 +146,53 @@ def test_the_bulk_writer_rounds_ties_to_even():
     ties = np.concatenate([odd / 2.0 ** j for j in range(1, 12)])
     lane = ties[(ties >= 1e14) & (ties < 1e15)].tolist()  # 17 digits leave two decimals
     assert sum((Fraction(x) * 100).denominator == 2 for x in lane) > 1000
-    _assert_like_reference(np.concatenate([ties, -ties]))
+    # in the exponent form x 10^(16-k) is a tie for odd multiples of 2^(k-17):
+    # every one in [1e-5, 1e-4) and [1e-6, 1e-5)
+    exponent_ties = np.concatenate([np.arange(43, 420, 2) / 2.0 ** 22, np.arange(9, 84, 2) / 2.0 ** 23])
+    assert all((Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))).denominator == 2 for x in exponent_ties)
+    _assert_like_reference(np.concatenate([ties, -ties, exponent_ties, -exponent_ties]))
 
 
 def test_no_double_in_the_fast_lane_carries_to_an_18th_digit():
     # the kernel has no carry branch: the double just below each power of ten
     # in the lane rounds, at 17 digits, to 99999999999999999 or less
-    for j in range(-4, 16):
+    for j in range(-5, 16):
         p = Fraction(10) ** j
         x = float(p)
         while Fraction(x) >= p:
             x = math.nextafter(x, 0.0)
         assert Fraction(x) * Fraction(10) ** (17 - j) <= 10 ** 17 - 8
+
+
+def test_no_double_in_the_exponent_lane_prints_a_bare_point():
+    # the kernel writes a point in every exponent-form entry; only a double
+    # next to some d 10^k could print as d, without one, since doubles here lie
+    # more than a 17th-digit unit apart, and none does
+    for k in (-6, -5):
+        for d in range(1, 10):
+            x = float(Fraction(d) * Fraction(10) ** k)
+            for y in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)):
+                assert y <= 1e-6 or "." in f"{y:.17g}"
+
+
+def test_the_lane_stops_at_1e_6_where_the_exponent_leaves_two_digits(monkeypatch):
+    # the double nearest 1e-6 lies below 10^-6, so %.17g prints it as
+    # 9.9999999999999995e-07 and 10^23 is not a double: it and everything
+    # below it take _format_float; the double above it and 1e-4's neighbours
+    # take the lane
+    calls = []
+    monkeypatch.setattr(jsonio, "_format_float", lambda x: calls.append(x) or f"{x:.17g}")
+    near = []
+    for p in (1e-6, 1e-5, 1e-4):  # three ulps either side
+        below = above = p
+        near.append(p)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            near += [below, above]
+    values = near + [-x for x in near]
+    text, _ = jsonio._format_chunk(np.array(values))
+    assert sorted(calls) == sorted(x for x in values if abs(x) <= 1e-6)
+    assert text == "".join(f"{x:.17g}, " for x in values)
 
 
 def test_the_bulk_writer_at_powers_of_ten_and_special_values():
@@ -170,7 +214,7 @@ def test_the_bulk_writer_at_every_largest_magnitude():
     # each decade up to 1e14 is the top of its own call; smaller entries and
     # signs share it
     rng = np.random.default_rng(11)
-    for j in range(-6, 17):
+    for j in range(-7, 17):
         values = rng.uniform(1.0, 10.0, 600) * 10.0 ** j
         values[::3] /= 10.0 ** rng.integers(1, 6, 200)
         values[::5] *= -1
@@ -189,6 +233,31 @@ def test_the_bulk_writer_across_the_crossover_and_chunk_edges(sizes):
     for a in arrays[::2]:
         a[::7] = np.round(a[::7])  # integer-valued entries take the fallback in either route
     _assert_like_reference({"rows": arrays, "n": len(sizes)})
+
+
+@pytest.mark.parametrize("sizes", [[jsonio._CHUNK - 2, 5], [jsonio._CHUNK + 7], [3, 2 * jsonio._CHUNK, 1]])
+def test_the_bulk_writer_across_chunk_edges_in_every_layout(sizes):
+    # fixed and exponent forms, both signs and the slow entries in one chunk,
+    # with arrays that start and end inside a chunk
+    rng = np.random.default_rng(len(sizes) + sum(sizes))
+    arrays = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 4, n) for n in sizes]
+    arrays[0][::11] = np.round(arrays[0][::11])
+    _assert_like_reference({"rows": arrays})
+
+
+def test_a_repeated_string_list_is_written_like_the_reference():
+    # one list object under many keys is joined once; lists made on the fly
+    # (a string array's tolist) are freed after writing and their ids reused,
+    # so the writer must not match them by id alone
+    rng = np.random.default_rng(4)
+    domain = ["a", 'q"', "x\ny", "é"]
+    doc = {
+        "eigenfunctions": [{"domain": domain, "values": rng.standard_normal(4)} for _ in range(300)],
+        "arrays": [np.array(["u", "v"]), np.array(["u", "w"]), np.array(["x\ny"]), np.array(["u", "v"])],
+        "copies": [list(domain), domain[:2], tuple(domain), domain, []],
+    }
+    _assert_like_reference(doc, sort_keys=True)
+    _assert_like_reference(doc)
 
 
 @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
@@ -247,3 +316,20 @@ def test_large_reports_take_the_kernel_and_small_ones_keep_the_percent_route(cap
     monkeypatch.setattr(steklov.cli, "format_json", reference_format_json)
     for command, (code, out) in outputs.items():
         assert code == 0 and capture(command, "--graph", str(path)) == (code, out)
+
+
+def test_only_entries_off_the_lane_reach_the_scalar_formatter(capture, tmp_path, monkeypatch):
+    # the lane covers 1e-6 < |x| < 1e15 but for integer values; on this
+    # 300-vertex spectrum report the rest is 87 of 90,300 entries (with the
+    # lane stopping at 1e-4 it was 2,802)
+    bg = random_boundary_graph(np.random.default_rng(25), 300, 300, extra_edge_prob=0.02)
+    path = tmp_path / "random300.json"
+    path.write_text(serialize_graph(bg))
+    spec = steklov.laplacian_spectrum(bg.graph)
+    floats = np.concatenate([spec.values, spec.vectors.ravel()])
+    off_lane = ~((np.abs(floats) > 1e-6) & (np.abs(floats) < 1e15) & (floats != np.trunc(floats)))
+    scalar = _counted(monkeypatch, "_format_float")
+    code, out = capture("spectrum", "--graph", str(path))
+    assert code == 0
+    assert len(scalar) == np.count_nonzero(off_lane) < floats.size // 500
+    assert sorted(x for x, in scalar) == sorted(floats[off_lane].tolist())
