@@ -229,11 +229,10 @@ def _pencils(g, balls, k, real, n_arr):
     D^{-1/2} S(n) D^{-1/2}, one per n; real is _padded_stacks' pad mask, or
     None. A pad repeats the centre, adding only zero terms to real entries,
     and its rows and columns are zeroed after assembly. A pad in S2 has
-    d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal above every
-    real block's Gershgorin bound, or above its own ball's where some ball is
-    not finite. Real pivots and Gamma diagonals are positive, unlike pads; a
-    pivot out of the float range makes NaN or infinite entries with no numpy
-    warning (kernel_ok reports it).
+    d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal above its
+    own ball's Gershgorin bound. Real pivots and Gamma diagonals are
+    positive, unlike pads; a pivot out of the float range makes NaN or
+    infinite entries with no numpy warning (kernel_ok reports it).
     """
     q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
     a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
@@ -252,10 +251,7 @@ def _pencils(g, balls, k, real, n_arr):
         pencils /= 2.0
     if real is not None and pads[:, :k].any():
         at, s1 = np.nonzero(pads[:, :k])
-        bound = np.abs(pencils).max()
-        if not np.isfinite(bound):  # each ball's own, so that a ball out of range spoils no other
-            bound = np.abs(pencils[at]).max(axis=(1, 2, 3))[:, None]
-        pencils[at, :, s1, s1] = 2.0 * k * bound + 1.0
+        pencils[at, :, s1, s1] = 2.0 * k * np.abs(pencils[at]).max(axis=(1, 2, 3))[:, None] + 1.0
     return (a11, a12, d, r, gamma_diag, d_plus, d_isqrt), pencils
 
 

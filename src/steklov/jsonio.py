@@ -255,29 +255,24 @@ def _write(obj, sort_keys, parts, arrays, lists):
 
     lists maps the id of each string list l written to (l, text); holding l keeps its id from reuse.
     """
-    kind = type(obj)  # the commonest exact types before the isinstance chain
-    if kind is str:
+    if isinstance(obj, str):  # the commonest types first; none of str, dict and float is a bool or an int
         parts.append(f'"{obj.translate(_ESCAPES)}"')
-    elif kind is float:
-        parts.append(_format_float(obj))
-    elif kind is dict:
+    elif isinstance(obj, dict):
         parts.append("{")
         for j, key in enumerate(sorted(obj, key=str) if sort_keys else obj):
             parts.append(f'{", " if j else ""}"{str(key).translate(_ESCAPES)}": ')
             _write(obj[key], sort_keys, parts, arrays, lists)
         parts.append("}")
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_format_float(float(obj)))
     elif obj is None:
         parts.append("null")
     elif obj is True:
         parts.append("true")
     elif obj is False:
         parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(f'"{obj.translate(_ESCAPES)}"')
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
     elif isinstance(obj, np.bool_):
         parts.append("true" if obj else "false")
     elif isinstance(obj, np.ndarray):
@@ -290,8 +285,6 @@ def _write(obj, sort_keys, parts, arrays, lists):
             parts.append(None)
         else:
             parts.append("[]")
-    elif isinstance(obj, dict):
-        _write(dict(obj), sort_keys, parts, arrays, lists)
     elif isinstance(obj, (list, tuple)):
         if id(obj) in lists:
             parts.append(lists[id(obj)][1])

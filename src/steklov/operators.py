@@ -161,12 +161,11 @@ def _gamma_forms(w, deg, m):
     w holds each centre's row W[x, B1], centre first, deg its degree
     sum_y w_xy and m its measure, as the caller gathered them.
     """
-    w = 0.5 * w  # halved, then over m: 2m overflows for m > 8.99e307
+    w = w / m[:, None] * 0.5  # 2m overflows for m > 8.99e307, 0.5 w rounds a subnormal w; w / m <= Deg(x) < 2^512
     q = np.zeros(w.shape + w.shape[1:])
     _diagonal(q)[:] = w
-    q[:, 0, 0] = 0.5 * deg
+    q[:, 0, 0] = deg / m * 0.5
     q[:, 0, 1:] = q[:, 1:, 0] = -w[:, 1:]
-    q /= m[:, None, None]
     return q
 
 
@@ -210,7 +209,10 @@ def _gamma2_blocks(g, balls, k):
     gam = _gamma_forms(w[:, 0, :k], deg[:, 0], mu[:, 0])
     row = w[:, 0, :k] / mu[:, :1]  # Delta's first row, as the whole Delta below gives it
     row[:, 0] -= deg[:, 0] / mu[:, 0]
-    c = 0.5 * row / mu  # not row / (2 mu), which overflows for mu > 8.99e307
+    # c = row / (2 mu) as (row / f) 2^(-1-e), mu = f 2^e, exact wherever c is normal: 2 mu overflows for
+    # mu > 8.99e307, row / mu for c > 8.99e307, and 0.5 row rounds a subnormal row; |row / f| < 2^513
+    f, e = np.frexp(mu)
+    c = np.ldexp(row / f, -1 - e)
     d = (g.weights[balls[:, :, None], b1[:, None, :]] @ c[:, :, None])[:, :, 0]
     d[:, :k] += c * deg
     delta = w / mu[:, :, None]

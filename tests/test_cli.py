@@ -182,6 +182,20 @@ def test_a_measure_above_half_the_float_range_prints_no_numpy_warnings(tmp_path,
     assert json.loads(out)["command"] == argv[0]
 
 
+@pytest.mark.parametrize("w, m, k", [(1e-310, 1e-300, 20), (5e-324, 1e-300, 60), (1e-12, 1e-160, -100)])
+def test_the_gamma_forms_divide_by_m_exactly_at_the_ends_of_the_float_range(w, m, k):
+    # Gamma is linear and Gamma2 quadratic in W, so scaling W by 2^k scales
+    # them exactly wherever every quotient stays a normal double: halving a
+    # subnormal w before dividing lost its digits (5e-324 halved to 0), and
+    # Delta / mu overflowed for c = Delta / (2 mu) = 5e307 (the third case)
+    from steklov.operators import _gamma2_matrix, _gamma_matrix
+    g, h = (steklov.build_graph([(v, m) for v in "abcd"], [(u, v, x) for u, v in ("ab", "bc", "cd")])
+            for x in (w, w * 2.0 ** k))
+    for i in range(4):
+        assert (_gamma_matrix(g, i)[1] * 2.0 ** k).tolist() == _gamma_matrix(h, i)[1].tolist()
+        assert (_gamma2_matrix(g, i)[1] * 4.0 ** k).tolist() == _gamma2_matrix(h, i)[1].tolist()
+
+
 def test_large_reports_are_byte_identical_across_runs_under_one_blas_thread(tmp_path):
     # the README's contract: identical invocations give identical bytes on one
     # BLAS build and thread count
