@@ -174,18 +174,19 @@ def _cmd_curvature(args):
     grid = [_parse_float(part, "--n") for part in args.n.split(",") if part.strip()]
     if not grid:
         raise UsageError(f"--n expects at least one dimension value, got {args.n!r}")
-    profile = curvature_profile(bg.graph, grid)
+    profile = curvature_profile(bg.graph, grid)  # its kappas and kernel_ok need no eigenvectors
+    ids = [str(v) for v in profile.vertices]
+    unreliable = [v for v, ok in zip(ids, profile.kernel_ok.tolist()) if not ok]
     kappa = {}
     global_min = {}
     warnings = []
-    for n in profile.n_values:
+    for n, column in zip(profile.n_values, profile.kappas.T.tolist()):
         key = _number_key(n)
-        kappa[key] = {str(v): res.kappa for v, res in profile.results[n].items()}
+        kappa[key] = dict(zip(ids, column))
         value, vertex = profile.global_min[n]
         global_min[key] = {"kappa": value, "vertex": str(vertex)}
         warnings += [f"kernel_ok is false at vertex {v}, n = {key}: an S2 pivot underflowed to 0 "
-                     "or its reciprocal overflowed, so this kappa is not reliable"
-                     for v, res in profile.results[n].items() if not res.kernel_ok]
+                     "or its reciprocal overflowed, so this kappa is not reliable" for v in unreliable]
     results = {
         "n_grid": list(profile.n_values),
         "kappa": kappa,
@@ -220,11 +221,17 @@ def _cmd_cd_check(args):
     if not report.holds:
         bad = report.first_violation
         lines.append(f"violated at vertex {bad.vertex} (lambda_min = {bad.lambda_min:.6g})")
-    # NaN or -inf, not inf: a one-vertex graph's empty form holds with lambda_min inf
-    warnings = [f"lambda_min is {'NaN' if math.isnan(c.lambda_min) else '-inf'} at vertex {c.vertex}: an S2 pivot "
-                "underflowed to 0 or its reciprocal overflowed, so this verdict is not reliable"
-                for c in report.checks if math.isnan(c.lambda_min) or c.lambda_min == -math.inf]
-    return (0 if report.holds else 1), results, lines, warnings
+    return (0 if report.holds else 1), results, lines, _cd_warnings(report)
+
+
+def _cd_warnings(cd_report):
+    """A warning for each vertex whose lambda_min in a CD verdict is NaN or -inf.
+
+    Not inf: a one-vertex graph's empty form holds with lambda_min inf.
+    """
+    return [f"lambda_min is {'NaN' if math.isnan(c.lambda_min) else '-inf'} at vertex {c.vertex}: an S2 pivot "
+            "underflowed to 0 or its reciprocal overflowed, so this verdict is not reliable"
+            for c in cd_report.checks if math.isnan(c.lambda_min) or c.lambda_min == -math.inf]
 
 
 def _condition_payload(report):
@@ -264,7 +271,7 @@ def _cmd_rigidity(args):
         f"equality: {report.bound_equality}",
         f"classification: {report.classification.label.value}",
     ]
-    return (0 if report.is_rigid else 1), results, lines
+    return (0 if report.is_rigid else 1), results, lines, _cd_warnings(report.cd_report)
 
 
 def _cmd_classify(args):

@@ -269,11 +269,12 @@ def _lift_rows(a12, d_plus, d_isqrt, rows, vecs):
 
 
 def _curvature_stacks(g, centres, n_values):
-    """Per padded stack of 2-balls, (centres, kappas, finish): the curvature function's eager part.
+    """Per padded stack of 2-balls, (centres, kappas, kernel_ok, finish): the curvature function's eager part.
 
     kappas, a (B, |n|) array over the stack's B centres, comes from one stacked
-    eigvalsh of its _pencils (no eigenvectors); finish() is _finish_stack on
-    what the stack keeps, the pencils among it.
+    eigvalsh of its _pencils (no eigenvectors); kernel_ok, a (B,) array, says
+    that every real S2 pivot was inverted to a finite positive number (0 < d+ < inf);
+    finish() is _finish_stack on what the stack keeps, the pencils among it.
     """
     groups = g._shape_groups(centres)
     if (0, 0) in groups:
@@ -283,12 +284,15 @@ def _curvature_stacks(g, centres, n_values):
     for k, t, balls, real, parts in _padded_stacks(groups):
         blocks, pencils = _pencils(g, balls, k, real, n_arr)
         low = np.linalg.eigvalsh(pencils)[..., 0]
-        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, real, parts, pencils, *blocks)
-        stacks.append((balls[:, 0], low, finish))
+        inverted = (blocks[5] > 0.0) & (blocks[5] < np.inf)
+        kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
+        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, kernel_ok, real, parts, pencils, *blocks)
+        stacks.append((balls[:, 0], low, kernel_ok, finish))
     return stacks
 
 
-def _finish_stack(g, n_values, centres, kappas, real, parts, pencils, a11, a12, d, r, gamma_diag, d_plus, d_isqrt):
+def _finish_stack(g, n_values, centres, kappas, kernel_ok, real, parts, pencils, a11, a12, d, r, gamma_diag, d_plus,
+                  d_isqrt):
     """{centre: [CurvatureResult for each n in n_values]} for a stack, from its eager part.
 
     One stacked eigh of the kept pencils gives their lambda_min eigenvectors;
@@ -296,15 +300,13 @@ def _finish_stack(g, n_values, centres, kappas, real, parts, pencils, a11, a12, 
     cd_check shares, so the quotients match it up to roundoff. The witnesses are
     read-only rows of one (B, |n|, 1 + k + t) stack, a padded ball's row
     reordered to start with the ball's own coordinates (x, S1, S2) and cut
-    to them. kernel_ok reads each row's real S2 pivots alone. Each witness
+    to them. Each witness
     f = (f1, f2) is checked against the pinned form for its n, read from
     the blocks as f1^T A11 f1 + 2 f1^T A12 f2 + sum d f2^2.
     """
     ids = [ball for part in parts for ball in _ball_ids(g, part)]
     n_arr = np.array(n_values)
     k = r.shape[1]
-    inverted = (d_plus > 0.0) & (d_plus < np.inf)
-    kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
     low_vecs = np.linalg.eigh(pencils)[1][..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
         f1, g12, f2 = _lift(low_vecs, a12, d_plus, d_isqrt)
@@ -329,7 +331,7 @@ def _finish_stack(g, n_values, centres, kappas, real, parts, pencils, a11, a12, 
 def curvature_at(g, x, n):
     """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction."""
     i = g.index(x)
-    ((_, _, finish),) = _curvature_stacks(g, (i,), (validate_dimension(n),))
+    ((_, _, _, finish),) = _curvature_stacks(g, (i,), (validate_dimension(n),))
     return finish()[i][0]
 
 
@@ -337,23 +339,34 @@ def curvature_at(g, x, n):
 class CurvatureProfile:
     """Per-vertex curvature over a grid of dimension parameters.
 
-    `global_min` is read off the stacked kappas, one eigvalsh per stack,
-    when the profile is built. The eigenvectors, ball ids, witnesses and
-    quotients are not built until `results` is first read, which finishes
-    each stack (one eigh of its kept pencils) and wraps its output as
-    CurvatureResults; a caller that reads `global_min` alone never pays for
-    them.
+    `kappas` and `global_min` are read off the stacked kappas, one eigvalsh
+    per stack, when the profile is built, and `kernel_ok` off the S2 pivots.
+    The eigenvectors, ball ids, witnesses and quotients are not built until
+    `results` is first read, which finishes each stack (one eigh of its kept
+    pencils) and wraps its output as CurvatureResults; a caller that reads
+    the kappas, `global_min` or `kernel_ok` alone never pays for them.
     """
 
     n_values: tuple
-    global_min: dict  # n -> (kappa, first vertex in vertex order within MULTIPLICITY_TOL max(deg/m) of it)
+    global_min: dict  # n -> (min kappa over the vertices whose kappa is not NaN, first vertex within
+    # MULTIPLICITY_TOL max(deg/m) of it in vertex order); NaN at the first vertex when every kappa is NaN
     vertices: tuple = field(repr=False)
+    kappas: np.ndarray = field(repr=False, compare=False)  # read-only (N, |n|): kappa per vertex and n
     _stacks: list = field(repr=False, compare=False)  # the _curvature_stacks output, finished on first read
+
+    @cached_property
+    def kernel_ok(self):
+        """Read-only (N,) bools, in vertex order: every CurvatureResult's kernel_ok at that vertex."""
+        ok = np.empty(len(self.vertices), bool)
+        for centres, _, kernel_ok, _ in self._stacks:
+            ok[centres] = kernel_ok
+        ok.setflags(write=False)
+        return ok
 
     @cached_property
     def results(self):
         """n -> {vertex: CurvatureResult}, vertices in vertex order."""
-        rows = {i: results for _, _, finish in self._stacks for i, results in finish().items()}
+        rows = {i: results for *_, finish in self._stacks for i, results in finish().items()}
         return {n: {v: rows[i][j] for i, v in enumerate(self.vertices)} for j, n in enumerate(self.n_values)}
 
 
@@ -362,17 +375,20 @@ def curvature_profile(g, n_grid):
 
     Ties go to the first vertex; kappas tie within MULTIPLICITY_TOL max(deg/m),
     the scale of the rounding in every kappa, so rescaling w and m keeps the
-    reported vertex. A repeated n is solved and reported once, at its first place.
+    reported vertex. A NaN kappa (a ball out of the float range, where
+    kernel_ok is false) takes no part in the minimum unless every kappa at
+    that n is NaN. A repeated n is solved and reported once, at its first place.
     """
     n_values = tuple(dict.fromkeys(validate_dimension(n) for n in n_grid))
     stacks = _curvature_stacks(g, range(g.num_vertices), n_values) if n_values else []
     kappas = np.empty((g.num_vertices, len(n_values)))
-    for centres, low, _ in stacks:
+    for centres, low, _, _ in stacks:
         kappas[centres] = low
-    low = kappas.min(axis=0)
+    kappas.setflags(write=False)
+    low = np.fmin.reduce(kappas, axis=0)
     first = np.argmax(kappas <= low + MULTIPLICITY_TOL * (g.weight_sums / g.measures).max(), axis=0)
     global_min = {n: (kappa, g.vertices[i]) for n, kappa, i in zip(n_values, low.tolist(), first.tolist())}
-    return CurvatureProfile(n_values, global_min, g.vertices, stacks)
+    return CurvatureProfile(n_values, global_min, g.vertices, kappas, stacks)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ mapped to dense indices in declaration order, so spectra and reports are
 deterministic.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from enum import Enum
 from types import MappingProxyType
 
@@ -133,7 +135,7 @@ class WeightedGraph:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "measures", m)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_index", dict(zip(self.vertices, range(len(self.vertices)))))
         m.setflags(write=False)
         w.setflags(write=False)
 
@@ -260,7 +262,7 @@ class WeightedGraph:
         adj = self._adjacency
         seen = {i}
         spheres = [[i]]
-        while nxt := set().union(*(adj[j] for j in spheres[-1])) - seen:
+        while nxt := set().union(*map(adj.__getitem__, spheres[-1])) - seen:
             seen |= nxt
             spheres.append(sorted(nxt))
         return spheres
@@ -284,9 +286,9 @@ class WeightedGraph:
         seen, comps = set(), []
         for i in range(self.num_vertices):
             if i not in seen:
-                reach = sorted(j for sphere in self.hop_spheres(i) for j in sphere)
+                reach = sorted(itertools.chain.from_iterable(self.hop_spheres(i)))
                 seen.update(reach)
-                comps.append(tuple(self.vertices[j] for j in reach))
+                comps.append(tuple(map(self.vertices.__getitem__, reach)))
         return tuple(comps)
 
     def rescaled_weights(self, lam):
@@ -372,6 +374,57 @@ def build_graph(vertex_specs, edge_specs, relaxed=False):
     or Disconnected, each naming the offending element. Connectivity is not
     enforced when relaxed=True.
     """
+    vertex_specs, edge_specs = list(vertex_specs), list(edge_specs)
+    vertex_columns, edge_columns = _spec_columns(vertex_specs, 2), _spec_columns(edge_specs, 3)
+    g = None
+    if vertex_columns is not None and edge_columns is not None:
+        g = _bulk_graph(*vertex_columns, *edge_columns)
+    return _checked_graph(g or _walked_graph(vertex_specs, edge_specs), relaxed)
+
+
+def _spec_columns(specs, width):
+    """The columns of specs when every spec is a tuple or list of width items; None otherwise."""
+    if not set(map(type, specs)) <= {tuple, list} or not set(map(len, specs)) <= {width}:
+        return None
+    return tuple(map(list, zip(*specs))) if specs else ([],) * width
+
+
+def _bulk_graph(ids, measures, us, vs, ws):
+    """The graph when every check of build_graph passes, decided over whole columns; None otherwise.
+
+    Where it gives None, _walked_graph walks the specs in order and raises on the first offender.
+    """
+    n, m = len(ids), len(ws)
+    try:
+        index = dict(zip(ids, range(n)))
+        ij = np.fromiter(map(index.__getitem__, itertools.chain(us, vs)), np.intp, 2 * m).reshape(2, m)
+    except (KeyError, TypeError):  # an unknown or unhashable id
+        return None
+    if len(index) < n or not n:
+        return None
+    values = _positive_values([*measures, *ws])
+    if values is None:
+        return None
+    weights = np.zeros(n * n)
+    weights[ij * n + ij[::-1]] = values[n:]  # both orientations of each edge
+    if np.count_nonzero(weights) < 2 * m:  # a self-loop or a repeated pair wrote a cell twice
+        return None
+    return WeightedGraph(tuple(ids), values[:n], weights.reshape(n, n))
+
+
+def _positive_values(values):
+    """values, not empty, as a float array when each is a finite positive real and not a bool; None otherwise."""
+    if not {bool, np.bool_}.isdisjoint(map(type, values)):
+        return None
+    try:
+        x = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return x if x.shape == (len(values),) and 0.0 < x.min() and x.max() < INF else None  # a NaN fails both
+
+
+def _walked_graph(vertex_specs, edge_specs):
+    """build_graph's checks spec by spec, in order: the first offender raises."""
     vertices = []
     measures = []
     index = {}
@@ -400,13 +453,17 @@ def build_graph(vertex_specs, edge_specs, relaxed=False):
         edges[key] = edges[j * n + i] = _check_positive("weight", (u, v), w)
     weights = np.zeros(n * n)
     weights[np.fromiter(edges, np.intp, len(edges))] = np.fromiter(edges.values(), float, len(edges))
+    return WeightedGraph(tuple(vertices), np.array(measures), weights.reshape(n, n))
 
-    g = WeightedGraph(tuple(vertices), np.array(measures), weights.reshape(n, n))
+
+def _checked_graph(g, relaxed):
+    """g once its degrees pass and, unless relaxed, it is connected."""
     _check_degrees(g)
     if not relaxed:
-        reachable = np.isfinite(g.hop_distances(0))
-        if not reachable.all():
-            raise Disconnected(g.vertices[i] for i in np.flatnonzero(~reachable))
+        first, *others = g.components()
+        if others:
+            reached = set(first)
+            raise Disconnected(v for v in g.vertices if v not in reached)
     return g
 
 
@@ -414,9 +471,10 @@ def _check_degrees(g):
     """DegreeOverflow naming the first vertex whose Deg(x)^2, the Gamma2 scale, overflows a float."""
     with np.errstate(over="ignore"):
         degrees = g.weight_sums / g.measures
-        huge = np.flatnonzero(~np.isfinite(degrees * degrees))
-    if huge.size:
-        raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
+        top = float(degrees.max())
+        if not top * top < INF:  # squares rise with the degree, so the largest decides
+            huge = np.flatnonzero(~np.isfinite(degrees * degrees))
+            raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
 
 
 def attach_boundary(g, boundary):
@@ -433,14 +491,13 @@ def attach_boundary(g, boundary):
         raise EmptyInterior()
     members = set(b_idx)
     for i in b_idx:
-        clash = [j for j in g.neighbor_indices(i) if j in members]
-        if clash:
-            raise BoundaryNotIndependent(g.vertices[i], g.vertices[clash[0]])
+        if not members.isdisjoint(g.neighbor_indices(i)):
+            clash = next(j for j in g.neighbor_indices(i) if j in members)
+            raise BoundaryNotIndependent(g.vertices[i], g.vertices[clash])
     for i in b_idx:
         if members.issuperset(g.neighbor_indices(i)):
             raise BoundaryVertexIsolatedFromInterior(g.vertices[i])
-    return BoundaryGraph(g, tuple(map(g.vertices.__getitem__, b_idx)),
-                         tuple(v for i, v in enumerate(g.vertices) if i not in members))
+    return BoundaryGraph(g, tuple(map(g.vertices.__getitem__, b_idx)), tuple(itertools.filterfalse(b_set.__contains__, g.vertices)))
 
 
 def weighted_degree(g, x):
@@ -598,7 +655,7 @@ def make_example(family, **params):
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = ("vertices", "edges", "boundary")
-_VERTEX_KEYS, _EDGE_KEYS = frozenset(("id", "m")), frozenset(("u", "v", "w"))
+_VERTEX_KEYS, _EDGE_KEYS = ("id", "m"), ("u", "v", "w")
 
 
 def _number(value, where, k):
@@ -635,43 +692,75 @@ def parse_graph_file(text):
         if not isinstance(doc[key], list):
             raise ParseError(None, f"{key!r} must be an array")
 
-    vertex_specs = []
-    for k, entry in enumerate(doc["vertices"]):
-        if not isinstance(entry, dict) or entry.keys() != _VERTEX_KEYS:
+    vertices, edges, boundary = doc["vertices"], doc["edges"], doc["boundary"]
+    columns = _entry_columns(vertices, _VERTEX_KEYS) + _entry_columns(edges, _EDGE_KEYS)
+    if None in columns or not _types_within(columns[0], columns[2], columns[3], boundary, types={str}) \
+            or not _types_within(columns[1], columns[4], types={int, float}) or len(set(boundary)) != len(boundary):
+        columns = _walked_entries(vertices, edges, boundary)
+    ids, measures, us, vs, ws = columns
+    _check_utf8(ids, us, vs, boundary)
+    g = _bulk_graph(ids, measures, us, vs, ws)
+    if g is None:
+        g = _walked_graph(zip(ids, measures), zip(us, vs, ws))
+    return attach_boundary(_checked_graph(g, False), boundary)
+
+
+def _entry_columns(entries, keys):
+    """The value lists of keys over entries when every entry is an object with exactly these keys; (None,) otherwise."""
+    if not set(map(type, entries)) <= {dict} or not set(map(len, entries)) <= {len(keys)}:
+        return (None,)
+    try:
+        return tuple([list(map(itemgetter(key), entries)) for key in keys])
+    except KeyError:
+        return (None,)
+
+
+def _types_within(*columns, types):
+    return set(map(type, itertools.chain(*columns))) <= types
+
+
+def _walked_entries(vertices, edges, boundary):
+    """The file's checks entry by entry, in order: the first offender raises ParseError."""
+    ids, measures = [], []
+    for k, entry in enumerate(vertices):
+        if not isinstance(entry, dict) or entry.keys() != set(_VERTEX_KEYS):
             raise ParseError(None, f"vertices[{k}] must be an object with keys id, m")
         if not isinstance(entry["id"], str):
             raise ParseError(None, f"vertices[{k}].id must be a string")
-        vertex_specs.append((entry["id"], _number(entry["m"], "vertices[{}].m", k)))
+        ids.append(entry["id"])
+        measures.append(_number(entry["m"], "vertices[{}].m", k))
 
-    edge_specs = []
-    for k, entry in enumerate(doc["edges"]):
-        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
+    us, vs, ws = [], [], []
+    for k, entry in enumerate(edges):
+        if not isinstance(entry, dict) or entry.keys() != set(_EDGE_KEYS):
             raise ParseError(None, f"edges[{k}] must be an object with keys u, v, w")
         if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
             raise ParseError(None, f"edges[{k}] endpoints must be strings")
-        edge_specs.append((entry["u"], entry["v"], _number(entry["w"], "edges[{}].w", k)))
+        us.append(entry["u"])
+        vs.append(entry["v"])
+        ws.append(_number(entry["w"], "edges[{}].w", k))
 
-    boundary = doc["boundary"]
     for k, v in enumerate(boundary):
         if not isinstance(v, str):
             raise ParseError(None, f"boundary[{k}] must be a string")
     if len(set(boundary)) != len(boundary):
         raise ParseError(None, "boundary has duplicate entries")
-    _check_utf8(vertex_specs, edge_specs, boundary)
-
-    return attach_boundary(build_graph(vertex_specs, edge_specs), set(boundary))
+    return ids, measures, us, vs, ws
 
 
-def _check_utf8(vertex_specs, edge_specs, boundary):
+def _check_utf8(ids, us, vs, boundary):
     """ParseError naming an id that UTF-8 cannot encode, so no report carries it.
 
     JSON escapes such as "\\ud800" decode to lone surrogates, which no output
-    stream can write.
+    stream can write. All ids are encoded as one text; only when that fails
+    are they encoded one by one, in file order, to name the first.
     """
-    for name, texts in (("vertices[{}].id", [v for v, _ in vertex_specs]),
-                        ("edges[{}].u", [u for u, _, _ in edge_specs]),
-                        ("edges[{}].v", [v for _, v, _ in edge_specs]),
-                        ("boundary[{}]", boundary)):
+    try:
+        "".join(itertools.chain(ids, us, vs, boundary)).encode("utf-8")
+        return
+    except UnicodeEncodeError:
+        pass
+    for name, texts in (("vertices[{}].id", ids), ("edges[{}].u", us), ("edges[{}].v", vs), ("boundary[{}]", boundary)):
         for k, text in enumerate(texts):
             try:
                 text.encode("utf-8")

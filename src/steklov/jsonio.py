@@ -53,8 +53,10 @@ _BULK_MIN = 512
 # that every temporary array stays a few hundred kB.
 _CHUNK = 8192
 
-_POW10 = np.array([10 ** e for e in range(19)])  # int64
 _POW10_FLOAT = np.array([float(10 ** e) for e in range(23)])  # every one an exact double
+# per k + 4 (k = -4 .. 14): 10^(16-k) (10^17 for k < 0), 10^(4-k) (1 for k > 4), 10^(4+k), 10^(k-4) (1 for k < 4)
+_SPLIT_POW10 = np.array([[10 ** min(16 - k, 17), 10 ** max(4 - k, 0), 10 ** (4 + k), 10 ** max(k - 4, 0)]
+                         for k in range(-4, 15)])
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's constant for doubles
 
 
@@ -90,11 +92,12 @@ def _two_product(a, b):
 def _significands(x, k):
     """The nearest integer to x·10^(16-k), ties to even; k is corrected in place to give 17 digits."""
     hi, lo = _two_product(x, _POW10_FLOAT[16 - k])
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    off = np.flatnonzero(low | high)
+    off = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))  # the entries whose k may be off by one
     if off.size:
-        k[off] += high[off].astype(k.dtype) - low[off]
+        h, l = hi[off], lo[off]
+        low = (h < 1e16) | ((h == 1e16) & (l < 0))
+        high = (h > 1e17) | ((h == 1e17) & (l >= 0))
+        k[off] += high.astype(k.dtype) - low
         hi[off], lo[off] = _two_product(x[off], _POW10_FLOAT[16 - k[off]])
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
@@ -123,21 +126,21 @@ def _lane_digits(x):
     """
     k = np.maximum(np.floor(np.log10(x)), -6).astype(np.intp)  # a log10 one unit low must not index past 10^22
     n = _significands(x, k)
-    kl = k * (k >= -4)  # the exponent form (k < -4) is laid out as k = 0
-    unit = _POW10[np.minimum(16 - kl, 17)]
+    # the powers of ten that split n: the exponent form (k < -4) is laid out as k = 0
+    unit, unit12, scale8, scale12 = _SPLIT_POW10.take(np.where(k < -4, 4, k + 4), axis=0).T
     ip = n // unit
     frac = n - ip * unit
     # the fraction as a 12-digit and an 8-digit integer
-    unit = _POW10[np.maximum(4 - kl, 0)]
-    f12 = frac // unit
-    f8 = (frac - f12 * unit) * _POW10[4 + kl]
-    f12 *= _POW10[np.maximum(kl - 4, 0)]
+    f12 = frac // unit12
+    f8 = (frac - f12 * unit12) * scale8
+    f12 *= scale12
     ng = max(int(k.max()), 0) // 4 + 1
     groups = np.empty((ng + 5, x.size), np.uint16)  # 4-digit groups
-    for j in range(ng - 1, -1, -1):
+    for j in range(ng - 1, 0, -1):
         q = ip // 10 ** 4
         groups[j] = ip - q * 10 ** 4
         ip = q
+    groups[0] = ip
     q = f12 // 10 ** 4
     groups[ng + 2] = f12 - q * 10 ** 4
     f12 = q // 10 ** 4
@@ -202,8 +205,8 @@ def _format_chunk(a):
 def _join(parts, arrays):
     """The text of parts with each array's place filled, `_CHUNK` floats per kernel call.
 
-    After each chunk the parts it completes are joined into one segment and
-    dropped, so the writer holds a string per chunk rather than one per array.
+    Each array's text is cut from its chunks' texts straight into the list the
+    document is joined from, so every character is copied twice.
     """
     sizes = [a.size for _, a in arrays]
     if sum(sizes) < _BULK_MIN:  # which arrays are plain, from one pass over the report's floats
@@ -216,8 +219,7 @@ def _join(parts, arrays):
         return "".join(parts)
     todo = iter(arrays)
     place, a = next(todo)
-    first, pieces = 0, ["["]
-    segments, done = [], 0  # parts[:done] are in segments
+    first, out, done = 0, [], 0  # the document's text in order; parts[:done] are in out
     while a is not None:
         chunk = []  # (place, array, first, stop) for each array part in this chunk
         room = _CHUNK
@@ -231,23 +233,20 @@ def _join(parts, arrays):
                 first = 0
         text, ends = _format_chunk(np.concatenate([b[s:e] for _, b, s, e in chunk]))
         item = begin = 0
-        upto = done
         for i, b, s, e in chunk:
+            if not s:
+                out += parts[done:i]
+                out.append("[")
+                done = i + 1
             item += e - s
             end = int(ends[item - 1])
             if e < b.size:
-                pieces.append(text[begin:end])
+                out.append(text[begin:end])
             else:
-                pieces += (text[begin:end - 2], "]")  # no ", " after the array's last entry
-                parts[i] = "".join(pieces)
-                pieces, upto = ["["], i + 1
+                out += (text[begin:end - 2], "]")  # no ", " after the array's last entry
             begin = end
-        if upto > done:
-            segments.append("".join(parts[done:upto]))
-            parts[done:upto] = [None] * (upto - done)
-            done = upto
-    segments.append("".join(parts[done:]))
-    return "".join(segments)
+    out += parts[done:]
+    return "".join(out)
 
 
 def _write(obj, sort_keys, parts, arrays, lists):
@@ -255,7 +254,7 @@ def _write(obj, sort_keys, parts, arrays, lists):
 
     lists maps the id of each string list l written to (l, text); holding l keeps its id from reuse.
     """
-    if isinstance(obj, str):  # the commonest types first; none of str, dict and float is a bool or an int
+    if isinstance(obj, str):  # the commonest types first; none of them up to the arrays and lists is a bool or an int
         parts.append(f'"{obj.translate(_ESCAPES)}"')
     elif isinstance(obj, dict):
         parts.append("{")
@@ -265,16 +264,6 @@ def _write(obj, sort_keys, parts, arrays, lists):
         parts.append("}")
     elif isinstance(obj, (float, np.floating)):
         parts.append(_format_float(float(obj)))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, np.bool_):
-        parts.append("true" if obj else "false")
     elif isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim == 0:
             _write(obj.tolist(), sort_keys, parts, arrays, lists)
@@ -289,9 +278,11 @@ def _write(obj, sort_keys, parts, arrays, lists):
         if id(obj) in lists:
             parts.append(lists[id(obj)][1])
             return
-        try:
-            joined = "".join(obj)  # a TypeError unless every item is a string
+        try:  # a TypeError unless every item is a string; a list whose first item is not one is not tried
+            joined = "".join(obj) if not obj or isinstance(obj[0], str) else None
         except TypeError:
+            joined = None
+        if joined is None:
             parts.append("[")
             for j, v in enumerate(obj):
                 if j:
@@ -303,6 +294,16 @@ def _write(obj, sort_keys, parts, arrays, lists):
         text = '["' + '", "'.join(items) + '"]' if obj else "[]"
         lists[id(obj)] = obj, text
         parts.append(text)
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, np.bool_):
+        parts.append("true" if obj else "false")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

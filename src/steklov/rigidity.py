@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import _vertex_checks, cd_check, curvature_profile
+from .curvature import CDReport, _vertex_checks, cd_check, curvature_profile
 from .curvature import curvature_at  # noqa: F401 -- unused; perfbench traces calls via this name
 from .errors import (
     DomainMismatch,
@@ -461,6 +461,7 @@ class RigidityReport:
     conditions: tuple  # five ConditionCheck entries
     interior_report: InteriorInequalityReport | None
     classification: Classification
+    cd_report: CDReport = field(repr=False, compare=False)  # the CD(K, n) verdict behind cd_holds
     _graph: object = field(repr=False, compare=False)  # BoundaryGraph
     _interior: object = field(repr=False, compare=False)  # its interior-induced WeightedGraph
     _eigenfunction: object = field(repr=False, compare=False)  # the Steklov Spectrum, None when |B| < 2
@@ -563,6 +564,7 @@ def check_rigidity(bg, K, n):
         conditions=conditions,
         interior_report=interior_report,
         classification=classification,
+        cd_report=cd_report,
         _graph=bg,
         _interior=ig,
         _eigenfunction=spectrum,

@@ -26,9 +26,14 @@ the library uses, so agreement is evidence rather than tautology:
     on-read route,
   * the JSON writer as it was before the bulk float kernel (one recursive
     walk, one `%` pass or `_format_float` call per entry), for byte
-    comparison with `steklov.jsonio.format_json`.
+    comparison with `steklov.jsonio.format_json`,
+  * the graph-file parser, build_graph and attach_boundary as they were
+    before the checks ran over whole columns: every entry, spec and
+    boundary vertex checked one at a time, in file order, for comparison
+    of the error raised (type and message) or the graph built.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -53,7 +58,30 @@ from steklov import (
     two_ball_identity_check,
     weighted_degree,
 )
-from steklov.graphs import CONDITION_TOL, INF, finite_number, is_infinite, validate_dimension
+from steklov.errors import (
+    BoundaryNotIndependent,
+    BoundaryVertexIsolatedFromInterior,
+    DegreeOverflow,
+    Disconnected,
+    DuplicateEdge,
+    DuplicateVertex,
+    EmptyBoundary,
+    EmptyInterior,
+    InvalidParams,
+    ParseError,
+    SelfLoop,
+    UnknownVertex,
+)
+from steklov.graphs import (
+    CONDITION_TOL,
+    INF,
+    BoundaryGraph,
+    WeightedGraph,
+    _check_positive,
+    finite_number,
+    is_infinite,
+    validate_dimension,
+)
 from steklov.rigidity import ConditionCheck, NecessaryConditions, _validate_params, degree_targets
 from steklov.operators import _aligned, _gamma2_matrix, _gamma_forms, _gamma_matrix
 
@@ -667,3 +695,117 @@ def reference_format_json(obj, sort_keys=False):
             obj = [s.translate(_ESCAPES) for s in obj]
         return '["' + '", "'.join(obj) + '"]' if obj else "[]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the graph file, one entry at a time
+# ---------------------------------------------------------------------------
+
+def build_graph_by_specs(vertex_specs, edge_specs, relaxed=False):
+    """build_graph with every check made spec by spec, in order, and connectivity from hop distances."""
+    vertices, measures, index = [], [], {}
+    for vid, m in vertex_specs:
+        if vid in index:
+            raise DuplicateVertex(vid)
+        index[vid] = len(vertices)
+        vertices.append(vid)
+        measures.append(_check_positive("measure", vid, m))
+    if not vertices:
+        raise InvalidParams("a graph needs at least one vertex")
+    n = len(vertices)
+    weights = np.zeros((n, n))
+    for u, v, w in edge_specs:
+        if u not in index:
+            raise UnknownVertex(u)
+        if v not in index:
+            raise UnknownVertex(v)
+        if u == v:
+            raise SelfLoop(u)
+        i, j = index[u], index[v]
+        if weights[i, j] != 0.0:
+            raise DuplicateEdge(u, v)
+        weights[i, j] = weights[j, i] = _check_positive("weight", (u, v), w)
+    g = WeightedGraph(tuple(vertices), np.array(measures), weights)
+    with np.errstate(over="ignore"):
+        degrees = g.weights.sum(axis=1) / g.measures
+        huge = np.flatnonzero(~np.isfinite(degrees * degrees))
+    if huge.size:
+        raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
+    if not relaxed:
+        reachable = np.isfinite(g.hop_distances(0))
+        if not reachable.all():
+            raise Disconnected(g.vertices[i] for i in np.flatnonzero(~reachable))
+    return g
+
+
+def attach_boundary_by_loop(g, boundary):
+    """attach_boundary with each boundary vertex's neighbours scanned one by one."""
+    b_idx = sorted(map(g.index, set(boundary)))
+    if not b_idx:
+        raise EmptyBoundary()
+    if len(b_idx) == g.num_vertices:
+        raise EmptyInterior()
+    members = set(b_idx)
+    for i in b_idx:
+        clash = [j for j in g.neighbor_indices(i) if j in members]
+        if clash:
+            raise BoundaryNotIndependent(g.vertices[i], g.vertices[clash[0]])
+    for i in b_idx:
+        if all(j in members for j in g.neighbor_indices(i)):
+            raise BoundaryVertexIsolatedFromInterior(g.vertices[i])
+    return BoundaryGraph(g, tuple(g.vertices[i] for i in b_idx),
+                         tuple(v for i, v in enumerate(g.vertices) if i not in members))
+
+
+def parse_graph_file_by_entries(text):
+    """parse_graph_file with every entry checked one at a time, in file order."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.lineno, e.msg) from None
+    except (ValueError, RecursionError) as e:
+        raise ParseError(None, str(e)) from None
+    keys = ("vertices", "edges", "boundary")
+    if not isinstance(doc, dict):
+        raise ParseError(None, "top level must be an object")
+    if set(doc) - set(keys):
+        raise ParseError(None, f"unknown keys {sorted(set(doc) - set(keys))}")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(None, f"missing key {key!r}")
+        if not isinstance(doc[key], list):
+            raise ParseError(None, f"{key!r} must be an array")
+
+    def number(value, where):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(None, f"{where} must be a number, got {value!r}")
+        return value
+
+    vertex_specs, edge_specs, boundary = [], [], doc["boundary"]
+    for k, entry in enumerate(doc["vertices"]):
+        if not isinstance(entry, dict) or set(entry) != {"id", "m"}:
+            raise ParseError(None, f"vertices[{k}] must be an object with keys id, m")
+        if not isinstance(entry["id"], str):
+            raise ParseError(None, f"vertices[{k}].id must be a string")
+        vertex_specs.append((entry["id"], number(entry["m"], f"vertices[{k}].m")))
+    for k, entry in enumerate(doc["edges"]):
+        if not isinstance(entry, dict) or set(entry) != {"u", "v", "w"}:
+            raise ParseError(None, f"edges[{k}] must be an object with keys u, v, w")
+        if not isinstance(entry["u"], str) or not isinstance(entry["v"], str):
+            raise ParseError(None, f"edges[{k}] endpoints must be strings")
+        edge_specs.append((entry["u"], entry["v"], number(entry["w"], f"edges[{k}].w")))
+    for k, v in enumerate(boundary):
+        if not isinstance(v, str):
+            raise ParseError(None, f"boundary[{k}] must be a string")
+    if len(set(boundary)) != len(boundary):
+        raise ParseError(None, "boundary has duplicate entries")
+    for name, texts in (("vertices[{}].id", [v for v, _ in vertex_specs]),
+                        ("edges[{}].u", [u for u, _, _ in edge_specs]),
+                        ("edges[{}].v", [v for _, v, _ in edge_specs]),
+                        ("boundary[{}]", boundary)):
+        for k, text in enumerate(texts):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(None, f"{name.format(k)} {text!r} is not encodable as UTF-8") from None
+    return attach_boundary_by_loop(build_graph_by_specs(vertex_specs, edge_specs), boundary)

@@ -170,6 +170,57 @@ def test_curvature_command_keeps_healthy_vertices_beside_a_ball_out_of_range(cap
     assert [text.split(",")[0] for text in doc["warnings"]] == ["kernel_ok is false at vertex a"]
 
 
+def test_the_curvature_command_finishes_no_stack(capture, tmp_path, monkeypatch):
+    # the report prints kappa and kernel_ok alone: both come from the eager
+    # part of the profile, so no eigh, witness or CurvatureResult is built;
+    # the bytes are those a report read off profile.results gives
+    for family, params in (("unit_square_diag", {}), ("complete_interior", {"interior_size": 4, "n": 10, "K": 1, "m": 1}),
+                           ("weighted_path3", {"n": 3, "K": 1, "m": 1})):
+        path = tmp_path / f"{family}.json"
+        path.write_text(steklov.serialize_graph(steklov.make_example(family, **params)))
+        want = {}
+        profile = steklov.curvature_profile(steklov.parse_graph_file(path.read_text()).graph, (2.0, 3.0, np.inf))
+        for n, key in zip(profile.n_values, ("2", "3", "inf")):
+            want[key] = {str(v): res.kappa for v, res in profile.results[n].items()}
+        with monkeypatch.context() as patch:
+            patch.setattr(steklov.curvature, "_finish_stack", lambda *args: pytest.fail("a stack was finished"))
+            code, out, _ = capture("curvature", "--graph", str(path), "--n", "2,3,inf")
+        assert code == 0
+        assert json.dumps(json.loads(out)["results"]["kappa"]) == json.dumps(want)
+
+
+def test_the_global_curvature_passes_over_a_nan_kappa(capture, tmp_path):
+    # a's ball leaves the float range (kernel_ok false, kappa NaN); the
+    # global minimum is taken over b and c, and the summary line follows
+    path = _unit_path_with_heavy_end(tmp_path, 8e307)
+    code, out, err = capture("curvature", "--graph", path, "--n", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["kappa"]["2"]["a"] == "nan"
+    assert doc["results"]["global_min"] == {"2": {"kappa": -0.9999999999999998, "vertex": "b"}}
+    assert "n = 2: global curvature -1 at vertex b" in err.splitlines()
+    g = steklov.parse_graph_file(Path(path).read_text()).graph
+    assert steklov.curvature_profile(g, [2]).global_min[2.0] == (-0.9999999999999998, "b")
+    # NaN only where every kappa at that n is NaN, at the first vertex
+    c6 = steklov.build_graph([(str(v), 1.0) for v in range(6)], [(str(v), str((v + 1) % 6), 1e-155) for v in range(6)])
+    value, vertex = steklov.curvature_profile(c6, [2]).global_min[2.0]
+    assert np.isnan(value) and vertex == "0"
+
+
+def test_the_rigidity_command_warns_where_its_cd_verdict_reads_minus_inf(tmp_path, capture):
+    path = _unit_path_with_heavy_end(tmp_path, 8e307)
+    code, out, err = _fresh_process("rigidity", "--graph", path, "--K", "1", "--n", "2")
+    assert code == 1
+    assert "RuntimeWarning" not in err
+    assert json.loads(out)["warnings"] == [
+        "lambda_min is -inf at vertex a: an S2 pivot underflowed to 0 or its reciprocal overflowed, "
+        "so this verdict is not reliable"]
+    for family in ("unit_path3", "unit_square", "unit_square_diag"):
+        unit = tmp_path / f"{family}.json"
+        unit.write_text(steklov.serialize_graph(steklov.make_example(family)))
+        assert json.loads(capture("rigidity", "--graph", str(unit), "--K", "0.5", "--n", "2")[1])["warnings"] == []
+
+
 @pytest.mark.parametrize("argv", [("curvature", "--n", "2"), ("cd-check", "--K", "0", "--n", "2"),
                                   ("rigidity", "--K", "1", "--n", "2")])
 def test_a_measure_above_half_the_float_range_prints_no_numpy_warnings(tmp_path, argv):

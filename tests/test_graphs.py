@@ -1,6 +1,9 @@
 """Graph data model: construction, validation, boundary, files, families."""
 
+import copy
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +40,13 @@ from steklov.errors import (
 )
 from steklov.graphs import INF, WeightedGraph, validate_dimension
 
-from oracles import join_by_edge_list, random_boundary_graph, random_connected_graph
+from oracles import (
+    build_graph_by_specs,
+    join_by_edge_list,
+    parse_graph_file_by_entries,
+    random_boundary_graph,
+    random_connected_graph,
+)
 
 INF_ = INF
 
@@ -356,6 +365,138 @@ def test_parse_errors():
         parse_graph_file(P3_FILE.replace('["1", "3"]', '["1", "1"]'))
     with pytest.raises(ParseError):
         parse_graph_file('[1, 2]')
+
+
+@pytest.mark.parametrize("fields, message", [
+    (('"\\ud800"', '"2"', '"3"'), "vertices[1].id '\\ud800' is not encodable as UTF-8"),
+    (('"2"', '"x\\udfff"', '"3"'), "edges[1].u 'x\\udfff' is not encodable as UTF-8"),
+    (('"2"', '"3"', '"\\ud800"'), "boundary[1] '\\ud800' is not encodable as UTF-8"),
+], ids=["vertex", "unknown-edge-endpoint", "boundary"])
+def test_an_id_utf8_cannot_encode_is_named_in_file_order(fields, message):
+    # all ids are encoded as one text; the error still names the first
+    # offender in file order, before build_graph would call the unknown
+    # endpoint x\udfff an UnknownVertex
+    text = ('{"vertices": [{"id": "1", "m": 1}, {"id": %s, "m": 1}, {"id": "3", "m": 1}], '
+            '"edges": [{"u": "1", "v": "2", "w": 1}, {"u": %s, "v": "3", "w": 1}], "boundary": ["1", %s]}' % fields)
+    for parse in (parse_graph_file, parse_graph_file_by_entries):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == f"parse error at document: {message}"
+
+
+def _outcome(build, *args):
+    """What build gives on args: the error's type and message, or the graph's ids, arrays and boundary."""
+    try:
+        result = build(*args)
+    except Exception as e:  # the comparison is of whatever is raised
+        return type(e).__name__, str(e)
+    g = getattr(result, "graph", result)
+    return (g.vertices, g.measures.tolist(), g.weights.tolist(),
+            getattr(result, "boundary", None), getattr(result, "interior", None))
+
+
+_ODD_VALUES = [True, False, None, "1", "one", [], [1.0], {}, -1, 0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+               10 ** 400, 5e-324, 1e-300, 1e300, 1e308, 2, 3.5]
+_ODD_IDS = [1, None, True, [], "", "x\ud800", "\udfff", "zz"]
+
+
+def _mutated_file(rng, doc):
+    """doc with one or two random changes an input file could carry, as JSON text."""
+    doc = copy.deepcopy(doc)
+    vertices, edges, boundary = doc["vertices"], doc["edges"], doc["boundary"]
+    ids = [v["id"] for v in vertices]
+    pick = lambda seq: seq[rng.integers(len(seq))]  # noqa: E731
+    for _ in range(rng.integers(1, 3)):
+        kind = rng.integers(14)
+        if kind in (1, 2, 4, 5, 6, 12) and not all(isinstance(e, dict) for e in vertices + edges):
+            continue  # the entry changed first is no object
+        if kind == 0:
+            vertices[rng.integers(len(vertices))] = pick([1, "x", [], None, {"id": "q"}, {"id": "q", "m": 1, "z": 0}])
+        elif kind == 1 and vertices:
+            pick(vertices)["id"] = pick(_ODD_IDS + ids)
+        elif kind == 2 and vertices:
+            pick(vertices)["m"] = pick(_ODD_VALUES)
+        elif kind == 3 and edges:
+            edges[rng.integers(len(edges))] = pick([1, "e", None, {"u": "a", "v": "b"}, {"u": 1, "v": 2, "w": 3, "x": 4}])
+        elif kind == 4 and edges:
+            pick(edges)[pick(["u", "v"])] = pick(_ODD_IDS + ids)
+        elif kind == 5 and edges:
+            pick(edges)["w"] = pick(_ODD_VALUES)
+        elif kind == 6 and edges:
+            e = pick(edges)
+            edges.append({"u": e[pick(["u", "v"])], "v": e[pick(["u", "v"])], "w": pick([1.0, 2.5, -1.0])})
+        elif kind == 7 and edges:
+            del edges[rng.integers(len(edges))]
+        elif kind == 8 and boundary:
+            boundary[rng.integers(len(boundary))] = pick(_ODD_IDS + ids)
+        elif kind == 9:
+            boundary.append(pick(ids + boundary))
+        elif kind == 10:
+            doc["boundary"] = pick([[], list(ids), ids[:1]])
+        elif kind == 11 and vertices:
+            vertices.append(copy.deepcopy(pick(vertices)))
+        elif kind == 12 and vertices:
+            pick(vertices)["m"] = pick([1e-300, 1e-160])
+        elif kind == 13:
+            doc[pick(["vertices", "edges", "boundary"])] = pick([{}, "x", None])
+    return json.dumps(doc)
+
+
+def test_the_column_checks_raise_what_the_entry_by_entry_parser_raises():
+    # every error, its message and which comes first are those of the
+    # parser that checked one entry at a time; valid files give equal graphs
+    rng = np.random.default_rng(28)
+    seen = set()
+    for case in range(1500):
+        bg = random_boundary_graph(rng, n_min=3, n_max=7)
+        doc = json.loads(serialize_graph(bg))
+        text = _mutated_file(rng, doc) if case % 10 else json.dumps(doc)
+        got = _outcome(parse_graph_file, text)
+        assert got == _outcome(parse_graph_file_by_entries, text), text
+        seen.add(got[0] if isinstance(got[0], str) else "graph")
+    assert {"graph", "ParseError", "NonPositiveValue", "UnknownVertex", "SelfLoop", "DuplicateEdge",
+            "DuplicateVertex", "Disconnected", "DegreeOverflow", "EmptyBoundary", "EmptyInterior",
+            "BoundaryNotIndependent"} <= seen
+
+
+def test_build_graph_raises_what_the_spec_by_spec_build_raises():
+    # specs of any shape and values of any type: the column checks decide
+    # only what they can decide in bulk, and the spec walk names the rest
+    odd = _ODD_VALUES + [np.float64(2.0), np.float32(0.5), np.int64(3), np.True_, Fraction(1, 3), "2.5",
+                         np.array(1.5), np.array([1.5])]
+    rng = np.random.default_rng(29)
+    pick = lambda seq: seq[rng.integers(len(seq))]  # noqa: E731
+    seen = set()
+    for case in range(1500):
+        n = int(rng.integers(1, 6))
+        ids = [f"v{i}" for i in range(n)]
+        vertex_specs = [(v, float(rng.uniform(0.5, 2.0))) for v in ids]
+        edge_specs = [(ids[i - 1], ids[i], float(rng.uniform(0.5, 2.0))) for i in range(1, n)]
+        for _ in range(rng.integers(0, 3) if case % 5 else 0):
+            kind = rng.integers(7)
+            specs = vertex_specs if kind < 3 or not edge_specs else edge_specs
+            k = rng.integers(len(specs))
+            if not isinstance(specs[k], (tuple, list)):
+                continue
+            spec = list(specs[k])
+            if kind in (0, 3):
+                spec[-1] = pick(odd)
+            elif kind in (1, 4):
+                spec[rng.integers(len(spec) - 1)] = pick([1, 1.0, "v0", "zz", ("t",), ["l"], None])
+            elif kind == 5:
+                spec = pick([spec[:-1], spec + [1], "ab", 7, None])
+            elif kind == 6:
+                specs.append(tuple(spec[:-1][::-1] + [1.0]) if specs is edge_specs else tuple(spec))
+            if not isinstance(spec, list):
+                specs[k] = spec
+            else:
+                specs[k] = pick([tuple, list])(spec)
+        relaxed = bool(rng.integers(2))
+        got = _outcome(build_graph, vertex_specs, edge_specs, relaxed)
+        assert got == _outcome(build_graph_by_specs, vertex_specs, edge_specs, relaxed), (vertex_specs, edge_specs)
+        seen.add(got[0] if isinstance(got[0], str) else "graph")
+    assert {"graph", "TypeError", "ValueError", "NonPositiveValue", "UnknownVertex", "SelfLoop", "DuplicateEdge",
+            "DuplicateVertex"} <= seen
 
 
 # hypothesis strategy for small valid boundary graphs with string ids
