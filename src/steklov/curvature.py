@@ -284,7 +284,8 @@ def _curvature_stacks(g, centres, n_values):
     for k, t, balls, real, parts in _padded_stacks(groups):
         blocks, pencils = _pencils(g, balls, k, real, n_arr)
         low = np.linalg.eigvalsh(pencils)[..., 0]
-        inverted = (blocks[5] > 0.0) & (blocks[5] < np.inf)
+        d_plus = blocks[5]
+        inverted = (d_plus > 0.0) & (d_plus < np.inf)
         kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
         finish = partial(_finish_stack, g, n_values, balls[:, 0], low, kernel_ok, real, parts, pencils, *blocks)
         stacks.append((balls[:, 0], low, kernel_ok, finish))
@@ -348,8 +349,9 @@ class CurvatureProfile:
     """
 
     n_values: tuple
-    global_min: dict  # n -> (min kappa over the vertices whose kappa is not NaN, first vertex within
-    # MULTIPLICITY_TOL max(deg/m) of it in vertex order); NaN at the first vertex when every kappa is NaN
+    # n -> (the least kappa that is not NaN, the first vertex within MULTIPLICITY_TOL max(deg/m) of it);
+    # (NaN, the first vertex) when every kappa at n is NaN
+    global_min: dict
     vertices: tuple = field(repr=False)
     kappas: np.ndarray = field(repr=False, compare=False)  # read-only (N, |n|): kappa per vertex and n
     _stacks: list = field(repr=False, compare=False)  # the _curvature_stacks output, finished on first read

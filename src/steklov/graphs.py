@@ -172,9 +172,10 @@ class WeightedGraph:
     @cached_property
     def _adjacency(self):
         """Neighbour index lists, one per vertex, built once per graph from one nonzero scan."""
-        rows, cols = np.nonzero(self.weights > 0.0)
-        ends = np.bincount(rows, minlength=self.num_vertices).cumsum().tolist()
-        cols = cols.tolist()
+        n = self.num_vertices
+        flat = np.flatnonzero(self.weights > 0.0)  # the 2-D np.nonzero takes several times as long
+        ends = np.searchsorted(flat, np.arange(n, n * n + 1, n)).tolist()
+        cols = (flat % n).tolist()
         return tuple(cols[start:end] for start, end in zip([0] + ends, ends))
 
     @cached_property
@@ -497,7 +498,8 @@ def attach_boundary(g, boundary):
     for i in b_idx:
         if members.issuperset(g.neighbor_indices(i)):
             raise BoundaryVertexIsolatedFromInterior(g.vertices[i])
-    return BoundaryGraph(g, tuple(map(g.vertices.__getitem__, b_idx)), tuple(itertools.filterfalse(b_set.__contains__, g.vertices)))
+    return BoundaryGraph(g, tuple(map(g.vertices.__getitem__, b_idx)),
+                         tuple(itertools.filterfalse(b_set.__contains__, g.vertices)))
 
 
 def weighted_degree(g, x):
@@ -694,9 +696,10 @@ def parse_graph_file(text):
 
     vertices, edges, boundary = doc["vertices"], doc["edges"], doc["boundary"]
     columns = _entry_columns(vertices, _VERTEX_KEYS) + _entry_columns(edges, _EDGE_KEYS)
-    if None in columns or not _types_within(columns[0], columns[2], columns[3], boundary, types={str}) \
-            or not _types_within(columns[1], columns[4], types={int, float}) or len(set(boundary)) != len(boundary):
-        columns = _walked_entries(vertices, edges, boundary)
+    if None in columns or not (_types_within(columns[0], columns[2], columns[3], boundary, types={str})
+                               and _types_within(columns[1], columns[4], types={int, float})
+                               and len(set(boundary)) == len(boundary)):
+        columns = _walked_entries(vertices, edges, boundary)  # raises on the first offender
     ids, measures, us, vs, ws = columns
     _check_utf8(ids, us, vs, boundary)
     g = _bulk_graph(ids, measures, us, vs, ws)
@@ -716,6 +719,7 @@ def _entry_columns(entries, keys):
 
 
 def _types_within(*columns, types):
+    """Whether the type of every item of the columns is one of types (exact types: a bool is not an int)."""
     return set(map(type, itertools.chain(*columns))) <= types
 
 

@@ -153,7 +153,7 @@ def _lane_digits(x):
 
 
 def _format_chunk(a):
-    """The text of a 1-D float64 array, each entry followed by ", ", and where each entry's text ends.
+    """The text of a 1-D float64 array, each entry followed by ", ", and each entry's text length.
 
     The text is built as a (width, m) byte table, one column per entry with NUL
     where it has no character, and compacted at the end.
@@ -176,18 +176,17 @@ def _format_chunk(a):
     width = max([wi + 1 + wf] + [len(t) for t in texts]) + 2
     table = np.zeros((width, m), np.uint8)
     o = width - 2 - (wi + 1 + wf)
-    table[o + 1:o + wi] = digits[-21 - kmax:-20]  # the digits hold at least kmax + 1 integer rows
     top = np.maximum(k, 0)  # integer digits less one
     lead = wi - 1 - top  # places before the first digit
-    table[o:o + wi] *= np.arange(wi)[:, None] >= lead
+    # the digits hold at least kmax + 1 integer rows; row o is the sign's alone
+    np.multiply(digits[-21 - kmax:-20], np.arange(1, wi)[:, None] >= lead, out=table[o + 1:o + wi])
     table[o + wi] = 46
-    table[o + wi + 1:o + wi + 1 + wf] = fraction[:wf]
-    table[o + wi + 1:o + wi + 1 + wf] *= np.arange(wf, dtype=np.uint8)[:, None] < kept
+    np.multiply(fraction[:wf], np.arange(wf, dtype=np.uint8)[:, None] < kept, out=table[o + wi + 1:o + wi + 1 + wf])
     table[width - 6:width - 3, expo] = np.array([[101], [45], [48]], np.uint8)  # "e-0"
     table[width - 3, expo] = 48 - k[expo]
     sign = a < 0
     neg = np.flatnonzero(sign)
-    table[o + lead[neg] - 1, neg] = 45
+    table.reshape(-1)[(o + lead[neg] - 1) * m + neg] = 45
     # each text's length: sign, top + 1 digits, point, kept digits, exponent, ", "
     sizes = sign + top + kept + 4
     sizes[expo] += 4
@@ -199,7 +198,7 @@ def _format_chunk(a):
     del ax, digits, fraction  # the compaction's copies are the chunk's largest arrays
     text = table.T.tobytes()
     del table
-    return text.translate(None, b"\0").decode("ascii"), np.cumsum(sizes)
+    return text.translate(None, b"\0").decode("ascii"), sizes
 
 
 def _join(parts, arrays):
@@ -231,15 +230,14 @@ def _join(parts, arrays):
             if stop == a.size:
                 place, a = next(todo, (None, None))
                 first = 0
-        text, ends = _format_chunk(np.concatenate([b[s:e] for _, b, s, e in chunk]))
-        item = begin = 0
-        for i, b, s, e in chunk:
+        text, sizes = _format_chunk(np.concatenate([b[s:e] for _, b, s, e in chunk]))
+        starts = itertools.accumulate([e - s for _, _, s, e in chunk[:-1]], initial=0)
+        ends = itertools.accumulate(np.add.reduceat(sizes, list(starts)).tolist())  # where each part's text ends
+        begin = 0
+        for (i, b, s, e), end in zip(chunk, ends):
             if not s:
-                out += parts[done:i]
-                out.append("[")
+                out += (*parts[done:i], "[")
                 done = i + 1
-            item += e - s
-            end = int(ends[item - 1])
             if e < b.size:
                 out.append(text[begin:end])
             else:
@@ -278,11 +276,11 @@ def _write(obj, sort_keys, parts, arrays, lists):
         if id(obj) in lists:
             parts.append(lists[id(obj)][1])
             return
-        try:  # a TypeError unless every item is a string; a list whose first item is not one is not tried
-            joined = "".join(obj) if not obj or isinstance(obj[0], str) else None
-        except TypeError:
-            joined = None
-        if joined is None:
+        kinds = set(map(type, obj))
+        if kinds == {int}:  # an int list, such as a multiplicity group, in one join
+            parts.append("[" + ", ".join(map(str, obj)) + "]")
+            return
+        if not kinds <= {str}:
             parts.append("[")
             for j, v in enumerate(obj):
                 if j:
@@ -290,6 +288,7 @@ def _write(obj, sort_keys, parts, arrays, lists):
                 _write(v, sort_keys, parts, arrays, lists)
             parts.append("]")
             return
+        joined = "".join(obj)
         items = obj if joined.translate(_ESCAPES) == joined else [s.translate(_ESCAPES) for s in obj]
         text = '["' + '", "'.join(items) + '"]' if obj else "[]"
         lists[id(obj)] = obj, text

@@ -174,8 +174,8 @@ def test_the_curvature_command_finishes_no_stack(capture, tmp_path, monkeypatch)
     # the report prints kappa and kernel_ok alone: both come from the eager
     # part of the profile, so no eigh, witness or CurvatureResult is built;
     # the bytes are those a report read off profile.results gives
-    for family, params in (("unit_square_diag", {}), ("complete_interior", {"interior_size": 4, "n": 10, "K": 1, "m": 1}),
-                           ("weighted_path3", {"n": 3, "K": 1, "m": 1})):
+    for family, params in (("unit_square_diag", {}), ("weighted_path3", {"n": 3, "K": 1, "m": 1}),
+                           ("complete_interior", {"interior_size": 4, "n": 10, "K": 1, "m": 1})):
         path = tmp_path / f"{family}.json"
         path.write_text(steklov.serialize_graph(steklov.make_example(family, **params)))
         want = {}

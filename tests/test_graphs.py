@@ -417,7 +417,8 @@ def _mutated_file(rng, doc):
         elif kind == 2 and vertices:
             pick(vertices)["m"] = pick(_ODD_VALUES)
         elif kind == 3 and edges:
-            edges[rng.integers(len(edges))] = pick([1, "e", None, {"u": "a", "v": "b"}, {"u": 1, "v": 2, "w": 3, "x": 4}])
+            edges[rng.integers(len(edges))] = pick(
+                [1, "e", None, {"u": "a", "v": "b"}, {"u": 1, "v": 2, "w": 3, "x": 4}])
         elif kind == 4 and edges:
             pick(edges)[pick(["u", "v"])] = pick(_ODD_IDS + ids)
         elif kind == 5 and edges:
