@@ -414,14 +414,17 @@ def _bulk_graph(ids, measures, us, vs, ws):
 
 
 def _positive_values(values):
-    """values, not empty, as a float array when each is a finite positive real and not a bool; None otherwise."""
+    """values, not empty, as a float array when each is a finite positive real and not a bool; None otherwise.
+
+    The rule is _not_positive's, read off the least and the largest value (a NaN fails both).
+    """
     if not {bool, np.bool_}.isdisjoint(map(type, values)):
         return None
     try:
         x = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    return x if x.shape == (len(values),) and 0.0 < x.min() and x.max() < INF else None  # a NaN fails both
+    return x if x.shape == (len(values),) and 0.0 < x.min() and x.max() < INF else None
 
 
 def _walked_graph(vertex_specs, edge_specs):
