@@ -764,15 +764,14 @@ def _check_utf8(ids, us, vs, boundary):
     """
     try:
         "".join(itertools.chain(ids, us, vs, boundary)).encode("utf-8")
-        return
     except UnicodeEncodeError:
-        pass
-    for name, texts in (("vertices[{}].id", ids), ("edges[{}].u", us), ("edges[{}].v", vs), ("boundary[{}]", boundary)):
-        for k, text in enumerate(texts):
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(None, f"{name.format(k)} {text!r} is not encodable as UTF-8") from None
+        for name, texts in (("vertices[{}].id", ids), ("edges[{}].u", us), ("edges[{}].v", vs),
+                            ("boundary[{}]", boundary)):
+            for k, text in enumerate(texts):
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(None, f"{name.format(k)} {text!r} is not encodable as UTF-8") from None
 
 
 def serialize_graph(bg):
