@@ -14,7 +14,7 @@ written after the walk: a report with fewer than `_BULK_MIN` of their
 floats writes each array with one `%` pass (`_format_float` per entry where
 one pass over the report finds an entry integer-valued or not finite); a
 larger one runs them all, `_CHUNK` floats at a time, through one array
-kernel, `_format_chunk`, and joins the parts each chunk completes.
+kernel, `_format_chunk`, cutting each array's text from its chunks' texts.
 
 The kernel's fast lane takes the entries that are finite, not
 integer-valued and in 1e-6 < |x| < 1e15; every other entry goes through
@@ -39,6 +39,7 @@ follows from the layout. `tests/test_jsonio.py` compares the writer with
 ten and special values.
 """
 
+import functools
 import itertools
 import math
 
@@ -94,9 +95,8 @@ def _significands(x, k):
     hi, lo = _two_product(x, _POW10_FLOAT[16 - k])
     off = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))  # the entries whose k may be off by one
     if off.size:
-        h, l = hi[off], lo[off]
-        low = (h < 1e16) | ((h == 1e16) & (l < 0))
-        high = (h > 1e17) | ((h == 1e17) & (l >= 0))
+        low = (hi[off] < 1e16) | ((hi[off] == 1e16) & (lo[off] < 0))
+        high = (hi[off] > 1e17) | ((hi[off] == 1e17) & (lo[off] >= 0))
         k[off] += high.astype(k.dtype) - low
         hi[off], lo[off] = _two_product(x[off], _POW10_FLOAT[16 - k[off]])
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
@@ -143,11 +143,9 @@ def _lane_digits(x):
     groups[0] = ip
     q = f12 // 10 ** 4
     groups[ng + 2] = f12 - q * 10 ** 4
-    f12 = q // 10 ** 4
-    groups[ng] = f12
+    groups[ng] = f12 = q // 10 ** 4
     groups[ng + 1] = q - f12 * 10 ** 4
-    q = f8 // 10 ** 4
-    groups[ng + 3] = q
+    groups[ng + 3] = q = f8 // 10 ** 4
     groups[ng + 4] = f8 - q * 10 ** 4
     return k, _ascii_digits(groups)
 
@@ -185,16 +183,14 @@ def _format_chunk(a):
     table[width - 6:width - 3, expo] = np.array([[101], [45], [48]], np.uint8)  # "e-0"
     table[width - 3, expo] = 48 - k[expo]
     sign = a < 0
-    neg = np.flatnonzero(sign)
-    table.reshape(-1)[(o + lead[neg] - 1) * m + neg] = 45
+    table.reshape(-1)[(o + lead[sign] - 1) * m + np.flatnonzero(sign)] = 45
     # each text's length: sign, top + 1 digits, point, kept digits, exponent, ", "
     sizes = sign + top + kept + 4
     sizes[expo] += 4
     if texts:
         table[:width - 2, slow] = np.array(texts, f"S{width - 2}").view(np.uint8).reshape(-1, width - 2).T
         sizes[slow] = [len(t) + 2 for t in texts]
-    table[-2] = 44
-    table[-1] = 32
+    table[-2:] = [[44], [32]]
     del ax, digits, fraction  # the compaction's copies are the chunk's largest arrays
     text = table.T.tobytes()
     del table
@@ -247,6 +243,11 @@ def _join(parts, arrays):
     return "".join(out)
 
 
+@functools.lru_cache(maxsize=4096, typed=True)  # reports repeat a few keys many times
+def _key_text(key):
+    return f'"{str(key).translate(_ESCAPES)}": '
+
+
 def _write(obj, sort_keys, parts, arrays, lists):
     """Append obj's text to parts; a 1-D float64 array leaves a place to fill, noted in arrays.
 
@@ -257,7 +258,7 @@ def _write(obj, sort_keys, parts, arrays, lists):
     elif isinstance(obj, dict):
         parts.append("{")
         for j, key in enumerate(sorted(obj, key=str) if sort_keys else obj):
-            parts.append(f'{", " if j else ""}"{str(key).translate(_ESCAPES)}": ')
+            parts += (", ", _key_text(key)) if j else (_key_text(key),)
             _write(obj[key], sort_keys, parts, arrays, lists)
         parts.append("}")
     elif isinstance(obj, (float, np.floating)):
@@ -280,11 +281,9 @@ def _write(obj, sort_keys, parts, arrays, lists):
         if kinds == {int}:  # an int list, such as a multiplicity group, in one join
             parts.append("[" + ", ".join(map(str, obj)) + "]")
             return
-        if not kinds <= {str}:
-            parts.append("[")
+        if not kinds <= {str}:  # not empty: an empty list is a string list
             for j, v in enumerate(obj):
-                if j:
-                    parts.append(", ")
+                parts.append(", " if j else "[")
                 _write(v, sort_keys, parts, arrays, lists)
             parts.append("]")
             return
