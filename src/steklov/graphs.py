@@ -114,9 +114,15 @@ class WeightedGraph:
 
     vertices : tuple of vertex ids, declaration order
     measures : m, aligned with `vertices`
-    weights  : symmetric matrix, zero diagonal, zero for non-adjacent pairs
+    weights  : exactly symmetric matrix (W == W.T bit for bit), zero
+               diagonal, zero for non-adjacent pairs
 
-    The graph keeps read-only copies of the measures and weights it is given.
+    Exact symmetry is a precondition that the Gamma2 assembly relies on: it
+    reads W[ball, B1] as the transpose of W[B1, ball]. Every builder in this
+    module writes both orientations of an edge from one value.
+
+    The graph keeps read-only copies of the measures and weights it is given;
+    the builders in this module hand over fresh arrays without the copy.
 
     What depends on the graph alone is built on first use and kept, read-only:
     the neighbour lists, the weight sums, the Laplacian, and the grouping of
@@ -130,14 +136,29 @@ class WeightedGraph:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.measures, dtype=float)
-        w = np.array(self.weights, dtype=float, order="C")
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "measures", m)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_index", dict(zip(self.vertices, range(len(self.vertices)))))
-        m.setflags(write=False)
-        w.setflags(write=False)
+        self._keep(tuple(self.vertices), np.array(self.measures, dtype=float),
+                   np.array(self.weights, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, vertices, measures, weights):
+        """The graph on arrays that nothing else writes to, kept as they are: the builders' constructor.
+
+        vertices is a tuple, measures a float64 vector and weights a float64
+        C-contiguous (N, N) matrix; the N x N copy of the public constructor
+        is skipped.
+        """
+        g = object.__new__(cls)
+        g._keep(vertices, measures, weights)
+        return g
+
+    def _keep(self, vertices, measures, weights):
+        """Set the fields, index the vertices and make both arrays read-only."""
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_index", dict(zip(vertices, range(len(vertices)))))
+        measures.setflags(write=False)
+        weights.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
@@ -229,11 +250,10 @@ class WeightedGraph:
 
     def edge_list(self):
         """Edges as (u, v, w) with u before v in vertex order."""
-        iu, iv = np.nonzero(np.triu(self.weights))
-        return tuple(
-            (self.vertices[i], self.vertices[j], float(self.weights[i, j]))
-            for i, j in zip(iu.tolist(), iv.tolist())
-        )
+        n, ids = self.num_vertices, self.vertices
+        flat = np.flatnonzero(np.triu(self.weights) != 0.0)  # the 2-D np.nonzero takes several times as long
+        return tuple(zip(map(ids.__getitem__, (flat // n).tolist()), map(ids.__getitem__, (flat % n).tolist()),
+                         self.weights.reshape(-1)[flat].tolist()))
 
     @cached_property
     def _laplacian(self):
@@ -294,7 +314,7 @@ class WeightedGraph:
 
     def rescaled_weights(self, lam):
         """Same graph with every edge weight multiplied by lam > 0."""
-        return WeightedGraph(self.vertices, self.measures, finite_number(lam, "weight scale") * self.weights)
+        return WeightedGraph._adopt(self.vertices, self.measures, finite_number(lam, "weight scale") * self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +374,7 @@ class BoundaryGraph:
         that consume it.
         """
         idx = self.interior_indices
-        return WeightedGraph(self.interior, self.graph.measures[idx], self.graph.weights[np.ix_(idx, idx)])
+        return WeightedGraph._adopt(self.interior, self.graph.measures[idx], self.graph.weights[np.ix_(idx, idx)])
 
     @cached_property
     def _boundary_set(self):
@@ -410,7 +430,7 @@ def _bulk_graph(ids, measures, us, vs, ws):
     weights[ij * n + ij[::-1]] = values[n:]  # both orientations of each edge
     if np.count_nonzero(weights) < 2 * m:  # a self-loop or a repeated pair wrote a cell twice
         return None
-    return WeightedGraph(tuple(ids), values[:n], weights.reshape(n, n))
+    return WeightedGraph._adopt(tuple(ids), values[:n], weights.reshape(n, n))
 
 
 def _positive_values(values):
@@ -457,7 +477,7 @@ def _walked_graph(vertex_specs, edge_specs):
         edges[key] = edges[j * n + i] = _check_positive("weight", (u, v), w)
     weights = np.zeros(n * n)
     weights[np.fromiter(edges, np.intp, len(edges))] = np.fromiter(edges.values(), float, len(edges))
-    return WeightedGraph(tuple(vertices), np.array(measures), weights.reshape(n, n))
+    return WeightedGraph._adopt(tuple(vertices), np.array(measures), weights.reshape(n, n))
 
 
 def _checked_graph(g, relaxed):
@@ -588,7 +608,7 @@ def join_equality_boundary(interior, n, K, m):
     weights[:2, 2:] = boundary_weights
     weights[2:, :2] = boundary_weights[:, None]
     weights[2:, 2:] = w
-    g = WeightedGraph((b1, b2) + ids, np.concatenate(([m, m], interior_measures)), weights)
+    g = WeightedGraph._adopt((b1, b2) + ids, np.concatenate(([m, m], interior_measures)), weights)
     _check_degrees(g)
     return BoundaryGraph(g, (b1, b2), ids)
 

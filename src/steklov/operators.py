@@ -191,11 +191,13 @@ def _gamma2_blocks(g, balls, k):
     exact. With c = Delta[i, :] / (2m) and sum_k Delta[i, k] Gamma_k in
     closed form,
         2Q = diag(c deg + W c) - P - P^T,  P = diag(c) W + G Delta,
-    and P is zero off the 1-ball rows, so only the rows W[B1, ball] and the
-    columns W[ball, B1] are gathered, each by broadcast indexing (no index
-    array) into a contiguous array. Every entry is the full form's
-    -(P + P^T - diag(d)) / 2 in the same order of operations, the zero
-    P entries included.
+    and P is zero off the 1-ball rows, so only the rows W[B1, ball] are
+    gathered, by one flat take into a contiguous array. W is exactly
+    symmetric (WeightedGraph's precondition), so the columns W[ball, B1]
+    that give d are a contiguous copy of that gather's transpose, the same
+    values in the same layout as a second gather. Every entry is the full
+    form's -(P + P^T - diag(d)) / 2 in the same order of operations, the
+    zero P entries included.
 
     Four arrays of the stack's size are live at most, and one is left when
     it returns: the rows W[B1, ball], which then take c W; G; Delta on B1,
@@ -204,7 +206,7 @@ def _gamma2_blocks(g, balls, k):
     before Delta and P are made.
     """
     b1 = balls[:, :k]
-    w = g.weights[b1[:, :, None], balls[:, None, :]]
+    w = g.weights.reshape(-1).take((b1 * g.num_vertices)[:, :, None] + balls[:, None, :])
     deg, mu = g.weight_sums[b1], g.measures[b1]
     gam = _gamma_forms(w[:, 0, :k], deg[:, 0], mu[:, 0])
     row = w[:, 0, :k] / mu[:, :1]  # Delta's first row, as the whole Delta below gives it
@@ -213,7 +215,7 @@ def _gamma2_blocks(g, balls, k):
     # mu > 8.99e307, row / mu for c > 8.99e307, and 0.5 row rounds a subnormal row; |row / f| < 2^513
     f, e = np.frexp(mu)
     c = np.ldexp(row / f, -1 - e)
-    d = (g.weights[balls[:, :, None], b1[:, None, :]] @ c[:, :, None])[:, :, 0]
+    d = (w.transpose(0, 2, 1).copy() @ c[:, :, None])[:, :, 0]
     d[:, :k] += c * deg
     delta = w / mu[:, :, None]
     diagonal = _diagonal(delta[:, :, :k])

@@ -424,15 +424,25 @@ def two_ball_identity_check(bg, u):
 
     holds for the second Steklov eigenfunction's harmonic extension on
     equality graphs; the residual table quantifies how far u is from that.
+    The average is free of the scale of the coefficients, so each is taken
+    as its frexp mantissas' quotient times 2 to the power of its exponents'
+    sum less the largest such sum: the largest is about 1, a product such as
+    w_xy w_yz = 1e-324 does not underflow, and wherever the raw coefficients
+    stay normal they are scaled by one power of two and the average keeps
+    its bits.
     """
     g = bg.graph
     if set(u.domain) != set(g.vertices):
         raise DomainMismatch(g.vertices, u.domain)
     vals = u.on(g.vertices)
+    fm, em = np.frexp(g.measures)
     residuals = {}
     for i in range(g.num_vertices):
+        fi, ei = np.frexp(g.weights[i])
         for j in [j for j in g._two_spheres(i)[1] if j > i]:
-            coeff = g.weights[i] * g.weights[j] / g.measures
+            fj, ej = np.frexp(g.weights[j])
+            mantissa, exponent = fi * fj / fm, ei + ej - em
+            coeff = np.ldexp(mantissa, exponent - exponent[mantissa > 0.0].max())
             residuals[(g.vertices[i], g.vertices[j])] = (
                 (vals[i] + vals[j]) / 2.0 - float(coeff @ vals) / coeff.sum())
     return TwoBallResiduals(residuals, float(max(map(abs, residuals.values()), default=0.0)))

@@ -136,6 +136,21 @@ def test_cd_check_command_warns_where_lambda_min_is_nan(tmp_path):
         assert text.startswith(f"lambda_min is NaN at vertex {v}: an S2 pivot underflowed")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rigidity_command_reads_the_two_ball_identity_where_its_coefficients_underflow(capture, tmp_path):
+    # with every weight 1e-162 each product w_xy w_yz underflows to 0; the
+    # identity is scale-free, so the check takes its average on scaled
+    # coefficients and no raw numpy warning escapes
+    g = steklov.build_graph([(str(v), 1.0) for v in range(6)],
+                            [(str(v), str((v + 1) % 6), 1e-162) for v in range(6)])
+    path = tmp_path / "c6.json"
+    path.write_text(steklov.serialize_graph(steklov.attach_boundary(g, {"0", "2", "4"})))
+    code, out, _ = capture("rigidity", "--graph", str(path), "--K", "1", "--n", "2")
+    assert code == 1
+    residual = json.loads(out)["results"]["diagnostics"]["two_ball_max_residual"]
+    assert isinstance(residual, float) and 0.0 <= residual < 1.0
+
+
 def _unit_path_with_heavy_end(tmp_path, m_a):
     g = steklov.build_graph([("a", m_a), ("b", 1.0), ("c", 1.0)], [("a", "b", 1.0), ("b", "c", 1.0)])
     path = tmp_path / "p3_heavy.json"

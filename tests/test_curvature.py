@@ -574,11 +574,21 @@ def widely_weighted_graph(rng):
     return WeightedGraph(g.vertices, 10.0 ** rng.uniform(-1.0, 1.0, n), w + w.T)
 
 
+def shuffled_grid(rng, k):
+    """The k x k unit grid with its vertex order and edge order shuffled, as the benchmark builds its grids."""
+    g = unit_grid(k)
+    edges = g.edge_list()
+    return build_graph([(g.vertices[i], 1.0) for i in rng.permutation(k * k)],
+                       [edges[i] for i in rng.permutation(len(edges))])
+
+
 def guard_graphs():
-    """Unit grids 6, 12 and 16, the <= 6-vertex atlas, K_{1,50}, the hub grid and 40 widely weighted graphs."""
+    """Unit grids 6, 12 and 16, the <= 6-vertex atlas, K_{1,50}, the hub grid, 40 widely weighted graphs
+    and shuffled grids 12, 16 and 30."""
     rng = np.random.default_rng(20)
     return [*(unit_grid(k) for k in (6, 12, 16)), *atlas_graphs(6), *star_and_hub_grid(),
-            *(widely_weighted_graph(rng) for _ in range(40))]
+            *(widely_weighted_graph(rng) for _ in range(40)),
+            *(shuffled_grid(np.random.default_rng(k), k) for k in (12, 16, 30))]
 
 
 def same_bits(a, b):

@@ -1,5 +1,6 @@
 """Graph data model: construction, validation, boundary, files, families."""
 
+import collections
 import copy
 import json
 import math
@@ -38,7 +39,7 @@ from steklov.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from steklov.graphs import INF, WeightedGraph, validate_dimension
+from steklov.graphs import INF, WeightedGraph, _spec_columns, validate_dimension
 
 from oracles import (
     build_graph_by_specs,
@@ -76,6 +77,54 @@ def test_a_graph_copies_the_arrays_it_is_given():
     m[0], w[0, 1], w[1, 0] = 3.0, 5.0, 5.0
     assert (g.measure("a"), g.weight("a", "b"), g.weight("b", "a")) == (1.0, 1.0, 1.0)
     assert not (g.measures.flags.writeable or g.weights.flags.writeable)
+
+
+@pytest.mark.parametrize("kind", ["float64-F", "int64", "lists", "another-graph's"])
+def test_mutating_the_callers_arrays_leaves_the_graph_unchanged(kind):
+    # beyond the float64 C arrays above, the public constructor copies
+    # whatever it is given; only the builders in steklov.graphs hand over
+    # arrays of their own without the copy
+    source = make_example("unit_square_diag").graph
+    m, w = np.arange(1.0, 5.0), source.weights * np.arange(1.0, 17.0).reshape(4, 4)
+    w = w + w.T
+    m, w = {"float64-F": (m, np.asfortranarray(w)), "int64": (m.astype(int), w.astype(int)),
+            "lists": (m.tolist(), w.tolist()), "another-graph's": (source.measures, source.weights)}[kind]
+    g = WeightedGraph(source.vertices, m, w)
+    before = g.measures.copy(), g.weights.copy()
+    if kind == "another-graph's":
+        assert not (np.shares_memory(g.measures, m) or np.shares_memory(g.weights, w))
+    elif kind == "lists":
+        m[0], w[0][1], w[1][0] = 9.0, 9.0, 9.0
+    else:
+        m[0], w[0, 1], w[1, 0] = 9, 9, 9
+    assert np.array_equal(g.measures, before[0]) and np.array_equal(g.weights, before[1])
+    assert g.weights.flags.c_contiguous and g.weights.dtype == np.float64
+
+
+def test_every_builder_gives_an_exactly_symmetric_weight_matrix():
+    # the Gamma2 assembly reads W[ball, B1] as the transpose of W[B1, ball],
+    # so every construction path must give W == W.T bit for bit; the builders'
+    # graphs own arrays that are read-only and leave their sources unchanged
+    rng = np.random.default_rng(31)
+    Edge = collections.namedtuple("Edge", "u v w")
+    graphs = [make_example(family, **params).graph for family, params in [
+        ("unit_path3", {}), ("unit_square", {}), ("unit_square_diag", {}),
+        ("weighted_path3", {"n": 3, "K": 0.7, "m": 1.3}), ("weighted_path3", {"n": INF, "K": 2.0, "m": 0.3}),
+        ("weighted_square", {"K": 1.7, "m": 0.9}),
+        ("complete_interior", {"interior_size": 7, "n": 10, "K": 1.1, "m": 0.6, "lam": 2.3})]]
+    for _ in range(25):
+        bg = random_boundary_graph(rng, n_min=3, n_max=14, weight_range=(1e-3, 1e3), measure_range=(0.1, 10.0))
+        g = bg.graph
+        vertex_specs, edge_specs = [(v, g.measure(v)) for v in g.vertices], [Edge(*e) for e in g.edge_list()]
+        assert _spec_columns(edge_specs, 3) is None  # not tuples or lists: build_graph walks the specs
+        weights = g.weights.copy()
+        graphs += [build_graph(vertex_specs, map(tuple, edge_specs)), build_graph(vertex_specs, edge_specs),
+                   parse_graph_file(serialize_graph(bg)).graph, g.rescaled_weights(float(rng.uniform(0.1, 10.0))),
+                   bg.interior_graph, join_equality_boundary(g, 10, float(rng.uniform(0.5, 2.0)), 1.0).graph]
+        assert np.array_equal(g.weights, weights)
+    for g in graphs:
+        assert np.array_equal(g.weights, g.weights.T)
+        assert not (g.weights.flags.writeable or g.measures.flags.writeable)
 
 
 def test_single_vertex_is_connected():
@@ -582,3 +631,18 @@ def test_neighbour_lists_from_one_scan_equal_the_per_row_lists():
         assert adjacency == tuple(np.flatnonzero(row).tolist() for row in g.weights > 0.0)
         assert all(type(i) is int for row in adjacency for i in row)
     assert [len(row) for row in graphs[-3]._adjacency] == [0, 1, 2, 1, 0]
+
+
+def test_the_edge_list_is_the_upper_triangles_two_dimensional_scan():
+    # edges come from one flat scan of the upper triangle, in the order, and
+    # with the ids and weights, of np.nonzero(np.triu(W)); so the graph file
+    # that serialize_graph writes keeps its bytes
+    rng = np.random.default_rng(32)
+    graphs = [random_connected_graph(rng, n_min=1, n_max=40, extra_edge_prob=p, weight_range=(1e-3, 1e3))
+              for p in (0.05, 0.3, 0.9) * 8]
+    graphs.append(build_graph([(v, 1.0) for v in "abcde"], [("b", "c", 1.0), ("a", "e", 2.5)], relaxed=True))
+    for g in graphs:
+        iu, iv = np.nonzero(np.triu(g.weights))
+        want = tuple((g.vertices[i], g.vertices[j], float(g.weights[i, j])) for i, j in zip(iu.tolist(), iv.tolist()))
+        got = g.edge_list()
+        assert got == want and [tuple(map(type, e)) for e in got] == [tuple(map(type, e)) for e in want]

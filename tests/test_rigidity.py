@@ -1041,3 +1041,31 @@ def test_biconditional_on_random_graphs():
         assert rep.consistent
         checked += 1
     assert checked >= 10
+
+
+def test_the_two_ball_identity_is_free_of_the_scale_of_its_coefficients():
+    # the raw average sum_y u(y) c_y / sum_y c_y, c_y = w_xy w_yz / m_y, keeps
+    # its bits wherever the c_y stay normal, and scaling w and m by powers of
+    # two far out of that range (every c_y = 0 or inf raw) changes no residual
+    rng = np.random.default_rng(33)
+    pairs = 0
+    for case in range(30):
+        bg = random_boundary_graph(rng, n_min=4, n_max=12, extra_edge_prob=0.3)
+        g = bg.graph
+        u = VertexFunction(g.vertices, rng.normal(size=g.num_vertices))
+        got = two_ball_identity_check(bg, u).residuals
+        vals = u.values
+        raw = {}
+        for i in range(g.num_vertices):
+            dist = g.hop_distances(i)
+            for j in range(i + 1, g.num_vertices):
+                if dist[j] == 2:
+                    coeff = g.weights[i] * g.weights[j] / g.measures
+                    raw[g.vertices[i], g.vertices[j]] = (vals[i] + vals[j]) / 2.0 - float(coeff @ vals) / coeff.sum()
+        assert got == raw
+        pairs += len(got)
+        for wexp, mexp in ((-540, 0), (520, 0), (0, 1000), (-300, -1000)):
+            scaled = attach_boundary(WeightedGraph(g.vertices, np.ldexp(g.measures, mexp), np.ldexp(g.weights, wexp)),
+                                     bg.boundary)
+            assert two_ball_identity_check(scaled, u).residuals == got, (case, wexp, mexp)
+    assert pairs > 100

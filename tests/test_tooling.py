@@ -209,6 +209,13 @@ def test_one_gamma2_assembly_for_every_local_form():
     assert _calls_of("_pinned_forms") == []
 
 
+def test_the_gamma2_assembly_reads_the_weights_at_one_site():
+    # W is exactly symmetric, so the 2-ball kernel gathers the rows W[B1, ball]
+    # once and takes the columns W[ball, B1] as their transpose
+    reads = _enclosing_functions(lambda node: isinstance(node, ast.Attribute) and node.attr == "weights")
+    assert reads.count(("operators", "_gamma2_blocks")) == 1
+
+
 def test_pads_are_known_to_the_curvature_function_alone():
     # a pad repeats the centre, so the assembly takes no mask; the padded
     # stacks are built, zeroed on their pad rows and columns and finished by
