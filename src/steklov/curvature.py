@@ -44,6 +44,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from . import _lapack
 from .errors import InvalidParams, IsolatedVertex
 from .graphs import (
     MULTIPLICITY_TOL,
@@ -121,9 +122,9 @@ def _psd_verdict(matrices, tol, shift=0.0):
 
     eigh runs on the failing forms alone, unshifted: the vectors it gives on the whole stack.
     """
-    lam, norm, holds = _psd_rule(np.linalg.eigvalsh(matrices) - shift, tol)
+    lam, norm, holds = _psd_rule(_lapack.eigvalsh(matrices) - shift, tol)
     failing = matrices[~holds]
-    return lam, norm, holds, (np.linalg.eigh(failing)[1][:, :, 0] if len(failing) else failing[:, 0])
+    return lam, norm, holds, (_lapack.eigh(failing)[1][:, :, 0] if len(failing) else failing[:, 0])
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,7 @@ def _curvature_stacks(g, centres, n_values):
     stacks = []
     for k, t, balls, real, parts in _padded_stacks(groups):
         blocks, pencils = _pencils(g, balls, k, real, n_arr)
-        low = np.linalg.eigvalsh(pencils)[..., 0]
+        low = _lapack.eigvalsh(pencils)[..., 0]
         d_plus = blocks[5]
         inverted = (d_plus > 0.0) & (d_plus < np.inf)
         kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
@@ -308,7 +309,7 @@ def _finish_stack(g, n_values, centres, kappas, kernel_ok, real, parts, pencils,
     ids = [ball for part in parts for ball in _ball_ids(g, part)]
     n_arr = np.array(n_values)
     k = r.shape[1]
-    low_vecs = np.linalg.eigh(pencils)[1][..., 0]
+    low_vecs = _lapack.eigh(pencils)[1][..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
         f1, g12, f2 = _lift(low_vecs, a12, d_plus, d_isqrt)
         quotients = ((np.sum((f1 @ a11) * f1, axis=2) + 2.0 * np.sum(g12 * f2, axis=2)

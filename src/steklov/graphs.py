@@ -24,6 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     BoundaryNotIndependent,
     BoundaryVertexIsolatedFromInterior,
@@ -121,8 +122,12 @@ class WeightedGraph:
     reads W[ball, B1] as the transpose of W[B1, ball]. Every builder in this
     module writes both orientations of an edge from one value.
 
-    The graph keeps read-only copies of the measures and weights it is given;
-    the builders in this module hand over fresh arrays without the copy.
+    The public constructor checks what the builders guarantee (distinct ids,
+    an N x N exactly symmetric W with a zero diagonal and finite non-negative
+    entries, finite positive measures), raising an error that names the
+    offender, and keeps read-only copies of the arrays it is given; the
+    builders in this module hand over fresh arrays without the checks or the
+    copy.
 
     What depends on the graph alone is built on first use and kept, read-only:
     the neighbour lists, the weight sums, the Laplacian, and the grouping of
@@ -136,8 +141,10 @@ class WeightedGraph:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._keep(tuple(self.vertices), np.array(self.measures, dtype=float),
-                   np.array(self.weights, dtype=float, order="C"))
+        vertices = tuple(self.vertices)
+        measures, weights = np.array(self.measures, dtype=float), np.array(self.weights, dtype=float, order="C")
+        _check_arrays(vertices, measures, weights)
+        self._keep(vertices, measures, weights)
 
     @classmethod
     def _adopt(cls, vertices, measures, weights):
@@ -319,15 +326,37 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryGraph:
-    """A weighted graph together with a validated boundary/interior partition."""
+    """A weighted graph together with a validated boundary/interior partition.
+
+    The public constructor checks that boundary and interior partition V and
+    indexes both in the order given; attach_boundary and
+    join_equality_boundary hand over the sorted index arrays they already
+    hold, through _adopt. boundary_indices and interior_indices are read-only.
+    """
 
     graph: WeightedGraph
     boundary: tuple
     interior: tuple
+    boundary_indices: np.ndarray = field(init=False, repr=False)
+    interior_indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary", tuple(self.boundary))
-        object.__setattr__(self, "interior", tuple(self.interior))
+        boundary, interior = tuple(self.boundary), tuple(self.interior)
+        self._keep(self.graph, boundary, interior, *_partition_indices(self.graph, boundary, interior))
+
+    @classmethod
+    def _adopt(cls, graph, boundary, interior, boundary_indices, interior_indices):
+        """The boundary graph on a partition its builder has validated and indexed: the builders' constructor."""
+        bg = object.__new__(cls)
+        bg._keep(graph, boundary, interior, boundary_indices, interior_indices)
+        return bg
+
+    def _keep(self, graph, boundary, interior, boundary_indices, interior_indices):
+        """Set the fields, past the frozen __setattr__ as cached_property does, and make both index arrays read-only."""
+        vars(self).update(graph=graph, boundary=boundary, interior=interior, boundary_indices=boundary_indices,
+                          interior_indices=interior_indices)
+        boundary_indices.setflags(write=False)
+        interior_indices.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryGraph):
@@ -336,21 +365,6 @@ class BoundaryGraph:
 
     __hash__ = None
 
-    def _indices(self, vertices):
-        idx = np.array([self.graph.index(v) for v in vertices], dtype=int)
-        idx.setflags(write=False)
-        return idx
-
-    @cached_property
-    def boundary_indices(self):
-        """Graph indices of B in vertex order, built once per boundary graph, read-only."""
-        return self._indices(self.boundary)
-
-    @cached_property
-    def interior_indices(self):
-        """Graph indices of Omega in vertex order, built once per boundary graph, read-only."""
-        return self._indices(self.interior)
-
     @cached_property
     def interior_cholesky(self):
         """The lower Cholesky factor C of L_OO = C C^T, built once per boundary graph, read-only.
@@ -358,7 +372,7 @@ class BoundaryGraph:
         Raises LinAlgError when L_OO is not SPD or the factor overflows; a failure is not kept.
         """
         oi = self.interior_indices
-        chol = np.linalg.cholesky(self.graph.laplacian_matrix()[oi[:, None], oi])
+        chol = _lapack.cholesky(self.graph.laplacian_matrix()[oi[:, None], oi])
         if not np.isfinite(chol).all():
             raise np.linalg.LinAlgError("the Cholesky factor of L_OO is not finite")
         chol.setflags(write=False)
@@ -382,6 +396,52 @@ class BoundaryGraph:
 
     def is_boundary(self, v):
         return v in self._boundary_set
+
+
+def _check_arrays(vertices, measures, weights):
+    """The public WeightedGraph constructor's checks, each raising an error that names the first offender."""
+    n = len(vertices)
+    if len(set(vertices)) < n:
+        seen = set()
+        raise DuplicateVertex(next(v for v in vertices if v in seen or seen.add(v)))
+    if measures.shape != (n,) or weights.shape != (n, n):
+        raise InvalidParams(f"{n} vertices need {n} measures and an {n} x {n} weight matrix, "
+                            f"got shapes {measures.shape} and {weights.shape}")
+    bad = np.flatnonzero(_not_positive(measures))
+    if bad.size:
+        raise NonPositiveValue("measure", vertices[bad[0]], float(measures[bad[0]]))
+    loops = np.flatnonzero(weights.diagonal())
+    if loops.size:
+        raise SelfLoop(vertices[loops[0]])
+    bad = np.argwhere(_not_positive(weights) & (weights != 0.0))
+    if len(bad):
+        i, j = bad[0]
+        raise NonPositiveValue("weight", (vertices[i], vertices[j]), float(weights[i, j]))
+    bad = np.argwhere(weights != weights.T)
+    if len(bad):
+        i, j = bad[0]
+        u, v = vertices[i], vertices[j]
+        raise InvalidParams(f"weights must be exactly symmetric: w({u!r}, {v!r}) = {float(weights[i, j])!r} "
+                            f"but w({v!r}, {u!r}) = {float(weights[j, i])!r}")
+
+
+def _partition_indices(g, boundary, interior):
+    """The index arrays of boundary and interior, in the order given, when together they list each vertex once.
+
+    UnknownVertex names an id not in g; InvalidParams a vertex listed twice or not at all.
+    """
+    listed = {}
+    for side, part in (("boundary", boundary), ("interior", interior)):
+        for v in part:
+            i = g.index(v)
+            if i in listed:
+                raise InvalidParams(f"vertex {v!r} is listed twice: in the {listed[i]} and in the {side}")
+            listed[i] = side
+    if len(listed) < g.num_vertices:
+        missing = next(v for i, v in enumerate(g.vertices) if i not in listed)
+        raise InvalidParams(f"vertex {missing!r} is in neither the boundary nor the interior")
+    indices = list(listed)
+    return np.array(indices[:len(boundary)], dtype=int), np.array(indices[len(boundary):], dtype=int)
 
 
 def build_graph(vertex_specs, edge_specs, relaxed=False):
@@ -507,8 +567,7 @@ def attach_boundary(g, boundary):
     B must be a nonempty independent set with a nonempty complement, and every
     boundary vertex must have at least one interior neighbor.
     """
-    b_set = set(boundary)
-    b_idx = sorted(map(g.index, b_set))  # raises UnknownVertex
+    b_idx = sorted(map(g.index, set(boundary)))  # raises UnknownVertex
     if not b_idx:
         raise EmptyBoundary()
     if len(b_idx) == g.num_vertices:
@@ -521,8 +580,9 @@ def attach_boundary(g, boundary):
     for i in b_idx:
         if members.issuperset(g.neighbor_indices(i)):
             raise BoundaryVertexIsolatedFromInterior(g.vertices[i])
-    return BoundaryGraph(g, tuple(map(g.vertices.__getitem__, b_idx)),
-                         tuple(itertools.filterfalse(b_set.__contains__, g.vertices)))
+    o_idx = [i for i in range(g.num_vertices) if i not in members]
+    ids = g.vertices.__getitem__
+    return BoundaryGraph._adopt(g, tuple(map(ids, b_idx)), tuple(map(ids, o_idx)), np.array(b_idx), np.array(o_idx))
 
 
 def weighted_degree(g, x):
@@ -610,7 +670,7 @@ def join_equality_boundary(interior, n, K, m):
     weights[2:, 2:] = w
     g = WeightedGraph._adopt((b1, b2) + ids, np.concatenate(([m, m], interior_measures)), weights)
     _check_degrees(g)
-    return BoundaryGraph(g, (b1, b2), ids)
+    return BoundaryGraph._adopt(g, (b1, b2), ids, np.arange(2), np.arange(2, nv + 2))
 
 
 def _not_positive(values):

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _lapack
 from .errors import DomainMismatch, InvalidParams, NumericallySingularInterior, SingularInteriorSystem
 from .graphs import HARMONIC_TOL, MULTIPLICITY_TOL, ZERO_TOL, induced_interior_graph
 from .operators import VertexFunction, differential, inner_product_forms, inner_product_functions, laplacian
@@ -128,7 +129,7 @@ def harmonic_extension(bg, f):
     fb = f.on(bg.boundary)
     out = np.empty(g.num_vertices)
     out[bg.boundary_indices] = fb
-    out[bg.interior_indices] = -np.linalg.solve(chol.T, np.linalg.solve(chol, L_ob @ fb))
+    out[bg.interior_indices] = -_lapack.solve(chol.T, _lapack.solve(chol, L_ob @ fb))
     u = VertexFunction(g.vertices, out)
     residual = np.abs(laplacian(g, u).on(bg.interior)).max() if bg.interior else 0.0
     scale = float((g.weight_sums / g.measures).max() * np.abs(fb).max())
@@ -140,7 +141,7 @@ def harmonic_extension(bg, f):
 def _schur(bg):
     """The boundary Schur complement S = L_BB - Y^T Y and the boundary measures M_B."""
     L_bb, L_ob, chol = _interior_factor(bg)
-    y = np.linalg.solve(chol, L_ob)
+    y = _lapack.solve(chol, L_ob)
     return L_bb - y.T @ y, bg.graph.measures[bg.boundary_indices]
 
 
@@ -150,22 +151,24 @@ def dtn_operator(bg):
 
 
 def _scaled(a, m_diag):
-    """M^{-1/2} A M^{-1/2} for M = diag(m_diag), read by eigh from its lower triangle.
+    """M^{-1/2} A M^{-1/2} for M = diag(m_diag), read by eigh from its lower triangle, and 1 / sqrt(m_diag).
 
     With r = sqrt(m_diag) the entries are (a_ik (1/r_k)) / r_i and a_kk / r_k^2,
     rounded as LAPACK's sygvd reduction rounds them below 64 vertices, so the
-    basis chosen within a repeated eigenvalue is sygvd's too.
+    basis chosen within a repeated eigenvalue is sygvd's too. The diagonal is
+    written with one strided step through c.flat, in place.
     """
     root = np.sqrt(m_diag)
-    c = a * (1.0 / root) / root[:, None]
-    diag = np.arange(len(root))
-    c[diag, diag] = a.diagonal() / (root * root)
-    return c
+    inv_root = 1.0 / root
+    c = a * inv_root / root[:, None]
+    c.flat[::len(root) + 1] = a.diagonal() / (root * root)
+    return c, inv_root
 
 
 def _generalized_spectrum(a, m_diag, domain, kind):
-    values, vectors = np.linalg.eigh(_scaled(a, m_diag))
-    return Spectrum(kind, values, domain, vectors, 1.0 / np.sqrt(m_diag))
+    c, inv_root = _scaled(a, m_diag)
+    values, vectors = _lapack.eigh(c)
+    return Spectrum(kind, values, domain, vectors, inv_root)
 
 
 def laplacian_spectrum(g):
@@ -210,7 +213,7 @@ def steklov_eigenfunction_diagnostics(bg, spectrum):
     du = differential(g, u)
     rayleigh = inner_product_forms(g, du, du) / inner_product_functions(g, u, u)
     L = g.laplacian_matrix()
-    mu2 = float(np.linalg.eigvalsh(_scaled(L, g.measures))[1])
+    mu2 = float(_lapack.eigvalsh(_scaled(L, g.measures)[0])[1])
     residual_vec = L @ u.values - mu2 * g.measures * u.values
     return SteklovDiagnostics(
         sigma2=sigma2,

@@ -23,6 +23,7 @@ from steklov import (
     verify_lichnerowicz,
 )
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
+import steklov._lapack
 import steklov.curvature
 from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks
 from steklov.graphs import INF, MULTIPLICITY_TOL
@@ -470,7 +471,7 @@ def test_curvature_profile_builds_each_form_once(monkeypatch):
     # one stacked eigvalsh for every vertex and every n; the eigenvectors are
     # solved, by one stacked eigh of the same pencils, only when results is read
     calls, solves = [], []
-    gamma2_blocks, eigh, eigvalsh = steklov.curvature._gamma2_blocks, np.linalg.eigh, np.linalg.eigvalsh
+    gamma2_blocks, eigh, eigvalsh = steklov.curvature._gamma2_blocks, steklov._lapack.eigh, steklov._lapack.eigvalsh
 
     def spy(g, balls, k):
         calls.append(balls[:, 0].tolist())
@@ -485,8 +486,8 @@ def test_curvature_profile_builds_each_form_once(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(steklov.curvature, "_gamma2_blocks", spy)
-    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+    monkeypatch.setattr(steklov._lapack, "eigh", eigh_spy)
+    monkeypatch.setattr(steklov._lapack, "eigvalsh", eigvalsh_spy)
     grids = [unit_grid(k) for k in (6, 12, 16)]
     assert [len(g._shape_groups(range(g.num_vertices))) for g in grids] == [6, 6, 6]
     count = 0

@@ -39,7 +39,7 @@ from steklov.errors import (
     SelfLoop,
     UnknownVertex,
 )
-from steklov.graphs import INF, WeightedGraph, _spec_columns, validate_dimension
+from steklov.graphs import INF, BoundaryGraph, WeightedGraph, _spec_columns, validate_dimension
 
 from oracles import (
     build_graph_by_specs,
@@ -99,6 +99,66 @@ def test_mutating_the_callers_arrays_leaves_the_graph_unchanged(kind):
         m[0], w[0, 1], w[1, 0] = 9, 9, 9
     assert np.array_equal(g.measures, before[0]) and np.array_equal(g.weights, before[1])
     assert g.weights.flags.c_contiguous and g.weights.dtype == np.float64
+
+
+@pytest.mark.parametrize("ids, measures, weights, error, named", [
+    (("a", "b", "c"), [1, 1, 1], [[0, 1, 1], [1, 0, 1], [1, 2, 0]], InvalidParams,
+     "w('b', 'c') = 1.0 but w('c', 'b') = 2.0"),
+    (("a", "b"), [1, 1], [[0, 1], [1 + 2.0 ** -52, 0]], InvalidParams, "w('a', 'b')"),
+    (("a", "b"), [1, 1], [[0, -1], [-1, 0]], NonPositiveValue, "weight of ('a', 'b')"),
+    (("a", "b"), [1, 1], [[0, 1], [math.nan, 0]], NonPositiveValue, "weight of ('b', 'a')"),
+    (("a", "b"), [1, 1], [[0, math.inf], [math.inf, 0]], NonPositiveValue, "weight of ('a', 'b')"),
+    (("a", "b"), [1, 1], [[0, 1], [1, 0.5]], SelfLoop, "'b'"),
+    (("a", "b"), [1, 0], [[0, 1], [1, 0]], NonPositiveValue, "measure of 'b'"),
+    (("a", "b"), [-1, 1], [[0, 1], [1, 0]], NonPositiveValue, "measure of 'a'"),
+    (("a", "b"), [1, math.nan], [[0, 1], [1, 0]], NonPositiveValue, "measure of 'b'"),
+    (("a", "b"), [math.inf, 1], [[0, 1], [1, 0]], NonPositiveValue, "measure of 'a'"),
+    (("a", "b"), [1, 1, 1], [[0, 1], [1, 0]], InvalidParams, "shapes (3,) and (2, 2)"),
+    (("a", "b"), [1, 1], [[0, 1, 0], [1, 0, 0]], InvalidParams, "shapes (2,) and (2, 3)"),
+    (("a", "b", "a"), [1, 1, 1], np.zeros((3, 3)), DuplicateVertex, "'a'"),
+])
+def test_the_public_constructor_rejects_what_no_builder_gives(ids, measures, weights, error, named):
+    # the curvature, the Laplacian and the spectra assume what the builders
+    # guarantee; an asymmetric W gave a curvature_profile minimum of -0.0292
+    # at 'c' for the first case, and a negative weight Laplacian eigenvalue -2
+    with pytest.raises(error) as e:
+        WeightedGraph(ids, measures, weights)
+    assert named in str(e.value)
+
+
+def test_the_public_constructor_accepts_zero_weights_and_an_isolated_vertex():
+    # a zero weight is a missing edge; connectivity is build_graph's check, not the constructor's
+    g = WeightedGraph(("a", "b", "c"), np.ones(3), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert g.components() == (("a", "b"), ("c",))
+
+
+@pytest.mark.parametrize("boundary, interior, error, named", [
+    (("1",), ("1", "2", "3"), InvalidParams, "'1' is listed twice: in the boundary and in the interior"),
+    (("1", "1"), ("2", "3"), InvalidParams, "'1' is listed twice: in the boundary and in the boundary"),
+    (("1",), ("2",), InvalidParams, "'3' is in neither"),
+    (("1", "3"), ("2", "4"), UnknownVertex, "'4'"),
+])
+def test_a_boundary_graph_needs_a_partition_of_the_vertices(boundary, interior, error, named):
+    # the boundary listed again as interior made steklov_spectrum return [-4.4e-16] without a word
+    g = unit_path(3)
+    with pytest.raises(error) as e:
+        BoundaryGraph(g, boundary, interior)
+    assert named in str(e.value)
+
+
+def test_a_boundary_graph_indexes_its_partition_in_the_order_given():
+    # the public constructor keeps the order of its lists; attach_boundary hands over its sorted indices
+    g = unit_path(3)
+    bg = BoundaryGraph(g, ["3", "1"], ["2"])
+    assert (bg.boundary, bg.interior) == (("3", "1"), ("2",))
+    assert bg.boundary_indices.tolist() == [2, 0] and bg.interior_indices.tolist() == [1]
+    attached = attach_boundary(g, {"3", "1"})
+    assert attached.boundary_indices.tolist() == [0, 2] and attached.interior_indices.tolist() == [1]
+    assert BoundaryGraph(g, attached.boundary, attached.interior) == attached
+    for b in (bg, attached, make_example("complete_interior", interior_size=3, n=10, K=1, m=1)):
+        assert not (b.boundary_indices.flags.writeable or b.interior_indices.flags.writeable)
+        assert [b.graph.vertices[i] for i in b.boundary_indices] == list(b.boundary)
+        assert [b.graph.vertices[i] for i in b.interior_indices] == list(b.interior)
 
 
 def test_every_builder_gives_an_exactly_symmetric_weight_matrix():

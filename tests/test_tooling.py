@@ -271,3 +271,28 @@ def test_the_s2_block_is_inverted_exactly_and_carries_no_verdict_field():
                                    and isinstance(node.ctx, ast.Load))
     assert readers == [("spectra", "_sign_fix")]
     assert "s2_lambda_min" not in {f.name for f in dataclasses.fields(steklov.CurvatureResult)}
+
+
+def test_one_route_to_lapack():
+    # every factorization, solve and symmetric eigensolve goes through
+    # steklov._lapack, the one module that names numpy's private linalg
+    # gufuncs: a numpy release that renames them fails here and in
+    # tests/test_lapack.py, not on a second route
+    wrapped = {"cholesky", "solve", "eigh", "eigvalsh"}
+    np_linalg_calls = _enclosing_functions(lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in wrapped
+        and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"))
+    assert np_linalg_calls == []
+    imported = _enclosing_functions(lambda node: isinstance(node, ast.ImportFrom) and node.module
+                                    and node.module.startswith("numpy.linalg")
+                                    and wrapped.intersection(alias.name for alias in node.names))
+    assert imported == []
+    naming = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id == "_umath_linalg")
+                                  or (isinstance(node, ast.Attribute) and node.attr == "_umath_linalg")
+                                  or (isinstance(node, ast.alias) and "_umath_linalg" in node.name))
+    assert {module for module, _ in naming} == {"_lapack"}
+    routed = {site for name in wrapped for site in _calls_of(name) if site[0] != "_lapack"}
+    assert routed == {("graphs", "interior_cholesky"), ("spectra", "_schur"), ("spectra", "harmonic_extension"),
+                      ("spectra", "_generalized_spectrum"), ("spectra", "steklov_eigenfunction_diagnostics"),
+                      ("curvature", "_psd_verdict"), ("curvature", "_curvature_stacks"),
+                      ("curvature", "_finish_stack")}
