@@ -9,9 +9,9 @@ signature under np.linalg's own error policy: a LAPACK failure raises
 LinAlgError with np.linalg's message, and no floating-point warning is
 emitted. Values, vectors and errors are bit for bit np.linalg's.
 
-The gufuncs are private to numpy (verified with numpy 2.4.6); a release that
-renames one fails this module's import, and tests/test_lapack.py and
-tests/test_tooling.py name the break.
+The gufuncs are private to numpy (verified with numpy 2.4.6): a release that
+renames their module fails this import, one that renames a gufunc fails its
+first call, and tests/test_lapack.py and tests/test_tooling.py name the break.
 """
 
 import numpy as np

@@ -402,8 +402,7 @@ def _check_arrays(vertices, measures, weights):
     """The public WeightedGraph constructor's checks, each raising an error that names the first offender."""
     n = len(vertices)
     if len(set(vertices)) < n:
-        seen = set()
-        raise DuplicateVertex(next(v for v in vertices if v in seen or seen.add(v)))
+        raise DuplicateVertex(next(v for i, v in enumerate(vertices) if v in vertices[:i]))
     if measures.shape != (n,) or weights.shape != (n, n):
         raise InvalidParams(f"{n} vertices need {n} measures and an {n} x {n} weight matrix, "
                             f"got shapes {measures.shape} and {weights.shape}")

@@ -276,8 +276,8 @@ def test_the_s2_block_is_inverted_exactly_and_carries_no_verdict_field():
 def test_one_route_to_lapack():
     # every factorization, solve and symmetric eigensolve goes through
     # steklov._lapack, the one module that names numpy's private linalg
-    # gufuncs: a numpy release that renames them fails here and in
-    # tests/test_lapack.py, not on a second route
+    # gufuncs: a numpy release that renames them fails tests/test_lapack.py
+    # by name, and no second route through np.linalg hides the break
     wrapped = {"cholesky", "solve", "eigh", "eigvalsh"}
     np_linalg_calls = _enclosing_functions(lambda node: (
         isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in wrapped
