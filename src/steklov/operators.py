@@ -14,12 +14,13 @@ product-rule identity, which cancels catastrophically. Gamma2 is assembled
 by blocks (_gamma2_blocks): the B1 x B1 block, the B1 x S2 block and the
 diagonal of the S2 block, which is all of the S2 x S2 block that is not
 zero, so only the 1-ball rows of the weights are gathered. The curvature
-function and cd_check read the blocks as they are and never build the S2 x S2
-block; _gamma2_forms places them into full forms for condition (5) and the
-one-centre form. The curvature function also stacks smaller balls,
-padded with copies of the centre, and zeroes the pad rows and columns
-after assembly. The explicit-sum gamma and gamma2, the identity and the
-dense (B, s, s) assembly are test oracles (tests/oracles.py).
+function, cd_check and condition (5) read the blocks as they are and never
+build the S2 x S2 block; only the one-centre form (_gamma2_matrix), which
+the tests and the benchmark's tracer read, places them into a full form.
+The curvature function also stacks smaller balls, padded with copies of
+the centre, and zeroes the pad rows and columns after assembly. The
+explicit-sum gamma and gamma2, the identity and the dense (B, s, s)
+assembly are test oracles (tests/oracles.py).
 """
 
 from dataclasses import dataclass
@@ -230,28 +231,18 @@ def _gamma2_blocks(g, balls, k):
     return q, (0.0 - d[:, k:]) * -0.5, _diagonal(gam).copy(), row
 
 
-def _gamma2_forms(g, balls, k):
-    """The (B, s, s) stack of Gamma2 forms over B closed 2-balls of one shape: the _gamma2_blocks placed.
-
-    Also returns the blocks' Gamma diagonal on the closed 1-balls and rows
-    Delta[i, B1]. The S2 entries off the diagonal are -0.0, as -(0 + 0) / 2
-    gives them; with S2 empty the B1 rows are the form itself.
-    """
-    q1, d, gam, row = _gamma2_blocks(g, balls, k)
-    if not d.shape[1]:
-        return q1, gam, row
-    s = balls.shape[1]
-    q = np.full((len(balls), s, s), -0.0)
-    q[:, :k] = q1
-    q[:, k:, :k] = q1[:, :, k:].transpose(0, 2, 1)
-    _diagonal(q)[:, k:] = d
-    return q, gam, row
-
-
 def _gamma2_matrix(g, i):
-    """The closed 2-ball around i (i, S1, S2) and its Gamma2 form, the one-centre _gamma2_forms."""
-    ball = g.ball_indices(i, 2)
-    return ball, _gamma2_forms(g, ball[None], len(g.neighbor_indices(i)) + 1)[0][0]
+    """The closed 2-ball around i (i, S1, S2) and its Gamma2 form: the one-centre _gamma2_blocks, placed.
+
+    The S2 entries off the diagonal are -0.0, as -(0 + 0) / 2 gives them.
+    """
+    ball, k = g.ball_indices(i, 2), len(g.neighbor_indices(i)) + 1
+    q1, d, _, _ = _gamma2_blocks(g, ball[None], k)
+    q = np.full((len(ball), len(ball)), -0.0)
+    q[:k] = q1[0]
+    q[k:, :k] = q1[0, :, k:].T
+    _diagonal(q)[k:] = d[0]
+    return ball, q
 
 
 def _green_terms(bg, u, v):

@@ -56,7 +56,7 @@ from .graphs import (
     validate_dimension,
     weighted_degree,
 )
-from .operators import VertexFunction, _diagonal, _gamma2_forms, interior_edges
+from .operators import VertexFunction, _diagonal, _gamma2_blocks, interior_edges
 from .operators import _gamma2_matrix, _gamma_matrix  # noqa: F401 -- unused; perfbench traces calls via these names
 from .spectra import steklov_eigenfunction_diagnostics, steklov_spectrum
 
@@ -246,13 +246,13 @@ def assemble_interior_form(bg, K, n, x):
 
 
 def _interior_blocks(ig, centres):
-    """Per 2-ball shape group of a range of centres, (balls, Gamma2 on B2, Gamma's diagonal on B1, Delta[x, B1]).
+    """Per 2-ball shape group of a range of centres, (balls, q1, d, Gamma's diagonal on B1, Delta[x, B1]).
 
     These are the summands of the condition-(5) forms that read the interior
-    weights, one _gamma2_forms call per group; _interior_forms reads them
-    and does not write to them.
+    weights, one _gamma2_blocks call per group (q1 the B1 rows of Gamma2, d
+    its S2 diagonal); _interior_forms reads them and does not write to them.
     """
-    return [(balls,) + _gamma2_forms(ig, balls, k + 1) for (k, _), balls in ig._shape_groups(centres).items()]
+    return [(balls,) + _gamma2_blocks(ig, balls, k + 1) for (k, _), balls in ig._shape_groups(centres).items()]
 
 
 def _interior_forms(ig, K, n, m, centres, blocks):
@@ -261,18 +261,21 @@ def _interior_forms(ig, K, n, m, centres, blocks):
     blocks are _interior_blocks(ig, centres), or the same arrays for ig with
     its weights scaled: only ig's vertices and measures are read here. The
     stack starts as copies of A0 = a3 diag(mu) - a5 mu mu^T. Per shape group,
-    one take of A0 on the balls gets Gamma2 and then the 1-ball terms
-    a2 Gamma - a1 ell ell^T added, and one scatter puts it into the stack (a
-    ball lists each vertex once and the groups' centres differ, so the take
-    reads A0 alone). a2 Gamma is +0.0 off its diagonal, first row and first
-    column, which its diagonal gives. Delta[x, B1] is spread into dense rows
-    e, zero off the 1-ball, and the a4 cross terms are one broadcast over
-    the stack (a row off the 1-ball subtracts an exact +0.0). The stack is
-    symmetrized as (q + q^T) / 2 and then pinned by a mask gather. Every
-    entry keeps the one-centre order of operations. Two arrays of the
-    stack's size are kept, the accumulator q and a work buffer for |Gamma2|,
-    the 1-ball terms, the cross terms and the symmetrized stack; the group's
-    take and the pinned result, made once q is dropped, are the only others.
+    one take of A0 on the balls gets Gamma2's blocks added (q1 on the B1 rows,
+    q1's S2 columns transposed on S2 x B1, d on the S2 diagonal; the rest of
+    the S2 block is -0.0 and would add nothing), then the 1-ball terms
+    a2 Gamma - a1 ell ell^T, and one scatter puts it into the stack (a ball
+    lists each vertex once and the groups' centres differ, so the take reads
+    A0 alone). A form's scale is the largest of |q1|, |d| and a3 max mu.
+    a2 Gamma is +0.0 off its diagonal, first row and first column, which its
+    diagonal gives. Delta[x, B1] is spread into dense rows e, zero off the
+    1-ball, and the a4 cross terms are one broadcast over the stack (a row
+    off the 1-ball subtracts an exact +0.0). The stack is symmetrized as
+    (q + q^T) / 2 and then pinned by a mask gather. Every entry keeps the
+    one-centre order of operations. Two arrays of the stack's size are kept,
+    the accumulator q and a work buffer for |q1|, the 1-ball terms, the
+    cross terms and the symmetrized stack; the group's take and the pinned
+    result, made once q is dropped, are the only others.
     Callers keep B |Omega|^2 within FORM_STACK_ENTRIES.
     """
     mu, nv, b = ig.measures, ig.num_vertices, len(centres)
@@ -290,11 +293,14 @@ def _interior_forms(ig, K, n, m, centres, blocks):
     base = a3 * np.diag(mu) - a5 * np.outer(mu, mu)
     q = np.repeat(base[None], b, axis=0)
     work, e, scales = np.empty_like(q), np.zeros((b, nv)), np.empty(b)
-    for balls, g2, gamma_diag, ell in blocks:
-        at, (size, s), k1 = balls[:, 0] - centres[0], balls.shape, ell.shape[1]
-        scales[at] = np.maximum(np.abs(g2, out=work[:size, :s, :s]).max(axis=(1, 2)), a3 * mu.max())
+    for balls, q1, d, gamma_diag, ell in blocks:
+        at, (size, k1, s) = balls[:, 0] - centres[0], q1.shape
+        scales[at] = np.maximum(np.abs(q1, out=work[:size, :k1, :s]).max(axis=(1, 2)),
+                                np.abs(d).max(axis=1, initial=a3 * mu.max()))
         acc = base[balls[:, :, None], balls[:, None, :]]
-        acc += g2
+        acc[:, :k1] += q1
+        acc[:, k1:, :k1] += q1[:, :, k1:].transpose(0, 2, 1)
+        _diagonal(acc)[:, k1:] += d
         term = np.multiply(ell[:, :, None], ell[:, None, :], out=work[:size, :k1, :k1])
         term *= a1
         rim = a2 * np.concatenate([gamma_diag[:, :1], -gamma_diag[:, 1:]], axis=1) - term[:, 0]
@@ -745,8 +751,9 @@ def construct_rigid_family(interior, n, K, m, lam=None):
     # the returned graph doubles the threshold's weights, which scales its Gamma2,
     # Gamma and Delta blocks by exactly 4, 2 and 2 (powers of two round alike,
     # short of overflow and subnormals): its report reads the probe's blocks scaled
-    for _, g2, gamma_diag, ell in (group for chunk in blocks for group in chunk):
-        g2 *= 4.0
+    for _, q1, d, gamma_diag, ell in (group for chunk in blocks for group in chunk):
+        q1 *= 4.0
+        d *= 4.0
         gamma_diag *= 2.0
         ell *= 2.0
     chosen = 2.0 * hi

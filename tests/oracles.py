@@ -245,11 +245,12 @@ def ball_form_value(ball, q, f):
 
 
 def gamma2_forms_dense(g, balls, k):
-    """_gamma2_forms as one dense assembly: W on the whole 2-ball, P and Q as (B, s, s) stacks.
+    """The full Gamma2 forms as one dense assembly: W on the whole 2-ball, P and Q as (B, s, s) stacks.
 
     Each row of balls lists a centre, its k - 1 neighbours, then S2. With c =
     Delta[i, :] / (2m), 2Q = diag(c deg + W c) - P - P^T, P = diag(c) W + G Delta,
-    P zero off the 1-ball rows. Returns Q, the diagonal of the Gamma stack G and the rows Delta[i, B1].
+    P zero off the 1-ball rows. Returns Q, the diagonal of the Gamma stack G and the rows Delta[i, B1]:
+    the reference for _gamma2_blocks and the one-centre form _gamma2_matrix.
     """
     w = g.weights[balls[:, :, None], balls[:, None, :]]
     deg, mu = g.weight_sums[balls[:, :k]], g.measures[balls[:, :k]]

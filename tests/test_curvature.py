@@ -27,7 +27,7 @@ import steklov._lapack
 import steklov.curvature
 from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks
 from steklov.graphs import INF, MULTIPLICITY_TOL
-from steklov.operators import _gamma2_blocks, _gamma2_forms, _gamma2_matrix
+from steklov.operators import _gamma2_blocks, _gamma2_matrix
 
 from oracles import (
     cd_form_exact,
@@ -543,23 +543,24 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
 
 def test_a_padded_stack_needs_no_mask_in_the_assembly():
     # a pad repeats the centre, which has no self-weight, so the assembly of a
-    # padded row gives the ball's own Gamma2 form, Gamma diagonal and Delta row
-    # on its real entries; the curvature function only zeroes the pad rows and
-    # columns afterwards
+    # padded row gives the ball's own Gamma2 blocks, Gamma diagonal and Delta
+    # row on its real entries; the curvature function only zeroes the pad
+    # rows and columns afterwards
     padded = 0
     for g in (*atlas_graphs(6), unit_grid(6), unit_grid(12)):
         for k, _, balls, real, parts in _padded_stacks(g._shape_groups(range(g.num_vertices))):
             if real is None:
                 continue
-            q, gam, row = _gamma2_forms(g, balls, k + 1)
+            q1, d, gam, row = _gamma2_blocks(g, balls, k + 1)
             at = 0
             for part in parts:
                 k1 = int(real[at, 1:k + 1].sum())
-                eq, egam, erow = _gamma2_forms(g, part, k1 + 1)
+                eq, egam, erow = gamma2_forms_dense(g, part, k1 + 1)
                 for j in range(len(part)):
                     own = np.flatnonzero(real[at + j])
-                    ball1 = own[:k1 + 1]
-                    assert q[at + j][np.ix_(own, own)].tobytes() == eq[j].tobytes()
+                    ball1, s2 = own[:k1 + 1], own[k1 + 1:]
+                    assert q1[at + j][np.ix_(ball1, own)].tobytes() == eq[j][:k1 + 1].tobytes()
+                    assert d[at + j][s2 - (k + 1)].tobytes() == np.diagonal(eq[j])[k1 + 1:].tobytes()
                     assert gam[at + j][ball1].tobytes() == egam[j].tobytes()
                     assert row[at + j][ball1].tobytes() == erow[j].tobytes()
                 at += len(part)
@@ -596,23 +597,31 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_blocks_are_dense_bitwise(g, balls, k):
+    """Check _gamma2_blocks over balls byte for byte against the dense assembly; return the dense forms."""
+    q1, d, gam, row = _gamma2_blocks(g, balls, k)
+    q, want_gam, want_row = gamma2_forms_dense(g, balls, k)
+    assert same_bits(q1, q[:, :k]) and same_bits(d, np.diagonal(q, axis1=1, axis2=2)[:, k:])
+    assert same_bits(gam, want_gam) and same_bits(row, want_row)
+    return q
+
+
 def test_the_block_assembly_is_the_dense_assembly_bitwise():
-    # the placed blocks are, byte for byte, the dense (B, s, s) assembly's
-    # forms (the S2 entries off the diagonal are -0.0), Gamma diagonals and
-    # Delta rows, in every exact shape group; so are the blocks the
-    # curvature function reads from a padded stack. The widely weighted
-    # graphs are where another gather of W[ball, B1] moves the last bit
+    # the blocks are, byte for byte, the dense (B, s, s) assembly's B1 rows,
+    # S2 diagonal, Gamma diagonals and Delta rows, in every exact shape group
+    # and in every padded stack the curvature function reads; the one-centre
+    # form places them into the dense form itself, the S2 entries off the
+    # diagonal -0.0 included. The widely weighted graphs are where another
+    # gather of W[ball, B1] moves the last bit
     groups = stacks = 0
     for g in guard_graphs():
         for (k, _), balls in g._shape_groups(range(g.num_vertices)).items():
-            for got, want in zip(_gamma2_forms(g, balls, k + 1), gamma2_forms_dense(g, balls, k + 1), strict=True):
-                assert same_bits(got, want)
+            q = assert_blocks_are_dense_bitwise(g, balls, k + 1)
+            ball, form = _gamma2_matrix(g, balls[0, 0])
+            assert same_bits(ball, balls[0]) and same_bits(form, q[0])
             groups += 1
         for k, _, balls, _, _ in _padded_stacks(g._shape_groups(range(g.num_vertices))):
-            q1, d, gam, row = _gamma2_blocks(g, balls, k + 1)
-            q, want_gam, want_row = gamma2_forms_dense(g, balls, k + 1)
-            assert same_bits(q1, q[:, :k + 1]) and same_bits(d, np.diagonal(q, axis1=1, axis2=2)[:, k + 1:])
-            assert same_bits(gam, want_gam) and same_bits(row, want_row)
+            assert_blocks_are_dense_bitwise(g, balls, k + 1)
             stacks += 1
     assert groups > 700 and stacks >= 190
 

@@ -16,7 +16,7 @@ from steklov import (
 from steklov.errors import DomainMismatch
 from steklov.graphs import GREEN_TOL, WeightedGraph, attach_boundary
 from steklov.operators import (
-    _gamma2_forms,
+    _gamma2_blocks,
     _gamma2_matrix,
     _gamma_matrix,
     _green_terms,
@@ -227,7 +227,7 @@ def test_gamma2_form_locality():
 def test_laplacian_square_form(p3):
     # (Delta f)(x)^2 is r r^T for the row r = Delta[x, B1] the Gamma2 assembly returns
     ball = p3.ball_indices(1, 2)
-    _, _, rows = _gamma2_forms(p3, ball[None], 3)
+    *_, rows = _gamma2_blocks(p3, ball[None], 3)
     ball1, form = ball[:3], np.outer(rows[0], rows[0])
     assert ball_form_value(ball1, form, const(p3.vertices, 3.0)) == pytest.approx(0.0, abs=1e-18)
     assert ball_form_value(ball1, form, vf(p3, 0, 1, 0)) == pytest.approx(4.0, rel=1e-12)
@@ -245,7 +245,7 @@ def test_gamma2_forms_return_their_gamma_diagonal_and_delta_rows():
         f = random_function(rng, g.vertices)
         lap = laplacian(g, f)
         for (k, _), balls in g._shape_groups(range(g.num_vertices)).items():
-            _, gam, rows = _gamma2_forms(g, balls, k + 1)
+            _, _, gam, rows = _gamma2_blocks(g, balls, k + 1)
             for ball, diagonal in zip(balls, gam):
                 form = np.diag(diagonal)
                 form[0, 1:] = form[1:, 0] = -diagonal[1:]

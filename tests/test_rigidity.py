@@ -448,12 +448,12 @@ def test_interior_inequality_assembles_once_per_shape_group_and_chunk(monkeypatc
     calls = chunked(monkeypatch, 12, 4)
     for module in (steklov.operators, steklov.curvature, steklov.rigidity):
         count_calls(monkeypatch, calls, module, "_gamma2_matrix")
-    count_calls(monkeypatch, calls, steklov.rigidity, "_gamma2_forms")
+    count_calls(monkeypatch, calls, steklov.rigidity, "_gamma2_blocks")
     check_interior_inequality(bg, K, n)
     ig = induced_interior_graph(bg)
     groups = sum(len(ig._shape_groups(range(start, start + 4))) for start in (0, 4, 8))
     assert groups > 3  # some chunk holds several 2-ball shapes
-    assert calls == Counter(_interior_forms=3, _gamma2_forms=groups)
+    assert calls == Counter(_interior_forms=3, _gamma2_blocks=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -900,14 +900,14 @@ def test_construction_assembles_gamma2_once_per_probe(monkeypatch):
     # one 2-ball shape in one chunk), and the returned report reads the
     # threshold probe's blocks scaled, with no assembly of its own
     calls = Counter()
-    count_calls(monkeypatch, calls, steklov.rigidity, "_gamma2_forms")
+    count_calls(monkeypatch, calls, steklov.rigidity, "_gamma2_blocks")
     count_calls(monkeypatch, calls, steklov.rigidity, "_interior_inequality")
     probes = []
     for size, n, K in ((30, 10.0, 1.0), (3, 6.0, 1e4)):
         calls.clear()
         construct_rigid_family(complete_interior_graph(size), n, K, 1.0)
-        assert calls["_gamma2_forms"] == calls["_interior_inequality"] - 1
-        probes.append(calls["_gamma2_forms"])
+        assert calls["_gamma2_blocks"] == calls["_interior_inequality"] - 1
+        probes.append(calls["_gamma2_blocks"])
     assert probes[0] == 1 and probes[1] > 20  # lam = 1 passes at once; K = 1e4 doubles, then bisects
 
 

@@ -195,14 +195,16 @@ def test_the_graph_alone_groups_its_two_balls_by_shape():
 
 
 def test_one_gamma2_assembly_for_every_local_form():
-    # one stacked function assembles Gamma2 by blocks, for the pencils that
-    # the curvature function and cd_check read and, through its one
-    # placement into full forms, for condition (5) and the one-centre form;
-    # the pencils are built from the blocks, with no (B, s, s) stack.
+    # one stacked function assembles Gamma2 by blocks, which the pencils of
+    # the curvature function and cd_check and the condition-(5) forms read
+    # as they are, with no (B, s, s) stack; only the one-centre form places
+    # them into a full form, and no second placement is left in the library.
     # Condition (5) takes its blocks from one helper, which the construction's
     # probes call and its returned report does not
-    assert _calls_of("_gamma2_blocks") == [("curvature", "_pencils"), ("operators", "_gamma2_forms")]
-    assert _calls_of("_gamma2_forms") == [("operators", "_gamma2_matrix"), ("rigidity", "_interior_blocks")]
+    assert _calls_of("_gamma2_blocks") == [
+        ("curvature", "_pencils"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_blocks")]
+    assert [path.name for path in sorted((ROOT / "src" / "steklov").glob("*.py"))
+            if "_gamma2_forms" in path.read_text()] == []
     assert _calls_of("_interior_blocks") == [
         ("rigidity", "_interior_inequality"), ("rigidity", "assemble_interior_form"), ("rigidity", "probe")]
     assert _calls_of("_gamma_forms") == [("operators", "_gamma2_blocks"), ("operators", "_gamma_matrix")]
@@ -220,8 +222,7 @@ def test_pads_are_known_to_the_curvature_function_alone():
     # a pad repeats the centre, so the assembly takes no mask; the padded
     # stacks are built, zeroed on their pad rows and columns and finished by
     # the curvature function, and nothing else names the pad mask
-    for assembly in (steklov.operators._gamma2_blocks, steklov.operators._gamma2_forms):
-        assert list(inspect.signature(assembly).parameters) == ["g", "balls", "k"]
+    assert list(inspect.signature(steklov.operators._gamma2_blocks).parameters) == ["g", "balls", "k"]
     named = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id == "real")
                                  or (isinstance(node, ast.arg) and node.arg == "real"))
     assert sorted(set(named)) == [("curvature", "_curvature_stacks"), ("curvature", "_finish_stack"),
@@ -244,7 +245,7 @@ def test_one_cd_route():
     # pinned form and solves its pencils through the per-vertex verdict
     assert _calls_of("_pencils") == [("curvature", "_curvature_stacks"), ("curvature", "cd_check")]
     assert _calls_of("_lift") == [("curvature", "_finish_stack"), ("curvature", "_lift_rows")]
-    assert ("curvature", "cd_check") not in _calls_of("_gamma2_forms")
+    assert ("curvature", "cd_check") not in _calls_of("_gamma2_matrix")
     assert sorted(set(_calls_of("_vertex_checks"))) == [("curvature", "cd_check"), ("rigidity", "_interior_inequality")]
     # kappa is one eigvalsh value wherever it is read; eigh runs only for witnesses
     assert [site for site in _calls_of("eigvalsh") if site[0] == "curvature"] == [
