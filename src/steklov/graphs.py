@@ -84,15 +84,20 @@ def validate_dimension(n):
     return n
 
 
+def _as_float(value):
+    """value as a float, or NaN when it is a bool or not a real number: a bool is not a number here."""
+    try:
+        return math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def finite_number(value, name, positive=True):
     """value as a float when it is a finite real number, positive unless positive=False; InvalidParams otherwise.
 
     A bool is not a number here, as in the graph-file format.
     """
-    try:
-        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
+    x = _as_float(value)
     if not math.isfinite(x) or (positive and x <= 0.0):
         raise InvalidParams(f"{name} must be finite{' positive' if positive else ''}, got {value!r}")
     return x
@@ -100,10 +105,7 @@ def finite_number(value, name, positive=True):
 
 def _check_positive(kind, element, value):
     """value as a float when it is a finite positive real; NonPositiveValue otherwise, for a bool too."""
-    try:
-        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
+    x = _as_float(value)
     if not math.isfinite(x) or x <= 0.0:
         raise NonPositiveValue(kind, element, value)
     return x
@@ -124,10 +126,10 @@ class WeightedGraph:
 
     The public constructor checks what the builders guarantee (distinct ids,
     an N x N exactly symmetric W with a zero diagonal and finite non-negative
-    entries, finite positive measures), raising an error that names the
-    offender, and keeps read-only copies of the arrays it is given; the
-    builders in this module hand over fresh arrays without the checks or the
-    copy.
+    entries, finite positive measures, Deg(x)^2 within the float range),
+    raising an error that names the offender, and keeps read-only copies of
+    the arrays it is given; the builders in this module hand over fresh
+    arrays without the checks or the copy.
 
     What depends on the graph alone is built on first use and kept, read-only:
     the neighbour lists, the weight sums, the Laplacian, and the grouping of
@@ -145,6 +147,7 @@ class WeightedGraph:
         measures, weights = np.array(self.measures, dtype=float), np.array(self.weights, dtype=float, order="C")
         _check_arrays(vertices, measures, weights)
         self._keep(vertices, measures, weights)
+        _check_degrees(self)
 
     @classmethod
     def _adopt(cls, vertices, measures, weights):
@@ -320,8 +323,21 @@ class WeightedGraph:
         return tuple(comps)
 
     def rescaled_weights(self, lam):
-        """Same graph with every edge weight multiplied by lam > 0."""
-        return WeightedGraph._adopt(self.vertices, self.measures, finite_number(lam, "weight scale") * self.weights)
+        """Same graph with every edge weight multiplied by lam > 0; raises what build_graph raises on the scaled edges.
+
+        That is NonPositiveValue for the first edge, in edge_list order, whose
+        weight became inf or 0, and DegreeOverflow otherwise. Scaling is
+        monotone, so the largest and the least positive weight decide, and
+        the offender is looked for only when one of them fails.
+        """
+        lam, w = finite_number(lam, "weight scale"), self.weights
+        top, low = lam * float(w.max(initial=0.0)), lam * float(w.min(where=w > 0.0, initial=INF))
+        if not (top < INF and low > 0.0):  # Python floats: an overflow gives inf, not a warning
+            u, v, x = next((u, v, lam * x) for u, v, x in self.edge_list() if not 0.0 < lam * x < INF)
+            raise NonPositiveValue("weight", (u, v), x)
+        g = WeightedGraph._adopt(self.vertices, self.measures, lam * w)
+        _check_degrees(g)
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,7 +570,7 @@ def _check_degrees(g):
     """DegreeOverflow naming the first vertex whose Deg(x)^2, the Gamma2 scale, overflows a float."""
     with np.errstate(over="ignore"):
         degrees = g.weight_sums / g.measures
-        top = float(degrees.max())
+        top = float(degrees.max(initial=0.0))
         if not top * top < INF:  # squares rise with the degree, so the largest decides
             huge = np.flatnonzero(~np.isfinite(degrees * degrees))
             raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
@@ -653,10 +669,10 @@ def join_equality_boundary(interior, n, K, m):
     ids, w = interior.vertices, interior.weights
     bad = np.flatnonzero(_not_positive(interior_measures))
     if bad.size:
-        raise NonPositiveValue("measure", ids[bad[0]], interior_measures[bad[0]])
+        raise NonPositiveValue("measure", ids[bad[0]], float(interior_measures[bad[0]]))
     bad = np.flatnonzero(_not_positive(boundary_weights))
     if bad.size:
-        raise NonPositiveValue("weight", (b1, ids[bad[0]]), boundary_weights[bad[0]])
+        raise NonPositiveValue("weight", (b1, ids[bad[0]]), float(boundary_weights[bad[0]]))
     bad = np.argwhere(np.triu(_not_positive(w) & (w != 0.0)))
     if len(bad):
         i, j = bad[0]

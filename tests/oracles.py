@@ -570,11 +570,11 @@ def join_by_edge_list(interior, n, K, m):
     while b1 in taken or b2 in taken:
         b1, b2 = "b" + b1, "b" + b2
     vertex_specs = [(b1, m), (b2, m)]
-    vertex_specs += [(v, interior_measures[i]) for i, v in enumerate(interior.vertices)]
+    vertex_specs += [(v, float(interior_measures[i])) for i, v in enumerate(interior.vertices)]
     edge_specs = []
     for i, v in enumerate(interior.vertices):
-        edge_specs.append((b1, v, boundary_weights[i]))
-        edge_specs.append((b2, v, boundary_weights[i]))
+        edge_specs.append((b1, v, float(boundary_weights[i])))
+        edge_specs.append((b2, v, float(boundary_weights[i])))
     edge_specs += interior.edge_list()
     return attach_boundary(build_graph(vertex_specs, edge_specs), {b1, b2})
 

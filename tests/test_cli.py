@@ -473,6 +473,20 @@ def test_cd_check_with_a_non_finite_k_is_an_input_error(capture, c4_file):
         assert json.loads(out)["error"]["type"] == "InvalidParams"
 
 
+def test_a_join_weight_out_of_range_is_named_as_a_graph_file_names_it(capture, tmp_path):
+    # the join's error carried a numpy scalar and read "got np.float64(inf)"
+    path = tmp_path / "inf.json"
+    path.write_text('{"vertices": [{"id": "1", "m": 1}, {"id": "x1", "m": 1}], '
+                    '"edges": [{"u": "1", "v": "x1", "w": 1e400}], "boundary": ["1"]}')
+    want = {"type": "NonPositiveValue", "message": "weight of ('1', 'x1') must be a finite positive number, got inf"}
+    code, out, _ = capture("spectrum", "--graph", str(path))
+    assert code == 2 and json.loads(out)["error"] == want
+    code, out, _ = capture("generate", "--family", "complete_interior", "--interior-size", "2", "--n", "10",
+                           "--K", "1e308", "--m", "1e10", "--out", str(tmp_path / "x.json"))
+    assert code == 2 and json.loads(out)["error"] == want
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_a_k_whose_degree_target_overflows_is_an_input_error(capture, tmp_path):
     # it used to report weighted_path3 matched at K = 1e308, and rigidity
     # crashed with LinAlgError and exit 1 after passing conditions (3)-(4)

@@ -116,11 +116,13 @@ def test_mutating_the_callers_arrays_leaves_the_graph_unchanged(kind):
     (("a", "b"), [1, 1, 1], [[0, 1], [1, 0]], InvalidParams, "shapes (3,) and (2, 2)"),
     (("a", "b"), [1, 1], [[0, 1, 0], [1, 0, 0]], InvalidParams, "shapes (2,) and (2, 3)"),
     (("a", "b", "a"), [1, 1, 1], np.zeros((3, 3)), DuplicateVertex, "'a'"),
+    (("a", "b", "c"), [1, 1, 1], [[0, 1e200, 0], [1e200, 0, 1], [0, 1, 0]], DegreeOverflow, "Deg('a') = 1e+200"),
 ])
 def test_the_public_constructor_rejects_what_no_builder_gives(ids, measures, weights, error, named):
     # the curvature, the Laplacian and the spectra assume what the builders
     # guarantee; an asymmetric W gave a curvature_profile minimum of -0.0292
-    # at 'c' for the first case, and a negative weight Laplacian eigenvalue -2
+    # at 'c' for the first case, and a negative weight Laplacian eigenvalue -2;
+    # the last case gave kappa -5.0e199 with kernel_ok true under raw warnings
     with pytest.raises(error) as e:
         WeightedGraph(ids, measures, weights)
     assert named in str(e.value)
@@ -130,6 +132,38 @@ def test_the_public_constructor_accepts_zero_weights_and_an_isolated_vertex():
     # a zero weight is a missing edge; connectivity is build_graph's check, not the constructor's
     g = WeightedGraph(("a", "b", "c"), np.ones(3), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     assert g.components() == (("a", "b"), ("c",))
+    assert WeightedGraph((), [], np.zeros((0, 0))).num_vertices == 0  # no vertex, so no degree to check
+
+
+def path_graph(*weights):
+    """The path a - b - c - ... with unit measures and the given edge weights in order."""
+    ids = "abcdefgh"[:len(weights) + 1]
+    return build_graph([(v, 1.0) for v in ids], [(ids[i], ids[i + 1], w) for i, w in enumerate(weights)])
+
+
+@pytest.mark.parametrize("g, lam, error", [
+    (make_example("unit_square").graph, 1e200, DegreeOverflow),  # Deg^2 overflows
+    (make_example("unit_square").graph.rescaled_weights(1e150), 1e150, DegreeOverflow),  # a second scaling
+    (path_graph(1.0, 1e10), 1e300, NonPositiveValue),  # (b, c) becomes inf
+    (path_graph(1e-10, 1.0), 1e-320, NonPositiveValue),  # (a, b) underflows to 0
+    (build_graph([(v, 1.0) for v in "abc"], [("a", "b", 1.0), ("a", "c", 1e-10), ("b", "c", 1e-10)]), 1e-320,
+     NonPositiveValue),  # the first of two edges that underflow, in edge_list order
+    (path_graph(1.0, 1e-300), 1e-20, None),  # subnormal, still positive
+], ids=["degree", "degree-twice", "inf", "zero", "first-zero", "subnormal"])
+def test_rescaled_weights_raise_what_build_graph_raises_on_the_scaled_edges(g, lam, error):
+    # scaling to inf gave inf weights under an overflow warning and a LinAlgError
+    # later, scaling into Deg^2 overflow raised nothing, and a weight scaled to 0
+    # dropped its edge without a word
+    vertex_specs = [(v, g.measure(v)) for v in g.vertices]
+    edge_specs = [(u, v, lam * w) for u, v, w in g.edge_list()]  # Python floats: no warning
+    if error is None:
+        assert g.rescaled_weights(lam).weights.tobytes() == build_graph(vertex_specs, edge_specs).weights.tobytes()
+        return
+    with pytest.raises(error) as got:
+        g.rescaled_weights(lam)
+    with pytest.raises(error) as want:
+        build_graph(vertex_specs, edge_specs)
+    assert str(got.value) == str(want.value) and repr(vars(got.value)) == repr(vars(want.value))
 
 
 @pytest.mark.parametrize("boundary, interior, error, named", [
@@ -425,8 +459,11 @@ def test_the_array_join_equals_the_edge_list_join():
     (1.0, 1e300, 1.0, 10.0, 1.0, 1e-300),  # interior measures underflow to 0
 ])
 def test_a_hostile_join_raises_what_the_edge_list_join_raises(weight, measure, lam, n, K, m):
+    # the interior is scaled past what rescaled_weights accepts through _adopt,
+    # so that the join meets inf weights and overflowing degrees itself
+    base = complete_graph(3, weight, measure)
     with np.errstate(over="ignore", under="ignore"):
-        interior = complete_graph(3, weight, measure).rescaled_weights(lam)
+        interior = WeightedGraph._adopt(base.vertices, base.measures, lam * base.weights)
         with pytest.raises((NonPositiveValue, DegreeOverflow)) as got:
             join_equality_boundary(interior, n, K, m)
         with pytest.raises((NonPositiveValue, DegreeOverflow)) as want:

@@ -158,13 +158,15 @@ def _calls_of(name):
 
 def test_one_parameter_check_and_one_per_vertex_verdict():
     # a parameter is judged finite (and positive) by graphs.finite_number, and a
-    # graph file's measures and weights by graphs._check_positive; per-vertex
-    # PSD verdicts, for CD(K, n) and condition (5) alike, come from one builder
+    # graph file's measures and weights by graphs._check_positive, both on one
+    # coercion to float; per-vertex PSD verdicts, for CD(K, n) and condition (5)
+    # alike, come from one builder
     isfinite = _enclosing_functions(lambda node: (
         isinstance(node, ast.Attribute) and node.attr == "isfinite"
         and isinstance(node.value, ast.Name) and node.value.id == "math")
         or (isinstance(node, ast.Name) and node.id == "isfinite"))
     assert sorted(set(isfinite)) == [("graphs", "_check_positive"), ("graphs", "finite_number")]
+    assert _calls_of("_as_float") == [("graphs", "_check_positive"), ("graphs", "finite_number")]
     assert _calls_of("_psd_verdict") == [("curvature", "_vertex_checks")]
 
 
