@@ -327,12 +327,14 @@ class WeightedGraph:
 
         That is NonPositiveValue for the first edge, in edge_list order, whose
         weight became inf or 0, and DegreeOverflow otherwise. Scaling is
-        monotone, so the largest and the least positive weight decide, and
-        the offender is looked for only when one of them fails.
+        monotone: a scale above 1 can only take the largest weight to inf, one
+        below 1 only the least positive weight to 0, and the offender is looked
+        for only then. The products are Python floats, which overflow without
+        a warning.
         """
         lam, w = finite_number(lam, "weight scale"), self.weights
-        top, low = lam * float(w.max(initial=0.0)), lam * float(w.min(where=w > 0.0, initial=INF))
-        if not (top < INF and low > 0.0):  # Python floats: an overflow gives inf, not a warning
+        if (lam > 1.0 and lam * float(w.max(initial=0.0)) == INF
+                or lam < 1.0 and lam * float(w.min(where=w > 0.0, initial=INF)) == 0.0):
             u, v, x = next((u, v, lam * x) for u, v, x in self.edge_list() if not 0.0 < lam * x < INF)
             raise NonPositiveValue("weight", (u, v), x)
         g = WeightedGraph._adopt(self.vertices, self.measures, lam * w)

@@ -295,12 +295,13 @@ def _interior_forms(ig, K, n, m, centres, blocks):
     work, e, scales = np.empty_like(q), np.zeros((b, nv)), np.empty(b)
     for balls, q1, d, gamma_diag, ell in blocks:
         at, (size, k1, s) = balls[:, 0] - centres[0], q1.shape
-        scales[at] = np.maximum(np.abs(q1, out=work[:size, :k1, :s]).max(axis=(1, 2)),
-                                np.abs(d).max(axis=1, initial=a3 * mu.max()))
+        scales[at] = np.maximum(np.abs(q1, out=work[:size, :k1, :s]).max(axis=(1, 2)), a3 * mu.max())
         acc = base[balls[:, :, None], balls[:, None, :]]
         acc[:, :k1] += q1
-        acc[:, k1:, :k1] += q1[:, :, k1:].transpose(0, 2, 1)
-        _diagonal(acc)[:, k1:] += d
+        if d.shape[1]:
+            scales[at] = np.maximum(scales[at], np.abs(d).max(axis=1))
+            acc[:, k1:, :k1] += q1[:, :, k1:].transpose(0, 2, 1)
+            _diagonal(acc)[:, k1:] += d
         term = np.multiply(ell[:, :, None], ell[:, None, :], out=work[:size, :k1, :k1])
         term *= a1
         rim = a2 * np.concatenate([gamma_diag[:, :1], -gamma_diag[:, 1:]], axis=1) - term[:, 0]
