@@ -20,14 +20,15 @@ to K <= lambda_min(D^{-1/2} S(n) D^{-1/2}), with
 a rank-one update in n of one form per vertex. That lambda_min is the
 curvature function kappa(x, n) returned here.
 
-kappa(x, .) depends on the 2-ball around x alone. Centres are grouped by
-2-ball shape (WeightedGraph._shape_groups) into padded stacks
-(_padded_stacks), whose pinned forms are assembled as blocks A11, A12 and d
-(operators._gamma2_blocks), never as a (B, s, s) stack, and turned into
-(B, |n|, k, k) pencils (_pencils) whose lowest eigenvalues, one stacked
-eigvalsh for every n, are the kappas. The pencils are kept, and one stacked
-eigh of them gives the witnesses, with ball ids and quotients, only when the
-results are read.
+kappa(x, .) depends on the 2-ball around x alone. The graph groups centres
+by 2-ball shape and lays the groups out in padded stacks
+(WeightedGraph._ball_stacks), once per graph for all centres; this module
+makes every numeric use of the pads. Each stack's pinned forms are assembled
+as blocks A11, A12 and d (operators._gamma2_blocks), never as a (B, s, s)
+stack, and turned into (B, |n|, k, k) pencils (_pencils) whose lowest
+eigenvalues, one stacked eigvalsh for every n, are the kappas. The pencils
+are kept, and one stacked eigh of them gives the witnesses, with ball ids and
+quotients, only when the results are read.
 
 By the Schur step, CD(K, n) holds at x exactly when kappa(x, n) >= K, so
 cd_check reads the same pencils over exact shape groups (pads would change
@@ -60,51 +61,9 @@ from .operators import _gamma2_matrix  # noqa: F401 -- unused; perfbench traces 
 from .spectra import _sign_fix, laplacian_spectrum, steklov_spectrum
 
 
-PAD_ENTRIES = 2 ** 12  # most pad entries one merge may add to a curvature stack, about one stack's fixed cost
-
-
 def _ball_ids(g, balls):
     """The rows of a (B, s) ball array as tuples of vertex ids, in one gather."""
     return list(map(tuple, g._id_array[balls].tolist()))
-
-
-def _padded_stacks(groups):
-    """The shape groups merged, by ball size, into stacks of one padded shape.
-
-    Yields (k, t, balls, real, parts): k and t the largest |S1| and |S2| in
-    the stack, balls its (B, 1 + k + t) rows, each the centre, S1, pad, S2,
-    pad with every pad entry repeating the centre, real the mask of the
-    entries that are not pads (None for a stack of one shape, which has no
-    pads), and parts the merged groups' own arrays, in the order of the rows.
-    A group joins the open stack while the padding this adds, to the stack's
-    rows and to its own, is at most PAD_ENTRIES: a merge then costs no more
-    arithmetic than about the fixed numpy cost of the stack it saves, and one
-    large 2-ball cannot blow up a stack of many small ones.
-    """
-    stacks = []  # [k, t, rows, shapes]
-    for k, t in sorted(groups, key=lambda shape: (sum(shape), shape)):
-        b = len(groups[k, t])
-        if stacks:
-            k0, t0, rows, shapes = stacks[-1]
-            old, new = 1 + k0 + t0, 1 + max(k0, k) + max(t0, t)
-            if rows * (new ** 2 - old ** 2) + b * (new ** 2 - (1 + k + t) ** 2) <= PAD_ENTRIES:
-                stacks[-1] = [max(k0, k), max(t0, t), rows + b, shapes + [(k, t)]]
-                continue
-        stacks.append([k, t, b, [(k, t)]])
-    for k, t, _, shapes in stacks:
-        parts = [groups[shape] for shape in shapes]
-        if len(parts) == 1:
-            yield k, t, parts[0], None, parts
-            continue
-        balls = np.repeat(np.concatenate([part[:, :1] for part in parts]), 1 + k + t, axis=1)
-        at = 0
-        for (k1, t1), part in zip(shapes, parts):
-            rows = slice(at, at + len(part))
-            balls[rows, :1 + k1], balls[rows, 1 + k:1 + k + t1] = part[:, :1 + k1], part[:, 1 + k1:]
-            at += len(part)
-        real = balls != balls[:, :1]  # a ball lists distinct vertices, so only the pads repeat the centre
-        real[:, 0] = True
-        yield k, t, balls, real, parts
 
 
 def _psd_rule(evals, tol):
@@ -187,9 +146,9 @@ def cd_check(g, K, n, x=None):
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
     for (k, _), balls in g._shape_groups(centres).items():
-        (_, a12, _, _, _, d_plus, d_isqrt), pencils = _pencils(g, balls, k, None, np.array([n]))
+        (_, a12, _, _, _, d_plus, d_isqrt), pencils = _pencils(g, balls, k, None, None, np.array([n]))
         at = balls[:, 0]
-        tau = MULTIPLICITY_TOL * g.weight_sums[at] / g.measures[at]
+        tau = MULTIPLICITY_TOL * g._degrees[at]
         checks.update(zip(at.tolist(), _vertex_checks(
             pencils[:, 0], lambda norm, tau=tau: tau, [g.vertices[i] for i in at.tolist()],
             lambda j, balls=balls: _ball_ids(g, balls[j:j + 1])[0], partial(_lift_rows, a12, d_plus, d_isqrt), K)))
@@ -223,23 +182,22 @@ class CurvatureResult:
         return VertexFunction(self.ball, self.witness_values)
 
 
-def _pencils(g, balls, k, real, n_arr):
+def _pencils(g, balls, k, pad, fill, n_arr):
     """The pinned forms over a stack of 2-balls as their blocks, and their (B, |n|, k, k) pencils.
 
     Returns (a11, a12, d, r, gamma_diag, d_plus, d_isqrt) and the pencils
-    D^{-1/2} S(n) D^{-1/2}, one per n; real is _padded_stacks' pad mask, or
-    None. A pad repeats the centre, adding only zero terms to real entries,
-    and its rows and columns are zeroed after assembly. A pad in S2 has
-    d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal above its
-    own ball's Gershgorin bound. Real pivots and Gamma diagonals are
-    positive, unlike pads; a pivot out of the float range makes NaN or
-    infinite entries with no numpy warning (kernel_ok reports it).
+    D^{-1/2} S(n) D^{-1/2}, one per n; pad and fill are the stack's
+    _PaddedStack fields, or None. A pad repeats the centre, adding only zero
+    terms to real entries, and its rows and columns are zeroed after
+    assembly. A pad in S2 has d+ = 0; a pad in S1 has d^{-1/2} = 0 and a
+    pencil diagonal above its own ball's Gershgorin bound. Real pivots and
+    Gamma diagonals are positive, unlike pads; a pivot out of the float range
+    makes NaN or infinite entries with no numpy warning (kernel_ok reports it).
     """
     q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
     a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
-    if real is not None:
-        pads = ~real[:, 1:]
-        a[pads[:, :k]] = a.transpose(0, 2, 1)[pads] = d[pads[:, k:]] = 0.0
+    if pad is not None:
+        a[pad[:, 1:k + 1]] = a.transpose(0, 2, 1)[pad[:, 1:]] = d[pad[:, k + 1:]] = 0.0
     a11, a12 = a[:, :, :k], a[:, :, k:]
     with np.errstate(over="ignore", invalid="ignore"):
         d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
@@ -250,8 +208,8 @@ def _pencils(g, balls, k, real, n_arr):
         schur *= d_isqrt[:, None, None, :]
         pencils = schur + schur.swapaxes(2, 3)
         pencils /= 2.0
-    if real is not None and pads[:, :k].any():
-        at, s1 = np.nonzero(pads[:, :k])
+    if fill is not None:
+        at, s1 = fill
         pencils[at, :, s1, s1] = 2.0 * k * np.abs(pencils[at]).max(axis=(1, 2, 3))[:, None] + 1.0
     return (a11, a12, d, r, gamma_diag, d_plus, d_isqrt), pencils
 
@@ -277,23 +235,24 @@ def _curvature_stacks(g, centres, n_values):
     that every real S2 pivot was inverted to a finite positive number (0 < d+ < inf);
     finish() is _finish_stack on what the stack keeps, the pencils among it.
     """
-    groups = g._shape_groups(centres)
-    if (0, 0) in groups:
-        raise IsolatedVertex(g.vertices[groups[0, 0][0, 0]])
+    laid = g._ball_stacks(centres)
+    lone = laid[0].parts[0]  # the 2-balls of one vertex, when there are any, come first
+    if lone.shape[1] == 1:
+        raise IsolatedVertex(g.vertices[lone[0, 0]])
     n_arr = np.array(n_values)
     stacks = []
-    for k, t, balls, real, parts in _padded_stacks(groups):
-        blocks, pencils = _pencils(g, balls, k, real, n_arr)
+    for k, _, balls, pad, fill, parts in laid:
+        blocks, pencils = _pencils(g, balls, k, pad, fill, n_arr)
         low = _lapack.eigvalsh(pencils)[..., 0]
         d_plus = blocks[5]
         inverted = (d_plus > 0.0) & (d_plus < np.inf)
-        kernel_ok = (inverted if real is None else inverted | ~real[:, k + 1:]).all(axis=1)
-        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, kernel_ok, real, parts, pencils, *blocks)
+        kernel_ok = (inverted if pad is None else inverted | pad[:, k + 1:]).all(axis=1)
+        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, kernel_ok, pad, parts, pencils, *blocks)
         stacks.append((balls[:, 0], low, kernel_ok, finish))
     return stacks
 
 
-def _finish_stack(g, n_values, centres, kappas, kernel_ok, real, parts, pencils, a11, a12, d, r, gamma_diag, d_plus,
+def _finish_stack(g, n_values, centres, kappas, kernel_ok, pad, parts, pencils, a11, a12, d, r, gamma_diag, d_plus,
                   d_isqrt):
     """{centre: [CurvatureResult for each n in n_values]} for a stack, from its eager part.
 
@@ -317,12 +276,12 @@ def _finish_stack(g, n_values, centres, kappas, kernel_ok, real, parts, pencils,
                      / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
     vecs = _sign_fix(np.concatenate([f1, f2], axis=2))
     witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
-    if real is not None:  # each ball's own coordinates first (no row moves without an S1 pad)
-        moved = np.flatnonzero(~real[:, k])
-        order = np.argsort(~real[moved], axis=1, kind="stable")
+    if pad is not None:  # each ball's own coordinates first (no row moves without an S1 pad)
+        moved = np.flatnonzero(pad[:, k])
+        order = np.argsort(pad[moved], axis=1, kind="stable")
         witnesses[moved] = witnesses[moved[:, None, None], np.arange(len(n_arr))[:, None], order[:, None]]
     witnesses.setflags(write=False)
-    if real is not None:
+    if pad is not None:
         witnesses = [rows[:, :len(ball)] for rows, ball in zip(witnesses, ids)]
     return {i: [CurvatureResult(ball[0], n, kappa, ok, quot, ball, row)
                 for n, kappa, quot, row in zip(n_values, kaps, quots, rows)]
@@ -389,7 +348,7 @@ def curvature_profile(g, n_grid):
         kappas[centres] = low
     kappas.setflags(write=False)
     low = np.fmin.reduce(kappas, axis=0)
-    first = np.argmax(kappas <= low + MULTIPLICITY_TOL * (g.weight_sums / g.measures).max(), axis=0)
+    first = np.argmax(kappas <= low + MULTIPLICITY_TOL * g._degrees.max(), axis=0)
     global_min = {n: (kappa, g.vertices[i]) for n, kappa, i in zip(n_values, low.tolist(), first.tolist())}
     return CurvatureProfile(n_values, global_min, g.vertices, kappas, stacks)
 

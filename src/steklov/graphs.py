@@ -16,6 +16,7 @@ deterministic.
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -55,6 +56,8 @@ MULTIPLICITY_TOL = 1e-8  # relative to max |eigenvalue| (ties), max(deg/m) (glob
 GREEN_TOL = 1e-10  # Green's identity residual relative to the sum of its three terms' magnitudes
 ZERO_TOL = 1e-12  # the sign fix's leading entry: the first above this fraction of the row's largest
 SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops
+
+PAD_ENTRIES = 2 ** 12  # most pad entries one merge may add to a curvature stack, about one stack's fixed cost
 
 
 def is_infinite(n):
@@ -111,6 +114,62 @@ def _check_positive(kind, element, value):
     return x
 
 
+class _PaddedStack(namedtuple("_PaddedStack", "k t balls pad fill parts")):
+    """One padded stack of 2-balls, laid out from the graph's structure alone; each array in it is read-only.
+
+    k and t are the largest |S1| and |S2| in the stack, balls its
+    (B, 1 + k + t) rows, each the centre, S1, pad, S2, pad, with every pad
+    entry repeating the centre. pad is the (B, 1 + k + t) mask of the pad
+    entries, None for a stack of one shape, which has no pads; fill holds the
+    (rows, S1 slots) of the S1 pads, None when there are none; parts are the
+    merged groups' own arrays, in the order of the rows.
+    """
+
+    __slots__ = ()
+
+
+def _padded_stacks(groups):
+    """The shape groups merged, by ball size, into a tuple of _PaddedStacks, each of one padded shape.
+
+    A group joins the open stack while the padding this adds, to the stack's
+    rows and to its own, is at most PAD_ENTRIES: a merge then costs no more
+    arithmetic than about the fixed numpy cost of the stack it saves, and one
+    large 2-ball cannot blow up a stack of many small ones. Groups sort by
+    (|S1| + |S2|, |S1|, |S2|), so the 2-balls of one vertex come first.
+    """
+    stacks = []  # [k, t, rows, shapes]
+    for k, t in sorted(groups, key=lambda shape: (sum(shape), shape)):
+        b = len(groups[k, t])
+        if stacks:
+            k0, t0, rows, shapes = stacks[-1]
+            old, new = 1 + k0 + t0, 1 + max(k0, k) + max(t0, t)
+            if rows * (new ** 2 - old ** 2) + b * (new ** 2 - (1 + k + t) ** 2) <= PAD_ENTRIES:
+                stacks[-1] = [max(k0, k), max(t0, t), rows + b, shapes + [(k, t)]]
+                continue
+        stacks.append([k, t, b, [(k, t)]])
+    laid = []
+    for k, t, _, shapes in stacks:
+        parts = tuple(groups[shape] for shape in shapes)
+        for part in parts:
+            part.setflags(write=False)
+        if len(parts) == 1:
+            laid.append(_PaddedStack(k, t, parts[0], None, None, parts))
+            continue
+        balls = np.repeat(np.concatenate([part[:, :1] for part in parts]), 1 + k + t, axis=1)
+        at = 0
+        for (k1, t1), part in zip(shapes, parts):
+            rows = slice(at, at + len(part))
+            balls[rows, :1 + k1], balls[rows, 1 + k:1 + k + t1] = part[:, :1 + k1], part[:, 1 + k1:]
+            at += len(part)
+        pad = balls == balls[:, :1]  # a ball lists distinct vertices, so only the pads repeat the centre
+        pad[:, 0] = False
+        fill = np.nonzero(pad[:, 1:k + 1]) if pad[:, k].any() else None  # S1 pads sit at the end of S1
+        for array in (balls, pad, *(fill or ())):
+            array.setflags(write=False)
+        laid.append(_PaddedStack(k, t, balls, pad, fill, parts))
+    return tuple(laid)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Immutable weighted graph.
@@ -132,9 +191,13 @@ class WeightedGraph:
     arrays without the checks or the copy.
 
     What depends on the graph alone is built on first use and kept, read-only:
-    the neighbour lists, the weight sums, the Laplacian, and the grouping of
-    all vertices by 2-ball shape that the curvature function, cd_check and
-    condition (5) read. This module is the one that walks 2-balls.
+    the neighbour lists, the weight sums and degrees, the Laplacian, the
+    grouping of all vertices by 2-ball shape that the curvature function,
+    cd_check and condition (5) read, and the curvature function's layout of
+    those groups in padded stacks (integer and boolean arrays alone). This
+    module is the one that walks 2-balls and lays them out. rescaled_weights
+    keeps the edge set, so it hands the structural objects already built to
+    the scaled graph.
     """
 
     vertices: tuple
@@ -216,6 +279,18 @@ class WeightedGraph:
         sums.setflags(write=False)
         return sums
 
+    @cached_property
+    def _degrees(self):
+        """Deg(x) = sum_y w_xy / m_x for every vertex x, built once per graph, read-only.
+
+        A degree past the float range is inf, with no numpy warning: the
+        constructor's check reads it to name the vertex.
+        """
+        with np.errstate(over="ignore"):
+            degrees = self.weight_sums / self.measures
+        degrees.setflags(write=False)
+        return degrees
+
     def neighbor_indices(self, i):
         return self._adjacency[i]
 
@@ -257,6 +332,17 @@ class WeightedGraph:
         for balls in groups.values():
             balls.setflags(write=False)
         return MappingProxyType(groups)
+
+    def _ball_stacks(self, centres):
+        """_padded_stacks of the given centres' shape groups; as in _shape_groups, all centres read a kept layout."""
+        if centres == range(self.num_vertices):
+            return self._two_ball_stacks
+        return _padded_stacks(self._walk_shape_groups(centres))
+
+    @cached_property
+    def _two_ball_stacks(self):
+        """_padded_stacks of every centre's shape group, laid out once per graph from the kept groups."""
+        return _padded_stacks(self._two_ball_groups)
 
     def edge_list(self):
         """Edges as (u, v, w) with u before v in vertex order."""
@@ -330,15 +416,23 @@ class WeightedGraph:
         monotone: a scale above 1 can only take the largest weight to inf, one
         below 1 only the least positive weight to 0, and the offender is looked
         for only then. The products are Python floats, which overflow without
-        a warning.
+        a warning. A scale of 1 gives the graph itself. The scaled graph has
+        this graph's edges, so it takes over the neighbour lists, the id array,
+        the shape groups and their padded stacks wherever this graph has built
+        them.
         """
         lam, w = finite_number(lam, "weight scale"), self.weights
+        if lam == 1.0:
+            return self
         if (lam > 1.0 and lam * float(w.max(initial=0.0)) == INF
                 or lam < 1.0 and lam * float(w.min(where=w > 0.0, initial=INF)) == 0.0):
             u, v, x = next((u, v, lam * x) for u, v, x in self.edge_list() if not 0.0 < lam * x < INF)
             raise NonPositiveValue("weight", (u, v), x)
         g = WeightedGraph._adopt(self.vertices, self.measures, lam * w)
         _check_degrees(g)
+        built = vars(self)
+        vars(g).update((name, built[name]) for name in ("_adjacency", "_id_array", "_two_ball_groups",
+                                                     "_two_ball_stacks") if name in built)
         return g
 
 
@@ -570,12 +664,12 @@ def _checked_graph(g, relaxed):
 
 def _check_degrees(g):
     """DegreeOverflow naming the first vertex whose Deg(x)^2, the Gamma2 scale, overflows a float."""
-    with np.errstate(over="ignore"):
-        degrees = g.weight_sums / g.measures
-        top = float(degrees.max(initial=0.0))
-        if not top * top < INF:  # squares rise with the degree, so the largest decides
+    degrees = g._degrees
+    top = float(degrees.max(initial=0.0))
+    if not top * top < INF:  # squares rise with the degree, so the largest decides
+        with np.errstate(over="ignore"):
             huge = np.flatnonzero(~np.isfinite(degrees * degrees))
-            raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
+        raise DegreeOverflow(g.vertices[huge[0]], float(degrees[huge[0]]))
 
 
 def attach_boundary(g, boundary):
@@ -604,8 +698,7 @@ def attach_boundary(g, boundary):
 
 def weighted_degree(g, x):
     """Deg(x) = (1/m_x) * sum_y w_xy."""
-    i = g.index(x)
-    return float(g.weights[i].sum() / g.measures[i])
+    return float(g._degrees[g.index(x)])
 
 
 def boundary_degree(bg, x):

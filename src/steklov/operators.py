@@ -17,10 +17,10 @@ zero, so only the 1-ball rows of the weights are gathered. The curvature
 function, cd_check and condition (5) read the blocks as they are and never
 build the S2 x S2 block; only the one-centre form (_gamma2_matrix), which
 the tests and the benchmark's tracer read, places them into a full form.
-The curvature function also stacks smaller balls, padded with copies of
-the centre, and zeroes the pad rows and columns after assembly. The
-explicit-sum gamma and gamma2, the identity and the dense (B, s, s)
-assembly are test oracles (tests/oracles.py).
+The curvature function also reads stacks of smaller balls, padded with
+copies of the centre (the graph lays them out), and zeroes the pad rows and
+columns after assembly. The explicit-sum gamma and gamma2, the identity and
+the dense (B, s, s) assembly are test oracles (tests/oracles.py).
 """
 
 from dataclasses import dataclass
@@ -91,7 +91,7 @@ class OneForm:
 def laplacian(g, u):
     """Delta u, from the defining per-vertex sum."""
     vals = _aligned(u, g.vertices)
-    out = (g.weights @ vals - g.weights.sum(axis=1) * vals) / g.measures
+    out = (g.weights @ vals - g.weight_sums * vals) / g.measures
     return VertexFunction(g.vertices, out)
 
 

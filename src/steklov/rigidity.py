@@ -173,7 +173,7 @@ def check_necessary_conditions(bg, K, n):
         else:
             checks.append(ConditionCheck(2, True, "boundary measures and edge weights symmetric"))
 
-    degs = g.weight_sums[bi] / g.measures[bi]
+    degs = g._degrees[bi]
     if _close(degs, deg_target).all():
         checks.append(ConditionCheck(3, True, f"Deg(boundary) = {deg_target:g}"))
     else:

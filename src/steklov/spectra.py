@@ -132,7 +132,7 @@ def harmonic_extension(bg, f):
     out[bg.interior_indices] = -_lapack.solve(chol.T, _lapack.solve(chol, L_ob @ fb))
     u = VertexFunction(g.vertices, out)
     residual = np.abs(laplacian(g, u).on(bg.interior)).max() if bg.interior else 0.0
-    scale = float((g.weight_sums / g.measures).max() * np.abs(fb).max())
+    scale = float(g._degrees.max() * np.abs(fb).max())
     if residual > HARMONIC_TOL * scale:
         raise _singular_interior(bg)
     return u

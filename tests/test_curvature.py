@@ -25,8 +25,8 @@ from steklov import (
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 import steklov._lapack
 import steklov.curvature
-from steklov.curvature import PAD_ENTRIES, _ball_ids, _padded_stacks
-from steklov.graphs import INF, MULTIPLICITY_TOL
+from steklov.curvature import _ball_ids
+from steklov.graphs import INF, MULTIPLICITY_TOL, PAD_ENTRIES, _padded_stacks
 from steklov.operators import _gamma2_blocks, _gamma2_matrix
 
 from oracles import (
@@ -275,14 +275,17 @@ def test_repeated_calls_on_one_graph_walk_its_two_balls_once(monkeypatch):
     # curvature_profile and cd_check on all centres read one partition per
     # graph; the reports are those of a graph walked afresh
     walks = spy_on_walks(monkeypatch)
-    reads, shape_groups = [], WeightedGraph._shape_groups
+    reads, shape_groups, ball_stacks = [], WeightedGraph._shape_groups, WeightedGraph._ball_stacks
     monkeypatch.setattr(WeightedGraph, "_shape_groups",
                         lambda self, centres: reads.append(shape_groups(self, centres)) or reads[-1])
+    monkeypatch.setattr(WeightedGraph, "_ball_stacks",
+                        lambda self, centres: reads.append(ball_stacks(self, centres)) or reads[-1])
     g = unit_grid(12)
     profiles = [curvature_profile(g, (2.0, INF)) for _ in range(2)]
     reports = [cd_check(g, K, 2.0) for K in (-1.0, 0.0)]
     assert walks == [144]
-    assert len(reads) == 4 and all(groups is reads[0] for groups in reads)
+    assert len(reads) == 4 and reads[0] is reads[1] is g._two_ball_stacks and reads[2] is reads[3]
+    assert sorted(map(id, (part for stack in reads[0] for part in stack.parts))) == sorted(map(id, reads[2].values()))
     fresh = unit_grid(12)
     want = curvature_profile(fresh, (2.0, INF))
     for profile in profiles:
@@ -303,13 +306,15 @@ def test_repeated_calls_on_one_graph_walk_its_two_balls_once(monkeypatch):
 
 def test_one_centre_leaves_the_whole_graph_partition_unbuilt(monkeypatch):
     # curvature_at, cd_check at one vertex and the one-centre interior form
-    # walk their own 2-ball alone, so their cost does not grow with N
+    # walk their own 2-ball alone, so their cost does not grow with N; nor
+    # does curvature_at lay out the whole graph's padded stacks
     walks = spy_on_walks(monkeypatch)
 
     def unbuilt(self):
-        raise AssertionError("the whole-graph 2-ball partition was built")
+        raise AssertionError("the whole-graph 2-ball partition or its layout was built")
 
     monkeypatch.setattr(WeightedGraph, "_two_ball_groups", property(unbuilt))
+    monkeypatch.setattr(WeightedGraph, "_two_ball_stacks", property(unbuilt))
     g = unit_grid(30)
     assert curvature_at(g, "15_15", 2.0).kappa == pytest.approx(-2.0, rel=1e-12)
     assert [c.vertex for c in cd_check(g, -2.0, 2.0, "0_0").checks] == ["0_0"]
@@ -512,6 +517,41 @@ def star_and_hub_grid():
     return star, hub
 
 
+def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkeypatch):
+    # the layout of all centres' 2-balls depends on the graph alone: the first
+    # profile lays it out, read-only, and a second one merges nothing and
+    # gives a fresh graph's kappas, global minima, kernel_ok, witnesses and
+    # quotients bit for bit
+    merges = []
+    padded_stacks = steklov.graphs._padded_stacks
+    monkeypatch.setattr(steklov.graphs, "_padded_stacks", lambda groups: merges.append(1) or padded_stacks(groups))
+    rng = np.random.default_rng(32)
+    graphs = [*atlas_graphs(5), *star_and_hub_grid(), unit_grid(12), shuffled_grid(rng, 16)]
+    graphs += [widely_weighted_graph(rng) for _ in range(8)]
+    padded = filled = 0
+    for g in graphs:
+        twin = WeightedGraph(g.vertices, g.measures, g.weights)
+        merges.clear()
+        first = curvature_profile(g, (2.0, 5.0, INF))
+        laid = g._two_ball_stacks
+        assert merges == [1] and laid is g._ball_stacks(range(g.num_vertices))
+        seen = curvature_profile(g, (2.0, 5.0, INF))
+        assert merges == [1] and g._two_ball_stacks is laid
+        fresh = curvature_profile(twin, (2.0, 5.0, INF))
+        for profile in (first, seen):
+            assert profile.kappas.tobytes() == fresh.kappas.tobytes() and profile.global_min == fresh.global_min
+            assert profile.kernel_ok.tobytes() == fresh.kernel_ok.tobytes()
+            assert result_bytes(profile) == result_bytes(fresh)
+        for stack in laid:
+            padded += stack.pad is not None
+            filled += stack.fill is not None
+            for array in (stack.balls, *stack.parts, *((stack.pad,) if stack.pad is not None else ()),
+                          *(stack.fill or ())):
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0
+    assert padded > 30 and filled > 20
+
+
 def test_padded_stacks_keep_each_merge_within_the_pad_budget():
     # one large 2-ball must not pad a stack of small ones: K_{1,50} in one
     # stack would take 51 * 100^2 entries against 133k exact, so it stays on
@@ -519,14 +559,14 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
     star, hub = star_and_hub_grid()
     for g, want_stacks in ((star, [(1, 49, 50), (50, 0, 1)]), (hub, [(4, 9, 32), (5, 33, 32), (32, 32, 1)])):
         stacks = list(_padded_stacks(g._shape_groups(range(g.num_vertices))))
-        assert [(k, t, len(balls)) for k, t, balls, _, _ in stacks] == want_stacks
-        assert sorted(i for stack in stacks for i in stack[2][:, 0].tolist()) == list(range(g.num_vertices))
-        for k, t, balls, real, parts in stacks:
+        assert [(stack.k, stack.t, len(stack.balls)) for stack in stacks] == want_stacks
+        assert sorted(i for stack in stacks for i in stack.balls[:, 0].tolist()) == list(range(g.num_vertices))
+        for k, t, balls, pad, _, parts in stacks:
             # a stack of one shape has no pads and no mask
-            assert (real is None) == (len(parts) == 1)
-            if real is None:
+            assert (pad is None) == (len(parts) == 1)
+            real = np.ones(balls.shape, dtype=bool) if pad is None else ~pad
+            if pad is None:
                 assert balls is parts[0]
-                real = np.ones(balls.shape, dtype=bool)
             ids = [ball for part in parts for ball in _ball_ids(g, part)]
             shapes = list(zip(real[:, 1:k + 1].sum(axis=1).tolist(), real[:, k + 1:].sum(axis=1).tolist()))
             assert [len(ball) for ball in ids] == [1 + a + b for a, b in shapes]
@@ -548,9 +588,10 @@ def test_a_padded_stack_needs_no_mask_in_the_assembly():
     # rows and columns afterwards
     padded = 0
     for g in (*atlas_graphs(6), unit_grid(6), unit_grid(12)):
-        for k, _, balls, real, parts in _padded_stacks(g._shape_groups(range(g.num_vertices))):
-            if real is None:
+        for k, _, balls, pad, _, parts in _padded_stacks(g._shape_groups(range(g.num_vertices))):
+            if pad is None:
                 continue
+            real = ~pad
             q1, d, gam, row = _gamma2_blocks(g, balls, k + 1)
             at = 0
             for part in parts:
@@ -620,7 +661,7 @@ def test_the_block_assembly_is_the_dense_assembly_bitwise():
             ball, form = _gamma2_matrix(g, balls[0, 0])
             assert same_bits(ball, balls[0]) and same_bits(form, q[0])
             groups += 1
-        for k, _, balls, _, _ in _padded_stacks(g._shape_groups(range(g.num_vertices))):
+        for k, _, balls, *_ in _padded_stacks(g._shape_groups(range(g.num_vertices))):
             assert_blocks_are_dense_bitwise(g, balls, k + 1)
             stacks += 1
     assert groups > 700 and stacks >= 190
@@ -644,8 +685,8 @@ def test_a_merged_stack_mixes_centres_with_and_without_s2():
     g = build_graph([(v, 1.0) for v in range(3)], [(0, 1, 1.0), (1, 2, 2.0)])
     groups = g._shape_groups(range(3))
     assert sorted(groups) == [(1, 1), (2, 0)]
-    ((k, t, balls, real, _),) = _padded_stacks(groups)
-    assert (k, t) == (2, 1) and real.sum(axis=1).tolist() == [3, 3, 3]
+    ((k, t, balls, pad, _, _),) = _padded_stacks(groups)
+    assert (k, t) == (2, 1) and (~pad).sum(axis=1).tolist() == [3, 3, 3]
     profile = curvature_profile(g, (2.0, INF))
     for n in profile.n_values:
         results = profile.results[n]
@@ -1045,14 +1086,14 @@ def test_a_stack_of_one_shape_has_no_pad_mask(monkeypatch):
     # skips the pad bookkeeping and gives the one-centre kernel's kappas and
     # witnesses bitwise (the quotients' stacked matmul may round differently)
     masks = []
-    padded_stacks = steklov.curvature._padded_stacks
+    padded_stacks = steklov.graphs._padded_stacks
 
     def spy(groups):
-        for stack in padded_stacks(groups):
-            masks.append(stack[3])
-            yield stack
+        stacks = padded_stacks(groups)
+        masks.extend(stack.pad for stack in stacks)
+        return stacks
 
-    monkeypatch.setattr(steklov.curvature, "_padded_stacks", spy)
+    monkeypatch.setattr(steklov.graphs, "_padded_stacks", spy)
     for G in (nx.cycle_graph(6), nx.complete_graph(5), nx.petersen_graph(), nx.hypercube_graph(3)):
         ids = {v: str(v) for v in G.nodes}
         g = build_graph([(v, 1.0) for v in ids.values()], [(ids[a], ids[b], 1.0) for a, b in G.edges])

@@ -181,14 +181,16 @@ def test_one_breadth_first_search_and_one_two_sphere_walk():
 
 def test_the_graph_alone_groups_its_two_balls_by_shape():
     # one walk groups centres by 2-ball shape, a WeightedGraph method whose
-    # whole-graph result is kept on the graph; curvature and condition (5)
-    # read that method and neither walks a 2-sphere itself (the two-ball
-    # identity check reads S2 pair by pair and builds no shape groups)
+    # whole-graph result is kept on the graph, as is its padded layout;
+    # curvature and condition (5) read those methods and neither walks a
+    # 2-sphere itself (the two-ball identity check reads S2 pair by pair and
+    # builds no shape groups)
     defined = _enclosing_functions(lambda node: isinstance(node, ast.FunctionDef) and "shape_groups" in node.name)
     assert [module for module, _ in defined] == ["graphs", "graphs"]
-    assert _calls_of("_walk_shape_groups") == [("graphs", "_shape_groups"), ("graphs", "_two_ball_groups")]
-    assert _calls_of("_shape_groups") == [
-        ("curvature", "_curvature_stacks"), ("curvature", "cd_check"), ("rigidity", "_interior_blocks")]
+    assert _calls_of("_walk_shape_groups") == [
+        ("graphs", "_ball_stacks"), ("graphs", "_shape_groups"), ("graphs", "_two_ball_groups")]
+    assert _calls_of("_shape_groups") == [("curvature", "cd_check"), ("rigidity", "_interior_blocks")]
+    assert _calls_of("_ball_stacks") == [("curvature", "_curvature_stacks")]
     assert [site for site in _calls_of("_two_spheres") if site[0] in ("curvature", "rigidity")] == [
         ("rigidity", "two_ball_identity_check")]
     imported = _enclosing_functions(lambda node: isinstance(node, ast.ImportFrom)
@@ -221,15 +223,38 @@ def test_the_gamma2_assembly_reads_the_weights_at_one_site():
 
 
 def test_pads_are_known_to_the_curvature_function_alone():
-    # a pad repeats the centre, so the assembly takes no mask; the padded
-    # stacks are built, zeroed on their pad rows and columns and finished by
-    # the curvature function, and nothing else names the pad mask
+    # a pad repeats the centre, so the assembly takes no mask; the graph lays
+    # its 2-balls out in padded stacks once (the pad mask and the S1 pad
+    # slots), and the curvature function alone reads them: it zeroes the pad
+    # rows and columns, fills the S1 pad diagonals, lets S2 pads pass
+    # kernel_ok and cuts the pads from the witnesses
     assert list(inspect.signature(steklov.operators._gamma2_blocks).parameters) == ["g", "balls", "k"]
-    named = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id == "real")
-                                 or (isinstance(node, ast.arg) and node.arg == "real"))
+    pads = ("pad", "fill")
+    named = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id in pads)
+                                 or (isinstance(node, ast.arg) and node.arg in pads)
+                                 or (isinstance(node, ast.Attribute) and node.attr in pads))
     assert sorted(set(named)) == [("curvature", "_curvature_stacks"), ("curvature", "_finish_stack"),
-                                  ("curvature", "_padded_stacks"), ("curvature", "_pencils")]
-    assert _calls_of("_padded_stacks") == [("curvature", "_curvature_stacks")]
+                                  ("curvature", "_pencils"), ("graphs", "_padded_stacks")]
+    built = _enclosing_functions(lambda node: isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id in pads for target in node.targets))
+    assert built == [("graphs", "_padded_stacks")] * 2
+    assert _calls_of("_padded_stacks") == [("graphs", "_ball_stacks"), ("graphs", "_two_ball_stacks")]
+
+
+def test_one_degree_array():
+    # Deg(x) = sum_y w_xy / m_x is one cached array of the graph, and the
+    # weight sums one cached row sum of W: no other site divides the weight
+    # sums by the measures or sums the rows of W again (the Laplacian divides
+    # W u - (sum_y w_xy) u by the measures, which is not a degree)
+    divisions = _enclosing_functions(lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                                     and "weight_sums" in _loaded_names(node.left)
+                                     and "weights" not in _loaded_names(node.left)
+                                     and "measures" in _loaded_names(node.right))
+    assert divisions == [("graphs", "_degrees")]
+    row_sums = _enclosing_functions(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                                    and node.func.attr == "sum" and isinstance(node.func.value, ast.Attribute)
+                                    and node.func.value.attr == "weights")
+    assert row_sums == [("graphs", "weight_sums")]
 
 
 def test_eigenvector_sign_fix_and_ball_ids_run_only_where_they_are_read():
