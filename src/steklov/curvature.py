@@ -22,7 +22,7 @@ curvature function kappa(x, n) returned here.
 
 kappa(x, .) depends on the 2-ball around x alone. The graph groups centres
 by 2-ball shape and lays the groups out in padded stacks
-(WeightedGraph._ball_stacks), once per graph for all centres; this module
+(WeightedGraph._ball_layout), once per graph for all centres; this module
 makes every numeric use of the pads. Each stack's pinned forms are assembled
 as blocks A11, A12 and d (operators._gamma2_blocks), never as a (B, s, s)
 stack, and turned into (B, |n|, k, k) pencils (_pencils) whose lowest
@@ -235,13 +235,12 @@ def _curvature_stacks(g, centres, n_values):
     that every real S2 pivot was inverted to a finite positive number (0 < d+ < inf);
     finish() is _finish_stack on what the stack keeps, the pencils among it.
     """
-    laid = g._ball_stacks(centres)
-    lone = laid[0].parts[0]  # the 2-balls of one vertex, when there are any, come first
-    if lone.shape[1] == 1:
-        raise IsolatedVertex(g.vertices[lone[0, 0]])
+    layout = g._ball_layout(centres)
+    if layout.isolated is not None:
+        raise IsolatedVertex(g.vertices[layout.isolated])
     n_arr = np.array(n_values)
     stacks = []
-    for k, _, balls, pad, fill, parts in laid:
+    for k, _, balls, pad, fill, parts in layout.stacks:
         blocks, pencils = _pencils(g, balls, k, pad, fill, n_arr)
         low = _lapack.eigvalsh(pencils)[..., 0]
         d_plus = blocks[5]

@@ -128,14 +128,20 @@ class _PaddedStack(namedtuple("_PaddedStack", "k t balls pad fill parts")):
     __slots__ = ()
 
 
+class _BallLayout(namedtuple("_BallLayout", "stacks isolated")):
+    """The curvature function's layout of some centres' 2-balls: a tuple of _PaddedStacks, and isolated, the
+    index of the first of those centres whose 2-ball is the centre alone, or None."""
+
+    __slots__ = ()
+
+
 def _padded_stacks(groups):
-    """The shape groups merged, by ball size, into a tuple of _PaddedStacks, each of one padded shape.
+    """The shape groups merged, by ball size, into stacks of one padded shape each, as a _BallLayout.
 
     A group joins the open stack while the padding this adds, to the stack's
     rows and to its own, is at most PAD_ENTRIES: a merge then costs no more
     arithmetic than about the fixed numpy cost of the stack it saves, and one
-    large 2-ball cannot blow up a stack of many small ones. Groups sort by
-    (|S1| + |S2|, |S1|, |S2|), so the 2-balls of one vertex come first.
+    large 2-ball cannot blow up a stack of many small ones.
     """
     stacks = []  # [k, t, rows, shapes]
     for k, t in sorted(groups, key=lambda shape: (sum(shape), shape)):
@@ -167,7 +173,8 @@ def _padded_stacks(groups):
         for array in (balls, pad, *(fill or ())):
             array.setflags(write=False)
         laid.append(_PaddedStack(k, t, balls, pad, fill, parts))
-    return tuple(laid)
+    lone = groups.get((0, 0))
+    return _BallLayout(tuple(laid), None if lone is None else int(lone[0, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,9 +202,7 @@ class WeightedGraph:
     grouping of all vertices by 2-ball shape that the curvature function,
     cd_check and condition (5) read, and the curvature function's layout of
     those groups in padded stacks (integer and boolean arrays alone). This
-    module is the one that walks 2-balls and lays them out. rescaled_weights
-    keeps the edge set, so it hands the structural objects already built to
-    the scaled graph.
+    module is the one that walks 2-balls and lays them out.
     """
 
     vertices: tuple
@@ -333,14 +338,14 @@ class WeightedGraph:
             balls.setflags(write=False)
         return MappingProxyType(groups)
 
-    def _ball_stacks(self, centres):
+    def _ball_layout(self, centres):
         """_padded_stacks of the given centres' shape groups; as in _shape_groups, all centres read a kept layout."""
         if centres == range(self.num_vertices):
-            return self._two_ball_stacks
+            return self._two_ball_layout
         return _padded_stacks(self._walk_shape_groups(centres))
 
     @cached_property
-    def _two_ball_stacks(self):
+    def _two_ball_layout(self):
         """_padded_stacks of every centre's shape group, laid out once per graph from the kept groups."""
         return _padded_stacks(self._two_ball_groups)
 
@@ -416,10 +421,7 @@ class WeightedGraph:
         monotone: a scale above 1 can only take the largest weight to inf, one
         below 1 only the least positive weight to 0, and the offender is looked
         for only then. The products are Python floats, which overflow without
-        a warning. A scale of 1 gives the graph itself. The scaled graph has
-        this graph's edges, so it takes over the neighbour lists, the id array,
-        the shape groups and their padded stacks wherever this graph has built
-        them.
+        a warning. A scale of 1 gives the graph itself.
         """
         lam, w = finite_number(lam, "weight scale"), self.weights
         if lam == 1.0:
@@ -430,9 +432,6 @@ class WeightedGraph:
             raise NonPositiveValue("weight", (u, v), x)
         g = WeightedGraph._adopt(self.vertices, self.measures, lam * w)
         _check_degrees(g)
-        built = vars(self)
-        vars(g).update((name, built[name]) for name in ("_adjacency", "_id_array", "_two_ball_groups",
-                                                     "_two_ball_stacks") if name in built)
         return g
 
 

@@ -265,27 +265,31 @@ def test_the_whole_graph_shape_groups_are_one_fresh_walk_kept_read_only():
             got[0, 0] = want_balls
     assert len(graphs) == 142 + 5 + 1 + 10
     assert (0, 0) in isolated._two_ball_groups
-    for _ in range(2):  # the cached groups still name the isolated vertex
+    for _ in range(2):  # the cached groups and layout still name the isolated vertex
         with pytest.raises(IsolatedVertex) as err:
             curvature_profile(isolated, (2.0, INF))
         assert err.value.vertex == "c"
+    assert isolated._two_ball_layout.isolated == 2
+    with pytest.raises(IsolatedVertex) as err:
+        curvature_at(isolated, "d", 2.0)
+    assert err.value.vertex == "d"
 
 
 def test_repeated_calls_on_one_graph_walk_its_two_balls_once(monkeypatch):
     # curvature_profile and cd_check on all centres read one partition per
     # graph; the reports are those of a graph walked afresh
     walks = spy_on_walks(monkeypatch)
-    reads, shape_groups, ball_stacks = [], WeightedGraph._shape_groups, WeightedGraph._ball_stacks
+    reads, shape_groups, ball_layout = [], WeightedGraph._shape_groups, WeightedGraph._ball_layout
     monkeypatch.setattr(WeightedGraph, "_shape_groups",
                         lambda self, centres: reads.append(shape_groups(self, centres)) or reads[-1])
-    monkeypatch.setattr(WeightedGraph, "_ball_stacks",
-                        lambda self, centres: reads.append(ball_stacks(self, centres)) or reads[-1])
+    monkeypatch.setattr(WeightedGraph, "_ball_layout",
+                        lambda self, centres: reads.append(ball_layout(self, centres)) or reads[-1])
     g = unit_grid(12)
     profiles = [curvature_profile(g, (2.0, INF)) for _ in range(2)]
     reports = [cd_check(g, K, 2.0) for K in (-1.0, 0.0)]
     assert walks == [144]
-    assert len(reads) == 4 and reads[0] is reads[1] is g._two_ball_stacks and reads[2] is reads[3]
-    assert sorted(map(id, (part for stack in reads[0] for part in stack.parts))) == sorted(map(id, reads[2].values()))
+    assert len(reads) == 4 and reads[0] is reads[1] is g._two_ball_layout and reads[2] is reads[3]
+    assert sorted(map(id, (part for stack in reads[0].stacks for part in stack.parts))) == sorted(map(id, reads[2].values()))
     fresh = unit_grid(12)
     want = curvature_profile(fresh, (2.0, INF))
     for profile in profiles:
@@ -314,7 +318,7 @@ def test_one_centre_leaves_the_whole_graph_partition_unbuilt(monkeypatch):
         raise AssertionError("the whole-graph 2-ball partition or its layout was built")
 
     monkeypatch.setattr(WeightedGraph, "_two_ball_groups", property(unbuilt))
-    monkeypatch.setattr(WeightedGraph, "_two_ball_stacks", property(unbuilt))
+    monkeypatch.setattr(WeightedGraph, "_two_ball_layout", property(unbuilt))
     g = unit_grid(30)
     assert curvature_at(g, "15_15", 2.0).kappa == pytest.approx(-2.0, rel=1e-12)
     assert [c.vertex for c in cd_check(g, -2.0, 2.0, "0_0").checks] == ["0_0"]
@@ -533,16 +537,16 @@ def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkey
         twin = WeightedGraph(g.vertices, g.measures, g.weights)
         merges.clear()
         first = curvature_profile(g, (2.0, 5.0, INF))
-        laid = g._two_ball_stacks
-        assert merges == [1] and laid is g._ball_stacks(range(g.num_vertices))
+        laid = g._two_ball_layout
+        assert merges == [1] and laid is g._ball_layout(range(g.num_vertices)) and laid.isolated is None
         seen = curvature_profile(g, (2.0, 5.0, INF))
-        assert merges == [1] and g._two_ball_stacks is laid
+        assert merges == [1] and g._two_ball_layout is laid
         fresh = curvature_profile(twin, (2.0, 5.0, INF))
         for profile in (first, seen):
             assert profile.kappas.tobytes() == fresh.kappas.tobytes() and profile.global_min == fresh.global_min
             assert profile.kernel_ok.tobytes() == fresh.kernel_ok.tobytes()
             assert result_bytes(profile) == result_bytes(fresh)
-        for stack in laid:
+        for stack in laid.stacks:
             padded += stack.pad is not None
             filled += stack.fill is not None
             for array in (stack.balls, *stack.parts, *((stack.pad,) if stack.pad is not None else ()),
@@ -558,7 +562,7 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
     # two; the hub grid's 11 shapes go on three stacks, small, medium, hub
     star, hub = star_and_hub_grid()
     for g, want_stacks in ((star, [(1, 49, 50), (50, 0, 1)]), (hub, [(4, 9, 32), (5, 33, 32), (32, 32, 1)])):
-        stacks = list(_padded_stacks(g._shape_groups(range(g.num_vertices))))
+        stacks = _padded_stacks(g._shape_groups(range(g.num_vertices))).stacks
         assert [(stack.k, stack.t, len(stack.balls)) for stack in stacks] == want_stacks
         assert sorted(i for stack in stacks for i in stack.balls[:, 0].tolist()) == list(range(g.num_vertices))
         for k, t, balls, pad, _, parts in stacks:
@@ -588,7 +592,7 @@ def test_a_padded_stack_needs_no_mask_in_the_assembly():
     # rows and columns afterwards
     padded = 0
     for g in (*atlas_graphs(6), unit_grid(6), unit_grid(12)):
-        for k, _, balls, pad, _, parts in _padded_stacks(g._shape_groups(range(g.num_vertices))):
+        for k, _, balls, pad, _, parts in _padded_stacks(g._shape_groups(range(g.num_vertices))).stacks:
             if pad is None:
                 continue
             real = ~pad
@@ -661,7 +665,7 @@ def test_the_block_assembly_is_the_dense_assembly_bitwise():
             ball, form = _gamma2_matrix(g, balls[0, 0])
             assert same_bits(ball, balls[0]) and same_bits(form, q[0])
             groups += 1
-        for k, _, balls, *_ in _padded_stacks(g._shape_groups(range(g.num_vertices))):
+        for k, _, balls, *_ in _padded_stacks(g._shape_groups(range(g.num_vertices))).stacks:
             assert_blocks_are_dense_bitwise(g, balls, k + 1)
             stacks += 1
     assert groups > 700 and stacks >= 190
@@ -685,7 +689,7 @@ def test_a_merged_stack_mixes_centres_with_and_without_s2():
     g = build_graph([(v, 1.0) for v in range(3)], [(0, 1, 1.0), (1, 2, 2.0)])
     groups = g._shape_groups(range(3))
     assert sorted(groups) == [(1, 1), (2, 0)]
-    ((k, t, balls, pad, _, _),) = _padded_stacks(groups)
+    ((k, t, balls, pad, _, _),) = _padded_stacks(groups).stacks
     assert (k, t) == (2, 1) and (~pad).sum(axis=1).tolist() == [3, 3, 3]
     profile = curvature_profile(g, (2.0, INF))
     for n in profile.n_values:
@@ -1014,7 +1018,7 @@ def test_curvature_profile_finishes_its_results_on_first_read(monkeypatch):
     graphs += [random_connected_graph(rng, n_min=3, n_max=12) for _ in range(4)]
     for g in graphs:
         groups = g._shape_groups(range(g.num_vertices))
-        stacks = len(list(_padded_stacks(groups)))
+        stacks = len(_padded_stacks(groups).stacks)
         counts.update(dict.fromkeys(counts, 0))
         profile = curvature_profile(g, (2.0, 5.0, INF))
         assert profile.global_min and "results" not in profile.__dict__
@@ -1089,9 +1093,9 @@ def test_a_stack_of_one_shape_has_no_pad_mask(monkeypatch):
     padded_stacks = steklov.graphs._padded_stacks
 
     def spy(groups):
-        stacks = padded_stacks(groups)
-        masks.extend(stack.pad for stack in stacks)
-        return stacks
+        layout = padded_stacks(groups)
+        masks.extend(stack.pad for stack in layout.stacks)
+        return layout
 
     monkeypatch.setattr(steklov.graphs, "_padded_stacks", spy)
     for G in (nx.cycle_graph(6), nx.complete_graph(5), nx.petersen_graph(), nx.hypercube_graph(3)):

@@ -188,9 +188,9 @@ def test_the_graph_alone_groups_its_two_balls_by_shape():
     defined = _enclosing_functions(lambda node: isinstance(node, ast.FunctionDef) and "shape_groups" in node.name)
     assert [module for module, _ in defined] == ["graphs", "graphs"]
     assert _calls_of("_walk_shape_groups") == [
-        ("graphs", "_ball_stacks"), ("graphs", "_shape_groups"), ("graphs", "_two_ball_groups")]
+        ("graphs", "_ball_layout"), ("graphs", "_shape_groups"), ("graphs", "_two_ball_groups")]
     assert _calls_of("_shape_groups") == [("curvature", "cd_check"), ("rigidity", "_interior_blocks")]
-    assert _calls_of("_ball_stacks") == [("curvature", "_curvature_stacks")]
+    assert _calls_of("_ball_layout") == [("curvature", "_curvature_stacks")]
     assert [site for site in _calls_of("_two_spheres") if site[0] in ("curvature", "rigidity")] == [
         ("rigidity", "two_ball_identity_check")]
     imported = _enclosing_functions(lambda node: isinstance(node, ast.ImportFrom)
@@ -238,7 +238,7 @@ def test_pads_are_known_to_the_curvature_function_alone():
     built = _enclosing_functions(lambda node: isinstance(node, ast.Assign) and any(
         isinstance(target, ast.Name) and target.id in pads for target in node.targets))
     assert built == [("graphs", "_padded_stacks")] * 2
-    assert _calls_of("_padded_stacks") == [("graphs", "_ball_stacks"), ("graphs", "_two_ball_stacks")]
+    assert _calls_of("_padded_stacks") == [("graphs", "_ball_layout"), ("graphs", "_two_ball_layout")]
 
 
 def test_one_degree_array():
