@@ -340,6 +340,8 @@ def curvature_profile(g, n_grid):
     kernel_ok is false) takes no part in the minimum unless every kappa at
     that n is NaN. A repeated n is solved and reported once, at its first place.
     """
+    if not g.num_vertices:
+        raise InvalidParams("a graph needs at least one vertex")
     n_values = tuple(dict.fromkeys(validate_dimension(n) for n in n_grid))
     stacks = _curvature_stacks(g, range(g.num_vertices), n_values) if n_values else []
     kappas = np.empty((g.num_vertices, len(n_values)))

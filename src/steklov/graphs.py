@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from enum import Enum
-from types import MappingProxyType
 
 import numpy as np
 
@@ -198,11 +197,11 @@ class WeightedGraph:
     arrays without the checks or the copy.
 
     What depends on the graph alone is built on first use and kept, read-only:
-    the neighbour lists, the weight sums and degrees, the Laplacian, the
-    grouping of all vertices by 2-ball shape that the curvature function,
-    cd_check and condition (5) read, and the curvature function's layout of
-    those groups in padded stacks (integer and boolean arrays alone). This
-    module is the one that walks 2-balls and lays them out.
+    the neighbour lists, the weight sums and degrees, the Laplacian, and the
+    curvature function's layout of all vertices' 2-balls in padded stacks
+    (integer and boolean arrays alone), the one kept 2-ball structure. cd_check
+    and condition (5) group the 2-balls of their centres by shape afresh on
+    each call. This module is the one that walks 2-balls and lays them out.
     """
 
     vertices: tuple
@@ -314,40 +313,25 @@ class WeightedGraph:
     def _shape_groups(self, centres):
         """{(|S1|, |S2|): (B, s) array of the 2-balls of that shape}, each row the centre, S1, then S2.
 
-        All centres (centres == range(N)) read the groups walked once per graph;
-        any other centres are walked on each call and leave those untouched, so
-        a few centres cost what their own 2-balls cost.
+        The given centres are walked to radius 2 from each in turn, on every
+        call, so a few centres cost what their own 2-balls cost.
         """
-        if centres == range(self.num_vertices):
-            return self._two_ball_groups
-        return self._walk_shape_groups(centres)
-
-    def _walk_shape_groups(self, centres):
-        """The shape groups of the given centres, walked to radius 2 from each in turn."""
         groups = {}
         for i in centres:
             s1, s2 = self._two_spheres(i)
             groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
         return {shape: np.array(balls) for shape, balls in groups.items()}
 
-    @cached_property
-    def _two_ball_groups(self):
-        """The shape groups of every centre, built once per graph: a read-only mapping of read-only arrays."""
-        groups = self._walk_shape_groups(range(self.num_vertices))
-        for balls in groups.values():
-            balls.setflags(write=False)
-        return MappingProxyType(groups)
-
     def _ball_layout(self, centres):
-        """_padded_stacks of the given centres' shape groups; as in _shape_groups, all centres read a kept layout."""
+        """_padded_stacks of the given centres' shape groups; all centres (centres == range(N)) read a kept layout."""
         if centres == range(self.num_vertices):
             return self._two_ball_layout
-        return _padded_stacks(self._walk_shape_groups(centres))
+        return _padded_stacks(self._shape_groups(centres))
 
     @cached_property
     def _two_ball_layout(self):
-        """_padded_stacks of every centre's shape group, laid out once per graph from the kept groups."""
-        return _padded_stacks(self._two_ball_groups)
+        """_padded_stacks of every centre's shape group, walked and laid out once per graph."""
+        return _padded_stacks(self._shape_groups(range(self.num_vertices)))
 
     def edge_list(self):
         """Edges as (u, v, w) with u before v in vertex order."""
@@ -439,8 +423,8 @@ class WeightedGraph:
 class BoundaryGraph:
     """A weighted graph together with a validated boundary/interior partition.
 
-    The public constructor checks that boundary and interior partition V and
-    indexes both in the order given; attach_boundary and
+    The public constructor checks that boundary and interior partition V,
+    both nonempty, and indexes both in the order given; attach_boundary and
     join_equality_boundary hand over the sorted index arrays they already
     hold, through _adopt. boundary_indices and interior_indices are read-only.
     """
@@ -494,9 +478,8 @@ class BoundaryGraph:
         """The interior-induced graph, built once per boundary graph, read-only.
 
         It inherits m and the interior edge weights, so its own cached
-        neighbour lists and 2-ball groups carry over between calls. It may be
-        disconnected or edgeless, which is fine for the structural checks
-        that consume it.
+        neighbour lists carry over between calls. It may be disconnected or
+        edgeless, which is fine for the structural checks that consume it.
         """
         idx = self.interior_indices
         return WeightedGraph._adopt(self.interior, self.graph.measures[idx], self.graph.weights[np.ix_(idx, idx)])
@@ -538,7 +521,8 @@ def _check_arrays(vertices, measures, weights):
 def _partition_indices(g, boundary, interior):
     """The index arrays of boundary and interior, in the order given, when together they list each vertex once.
 
-    UnknownVertex names an id not in g; InvalidParams a vertex listed twice or not at all.
+    UnknownVertex names an id not in g; InvalidParams a vertex listed twice or
+    not at all; then EmptyBoundary or EmptyInterior an empty side.
     """
     listed = {}
     for side, part in (("boundary", boundary), ("interior", interior)):
@@ -550,6 +534,8 @@ def _partition_indices(g, boundary, interior):
     if len(listed) < g.num_vertices:
         missing = next(v for i, v in enumerate(g.vertices) if i not in listed)
         raise InvalidParams(f"vertex {missing!r} is in neither the boundary nor the interior")
+    if not boundary or not interior:
+        raise EmptyInterior() if boundary else EmptyBoundary()
     indices = list(listed)
     return np.array(indices[:len(boundary)], dtype=int), np.array(indices[len(boundary):], dtype=int)
 
@@ -736,7 +722,8 @@ def join_equality_boundary(interior, n, K, m):
     the two boundary degrees nK/(n-1) and every interior boundary-degree
     (n+2)K/(n-1). Boundary ids are chosen fresh if the interior already uses
     "1" or "2". The join is one block matrix over the interior's arrays; it
-    raises what build_graph raises on the same vertices and edges.
+    raises what build_graph raises on the same vertices and edges, and
+    InvalidParams on an interior with no vertex.
     """
     n = validate_dimension(n)
     K = finite_number(K, "K")
@@ -749,6 +736,8 @@ def join_equality_boundary(interior, n, K, m):
         target_volume = 2.0 * m * n / (n + 2.0)
         w_factor = (n + 2.0) * K / (2.0 * (n - 1.0))
 
+    if not interior.num_vertices:
+        raise InvalidParams("a graph needs at least one vertex")
     scale = target_volume / float(interior.measures.sum())
     interior_measures = scale * interior.measures
     boundary_weights = w_factor * interior_measures

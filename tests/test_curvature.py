@@ -235,37 +235,40 @@ def test_two_sphere_walk_matches_the_radius_two_search_bitwise():
 
 def spy_on_walks(monkeypatch):
     """The number of centres of every 2-ball walk, in call order."""
-    walks, walk = [], WeightedGraph._walk_shape_groups
-    monkeypatch.setattr(WeightedGraph, "_walk_shape_groups",
+    walks, walk = [], WeightedGraph._shape_groups
+    monkeypatch.setattr(WeightedGraph, "_shape_groups",
                         lambda self, centres: walks.append(len(centres)) or walk(self, centres))
     return walks
 
 
-def test_the_whole_graph_shape_groups_are_one_fresh_walk_kept_read_only():
-    # the shape groups of every centre are walked on first use and kept on the
-    # graph: the same keys, in the same order, and the same bytes as a fresh
-    # walk, read-only, and the same objects on every later read
+def test_the_whole_graph_shape_groups_are_one_fresh_walk_kept_read_only(monkeypatch):
+    # the padded layout of every centre is the one 2-ball structure kept on
+    # the graph: its parts come from one walk on first use, with the keys,
+    # order and bytes of a fresh walk, read-only, and later reads walk nothing
     rng = np.random.default_rng(29)
     graphs = [*atlas_graphs(6), *(unit_grid(k) for k in (3, 6, 12, 16, 30)), star_and_hub_grid()[0]]
     graphs += [random_connected_graph(rng, n_min=2, n_max=40, extra_edge_prob=float(rng.choice([0.05, 0.3])))
                for _ in range(10)]
     isolated = build_graph([("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)], [("a", "b", 1.0)], relaxed=True)
+    walks = spy_on_walks(monkeypatch)
     for g in [*graphs, isolated]:
         everyone = range(g.num_vertices)
-        assert "_two_ball_groups" not in g.__dict__
-        got, want = g._shape_groups(everyone), g._walk_shape_groups(everyone)
-        assert got is g._two_ball_groups is g._shape_groups(range(g.num_vertices))
-        assert list(got) == list(want)
-        for balls, want_balls in zip(got.values(), want.values()):
-            assert balls.dtype == want_balls.dtype and balls.shape == want_balls.shape
-            assert balls.tobytes() == want_balls.tobytes()
+        assert "_two_ball_layout" not in g.__dict__
+        walks.clear()
+        laid = g._ball_layout(everyone)
+        assert laid is g._two_ball_layout is g._ball_layout(range(g.num_vertices)) and walks == [g.num_vertices]
+        want = g._shape_groups(everyone)
+        parts = [part for stack in laid.stacks for part in stack.parts]
+        assert len(parts) == len(want)
+        for part, shape in zip(parts, sorted(want, key=lambda shape: (sum(shape), shape))):
+            assert part.dtype == want[shape].dtype and part.shape == want[shape].shape
+            assert part.tobytes() == want[shape].tobytes()
             with pytest.raises(ValueError):
-                balls[0, 0] = 0
-        with pytest.raises(TypeError):
-            got[0, 0] = want_balls
+                part[0, 0] = 0
+            assert want[shape].flags.writeable  # a fresh walk is the caller's own
     assert len(graphs) == 142 + 5 + 1 + 10
-    assert (0, 0) in isolated._two_ball_groups
-    for _ in range(2):  # the cached groups and layout still name the isolated vertex
+    assert (0, 0) in isolated._shape_groups(range(4))
+    for _ in range(2):  # the kept layout still names the isolated vertex
         with pytest.raises(IsolatedVertex) as err:
             curvature_profile(isolated, (2.0, INF))
         assert err.value.vertex == "c"
@@ -276,20 +279,17 @@ def test_the_whole_graph_shape_groups_are_one_fresh_walk_kept_read_only():
 
 
 def test_repeated_calls_on_one_graph_walk_its_two_balls_once(monkeypatch):
-    # curvature_profile and cd_check on all centres read one partition per
-    # graph; the reports are those of a graph walked afresh
+    # two curvature profiles read the one layout kept on the graph, walked
+    # once; cd_check on all centres walks its own 2-balls once per call; the
+    # reports are those of a graph walked afresh
     walks = spy_on_walks(monkeypatch)
-    reads, shape_groups, ball_layout = [], WeightedGraph._shape_groups, WeightedGraph._ball_layout
-    monkeypatch.setattr(WeightedGraph, "_shape_groups",
-                        lambda self, centres: reads.append(shape_groups(self, centres)) or reads[-1])
-    monkeypatch.setattr(WeightedGraph, "_ball_layout",
-                        lambda self, centres: reads.append(ball_layout(self, centres)) or reads[-1])
     g = unit_grid(12)
     profiles = [curvature_profile(g, (2.0, INF)) for _ in range(2)]
-    reports = [cd_check(g, K, 2.0) for K in (-1.0, 0.0)]
-    assert walks == [144]
-    assert len(reads) == 4 and reads[0] is reads[1] is g._two_ball_layout and reads[2] is reads[3]
-    assert sorted(map(id, (part for stack in reads[0].stacks for part in stack.parts))) == sorted(map(id, reads[2].values()))
+    assert walks == [144] and g._ball_layout(range(144)) is g._two_ball_layout
+    reports = []
+    for K in (-1.0, 0.0):
+        reports.append(cd_check(g, K, 2.0))
+        assert walks[1:] == [144] * len(reports)
     fresh = unit_grid(12)
     want = curvature_profile(fresh, (2.0, INF))
     for profile in profiles:
@@ -315,9 +315,8 @@ def test_one_centre_leaves_the_whole_graph_partition_unbuilt(monkeypatch):
     walks = spy_on_walks(monkeypatch)
 
     def unbuilt(self):
-        raise AssertionError("the whole-graph 2-ball partition or its layout was built")
+        raise AssertionError("the whole-graph 2-ball layout was built")
 
-    monkeypatch.setattr(WeightedGraph, "_two_ball_groups", property(unbuilt))
     monkeypatch.setattr(WeightedGraph, "_two_ball_layout", property(unbuilt))
     g = unit_grid(30)
     assert curvature_at(g, "15_15", 2.0).kappa == pytest.approx(-2.0, rel=1e-12)
@@ -521,18 +520,25 @@ def star_and_hub_grid():
     return star, hub
 
 
+def cd_check_bytes(report):
+    """Every field of each cd_check vertex check down to its bytes."""
+    return [(c.vertex, c.holds, np.float64(c.lambda_min).tobytes(), np.float64(c.form_norm).tobytes())
+            + (() if c.witness is None else (c.witness.domain, c.witness.values.tobytes())) for c in report.checks]
+
+
 def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkeypatch):
     # the layout of all centres' 2-balls depends on the graph alone: the first
     # profile lays it out, read-only, and a second one merges nothing and
     # gives a fresh graph's kappas, global minima, kernel_ok, witnesses and
-    # quotients bit for bit
+    # quotients bit for bit; cd_check over all centres walks its 2-balls
+    # afresh on every call and gives a fresh graph's checks bit for bit
     merges = []
     padded_stacks = steklov.graphs._padded_stacks
     monkeypatch.setattr(steklov.graphs, "_padded_stacks", lambda groups: merges.append(1) or padded_stacks(groups))
     rng = np.random.default_rng(32)
     graphs = [*atlas_graphs(5), *star_and_hub_grid(), unit_grid(12), shuffled_grid(rng, 16)]
     graphs += [widely_weighted_graph(rng) for _ in range(8)]
-    padded = filled = 0
+    padded = filled = failed = 0
     for g in graphs:
         twin = WeightedGraph(g.vertices, g.measures, g.weights)
         merges.clear()
@@ -546,6 +552,11 @@ def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkey
             assert profile.kappas.tobytes() == fresh.kappas.tobytes() and profile.global_min == fresh.global_min
             assert profile.kernel_ok.tobytes() == fresh.kernel_ok.tobytes()
             assert result_bytes(profile) == result_bytes(fresh)
+        low = fresh.global_min[2.0][0]
+        for K in (low, low + 0.5):
+            want = cd_check_bytes(cd_check(WeightedGraph(g.vertices, g.measures, g.weights), K, 2.0))
+            assert [cd_check_bytes(cd_check(g, K, 2.0)) for _ in range(2)] == [want, want]
+            failed += sum(not check[1] for check in want)
         for stack in laid.stacks:
             padded += stack.pad is not None
             filled += stack.fill is not None
@@ -553,7 +564,7 @@ def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkey
                           *(stack.fill or ())):
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
-    assert padded > 30 and filled > 20
+    assert padded > 30 and filled > 20 and failed > 100
 
 
 def test_padded_stacks_keep_each_merge_within_the_pad_budget():
@@ -734,6 +745,12 @@ def test_curvature_profile_names_the_first_isolated_vertex():
     with pytest.raises(IsolatedVertex) as err:
         curvature_profile(g, (2.0, INF))
     assert err.value.vertex == "c"
+
+
+def test_curvature_profile_needs_a_vertex():
+    # a graph with no vertex reached numpy's empty fmin reduction
+    with pytest.raises(InvalidParams, match="a graph needs at least one vertex"):
+        curvature_profile(WeightedGraph((), [], np.zeros((0, 0))), (2.0, INF))
 
 
 def test_s2_block_of_gamma2_is_a_positive_diagonal():

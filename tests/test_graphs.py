@@ -178,9 +178,12 @@ def test_a_scale_of_one_gives_the_graph_itself():
     (("1", "1"), ("2", "3"), InvalidParams, "'1' is listed twice: in the boundary and in the boundary"),
     (("1",), ("2",), InvalidParams, "'3' is in neither"),
     (("1", "3"), ("2", "4"), UnknownVertex, "'4'"),
+    ((), ("1", "2", "3"), EmptyBoundary, "boundary set is empty"),
+    (("1", "2", "3"), (), EmptyInterior, "interior set is empty"),
 ])
 def test_a_boundary_graph_needs_a_partition_of_the_vertices(boundary, interior, error, named):
-    # the boundary listed again as interior made steklov_spectrum return [-4.4e-16] without a word
+    # the boundary listed again as interior made steklov_spectrum return [-4.4e-16]
+    # without a word, and an empty side made check_rigidity divide by zero
     g = unit_path(3)
     with pytest.raises(error) as e:
         BoundaryGraph(g, boundary, interior)
@@ -453,6 +456,13 @@ def test_the_array_join_equals_the_edge_list_join():
             assert (got.graph.vertices, got.boundary, got.interior) == (want.graph.vertices, want.boundary, want.interior)
             assert got.graph.measures.tobytes() == want.graph.measures.tobytes()
             assert got.graph.weights.tobytes() == want.graph.weights.tobytes()
+
+
+def test_a_join_needs_an_interior_vertex():
+    # an interior with no vertex divided the interior volume by its measure sum, 0.0
+    empty = WeightedGraph((), [], np.zeros((0, 0)))
+    with pytest.raises(InvalidParams, match="a graph needs at least one vertex"):
+        join_equality_boundary(empty, 3.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("weight, measure, lam, n, K, m", [

@@ -8,11 +8,14 @@ marker is dropped, and a case that stops reproducing is noticed the same way.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from steklov import (
+    build_graph,
     check_interior_inequality,
     check_rigidity,
+    curvature_profile,
     join_equality_boundary,
     laplacian_spectrum,
     make_example,
@@ -50,6 +53,31 @@ def test_steklov_spectrum_of_a_heavy_interior_starts_at_zero(lam):
 def test_laplacian_spectrum_of_a_heavy_interior_starts_at_zero():
     mu = laplacian_spectrum(complete_interior(1e140).graph).values
     assert abs(mu[0]) <= 1e-12 * mu[1]
+
+
+def wide_weight_graph(rng):
+    """A 12-vertex path plus random chords to 24 edges, measures in [0.5, 2] and weights 10^U(0, 30)."""
+    edges = [(i, i + 1) for i in range(11)]
+    while len(edges) < 24:
+        edge = tuple(sorted(rng.choice(12, 2, replace=False).tolist()))
+        if edge not in edges:
+            edges.append(edge)
+    measures, weights = rng.uniform(0.5, 2.0, 12), 10.0 ** rng.uniform(0.0, 30.0, 24)
+    return build_graph(zip(range(12), measures.tolist()), [(u, v, w) for (u, v), w in zip(edges, weights.tolist())])
+
+
+@silently_wrong("item 24: mu_0 of a connected graph with weights spread to 1e30 reads -3.8e12, -9.3e12 and -2.1e13")
+def test_laplacian_spectrum_of_widely_weighted_graphs_starts_at_zero():
+    rng = np.random.default_rng(0)
+    spectra = [laplacian_spectrum(wide_weight_graph(rng)).values for _ in range(3)]
+    assert [abs(mu[0]) <= 1e-12 * mu[1] for mu in spectra] == [True] * 3
+
+
+@silently_wrong("item 20: the boundary kappas at n = 10 read 1.0029296875 at lam = 1e12")
+def test_the_boundary_kappas_of_a_heavy_complete_interior_are_one():
+    bg = complete_interior(1e12)
+    kappas = curvature_profile(bg.graph, (N,)).kappas[bg.boundary_indices, 0]
+    assert kappas.tolist() == pytest.approx([1.0, 1.0], rel=1e-12)
 
 
 @silently_wrong("item 20: the boundary kappa errs by about 2.5e-15 lam; NOT_RIGID at lam = 1e8")

@@ -46,7 +46,7 @@ from steklov.errors import (
     WrongWeightClass,
 )
 from steklov.curvature import _psd_rule, _psd_verdict
-from steklov.graphs import INF, PSD_TOL, WeightedGraph
+from steklov.graphs import INF, PSD_TOL, BoundaryGraph, WeightedGraph
 from steklov.rigidity import RigidityClass
 
 from oracles import (
@@ -539,6 +539,14 @@ def test_a_degree_target_that_overflows_is_an_input_error():
             call(*args)
 
 
+def test_the_construction_needs_an_interior_vertex():
+    # an interior with no vertex reached the join's division by its measure sum, 0.0
+    empty = WeightedGraph((), [], np.zeros((0, 0)))
+    for lam in (None, 2.0):
+        with pytest.raises(InvalidParams, match="a graph needs at least one vertex"):
+            construct_rigid_family(empty, 3.0, 1.0, 1.0, lam)
+
+
 def test_a_weight_target_that_overflows_matches_no_weight():
     # the degree targets are finite, but m nK/(n-1) overflows: no finite
     # boundary weight is close to it
@@ -614,24 +622,47 @@ def test_diagnostics_read_later_equal_the_eager_dict():
 
 
 def test_repeated_rigidity_calls_walk_the_interior_two_balls_once(monkeypatch):
-    # the interior-induced graph is kept on the boundary graph, so its 2-ball
-    # groups carry over between calls; the reports are those of fresh graphs
-    walked, walk = [], WeightedGraph._walk_shape_groups
-    monkeypatch.setattr(WeightedGraph, "_walk_shape_groups",
+    # the interior-induced graph is kept on the boundary graph, and each call
+    # walks its 2-balls once, for condition (5); the reports are those of
+    # fresh graphs
+    walked, walk = [], WeightedGraph._shape_groups
+    monkeypatch.setattr(WeightedGraph, "_shape_groups",
                         lambda self, centres: walked.append(self) or walk(self, centres))
 
     def rigid():
         return make_example("complete_interior", interior_size=6, n=10, K=1, m=1)
 
     bg = rigid()
-    reports = [check_rigidity(bg, 1, 10) for _ in range(3)]
-    interior = induced_interior_graph(bg)
+    reports = []
+    for calls in range(1, 4):
+        reports.append(check_rigidity(bg, 1, 10))
+        interior = induced_interior_graph(bg)
+        assert [graph for graph in walked if graph is interior] == [interior] * calls
     assert interior is bg.interior_graph and interior.num_vertices == 6
-    assert [graph for graph in walked if graph is interior] == [interior]
     fresh = check_rigidity(rigid(), 1, 10)
     for rep in reports:
         assert rep.is_rigid and repr(rep) == repr(fresh)
         assert exact(rep.diagnostics) == exact(fresh.diagnostics)
+
+
+def test_condition_5_on_a_seen_boundary_graph_matches_a_fresh_one_bitwise():
+    # nothing of an earlier call's 2-ball walk is kept for condition (5): a
+    # second call, or one after check_rigidity, gives a fresh graph's vertex
+    # checks byte for byte, witnesses included
+    cases = [(bg, K, n) for bg, K, n, _ in random_interiors(9, 28)]
+    cases += [(make_example("complete_interior", interior_size=size, n=10, K=1, m=1), 1.0, 10.0) for size in (3, 6)]
+    failed = 0
+    for bg, K, n in cases:
+        g = bg.graph
+        fresh = BoundaryGraph(WeightedGraph(g.vertices, g.measures, g.weights), bg.boundary, bg.interior)
+        want = check_interior_inequality(fresh, K, n)
+        check_rigidity(bg, K, n)
+        for _ in range(2):
+            got = check_interior_inequality(bg, K, n)
+            assert (got.passed, got.detail) == (want.passed, want.detail)
+            assert vertex_check_summary(got) == vertex_check_summary(want)
+        failed += not want.passed
+    assert 0 < failed < len(cases)
 
 
 def test_rigidity_report_slack_exposed():

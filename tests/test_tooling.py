@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -175,27 +176,39 @@ def test_one_breadth_first_search_and_one_two_sphere_walk():
     # and S2) comes from one helper, and only the two grow a sphere by union
     assert _calls_of("hop_spheres") == [("graphs", "components"), ("graphs", "hop_distances")]
     assert _calls_of("_two_spheres") == [
-        ("graphs", "_walk_shape_groups"), ("graphs", "ball_indices"), ("rigidity", "two_ball_identity_check")]
+        ("graphs", "_shape_groups"), ("graphs", "ball_indices"), ("rigidity", "two_ball_identity_check")]
     assert _calls_of("union") == [("graphs", "_two_spheres"), ("graphs", "hop_spheres")]
 
 
 def test_the_graph_alone_groups_its_two_balls_by_shape():
-    # one walk groups centres by 2-ball shape, a WeightedGraph method whose
-    # whole-graph result is kept on the graph, as is its padded layout;
-    # curvature and condition (5) read those methods and neither walks a
-    # 2-sphere itself (the two-ball identity check reads S2 pair by pair and
-    # builds no shape groups)
+    # one walk groups centres by 2-ball shape, a WeightedGraph method that
+    # walks the given centres on every call; the graph keeps its padded
+    # layout of all centres alone; curvature and condition (5) read those
+    # methods and neither walks a 2-sphere itself (the two-ball identity
+    # check reads S2 pair by pair and builds no shape groups)
     defined = _enclosing_functions(lambda node: isinstance(node, ast.FunctionDef) and "shape_groups" in node.name)
-    assert [module for module, _ in defined] == ["graphs", "graphs"]
-    assert _calls_of("_walk_shape_groups") == [
-        ("graphs", "_ball_layout"), ("graphs", "_shape_groups"), ("graphs", "_two_ball_groups")]
-    assert _calls_of("_shape_groups") == [("curvature", "cd_check"), ("rigidity", "_interior_blocks")]
+    assert [module for module, _ in defined] == ["graphs"]
+    assert _calls_of("_shape_groups") == [
+        ("curvature", "cd_check"), ("graphs", "_ball_layout"), ("graphs", "_two_ball_layout"),
+        ("rigidity", "_interior_blocks")]
     assert _calls_of("_ball_layout") == [("curvature", "_curvature_stacks")]
     assert [site for site in _calls_of("_two_spheres") if site[0] in ("curvature", "rigidity")] == [
         ("rigidity", "two_ball_identity_check")]
     imported = _enclosing_functions(lambda node: isinstance(node, ast.ImportFrom)
                                     and any("shape_groups" in alias.name for alias in node.names))
     assert imported == []
+
+
+def test_the_graph_keeps_one_two_ball_structure():
+    # the padded layout is a graph's one kept 2-ball structure: no other
+    # cached property walks, groups or lays out 2-balls, and no read-only
+    # mapping of shape groups is kept beside it
+    cached = [name for name, attr in vars(steklov.graphs.WeightedGraph).items()
+              if isinstance(attr, functools.cached_property)]
+    two_ball = {name for helper in ("_two_spheres", "_shape_groups", "_padded_stacks")
+                for module, name in _calls_of(helper) if module == "graphs"}
+    assert [name for name in cached if name in two_ball or "ball" in name or "group" in name] == ["_two_ball_layout"]
+    assert "MappingProxyType" not in (ROOT / "src" / "steklov" / "graphs.py").read_text()
 
 
 def test_one_gamma2_assembly_for_every_local_form():
