@@ -26,9 +26,12 @@ by 2-ball shape and lays the groups out in padded stacks
 makes every numeric use of the pads. Each stack's pinned forms are assembled
 as blocks A11, A12 and d (operators._gamma2_blocks), never as a (B, s, s)
 stack, and turned into (B, |n|, k, k) pencils (_pencils) whose lowest
-eigenvalues, one stacked eigvalsh for every n, are the kappas. The pencils
-are kept, and one stacked eigh of them gives the witnesses, with ball ids and
-quotients, only when the results are read.
+eigenvalues, one stacked eigvalsh for every n, are the kappas. The n-free
+part (the blocks, d+, D^{-1/2}, r r^T and A12 diag(d+) A12^T) is kept in the
+graph's whole-graph layout on first use, so a graph profiled again pays only
+the rank-one update in 1/n, the scaling and one eigvalsh per stack. The
+pencils are kept with the profile, and one stacked eigh of them gives the
+witnesses, with ball ids and quotients, only when the results are read.
 
 By the Schur step, CD(K, n) holds at x exactly when kappa(x, n) >= K, so
 cd_check reads the same pencils over exact shape groups (pads would change
@@ -40,6 +43,7 @@ eigh and a witness only on failure.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -141,17 +145,19 @@ def cd_check(g, K, n, x=None):
     carries the pencil's lambda_min vector lifted to the 2-ball (_lift), with
     f^T A(K) f = kappa - K < 0. K may be any finite real; n must lie in (1, inf].
     """
+    if not g.num_vertices:
+        raise InvalidParams("a graph needs at least one vertex")
     n = validate_dimension(n)
     K = finite_number(K, "K", positive=False)
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
     for (k, _), balls in g._shape_groups(centres).items():
-        (_, a12, _, _, _, d_plus, d_isqrt), pencils = _pencils(g, balls, k, None, None, np.array([n]))
+        forms, pencils = _pencils(g, balls, k, None, None, np.array([n]))
         at = balls[:, 0]
         tau = MULTIPLICITY_TOL * g._degrees[at]
         checks.update(zip(at.tolist(), _vertex_checks(
             pencils[:, 0], lambda norm, tau=tau: tau, [g.vertices[i] for i in at.tolist()],
-            lambda j, balls=balls: _ball_ids(g, balls[j:j + 1])[0], partial(_lift_rows, a12, d_plus, d_isqrt), K)))
+            lambda j, balls=balls: _ball_ids(g, balls[j:j + 1])[0], partial(_lift_rows, forms), K)))
     checks = tuple(checks[i] for i in centres)
     return CDReport(K, n, all(c.holds for c in checks), checks)
 
@@ -182,36 +188,50 @@ class CurvatureResult:
         return VertexFunction(self.ball, self.witness_values)
 
 
-def _pencils(g, balls, k, pad, fill, n_arr):
-    """The pinned forms over a stack of 2-balls as their blocks, and their (B, |n|, k, k) pencils.
+class _Forms(namedtuple("_Forms", "a11 a12 d r gamma_diag d_plus d_isqrt rr ad")):
+    """A stack's n-free forms, read-only: A11, A12 and d with pads zeroed, r and the Gamma diagonal on S1,
+    d+ and D^{-1/2} (zero at pads), and the products r r^T and A12 diag(d+) A12^T."""
 
-    Returns (a11, a12, d, r, gamma_diag, d_plus, d_isqrt) and the pencils
-    D^{-1/2} S(n) D^{-1/2}, one per n; pad and fill are the stack's
-    _PaddedStack fields, or None. A pad repeats the centre, adding only zero
-    terms to real entries, and its rows and columns are zeroed after
-    assembly. A pad in S2 has d+ = 0; a pad in S1 has d^{-1/2} = 0 and a
-    pencil diagonal above its own ball's Gershgorin bound. Real pivots and
-    Gamma diagonals are positive, unlike pads; a pivot out of the float range
-    makes NaN or infinite entries with no numpy warning (kernel_ok reports it).
+    __slots__ = ()
+
+
+def _pencils(g, balls, k, pad, fill, n_arr, forms=None):
+    """The n-free forms over a stack of 2-balls, assembled unless given, and their (B, |n|, k, k) pencils.
+
+    forms is a read-only _Forms; pad and fill are the stack's _PaddedStack
+    fields, or None. A pad repeats the centre, adding only zero terms to real
+    entries, and its rows and columns are zeroed after assembly. A pad in S2
+    has d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal above its
+    own ball's Gershgorin bound. Real pivots and Gamma diagonals are
+    positive, unlike pads; a pivot out of the float range makes NaN or
+    infinite entries with no numpy warning (kernel_ok reports it). The
+    pencils D^{-1/2} S(n) D^{-1/2}, one per n, cost the rank-one update in
+    1/n and the scaling alone.
     """
-    q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
-    a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
-    if pad is not None:
-        a[pad[:, 1:k + 1]] = a.transpose(0, 2, 1)[pad[:, 1:]] = d[pad[:, k + 1:]] = 0.0
-    a11, a12 = a[:, :, :k], a[:, :, k:]
+    if forms is None:
+        q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
+        a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
+        if pad is not None:
+            a[pad[:, 1:k + 1]] = a.transpose(0, 2, 1)[pad[:, 1:]] = d[pad[:, k + 1:]] = 0.0
+        a11, a12 = a[:, :, :k], a[:, :, k:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+            d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
+            forms = _Forms(a11, a12, d, r, gamma_diag, d_plus, d_isqrt, r[:, :, None] * r[:, None, :],
+                           (a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))
+        for array in forms:
+            array.setflags(write=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
-        d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
-        schur = a11[:, None] - (r[:, :, None] * r[:, None, :])[:, None] / n_arr[:, None, None]
-        schur -= ((a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))[:, None]
-        schur *= d_isqrt[:, None, :, None]
-        schur *= d_isqrt[:, None, None, :]
+        schur = forms.a11[:, None] - forms.rr[:, None] / n_arr[:, None, None]
+        schur -= forms.ad[:, None]
+        schur *= forms.d_isqrt[:, None, :, None]
+        schur *= forms.d_isqrt[:, None, None, :]
         pencils = schur + schur.swapaxes(2, 3)
         pencils /= 2.0
     if fill is not None:
         at, s1 = fill
         pencils[at, :, s1, s1] = 2.0 * k * np.abs(pencils[at]).max(axis=(1, 2, 3))[:, None] + 1.0
-    return (a11, a12, d, r, gamma_diag, d_plus, d_isqrt), pencils
+    return forms, pencils
 
 
 def _lift(vecs, a12, d_plus, d_isqrt):
@@ -221,9 +241,9 @@ def _lift(vecs, a12, d_plus, d_isqrt):
     return f1, g12, -d_plus[:, None] * g12
 
 
-def _lift_rows(a12, d_plus, d_isqrt, rows, vecs):
-    """The (F, k + t) values (f1, f2) that _lift gives pencil vectors (F, k) at some rows of a stack."""
-    f1, _, f2 = _lift(vecs[:, None], a12[rows], d_plus[rows], d_isqrt[rows])
+def _lift_rows(forms, rows, vecs):
+    """The (F, k + t) values (f1, f2) that _lift gives pencil vectors (F, k) at some rows of a stack's _Forms."""
+    f1, _, f2 = _lift(vecs[:, None], forms.a12[rows], forms.d_plus[rows], forms.d_isqrt[rows])
     return np.concatenate([f1, f2], axis=2)[:, 0]
 
 
@@ -234,25 +254,26 @@ def _curvature_stacks(g, centres, n_values):
     eigvalsh of its _pencils (no eigenvectors); kernel_ok, a (B,) array, says
     that every real S2 pivot was inverted to a finite positive number (0 < d+ < inf);
     finish() is _finish_stack on what the stack keeps, the pencils among it.
+    The layout keeps each stack's _Forms from its first use, so a graph's
+    kept whole-graph layout assembles them once per graph.
     """
     layout = g._ball_layout(centres)
     if layout.isolated is not None:
         raise IsolatedVertex(g.vertices[layout.isolated])
     n_arr = np.array(n_values)
     stacks = []
-    for k, _, balls, pad, fill, parts in layout.stacks:
-        blocks, pencils = _pencils(g, balls, k, pad, fill, n_arr)
+    for j, (k, _, balls, pad, fill, parts) in enumerate(layout.stacks):
+        forms, pencils = _pencils(g, balls, k, pad, fill, n_arr, layout.forms[j])
+        layout.forms[j] = forms
         low = _lapack.eigvalsh(pencils)[..., 0]
-        d_plus = blocks[5]
-        inverted = (d_plus > 0.0) & (d_plus < np.inf)
+        inverted = (forms.d_plus > 0.0) & (forms.d_plus < np.inf)
         kernel_ok = (inverted if pad is None else inverted | pad[:, k + 1:]).all(axis=1)
-        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, kernel_ok, pad, parts, pencils, *blocks)
+        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, kernel_ok, pad, parts, pencils, forms)
         stacks.append((balls[:, 0], low, kernel_ok, finish))
     return stacks
 
 
-def _finish_stack(g, n_values, centres, kappas, kernel_ok, pad, parts, pencils, a11, a12, d, r, gamma_diag, d_plus,
-                  d_isqrt):
+def _finish_stack(g, n_values, centres, kappas, kernel_ok, pad, parts, pencils, forms):
     """{centre: [CurvatureResult for each n in n_values]} for a stack, from its eager part.
 
     One stacked eigh of the kept pencils gives their lambda_min eigenvectors;
@@ -262,8 +283,9 @@ def _finish_stack(g, n_values, centres, kappas, kernel_ok, pad, parts, pencils, 
     reordered to start with the ball's own coordinates (x, S1, S2) and cut
     to them. Each witness
     f = (f1, f2) is checked against the pinned form for its n, read from
-    the blocks as f1^T A11 f1 + 2 f1^T A12 f2 + sum d f2^2.
+    the stack's _Forms as f1^T A11 f1 + 2 f1^T A12 f2 + sum d f2^2.
     """
+    a11, a12, d, r, gamma_diag, d_plus, d_isqrt, _, _ = forms
     ids = [ball for part in parts for ball in _ball_ids(g, part)]
     n_arr = np.array(n_values)
     k = r.shape[1]

@@ -127,9 +127,10 @@ class _PaddedStack(namedtuple("_PaddedStack", "k t balls pad fill parts")):
     __slots__ = ()
 
 
-class _BallLayout(namedtuple("_BallLayout", "stacks isolated")):
-    """The curvature function's layout of some centres' 2-balls: a tuple of _PaddedStacks, and isolated, the
-    index of the first of those centres whose 2-ball is the centre alone, or None."""
+class _BallLayout(namedtuple("_BallLayout", "stacks isolated forms")):
+    """The curvature function's layout of some centres' 2-balls: a tuple of _PaddedStacks; isolated, the
+    index of the first of those centres whose 2-ball is the centre alone, or None; and forms, a list with
+    one slot per stack, None until the curvature function keeps that stack's n-free forms in it."""
 
     __slots__ = ()
 
@@ -173,7 +174,7 @@ def _padded_stacks(groups):
             array.setflags(write=False)
         laid.append(_PaddedStack(k, t, balls, pad, fill, parts))
     lone = groups.get((0, 0))
-    return _BallLayout(tuple(laid), None if lone is None else int(lone[0, 0]))
+    return _BallLayout(tuple(laid), None if lone is None else int(lone[0, 0]), [None] * len(laid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +199,14 @@ class WeightedGraph:
 
     What depends on the graph alone is built on first use and kept, read-only:
     the neighbour lists, the weight sums and degrees, the Laplacian, and the
-    curvature function's layout of all vertices' 2-balls in padded stacks
-    (integer and boolean arrays alone), the one kept 2-ball structure. cd_check
-    and condition (5) group the 2-balls of their centres by shape afresh on
-    each call. This module is the one that walks 2-balls and lays them out.
+    curvature function's layout of all vertices' 2-balls in padded stacks,
+    the one kept 2-ball structure. The layout's own arrays are integer and
+    boolean; the first curvature profile keeps each stack's n-free float
+    forms in it (per stack, the (B, 1 + k, 1 + k + t) S1 rows of the Gamma2
+    assembly, two (B, k, k) products and O(B s) vectors). cd_check,
+    curvature_at and condition (5) group the 2-balls of their centres by
+    shape afresh on each call and keep nothing. This module is the one that
+    walks 2-balls and lays them out.
     """
 
     vertices: tuple

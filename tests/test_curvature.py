@@ -1,5 +1,6 @@
 """Curvature-dimension checks, the curvature function, and the spectral bound."""
 
+import functools
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from steklov import (
     attach_boundary,
     build_graph,
     cd_check,
+    check_interior_inequality,
     curvature_at,
     curvature_profile,
     join_equality_boundary,
@@ -527,32 +529,45 @@ def cd_check_bytes(report):
 
 
 def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkeypatch):
-    # the layout of all centres' 2-balls depends on the graph alone: the first
-    # profile lays it out, read-only, and a second one merges nothing and
-    # gives a fresh graph's kappas, global minima, kernel_ok, witnesses and
-    # quotients bit for bit; cd_check over all centres walks its 2-balls
-    # afresh on every call and gives a fresh graph's checks bit for bit
-    merges = []
-    padded_stacks = steklov.graphs._padded_stacks
+    # the layout of all centres' 2-balls and each stack's n-free forms depend
+    # on the graph alone: the first profile lays the 2-balls out and keeps the
+    # forms, read-only; a later one over another n grid (a repeated n, an n
+    # the first did not see) merges and assembles nothing and gives a fresh
+    # graph's kappas, global minima, kernel_ok, witnesses and quotients bit
+    # for bit; cd_check over all centres walks its 2-balls afresh on every
+    # call and gives a fresh graph's checks bit for bit
+    merges, assemblies = [], []
+    padded_stacks, gamma2_blocks = steklov.graphs._padded_stacks, steklov.curvature._gamma2_blocks
     monkeypatch.setattr(steklov.graphs, "_padded_stacks", lambda groups: merges.append(1) or padded_stacks(groups))
+    monkeypatch.setattr(steklov.curvature, "_gamma2_blocks",
+                        lambda g, balls, k: assemblies.append(len(balls)) or gamma2_blocks(g, balls, k))
     rng = np.random.default_rng(32)
-    graphs = [*atlas_graphs(5), *star_and_hub_grid(), unit_grid(12), shuffled_grid(rng, 16)]
+    star, hub = star_and_hub_grid()
+    cycle = build_graph([(v, 1.0) for v in range(6)], [(v, (v + 1) % 6, 1.0) for v in range(6)])
+    graphs = [cycle, *atlas_graphs(5), star, hub, unit_grid(12), shuffled_grid(rng, 16), unit_grid(30)]
     graphs += [widely_weighted_graph(rng) for _ in range(8)]
+    first_grid, grid = (3.0, INF), (2.0, 5.0, 2.0, INF)
     padded = filled = failed = 0
     for g in graphs:
-        twin = WeightedGraph(g.vertices, g.measures, g.weights)
+        def fresh(n_grid):
+            return curvature_profile(WeightedGraph(g.vertices, g.measures, g.weights), n_grid)
+
         merges.clear()
-        first = curvature_profile(g, (2.0, 5.0, INF))
+        assemblies.clear()
+        first = curvature_profile(g, first_grid)
         laid = g._two_ball_layout
+        kept = list(laid.forms)
         assert merges == [1] and laid is g._ball_layout(range(g.num_vertices)) and laid.isolated is None
-        seen = curvature_profile(g, (2.0, 5.0, INF))
-        assert merges == [1] and g._two_ball_layout is laid
-        fresh = curvature_profile(twin, (2.0, 5.0, INF))
-        for profile in (first, seen):
-            assert profile.kappas.tobytes() == fresh.kappas.tobytes() and profile.global_min == fresh.global_min
-            assert profile.kernel_ok.tobytes() == fresh.kernel_ok.tobytes()
-            assert result_bytes(profile) == result_bytes(fresh)
-        low = fresh.global_min[2.0][0]
+        assert sum(assemblies) == g.num_vertices and len(kept) == len(laid.stacks)
+        seen = curvature_profile(g, grid)
+        assert merges == [1] and sum(assemblies) == g.num_vertices and g._two_ball_layout is laid
+        assert all(forms is was for forms, was in zip(laid.forms, kept, strict=True))
+        assert seen.n_values == (2.0, 5.0, INF)
+        for profile, want in ((first, fresh(first_grid)), (seen, fresh(grid))):
+            assert profile.kappas.tobytes() == want.kappas.tobytes() and profile.global_min == want.global_min
+            assert profile.kernel_ok.tobytes() == want.kernel_ok.tobytes()
+            assert result_bytes(profile) == result_bytes(want)
+        low = seen.global_min[2.0][0]
         for K in (low, low + 0.5):
             want = cd_check_bytes(cd_check(WeightedGraph(g.vertices, g.measures, g.weights), K, 2.0))
             assert [cd_check_bytes(cd_check(g, K, 2.0)) for _ in range(2)] == [want, want]
@@ -564,7 +579,40 @@ def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkey
                           *(stack.fill or ())):
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
+    assert [stack.pad for stack in cycle._two_ball_layout.stacks] == [None]
+    assert len(star._two_ball_layout.stacks) == 2
     assert padded > 30 and filled > 20 and failed > 100
+
+
+def test_only_a_whole_graph_profile_keeps_forms_on_the_graph():
+    # each stack's n-free forms sit in the kept whole-graph layout, every
+    # array read-only; cd_check, curvature_at and condition (5) read exact
+    # shape groups or fresh balls and add nothing to a graph, seen or not
+    star = star_and_hub_grid()[0]
+    curvature_profile(star, (2.0, INF))
+    laid = star._two_ball_layout
+    kept = list(laid.forms)
+    assert len(kept) == len(laid.stacks) == 2
+    for forms in kept:
+        for array in forms:
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+    bg = join_equality_boundary(unit_grid(6), 3.0, 1.0, 1.0)
+    graphs = (star, unit_grid(6), bg.graph, bg.interior_graph)
+    for g in graphs:  # build the caches that do not hold 2-balls
+        for name, attr in vars(WeightedGraph).items():
+            if isinstance(attr, functools.cached_property) and name != "_two_ball_layout":
+                getattr(g, name)
+    before = [sorted(vars(g)) for g in graphs]
+    for g in graphs[:2]:
+        for x in (None, g.vertices[1]):
+            cd_check(g, 0.0, 2.0, x)
+        curvature_at(g, g.vertices[1], 2.0)
+    assert len(check_interior_inequality(bg, 1.0, 3.0).vertex_checks) == 36
+    assemble_interior_form(bg, 1.0, 3.0, "2_2")
+    assert [sorted(vars(g)) for g in graphs] == before
+    assert "_two_ball_layout" not in before[1]
+    assert star._two_ball_layout is laid and all(forms is was for forms, was in zip(laid.forms, kept, strict=True))
 
 
 def test_padded_stacks_keep_each_merge_within_the_pad_budget():
@@ -748,9 +796,13 @@ def test_curvature_profile_names_the_first_isolated_vertex():
 
 
 def test_curvature_profile_needs_a_vertex():
-    # a graph with no vertex reached numpy's empty fmin reduction
+    # a graph with no vertex reached numpy's empty fmin reduction, and
+    # cd_check on it held with no checks
+    empty = WeightedGraph((), [], np.zeros((0, 0)))
     with pytest.raises(InvalidParams, match="a graph needs at least one vertex"):
-        curvature_profile(WeightedGraph((), [], np.zeros((0, 0))), (2.0, INF))
+        curvature_profile(empty, (2.0, INF))
+    with pytest.raises(InvalidParams, match="a graph needs at least one vertex"):
+        cd_check(empty, 0.0, 2.0)
 
 
 def test_s2_block_of_gamma2_is_a_positive_diagonal():

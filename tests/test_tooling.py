@@ -200,22 +200,31 @@ def test_the_graph_alone_groups_its_two_balls_by_shape():
 
 
 def test_the_graph_keeps_one_two_ball_structure():
-    # the padded layout is a graph's one kept 2-ball structure: no other
-    # cached property walks, groups or lays out 2-balls, and no read-only
-    # mapping of shape groups is kept beside it
+    # the padded layout is a graph's one kept 2-ball structure, and the
+    # curvature function's n-free forms are kept inside it, one slot per
+    # stack filled at one site: no other cached property walks, groups or
+    # lays out 2-balls or holds forms, and no read-only mapping of shape
+    # groups is kept beside it
     cached = [name for name, attr in vars(steklov.graphs.WeightedGraph).items()
               if isinstance(attr, functools.cached_property)]
     two_ball = {name for helper in ("_two_spheres", "_shape_groups", "_padded_stacks")
                 for module, name in _calls_of(helper) if module == "graphs"}
-    assert [name for name in cached if name in two_ball or "ball" in name or "group" in name] == ["_two_ball_layout"]
+    assert [name for name in cached if name in two_ball or "ball" in name or "group" in name
+            or "form" in name] == ["_two_ball_layout"]
     assert "MappingProxyType" not in (ROOT / "src" / "steklov" / "graphs.py").read_text()
+    kept = _enclosing_functions(lambda node: isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Subscript) and getattr(target.value, "attr", None) == "forms"
+        for target in node.targets))
+    assert kept == [("curvature", "_curvature_stacks")]
 
 
 def test_one_gamma2_assembly_for_every_local_form():
-    # one stacked function assembles Gamma2 by blocks, which the pencils of
-    # the curvature function and cd_check and the condition-(5) forms read
-    # as they are, with no (B, s, s) stack; only the one-centre form places
-    # them into a full form, and no second placement is left in the library.
+    # one stacked function assembles Gamma2 by blocks, which the pencil step
+    # of the curvature function and cd_check (where it first makes a stack's
+    # n-free forms, kept with a whole-graph layout) and the condition-(5)
+    # forms read as they are, with no (B, s, s) stack; only the one-centre
+    # form places them into a full form, and no second placement is left in
+    # the library.
     # Condition (5) takes its blocks from one helper, which the construction's
     # probes call and its returned report does not
     assert _calls_of("_gamma2_blocks") == [
