@@ -579,6 +579,10 @@ def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkey
                           *(stack.fill or ())):
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
+        for forms in kept:
+            for array in forms:
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
     assert [stack.pad for stack in cycle._two_ball_layout.stacks] == [None]
     assert len(star._two_ball_layout.stacks) == 2
     assert padded > 30 and filled > 20 and failed > 100
