@@ -21,16 +21,16 @@ a rank-one update in n of one form per vertex. That lambda_min is the
 curvature function kappa(x, n) returned here.
 
 kappa(x, .) depends on the 2-ball around x alone. The graph groups centres
-by 2-ball shape and lays the groups out in padded stacks
-(WeightedGraph._ball_layout), once per graph for all centres; this module
-makes every numeric use of the pads. Each stack's pinned forms are assembled
-as blocks A11, A12 and d (operators._gamma2_blocks), never as a (B, s, s)
-stack, and turned into (B, |n|, k, k) pencils (_pencils) whose lowest
-eigenvalues, one stacked eigvalsh for every n, are the kappas. The n-free
-part (the blocks, d+, D^{-1/2}, r r^T and A12 diag(d+) A12^T) is kept in the
-graph's whole-graph layout on first use, so a graph profiled again pays only
-the rank-one update in 1/n, the scaling and one eigvalsh per stack. The
-pencils are kept with the profile, and one stacked eigh of them gives the
+by 2-ball shape (WeightedGraph._shape_groups); this module alone pads them:
+_laid_stacks merges the groups into padded stacks and builds each one whole,
+with its n-free forms, as a read-only _Stack. Each stack's pinned forms are
+assembled as blocks A11, A12 and d (operators._gamma2_blocks, read by
+_forms), never as a (B, s, s) stack, with d+, D^{-1/2}, r r^T and, where
+the stack has S2, A12 diag(d+) A12^T. The graph keeps the stacks of all its
+centres (WeightedGraph._two_ball_stacks), so a profile pays only the
+(B, |n|, k, k) pencils (_pencils: the rank-one update in 1/n and the scaling)
+and one stacked eigvalsh per stack, whose lowest eigenvalues are the kappas.
+The pencils are kept with the profile, and one stacked eigh of them gives the
 witnesses, with ball ids and quotients, only when the results are read.
 
 By the Schur step, CD(K, n) holds at x exactly when kappa(x, n) >= K, so
@@ -152,7 +152,8 @@ def cd_check(g, K, n, x=None):
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
     for (k, _), balls in g._shape_groups(centres).items():
-        forms, pencils = _pencils(g, balls, k, None, None, np.array([n]))
+        forms = _forms(g, balls, k, None)
+        pencils = _pencils(forms, None, np.array([n]))
         at = balls[:, 0]
         tau = MULTIPLICITY_TOL * g._degrees[at]
         checks.update(zip(at.tolist(), _vertex_checks(
@@ -188,50 +189,123 @@ class CurvatureResult:
         return VertexFunction(self.ball, self.witness_values)
 
 
+PAD_ENTRIES = 2 ** 12  # most pad entries one merge may add to a stack, about one stack's fixed cost
+
+
 class _Forms(namedtuple("_Forms", "a11 a12 d r gamma_diag d_plus d_isqrt rr ad")):
     """A stack's n-free forms, read-only: A11, A12 and d with pads zeroed, r and the Gamma diagonal on S1,
-    d+ and D^{-1/2} (zero at pads), and the products r r^T and A12 diag(d+) A12^T."""
+    d+ and D^{-1/2} (zero at pads), r r^T, and A12 diag(d+) A12^T (None on a stack with no S2)."""
 
     __slots__ = ()
 
 
-def _pencils(g, balls, k, pad, fill, n_arr, forms=None):
-    """The n-free forms over a stack of 2-balls, assembled unless given, and their (B, |n|, k, k) pencils.
+class _Stack(namedtuple("_Stack", "centres parts pad fill forms kernel_ok")):
+    """One padded stack of 2-balls, built whole by _laid_stacks; each array in it is read-only.
 
-    forms is a read-only _Forms; pad and fill are the stack's _PaddedStack
-    fields, or None. A pad repeats the centre, adding only zero terms to real
-    entries, and its rows and columns are zeroed after assembly. A pad in S2
-    has d+ = 0; a pad in S1 has d^{-1/2} = 0 and a pencil diagonal above its
-    own ball's Gershgorin bound. Real pivots and Gamma diagonals are
-    positive, unlike pads; a pivot out of the float range makes NaN or
-    infinite entries with no numpy warning (kernel_ok reports it). The
-    pencils D^{-1/2} S(n) D^{-1/2}, one per n, cost the rank-one update in
-    1/n and the scaling alone.
+    Its B rows are the balls of the merged shape groups parts, in order, each
+    laid out as the centre, S1, pad, S2, pad with every pad entry repeating
+    the centre, and centres are the rows' centres. pad is the (B, 1 + k + t)
+    mask of the pad entries, None for a stack of one shape, which has no
+    pads; fill holds the (rows, S1 slots) of the S1 pads, None when there are
+    none. forms is the stack's _Forms; kernel_ok, a (B,) array, says that
+    every real S2 pivot was inverted to a finite positive number (0 < d+ < inf).
     """
-    if forms is None:
-        q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
-        a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
-        if pad is not None:
-            a[pad[:, 1:k + 1]] = a.transpose(0, 2, 1)[pad[:, 1:]] = d[pad[:, k + 1:]] = 0.0
-        a11, a12 = a[:, :, :k], a[:, :, k:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
-            d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
-            forms = _Forms(a11, a12, d, r, gamma_diag, d_plus, d_isqrt, r[:, :, None] * r[:, None, :],
-                           (a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1))
-        for array in forms:
+
+    __slots__ = ()
+
+
+def _laid_stacks(g, centres):
+    """The given centres' 2-balls as a tuple of _Stacks: their shape groups merged, by ball size, into padded stacks.
+
+    A group joins the open stack while the padding this adds, to the stack's
+    rows and to its own, is at most PAD_ENTRIES: a merge then costs no more
+    arithmetic than about the fixed numpy cost of the stack it saves, and one
+    large 2-ball cannot blow up a stack of many small ones. A centre whose
+    2-ball is the centre alone raises IsolatedVertex, the first such centre named.
+    """
+    groups = g._shape_groups(centres)
+    if (0, 0) in groups:
+        raise IsolatedVertex(g.vertices[groups[0, 0][0, 0]])
+    merged = []  # [k, t, rows, shapes]
+    for k, t in sorted(groups, key=lambda shape: (sum(shape), shape)):
+        b = len(groups[k, t])
+        if merged:
+            k0, t0, rows, shapes = merged[-1]
+            old, new = 1 + k0 + t0, 1 + max(k0, k) + max(t0, t)
+            if rows * (new ** 2 - old ** 2) + b * (new ** 2 - (1 + k + t) ** 2) <= PAD_ENTRIES:
+                merged[-1] = [max(k0, k), max(t0, t), rows + b, shapes + [(k, t)]]
+                continue
+        merged.append([k, t, b, [(k, t)]])
+    stacks = []
+    for k, t, _, shapes in merged:
+        parts = tuple(groups[shape] for shape in shapes)
+        balls, pad, fill = parts[0], None, None
+        if len(parts) > 1:
+            balls = np.repeat(np.concatenate([part[:, :1] for part in parts]), 1 + k + t, axis=1)
+            at = 0
+            for (k1, t1), part in zip(shapes, parts):
+                rows = slice(at, at + len(part))
+                balls[rows, :1 + k1], balls[rows, 1 + k:1 + k + t1] = part[:, :1 + k1], part[:, 1 + k1:]
+                at += len(part)
+            pad = balls == balls[:, :1]  # a ball lists distinct vertices, so only the pads repeat the centre
+            pad[:, 0] = False
+            fill = np.nonzero(pad[:, 1:k + 1]) if pad[:, k].any() else None  # S1 pads sit at the end of S1
+        forms = _forms(g, balls, k, pad)
+        inverted = (forms.d_plus > 0.0) & (forms.d_plus < np.inf)
+        kernel_ok = (inverted if pad is None else inverted | pad[:, k + 1:]).all(axis=1)
+        stack = _Stack(balls[:, 0].copy(), parts, pad, fill, forms, kernel_ok)
+        for array in (stack.centres, *parts, pad, *(fill or ()), kernel_ok):
+            if array is not None:
+                array.setflags(write=False)
+        stacks.append(stack)
+    return tuple(stacks)
+
+
+def _forms(g, balls, k, pad):
+    """The read-only _Forms of a (B, 1 + k + t) stack of 2-balls; pad is its pad mask, or None.
+
+    A pad repeats the centre, adding only zero terms to real entries, and its
+    rows and columns are zeroed after assembly, so a pad in S2 has d+ = 0 and
+    a pad in S1 has d^{-1/2} = 0. Real pivots and Gamma diagonals are
+    positive, unlike pads; a pivot out of the float range makes NaN or
+    infinite entries with no numpy warning (kernel_ok reports it).
+    """
+    q1, d, gamma_diag, row = _gamma2_blocks(g, balls, k + 1)
+    a, r, gamma_diag = q1[:, 1:, 1:], row[:, 1:], gamma_diag[:, 1:]
+    if pad is not None:
+        a[pad[:, 1:k + 1]] = a.transpose(0, 2, 1)[pad[:, 1:]] = d[pad[:, k + 1:]] = 0.0
+    a11, a12 = a[:, :, :k], a[:, :, k:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_plus = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+        d_isqrt = np.divide(1.0, np.sqrt(gamma_diag), out=np.zeros_like(gamma_diag), where=gamma_diag > 0.0)
+        forms = _Forms(a11, a12, d, r, gamma_diag, d_plus, d_isqrt, r[:, :, None] * r[:, None, :],
+                       (a12 * d_plus[:, None]) @ a12.transpose(0, 2, 1) if d.shape[1] else None)
+    for array in forms:
+        if array is not None:
             array.setflags(write=False)
+    return forms
+
+
+def _pencils(forms, fill, n_arr):
+    """The (B, |n|, k, k) pencils D^{-1/2} S(n) D^{-1/2} of a stack's _Forms, one per n.
+
+    They cost the rank-one update in 1/n and the scaling alone. fill is the
+    stack's (rows, S1 slots) of its S1 pads, or None; a pad in S1 gets a
+    pencil diagonal above its own ball's Gershgorin bound.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         schur = forms.a11[:, None] - forms.rr[:, None] / n_arr[:, None, None]
-        schur -= forms.ad[:, None]
+        if forms.ad is not None:
+            schur -= forms.ad[:, None]
         schur *= forms.d_isqrt[:, None, :, None]
         schur *= forms.d_isqrt[:, None, None, :]
         pencils = schur + schur.swapaxes(2, 3)
         pencils /= 2.0
     if fill is not None:
         at, s1 = fill
-        pencils[at, :, s1, s1] = 2.0 * k * np.abs(pencils[at]).max(axis=(1, 2, 3))[:, None] + 1.0
-    return forms, pencils
+        top = np.abs(pencils[at]).max(axis=(1, 2, 3), initial=0.0)  # initial: an empty n grid has no entry
+        pencils[at, :, s1, s1] = 2.0 * pencils.shape[-1] * top[:, None] + 1.0
+    return pencils
 
 
 def _lift(vecs, a12, d_plus, d_isqrt):
@@ -248,35 +322,27 @@ def _lift_rows(forms, rows, vecs):
 
 
 def _curvature_stacks(g, centres, n_values):
-    """Per padded stack of 2-balls, (centres, kappas, kernel_ok, finish): the curvature function's eager part.
+    """Per _Stack of the centres' 2-balls, (stack, kappas, finish): the curvature function's eager part.
 
     kappas, a (B, |n|) array over the stack's B centres, comes from one stacked
-    eigvalsh of its _pencils (no eigenvectors); kernel_ok, a (B,) array, says
-    that every real S2 pivot was inverted to a finite positive number (0 < d+ < inf);
-    finish() is _finish_stack on what the stack keeps, the pencils among it.
-    The layout keeps each stack's _Forms from its first use, so a graph's
-    kept whole-graph layout assembles them once per graph.
+    eigvalsh of its _pencils (no eigenvectors); finish() is _finish_stack on
+    the stack and its pencils. All centres read the stacks the graph keeps
+    (WeightedGraph._two_ball_stacks), so their forms are assembled once per graph.
     """
-    layout = g._ball_layout(centres)
-    if layout.isolated is not None:
-        raise IsolatedVertex(g.vertices[layout.isolated])
+    stacks = g._two_ball_stacks if centres == range(g.num_vertices) else _laid_stacks(g, centres)
     n_arr = np.array(n_values)
-    stacks = []
-    for j, (k, _, balls, pad, fill, parts) in enumerate(layout.stacks):
-        forms, pencils = _pencils(g, balls, k, pad, fill, n_arr, layout.forms[j])
-        layout.forms[j] = forms
+    eager = []
+    for stack in stacks:
+        pencils = _pencils(stack.forms, stack.fill, n_arr)
         low = _lapack.eigvalsh(pencils)[..., 0]
-        inverted = (forms.d_plus > 0.0) & (forms.d_plus < np.inf)
-        kernel_ok = (inverted if pad is None else inverted | pad[:, k + 1:]).all(axis=1)
-        finish = partial(_finish_stack, g, n_values, balls[:, 0], low, kernel_ok, pad, parts, pencils, forms)
-        stacks.append((balls[:, 0], low, kernel_ok, finish))
-    return stacks
+        eager.append((stack, low, partial(_finish_stack, g, n_values, stack, low, pencils)))
+    return eager
 
 
-def _finish_stack(g, n_values, centres, kappas, kernel_ok, pad, parts, pencils, forms):
-    """{centre: [CurvatureResult for each n in n_values]} for a stack, from its eager part.
+def _finish_stack(g, n_values, stack, kappas, pencils):
+    """{centre: [CurvatureResult for each n in n_values]} for a _Stack, from its eager part.
 
-    One stacked eigh of the kept pencils gives their lambda_min eigenvectors;
+    One stacked eigh of the stack's pencils gives their lambda_min eigenvectors;
     each result's kappa stays the eigvalsh value of the eager part, which
     cd_check shares, so the quotients match it up to roundoff. The witnesses are
     read-only rows of one (B, |n|, 1 + k + t) stack, a padded ball's row
@@ -285,8 +351,8 @@ def _finish_stack(g, n_values, centres, kappas, kernel_ok, pad, parts, pencils, 
     f = (f1, f2) is checked against the pinned form for its n, read from
     the stack's _Forms as f1^T A11 f1 + 2 f1^T A12 f2 + sum d f2^2.
     """
-    a11, a12, d, r, gamma_diag, d_plus, d_isqrt, _, _ = forms
-    ids = [ball for part in parts for ball in _ball_ids(g, part)]
+    a11, a12, d, r, gamma_diag, d_plus, d_isqrt, _, _ = stack.forms
+    ids = [ball for part in stack.parts for ball in _ball_ids(g, part)]
     n_arr = np.array(n_values)
     k = r.shape[1]
     low_vecs = _lapack.eigh(pencils)[1][..., 0]
@@ -297,23 +363,23 @@ def _finish_stack(g, n_values, centres, kappas, kernel_ok, pad, parts, pencils, 
                      / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
     vecs = _sign_fix(np.concatenate([f1, f2], axis=2))
     witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
-    if pad is not None:  # each ball's own coordinates first (no row moves without an S1 pad)
-        moved = np.flatnonzero(pad[:, k])
-        order = np.argsort(pad[moved], axis=1, kind="stable")
+    if stack.pad is not None:  # each ball's own coordinates first (no row moves without an S1 pad)
+        moved = np.flatnonzero(stack.pad[:, k])
+        order = np.argsort(stack.pad[moved], axis=1, kind="stable")
         witnesses[moved] = witnesses[moved[:, None, None], np.arange(len(n_arr))[:, None], order[:, None]]
     witnesses.setflags(write=False)
-    if pad is not None:
+    if stack.pad is not None:
         witnesses = [rows[:, :len(ball)] for rows, ball in zip(witnesses, ids)]
     return {i: [CurvatureResult(ball[0], n, kappa, ok, quot, ball, row)
                 for n, kappa, quot, row in zip(n_values, kaps, quots, rows)]
-            for i, ball, kaps, ok, quots, rows in zip(centres.tolist(), ids, kappas.tolist(), kernel_ok.tolist(),
-                                                      quotients.tolist(), witnesses)}
+            for i, ball, kaps, ok, quots, rows in zip(stack.centres.tolist(), ids, kappas.tolist(),
+                                                      stack.kernel_ok.tolist(), quotients.tolist(), witnesses)}
 
 
 def curvature_at(g, x, n):
     """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction."""
     i = g.index(x)
-    ((_, _, _, finish),) = _curvature_stacks(g, (i,), (validate_dimension(n),))
+    ((_, _, finish),) = _curvature_stacks(g, (i,), (validate_dimension(n),))
     return finish()[i][0]
 
 
@@ -322,7 +388,8 @@ class CurvatureProfile:
     """Per-vertex curvature over a grid of dimension parameters.
 
     `kappas` and `global_min` are read off the stacked kappas, one eigvalsh
-    per stack, when the profile is built, and `kernel_ok` off the S2 pivots.
+    per stack, when the profile is built, and `kernel_ok`, free of n, off the
+    graph's stacks.
     The eigenvectors, ball ids, witnesses and quotients are not built until
     `results` is first read, which finishes each stack (one eigh of its kept
     pencils) and wraps its output as CurvatureResults; a caller that reads
@@ -341,8 +408,8 @@ class CurvatureProfile:
     def kernel_ok(self):
         """Read-only (N,) bools, in vertex order: every CurvatureResult's kernel_ok at that vertex."""
         ok = np.empty(len(self.vertices), bool)
-        for centres, _, kernel_ok, _ in self._stacks:
-            ok[centres] = kernel_ok
+        for stack, *_ in self._stacks:
+            ok[stack.centres] = stack.kernel_ok
         ok.setflags(write=False)
         return ok
 
@@ -365,10 +432,10 @@ def curvature_profile(g, n_grid):
     if not g.num_vertices:
         raise InvalidParams("a graph needs at least one vertex")
     n_values = tuple(dict.fromkeys(validate_dimension(n) for n in n_grid))
-    stacks = _curvature_stacks(g, range(g.num_vertices), n_values) if n_values else []
+    stacks = _curvature_stacks(g, range(g.num_vertices), n_values)
     kappas = np.empty((g.num_vertices, len(n_values)))
-    for centres, low, _, _ in stacks:
-        kappas[centres] = low
+    for stack, low, _ in stacks:
+        kappas[stack.centres] = low
     kappas.setflags(write=False)
     low = np.fmin.reduce(kappas, axis=0)
     first = np.argmax(kappas <= low + MULTIPLICITY_TOL * g._degrees.max(), axis=0)

@@ -16,7 +16,6 @@ deterministic.
 import itertools
 import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -55,8 +54,6 @@ MULTIPLICITY_TOL = 1e-8  # relative to max |eigenvalue| (ties), max(deg/m) (glob
 GREEN_TOL = 1e-10  # Green's identity residual relative to the sum of its three terms' magnitudes
 ZERO_TOL = 1e-12  # the sign fix's leading entry: the first above this fraction of the row's largest
 SEARCH_TOL = 1e-6  # relative width at which the construction's lambda bisection stops
-
-PAD_ENTRIES = 2 ** 12  # most pad entries one merge may add to a curvature stack, about one stack's fixed cost
 
 
 def is_infinite(n):
@@ -113,70 +110,6 @@ def _check_positive(kind, element, value):
     return x
 
 
-class _PaddedStack(namedtuple("_PaddedStack", "k t balls pad fill parts")):
-    """One padded stack of 2-balls, laid out from the graph's structure alone; each array in it is read-only.
-
-    k and t are the largest |S1| and |S2| in the stack, balls its
-    (B, 1 + k + t) rows, each the centre, S1, pad, S2, pad, with every pad
-    entry repeating the centre. pad is the (B, 1 + k + t) mask of the pad
-    entries, None for a stack of one shape, which has no pads; fill holds the
-    (rows, S1 slots) of the S1 pads, None when there are none; parts are the
-    merged groups' own arrays, in the order of the rows.
-    """
-
-    __slots__ = ()
-
-
-class _BallLayout(namedtuple("_BallLayout", "stacks isolated forms")):
-    """The curvature function's layout of some centres' 2-balls: a tuple of _PaddedStacks; isolated, the
-    index of the first of those centres whose 2-ball is the centre alone, or None; and forms, a list with
-    one slot per stack, None until the curvature function keeps that stack's n-free forms in it."""
-
-    __slots__ = ()
-
-
-def _padded_stacks(groups):
-    """The shape groups merged, by ball size, into stacks of one padded shape each, as a _BallLayout.
-
-    A group joins the open stack while the padding this adds, to the stack's
-    rows and to its own, is at most PAD_ENTRIES: a merge then costs no more
-    arithmetic than about the fixed numpy cost of the stack it saves, and one
-    large 2-ball cannot blow up a stack of many small ones.
-    """
-    stacks = []  # [k, t, rows, shapes]
-    for k, t in sorted(groups, key=lambda shape: (sum(shape), shape)):
-        b = len(groups[k, t])
-        if stacks:
-            k0, t0, rows, shapes = stacks[-1]
-            old, new = 1 + k0 + t0, 1 + max(k0, k) + max(t0, t)
-            if rows * (new ** 2 - old ** 2) + b * (new ** 2 - (1 + k + t) ** 2) <= PAD_ENTRIES:
-                stacks[-1] = [max(k0, k), max(t0, t), rows + b, shapes + [(k, t)]]
-                continue
-        stacks.append([k, t, b, [(k, t)]])
-    laid = []
-    for k, t, _, shapes in stacks:
-        parts = tuple(groups[shape] for shape in shapes)
-        for part in parts:
-            part.setflags(write=False)
-        if len(parts) == 1:
-            laid.append(_PaddedStack(k, t, parts[0], None, None, parts))
-            continue
-        balls = np.repeat(np.concatenate([part[:, :1] for part in parts]), 1 + k + t, axis=1)
-        at = 0
-        for (k1, t1), part in zip(shapes, parts):
-            rows = slice(at, at + len(part))
-            balls[rows, :1 + k1], balls[rows, 1 + k:1 + k + t1] = part[:, :1 + k1], part[:, 1 + k1:]
-            at += len(part)
-        pad = balls == balls[:, :1]  # a ball lists distinct vertices, so only the pads repeat the centre
-        pad[:, 0] = False
-        fill = np.nonzero(pad[:, 1:k + 1]) if pad[:, k].any() else None  # S1 pads sit at the end of S1
-        for array in (balls, pad, *(fill or ())):
-            array.setflags(write=False)
-        laid.append(_PaddedStack(k, t, balls, pad, fill, parts))
-    lone = groups.get((0, 0))
-    return _BallLayout(tuple(laid), None if lone is None else int(lone[0, 0]), [None] * len(laid))
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Immutable weighted graph.
@@ -199,14 +132,14 @@ class WeightedGraph:
 
     What depends on the graph alone is built on first use and kept, read-only:
     the neighbour lists, the weight sums and degrees, the Laplacian, and the
-    curvature function's layout of all vertices' 2-balls in padded stacks,
-    the one kept 2-ball structure. The layout's own arrays are integer and
-    boolean; the first curvature profile keeps each stack's n-free float
-    forms in it (per stack, the (B, 1 + k, 1 + k + t) S1 rows of the Gamma2
-    assembly, two (B, k, k) products and O(B s) vectors). cd_check,
-    curvature_at and condition (5) group the 2-balls of their centres by
-    shape afresh on each call and keep nothing. This module is the one that
-    walks 2-balls and lays them out.
+    one kept 2-ball structure, the curvature function's record of all
+    vertices' 2-balls (curvature._laid_stacks), a tuple of padded stacks,
+    each built whole with its n-free float forms (per stack, the
+    (B, 1 + k, 1 + k + t) S1 rows of the Gamma2 assembly, r r^T, on a stack
+    with S2 also A12 diag(d+) A12^T, and O(B s) vectors) and never written
+    to after. cd_check, curvature_at and condition (5) group the 2-balls of
+    their centres by shape afresh on each call and keep nothing. This module
+    walks 2-balls and groups them by shape; the curvature module pads them.
     """
 
     vertices: tuple
@@ -327,16 +260,12 @@ class WeightedGraph:
             groups.setdefault((len(s1), len(s2)), []).append([i, *s1, *s2])
         return {shape: np.array(balls) for shape, balls in groups.items()}
 
-    def _ball_layout(self, centres):
-        """_padded_stacks of the given centres' shape groups; all centres (centres == range(N)) read a kept layout."""
-        if centres == range(self.num_vertices):
-            return self._two_ball_layout
-        return _padded_stacks(self._shape_groups(centres))
-
     @cached_property
-    def _two_ball_layout(self):
-        """_padded_stacks of every centre's shape group, walked and laid out once per graph."""
-        return _padded_stacks(self._shape_groups(range(self.num_vertices)))
+    def _two_ball_stacks(self):
+        """The curvature function's padded stacks of every centre's 2-ball with their n-free forms, built once."""
+        from .curvature import _laid_stacks
+
+        return _laid_stacks(self, range(self.num_vertices))
 
     def edge_list(self):
         """Edges as (u, v, w) with u before v in vertex order."""

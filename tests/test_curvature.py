@@ -27,8 +27,8 @@ from steklov import (
 from steklov.errors import InvalidDimensionParam, InvalidParams, IsolatedVertex
 import steklov._lapack
 import steklov.curvature
-from steklov.curvature import _ball_ids
-from steklov.graphs import INF, MULTIPLICITY_TOL, PAD_ENTRIES, _padded_stacks
+from steklov.curvature import PAD_ENTRIES, _ball_ids, _laid_stacks
+from steklov.graphs import INF, MULTIPLICITY_TOL
 from steklov.operators import _gamma2_blocks, _gamma2_matrix
 
 from oracles import (
@@ -244,8 +244,8 @@ def spy_on_walks(monkeypatch):
 
 
 def test_the_whole_graph_shape_groups_are_one_fresh_walk_kept_read_only(monkeypatch):
-    # the padded layout of every centre is the one 2-ball structure kept on
-    # the graph: its parts come from one walk on first use, with the keys,
+    # the padded stacks of every centre are the one 2-ball structure kept on
+    # the graph: their parts come from one walk on first use, with the keys,
     # order and bytes of a fresh walk, read-only, and later reads walk nothing
     rng = np.random.default_rng(29)
     graphs = [*atlas_graphs(6), *(unit_grid(k) for k in (3, 6, 12, 16, 30)), star_and_hub_grid()[0]]
@@ -253,14 +253,14 @@ def test_the_whole_graph_shape_groups_are_one_fresh_walk_kept_read_only(monkeypa
                for _ in range(10)]
     isolated = build_graph([("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)], [("a", "b", 1.0)], relaxed=True)
     walks = spy_on_walks(monkeypatch)
-    for g in [*graphs, isolated]:
+    for g in graphs:
         everyone = range(g.num_vertices)
-        assert "_two_ball_layout" not in g.__dict__
+        assert "_two_ball_stacks" not in g.__dict__
         walks.clear()
-        laid = g._ball_layout(everyone)
-        assert laid is g._two_ball_layout is g._ball_layout(range(g.num_vertices)) and walks == [g.num_vertices]
+        laid = g._two_ball_stacks
+        assert laid is g._two_ball_stacks and walks == [g.num_vertices]
         want = g._shape_groups(everyone)
-        parts = [part for stack in laid.stacks for part in stack.parts]
+        parts = [part for stack in laid for part in stack.parts]
         assert len(parts) == len(want)
         for part, shape in zip(parts, sorted(want, key=lambda shape: (sum(shape), shape))):
             assert part.dtype == want[shape].dtype and part.shape == want[shape].shape
@@ -270,24 +270,29 @@ def test_the_whole_graph_shape_groups_are_one_fresh_walk_kept_read_only(monkeypa
             assert want[shape].flags.writeable  # a fresh walk is the caller's own
     assert len(graphs) == 142 + 5 + 1 + 10
     assert (0, 0) in isolated._shape_groups(range(4))
-    for _ in range(2):  # the kept layout still names the isolated vertex
+    walks.clear()
+    for _ in range(2):  # every call walks afresh and names the first isolated vertex: nothing is kept
         with pytest.raises(IsolatedVertex) as err:
             curvature_profile(isolated, (2.0, INF))
         assert err.value.vertex == "c"
-    assert isolated._two_ball_layout.isolated == 2
+    with pytest.raises(IsolatedVertex) as err:
+        isolated._two_ball_stacks
+    assert err.value.vertex == "c" and walks == [4] * 3 and "_two_ball_stacks" not in isolated.__dict__
     with pytest.raises(IsolatedVertex) as err:
         curvature_at(isolated, "d", 2.0)
     assert err.value.vertex == "d"
 
 
 def test_repeated_calls_on_one_graph_walk_its_two_balls_once(monkeypatch):
-    # two curvature profiles read the one layout kept on the graph, walked
-    # once; cd_check on all centres walks its own 2-balls once per call; the
-    # reports are those of a graph walked afresh
+    # two curvature profiles read the one set of stacks kept on the graph,
+    # walked once; cd_check on all centres walks its own 2-balls once per
+    # call; the reports are those of a graph walked afresh
     walks = spy_on_walks(monkeypatch)
     g = unit_grid(12)
     profiles = [curvature_profile(g, (2.0, INF)) for _ in range(2)]
-    assert walks == [144] and g._ball_layout(range(144)) is g._two_ball_layout
+    assert walks == [144]
+    for profile in profiles:
+        assert all(stack is kept for (stack, *_), kept in zip(profile._stacks, g._two_ball_stacks, strict=True))
     reports = []
     for K in (-1.0, 0.0):
         reports.append(cd_check(g, K, 2.0))
@@ -313,13 +318,13 @@ def test_repeated_calls_on_one_graph_walk_its_two_balls_once(monkeypatch):
 def test_one_centre_leaves_the_whole_graph_partition_unbuilt(monkeypatch):
     # curvature_at, cd_check at one vertex and the one-centre interior form
     # walk their own 2-ball alone, so their cost does not grow with N; nor
-    # does curvature_at lay out the whole graph's padded stacks
+    # does curvature_at build the whole graph's padded stacks
     walks = spy_on_walks(monkeypatch)
 
     def unbuilt(self):
-        raise AssertionError("the whole-graph 2-ball layout was built")
+        raise AssertionError("the whole-graph 2-ball stacks were built")
 
-    monkeypatch.setattr(WeightedGraph, "_two_ball_layout", property(unbuilt))
+    monkeypatch.setattr(WeightedGraph, "_two_ball_stacks", property(unbuilt))
     g = unit_grid(30)
     assert curvature_at(g, "15_15", 2.0).kappa == pytest.approx(-2.0, rel=1e-12)
     assert [c.vertex for c in cd_check(g, -2.0, 2.0, "0_0").checks] == ["0_0"]
@@ -529,16 +534,17 @@ def cd_check_bytes(report):
 
 
 def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkeypatch):
-    # the layout of all centres' 2-balls and each stack's n-free forms depend
-    # on the graph alone: the first profile lays the 2-balls out and keeps the
-    # forms, read-only; a later one over another n grid (a repeated n, an n
-    # the first did not see) merges and assembles nothing and gives a fresh
-    # graph's kappas, global minima, kernel_ok, witnesses and quotients bit
-    # for bit; cd_check over all centres walks its 2-balls afresh on every
-    # call and gives a fresh graph's checks bit for bit
+    # the padded stacks of all centres' 2-balls, each with its n-free forms,
+    # depend on the graph alone: the first profile builds them whole and
+    # keeps them, read-only; a later one over another n grid (a repeated n,
+    # an n the first did not see) merges and assembles nothing and gives a
+    # fresh graph's kappas, global minima, kernel_ok, witnesses and quotients
+    # bit for bit; cd_check over all centres walks its 2-balls afresh on
+    # every call and gives a fresh graph's checks bit for bit
     merges, assemblies = [], []
-    padded_stacks, gamma2_blocks = steklov.graphs._padded_stacks, steklov.curvature._gamma2_blocks
-    monkeypatch.setattr(steklov.graphs, "_padded_stacks", lambda groups: merges.append(1) or padded_stacks(groups))
+    laid_stacks, gamma2_blocks = steklov.curvature._laid_stacks, steklov.curvature._gamma2_blocks
+    monkeypatch.setattr(steklov.curvature, "_laid_stacks",
+                        lambda g, centres: merges.append(1) or laid_stacks(g, centres))
     monkeypatch.setattr(steklov.curvature, "_gamma2_blocks",
                         lambda g, balls, k: assemblies.append(len(balls)) or gamma2_blocks(g, balls, k))
     rng = np.random.default_rng(32)
@@ -555,13 +561,14 @@ def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkey
         merges.clear()
         assemblies.clear()
         first = curvature_profile(g, first_grid)
-        laid = g._two_ball_layout
-        kept = list(laid.forms)
-        assert merges == [1] and laid is g._ball_layout(range(g.num_vertices)) and laid.isolated is None
-        assert sum(assemblies) == g.num_vertices and len(kept) == len(laid.stacks)
+        laid = g._two_ball_stacks
+        kept = [stack.forms for stack in laid]
+        assert merges == [1] and sum(assemblies) == g.num_vertices
         seen = curvature_profile(g, grid)
-        assert merges == [1] and sum(assemblies) == g.num_vertices and g._two_ball_layout is laid
-        assert all(forms is was for forms, was in zip(laid.forms, kept, strict=True))
+        assert merges == [1] and sum(assemblies) == g.num_vertices and g._two_ball_stacks is laid
+        for profile in (first, seen):
+            assert all(stack is was for (stack, *_), was in zip(profile._stacks, laid, strict=True))
+        assert all(stack.forms is was for stack, was in zip(laid, kept, strict=True))
         assert seen.n_values == (2.0, 5.0, INF)
         for profile, want in ((first, fresh(first_grid)), (seen, fresh(grid))):
             assert profile.kappas.tobytes() == want.kappas.tobytes() and profile.global_min == want.global_min
@@ -572,40 +579,43 @@ def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkey
             want = cd_check_bytes(cd_check(WeightedGraph(g.vertices, g.measures, g.weights), K, 2.0))
             assert [cd_check_bytes(cd_check(g, K, 2.0)) for _ in range(2)] == [want, want]
             failed += sum(not check[1] for check in want)
-        for stack in laid.stacks:
+        for stack in laid:
             padded += stack.pad is not None
             filled += stack.fill is not None
-            for array in (stack.balls, *stack.parts, *((stack.pad,) if stack.pad is not None else ()),
-                          *(stack.fill or ())):
+            for array in (stack.centres, stack.kernel_ok, *stack.parts,
+                          *((stack.pad,) if stack.pad is not None else ()), *(stack.fill or ())):
                 with pytest.raises(ValueError):
-                    array.flat[0] = 0
+                    array[...] = 0
         for forms in kept:
             for array in forms:
-                with pytest.raises(ValueError):
-                    array[...] = 0.0
-    assert [stack.pad for stack in cycle._two_ball_layout.stacks] == [None]
-    assert len(star._two_ball_layout.stacks) == 2
+                if array is not None:
+                    with pytest.raises(ValueError):
+                        array[...] = 0.0
+    assert [stack.pad for stack in cycle._two_ball_stacks] == [None]
+    assert len(star._two_ball_stacks) == 2
     assert padded > 30 and filled > 20 and failed > 100
 
 
 def test_only_a_whole_graph_profile_keeps_forms_on_the_graph():
-    # each stack's n-free forms sit in the kept whole-graph layout, every
-    # array read-only; cd_check, curvature_at and condition (5) read exact
-    # shape groups or fresh balls and add nothing to a graph, seen or not
+    # each stack's n-free forms sit in the kept whole-graph stacks, every
+    # array read-only, with no A12 diag(d+) A12^T on the stack with no S2;
+    # cd_check, curvature_at and condition (5) read exact shape groups or
+    # fresh balls and add nothing to a graph, seen or not
     star = star_and_hub_grid()[0]
     curvature_profile(star, (2.0, INF))
-    laid = star._two_ball_layout
-    kept = list(laid.forms)
-    assert len(kept) == len(laid.stacks) == 2
+    laid = star._two_ball_stacks
+    kept = [stack.forms for stack in laid]
+    assert len(kept) == 2 and [forms.ad is None for forms in kept] == [False, True]
     for forms in kept:
         for array in forms:
-            with pytest.raises(ValueError):
-                array[...] = 0.0
+            if array is not None:
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
     bg = join_equality_boundary(unit_grid(6), 3.0, 1.0, 1.0)
     graphs = (star, unit_grid(6), bg.graph, bg.interior_graph)
     for g in graphs:  # build the caches that do not hold 2-balls
         for name, attr in vars(WeightedGraph).items():
-            if isinstance(attr, functools.cached_property) and name != "_two_ball_layout":
+            if isinstance(attr, functools.cached_property) and name != "_two_ball_stacks":
                 getattr(g, name)
     before = [sorted(vars(g)) for g in graphs]
     for g in graphs[:2]:
@@ -615,21 +625,32 @@ def test_only_a_whole_graph_profile_keeps_forms_on_the_graph():
     assert len(check_interior_inequality(bg, 1.0, 3.0).vertex_checks) == 36
     assemble_interior_form(bg, 1.0, 3.0, "2_2")
     assert [sorted(vars(g)) for g in graphs] == before
-    assert "_two_ball_layout" not in before[1]
-    assert star._two_ball_layout is laid and all(forms is was for forms, was in zip(laid.forms, kept, strict=True))
+    assert "_two_ball_stacks" not in before[1]
+    assert star._two_ball_stacks is laid and all(stack.forms is was for stack, was in zip(laid, kept, strict=True))
 
 
-def test_padded_stacks_keep_each_merge_within_the_pad_budget():
+def laid_balls(monkeypatch, g):
+    """_laid_stacks of every centre of g: each _Stack with its k, t and the (B, 1 + k + t) rows of its assembly."""
+    balls, gamma2_blocks = [], steklov.curvature._gamma2_blocks
+    with monkeypatch.context() as patch:
+        patch.setattr(steklov.curvature, "_gamma2_blocks",
+                      lambda g, rows, k: balls.append(rows) or gamma2_blocks(g, rows, k))
+        stacks = _laid_stacks(g, range(g.num_vertices))
+    return [(stack, stack.forms.r.shape[1], stack.forms.d.shape[1], rows)
+            for stack, rows in zip(stacks, balls, strict=True)]
+
+
+def test_padded_stacks_keep_each_merge_within_the_pad_budget(monkeypatch):
     # one large 2-ball must not pad a stack of small ones: K_{1,50} in one
     # stack would take 51 * 100^2 entries against 133k exact, so it stays on
     # two; the hub grid's 11 shapes go on three stacks, small, medium, hub
     star, hub = star_and_hub_grid()
     for g, want_stacks in ((star, [(1, 49, 50), (50, 0, 1)]), (hub, [(4, 9, 32), (5, 33, 32), (32, 32, 1)])):
-        stacks = _padded_stacks(g._shape_groups(range(g.num_vertices))).stacks
-        assert [(stack.k, stack.t, len(stack.balls)) for stack in stacks] == want_stacks
-        assert sorted(i for stack in stacks for i in stack.balls[:, 0].tolist()) == list(range(g.num_vertices))
-        for k, t, balls, pad, _, parts in stacks:
-            # a stack of one shape has no pads and no mask
+        stacks = laid_balls(monkeypatch, g)
+        assert [(k, t, len(stack.centres)) for stack, k, t, _ in stacks] == want_stacks
+        assert sorted(i for stack, *_ in stacks for i in stack.centres.tolist()) == list(range(g.num_vertices))
+        for (_, parts, pad, *_), k, t, balls in stacks:
+            # a stack of one shape has no pads and no mask, and is assembled on its one group
             assert (pad is None) == (len(parts) == 1)
             real = np.ones(balls.shape, dtype=bool) if pad is None else ~pad
             if pad is None:
@@ -648,14 +669,14 @@ def test_padded_stacks_keep_each_merge_within_the_pad_budget():
                 assert got.kernel_ok == want.kernel_ok and got.ball == want.ball
 
 
-def test_a_padded_stack_needs_no_mask_in_the_assembly():
+def test_a_padded_stack_needs_no_mask_in_the_assembly(monkeypatch):
     # a pad repeats the centre, which has no self-weight, so the assembly of a
     # padded row gives the ball's own Gamma2 blocks, Gamma diagonal and Delta
     # row on its real entries; the curvature function only zeroes the pad
     # rows and columns afterwards
     padded = 0
     for g in (*atlas_graphs(6), unit_grid(6), unit_grid(12)):
-        for k, _, balls, pad, _, parts in _padded_stacks(g._shape_groups(range(g.num_vertices))).stacks:
+        for (_, parts, pad, *_), k, _, balls in laid_balls(monkeypatch, g):
             if pad is None:
                 continue
             real = ~pad
@@ -714,7 +735,7 @@ def assert_blocks_are_dense_bitwise(g, balls, k):
     return q
 
 
-def test_the_block_assembly_is_the_dense_assembly_bitwise():
+def test_the_block_assembly_is_the_dense_assembly_bitwise(monkeypatch):
     # the blocks are, byte for byte, the dense (B, s, s) assembly's B1 rows,
     # S2 diagonal, Gamma diagonals and Delta rows, in every exact shape group
     # and in every padded stack the curvature function reads; the one-centre
@@ -728,7 +749,7 @@ def test_the_block_assembly_is_the_dense_assembly_bitwise():
             ball, form = _gamma2_matrix(g, balls[0, 0])
             assert same_bits(ball, balls[0]) and same_bits(form, q[0])
             groups += 1
-        for k, _, balls, *_ in _padded_stacks(g._shape_groups(range(g.num_vertices))).stacks:
+        for _, k, _, balls in laid_balls(monkeypatch, g):
             assert_blocks_are_dense_bitwise(g, balls, k + 1)
             stacks += 1
     assert groups > 700 and stacks >= 190
@@ -746,14 +767,14 @@ def test_witness_quotients_from_the_blocks_agree_with_kappa():
     assert count > 9000
 
 
-def test_a_merged_stack_mixes_centres_with_and_without_s2():
+def test_a_merged_stack_mixes_centres_with_and_without_s2(monkeypatch):
     # in the path 0 - 1 - 2 the middle vertex sees every vertex at distance 1,
     # the ends see the other end at distance 2; one stack holds all three
     g = build_graph([(v, 1.0) for v in range(3)], [(0, 1, 1.0), (1, 2, 2.0)])
     groups = g._shape_groups(range(3))
     assert sorted(groups) == [(1, 1), (2, 0)]
-    ((k, t, balls, pad, _, _),) = _padded_stacks(groups).stacks
-    assert (k, t) == (2, 1) and (~pad).sum(axis=1).tolist() == [3, 3, 3]
+    ((stack, k, t, _),) = laid_balls(monkeypatch, g)
+    assert (k, t) == (2, 1) and (~stack.pad).sum(axis=1).tolist() == [3, 3, 3]
     profile = curvature_profile(g, (2.0, INF))
     for n in profile.n_values:
         results = profile.results[n]
@@ -862,13 +883,18 @@ def test_kappa_passes_the_exact_cd_test_with_a_tiny_s2_pivot():
 @pytest.mark.parametrize("weight", [1e-155, 1e-162])
 def test_kernel_ok_is_false_where_an_s2_pivot_leaves_the_float_range(weight):
     # on the unit-measure 6-cycle each S2 pivot is w^2 / 4: at 1e-155 it is
-    # subnormal and its reciprocal overflows, at 1e-162 it underflows to 0
-    c6 = build_graph([(v, 1.0) for v in range(6)], [(v, (v + 1) % 6, weight) for v in range(6)])
-    with np.errstate(over="ignore", invalid="ignore"):  # the kappas at 1e-155 are NaN
-        profile = curvature_profile(c6, (2.0, INF))
-        assert not any(res.kernel_ok for per_n in profile.results.values() for res in per_n.values())
-        assert not curvature_at(c6, 0, 2.0).kernel_ok
-    assert all(res.kernel_ok for res in curvature_profile(c6.rescaled_weights(1e100), (2.0,)).results[2.0].values())
+    # subnormal and its reciprocal overflows, at 1e-162 it underflows to 0;
+    # kernel_ok does not depend on n, so an empty n grid reports it too
+    for grid in ((), (2.0, INF)):
+        c6 = build_graph([(v, 1.0) for v in range(6)], [(v, (v + 1) % 6, weight) for v in range(6)])
+        with np.errstate(over="ignore", invalid="ignore"):  # the kappas at 1e-155 are NaN
+            profile = curvature_profile(c6, grid)
+            assert not profile.kernel_ok.any()
+            assert not any(res.kernel_ok for per_n in profile.results.values() for res in per_n.values())
+            assert not curvature_at(c6, 0, 2.0).kernel_ok
+        healthy = curvature_profile(c6.rescaled_weights(1e100), grid[:1])
+        assert healthy.kernel_ok.all() and all(res.kernel_ok for per_n in healthy.results.values()
+                                               for res in per_n.values())
 
 
 def test_a_ball_out_of_the_float_range_leaves_the_other_balls_of_its_stack_exact():
@@ -887,8 +913,10 @@ def test_a_ball_out_of_the_float_range_leaves_the_other_balls_of_its_stack_exact
 def test_kernel_ok_holds_on_unit_graphs():
     count = 0
     for g in (*atlas_graphs(6), *(unit_grid(k) for k in (3, 6, 12, 16))):
-        profile = curvature_profile(g, (1.5, 2.0, INF))
-        assert all(res.kernel_ok for per_n in profile.results.values() for res in per_n.values())
+        for grid in ((), (1.5, 2.0, INF)):  # an empty n grid reads kernel_ok from the same stacks
+            profile = curvature_profile(g, grid)
+            assert profile.kernel_ok.all()
+            assert all(res.kernel_ok for per_n in profile.results.values() for res in per_n.values())
         count += 1
     assert count == 142 + 4
 
@@ -1091,7 +1119,7 @@ def test_curvature_profile_finishes_its_results_on_first_read(monkeypatch):
     graphs += [random_connected_graph(rng, n_min=3, n_max=12) for _ in range(4)]
     for g in graphs:
         groups = g._shape_groups(range(g.num_vertices))
-        stacks = len(_padded_stacks(groups).stacks)
+        stacks = len(_laid_stacks(g, range(g.num_vertices)))
         counts.update(dict.fromkeys(counts, 0))
         profile = curvature_profile(g, (2.0, 5.0, INF))
         assert profile.global_min and "results" not in profile.__dict__
@@ -1163,14 +1191,14 @@ def test_a_stack_of_one_shape_has_no_pad_mask(monkeypatch):
     # skips the pad bookkeeping and gives the one-centre kernel's kappas and
     # witnesses bitwise (the quotients' stacked matmul may round differently)
     masks = []
-    padded_stacks = steklov.graphs._padded_stacks
+    laid_stacks = steklov.curvature._laid_stacks
 
-    def spy(groups):
-        layout = padded_stacks(groups)
-        masks.extend(stack.pad for stack in layout.stacks)
-        return layout
+    def spy(g, centres):
+        stacks = laid_stacks(g, centres)
+        masks.extend(stack.pad for stack in stacks)
+        return stacks
 
-    monkeypatch.setattr(steklov.graphs, "_padded_stacks", spy)
+    monkeypatch.setattr(steklov.curvature, "_laid_stacks", spy)
     for G in (nx.cycle_graph(6), nx.complete_graph(5), nx.petersen_graph(), nx.hypercube_graph(3)):
         ids = {v: str(v) for v in G.nodes}
         g = build_graph([(v, 1.0) for v in ids.values()], [(ids[a], ids[b], 1.0) for a, b in G.edges])

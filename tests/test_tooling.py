@@ -182,16 +182,16 @@ def test_one_breadth_first_search_and_one_two_sphere_walk():
 
 def test_the_graph_alone_groups_its_two_balls_by_shape():
     # one walk groups centres by 2-ball shape, a WeightedGraph method that
-    # walks the given centres on every call; the graph keeps its padded
-    # layout of all centres alone; curvature and condition (5) read those
-    # methods and neither walks a 2-sphere itself (the two-ball identity
-    # check reads S2 pair by pair and builds no shape groups)
+    # walks the given centres on every call; the curvature function pads the
+    # groups into stacks, which the graph keeps for all centres alone;
+    # curvature and condition (5) read the walk and neither walks a 2-sphere
+    # itself (the two-ball identity check reads S2 pair by pair and builds no
+    # shape groups)
     defined = _enclosing_functions(lambda node: isinstance(node, ast.FunctionDef) and "shape_groups" in node.name)
     assert [module for module, _ in defined] == ["graphs"]
     assert _calls_of("_shape_groups") == [
-        ("curvature", "cd_check"), ("graphs", "_ball_layout"), ("graphs", "_two_ball_layout"),
-        ("rigidity", "_interior_blocks")]
-    assert _calls_of("_ball_layout") == [("curvature", "_curvature_stacks")]
+        ("curvature", "_laid_stacks"), ("curvature", "cd_check"), ("rigidity", "_interior_blocks")]
+    assert _calls_of("_laid_stacks") == [("curvature", "_curvature_stacks"), ("graphs", "_two_ball_stacks")]
     assert [site for site in _calls_of("_two_spheres") if site[0] in ("curvature", "rigidity")] == [
         ("rigidity", "two_ball_identity_check")]
     imported = _enclosing_functions(lambda node: isinstance(node, ast.ImportFrom)
@@ -200,35 +200,42 @@ def test_the_graph_alone_groups_its_two_balls_by_shape():
 
 
 def test_the_graph_keeps_one_two_ball_structure():
-    # the padded layout is a graph's one kept 2-ball structure, and the
-    # curvature function's n-free forms are kept inside it, one slot per
-    # stack filled at one site: no other cached property walks, groups or
-    # lays out 2-balls or holds forms, and no read-only mapping of shape
-    # groups is kept beside it
+    # the curvature function's padded stacks of all centres, each built whole
+    # with its n-free forms, are a graph's one kept 2-ball structure, a tuple
+    # never written to after: graphs lays out no pads of its own, no other
+    # cached property walks, groups or pads 2-balls or holds forms, no
+    # read-only mapping of shape groups is kept beside it, and no statement
+    # of the library assigns into a subscript of a stack's or its forms' field
+    curvature = steklov.curvature
+    assert [name for name in ("PAD_ENTRIES", "_PaddedStack", "_BallLayout", "_padded_stacks", "_ball_layout")
+            if hasattr(steklov.graphs, name)] == []
     cached = [name for name, attr in vars(steklov.graphs.WeightedGraph).items()
               if isinstance(attr, functools.cached_property)]
-    two_ball = {name for helper in ("_two_spheres", "_shape_groups", "_padded_stacks")
+    two_ball = {name for helper in ("_two_spheres", "_shape_groups", "_laid_stacks")
                 for module, name in _calls_of(helper) if module == "graphs"}
     assert [name for name in cached if name in two_ball or "ball" in name or "group" in name
-            or "form" in name] == ["_two_ball_layout"]
+            or "form" in name or "stack" in name] == ["_two_ball_stacks"]
     assert "MappingProxyType" not in (ROOT / "src" / "steklov" / "graphs.py").read_text()
-    kept = _enclosing_functions(lambda node: isinstance(node, ast.Assign) and any(
-        isinstance(target, ast.Subscript) and getattr(target.value, "attr", None) == "forms"
-        for target in node.targets))
-    assert kept == [("curvature", "_curvature_stacks")]
+    laid = steklov.make_example("unit_square").graph._two_ball_stacks
+    assert type(laid) is tuple and all(type(stack) is curvature._Stack for stack in laid)
+    fields = {*curvature._Stack._fields, *curvature._Forms._fields}
+    written = _enclosing_functions(lambda node: isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+        isinstance(target, ast.Subscript) and getattr(target.value, "attr", None) in fields
+        for target in getattr(node, "targets", [getattr(node, "target", None)])))
+    assert written == []
 
 
 def test_one_gamma2_assembly_for_every_local_form():
-    # one stacked function assembles Gamma2 by blocks, which the pencil step
-    # of the curvature function and cd_check (where it first makes a stack's
-    # n-free forms, kept with a whole-graph layout) and the condition-(5)
-    # forms read as they are, with no (B, s, s) stack; only the one-centre
-    # form places them into a full form, and no second placement is left in
-    # the library.
+    # one stacked function assembles Gamma2 by blocks, which the curvature
+    # function's n-free forms (made once per stack, for the padded stacks and
+    # cd_check's shape groups alike) and the condition-(5) forms read as they
+    # are, with no (B, s, s) stack; only the one-centre form places them into
+    # a full form, and no second placement is left in the library.
     # Condition (5) takes its blocks from one helper, which the construction's
     # probes call and its returned report does not
     assert _calls_of("_gamma2_blocks") == [
-        ("curvature", "_pencils"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_blocks")]
+        ("curvature", "_forms"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_blocks")]
+    assert _calls_of("_forms") == [("curvature", "_laid_stacks"), ("curvature", "cd_check")]
     assert [path.name for path in sorted((ROOT / "src" / "steklov").glob("*.py"))
             if "_gamma2_forms" in path.read_text()] == []
     assert _calls_of("_interior_blocks") == [
@@ -245,22 +252,22 @@ def test_the_gamma2_assembly_reads_the_weights_at_one_site():
 
 
 def test_pads_are_known_to_the_curvature_function_alone():
-    # a pad repeats the centre, so the assembly takes no mask; the graph lays
-    # its 2-balls out in padded stacks once (the pad mask and the S1 pad
-    # slots), and the curvature function alone reads them: it zeroes the pad
-    # rows and columns, fills the S1 pad diagonals, lets S2 pads pass
-    # kernel_ok and cuts the pads from the witnesses
+    # a pad repeats the centre, so the assembly takes no mask; the curvature
+    # function alone knows the pads: it lays the 2-balls out in padded stacks
+    # within its pad budget (the pad mask and the S1 pad slots, built at one
+    # site), zeroes the pad rows and columns, fills the S1 pad diagonals,
+    # lets S2 pads pass kernel_ok and cuts the pads from the witnesses
     assert list(inspect.signature(steklov.operators._gamma2_blocks).parameters) == ["g", "balls", "k"]
-    pads = ("pad", "fill")
+    pads = ("pad", "fill", "PAD_ENTRIES")
     named = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id in pads)
                                  or (isinstance(node, ast.arg) and node.arg in pads)
                                  or (isinstance(node, ast.Attribute) and node.attr in pads))
-    assert sorted(set(named)) == [("curvature", "_curvature_stacks"), ("curvature", "_finish_stack"),
-                                  ("curvature", "_pencils"), ("graphs", "_padded_stacks")]
+    assert sorted(set(named), key=lambda site: (site[0], site[1] or "")) == [
+        ("curvature", None), ("curvature", "_curvature_stacks"), ("curvature", "_finish_stack"),
+        ("curvature", "_forms"), ("curvature", "_laid_stacks"), ("curvature", "_pencils")]
     built = _enclosing_functions(lambda node: isinstance(node, ast.Assign) and any(
         isinstance(target, ast.Name) and target.id in pads for target in node.targets))
-    assert built == [("graphs", "_padded_stacks")] * 2
-    assert _calls_of("_padded_stacks") == [("graphs", "_ball_layout"), ("graphs", "_two_ball_layout")]
+    assert built == [("curvature", None)] + [("curvature", "_laid_stacks")] * 2
 
 
 def test_one_degree_array():
