@@ -225,10 +225,7 @@ def _cmd_cd_check(args):
 
 
 def _cd_warnings(cd_report):
-    """A warning for each vertex whose lambda_min in a CD verdict is NaN or -inf.
-
-    Not inf: a one-vertex graph's empty form holds with lambda_min inf.
-    """
+    """A warning for each vertex whose lambda_min in a CD verdict is NaN or -inf."""
     return [f"lambda_min is {'NaN' if math.isnan(c.lambda_min) else '-inf'} at vertex {c.vertex}: an S2 pivot "
             "underflowed to 0 or its reciprocal overflowed, so this verdict is not reliable"
             for c in cd_report.checks if math.isnan(c.lambda_min) or c.lambda_min == -math.inf]

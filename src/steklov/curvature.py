@@ -34,15 +34,12 @@ The pencils are kept with the profile, and one stacked eigh of them gives the
 witnesses, with ball ids and quotients, only when the results are read.
 
 By the Schur step, CD(K, n) holds at x exactly when kappa(x, n) >= K, so
-cd_check reads the same pencils over exact shape groups (pads would change
-the kappa - K and norm it reports), through the same eigvalsh: on a graph of
-one 2-ball shape, lambda_min at K = kappa(x, n) is exactly 0. It shares one
-per-vertex verdict with condition (5) of the rigidity module
-(_vertex_checks): one eigvalsh per stack against the caller's tolerance;
-eigh and a witness only on failure.
+cd_check lays out the stacks the profile lays out, afresh, and reads the
+same eigvalsh: over all vertices its lambda_min is the profile's kappa - K
+bit for bit, and eigh runs on the failing pencils alone. Condition (5) of the rigidity module
+decides its forms with _vertex_checks, the same PSD rule (_psd_rule).
 """
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -80,12 +77,12 @@ def _psd_rule(evals, tol):
     return lam, norm, lam >= -tol(norm)
 
 
-def _psd_verdict(matrices, tol, shift=0.0):
-    """_psd_rule on the eigvalsh spectra of a stack of forms less shift, and a lambda_min vector of each failing form.
+def _psd_verdict(matrices, tol):
+    """_psd_rule on the eigvalsh spectra of a stack of forms, and a lambda_min vector of each failing form.
 
-    eigh runs on the failing forms alone, unshifted: the vectors it gives on the whole stack.
+    eigh runs on the failing forms alone: the vectors it gives on the whole stack.
     """
-    lam, norm, holds = _psd_rule(_lapack.eigvalsh(matrices) - shift, tol)
+    lam, norm, holds = _psd_rule(_lapack.eigvalsh(matrices), tol)
     failing = matrices[~holds]
     return lam, norm, holds, (_lapack.eigh(failing)[1][:, :, 0] if len(failing) else failing[:, 0])
 
@@ -101,19 +98,14 @@ class VertexCheck:
     witness: VertexFunction | None
 
 
-def _vertex_checks(forms, tol, vertices, domain, lift=None, shift=0.0):
-    """A VertexCheck per form of a (B, s, s) stack less shift, form j pinned at vertices[j].
+def _vertex_checks(forms, tol, vertices, domain):
+    """A VertexCheck per form of a (B, s, s) stack, form j pinned at vertices[j].
 
     One stacked eigvalsh decides every form by _psd_rule. Where form j fails,
-    its witness is 0 at vertices[j], then form j's lambda_min vector, or its
-    row of lift(failing, vectors), on domain(j), which lists vertices[j]
-    first. A 0 x 0 form holds with lambda_min inf.
+    its witness is 0 at vertices[j], then form j's lambda_min vector, on
+    domain(j), which lists vertices[j] first.
     """
-    if not forms.shape[-1]:
-        return [VertexCheck(x, math.inf, 0.0, True, None) for x in vertices]
-    lam, norm, holds, vecs = _psd_verdict(forms, tol, shift)
-    if lift is not None and len(vecs):
-        vecs = lift(np.flatnonzero(~holds), vecs)
+    lam, norm, holds, vecs = _psd_verdict(forms, tol)
     vecs, checks = iter(vecs), []
     for j, (x, low, top, ok) in enumerate(zip(vertices, lam.tolist(), norm.tolist(), holds.tolist())):
         witness = None if ok else VertexFunction(domain(j), np.concatenate([[0.0], next(vecs)]))
@@ -136,14 +128,15 @@ class CDReport:
 def cd_check(g, K, n, x=None):
     """Decide CD(K, n) at one vertex (or everywhere when x is omitted).
 
-    It holds at x exactly when kappa(x, n) >= K, read from the curvature
-    function's pencils: lambda_min is kappa - K, form_norm the largest
-    |eigenvalue| of the pencil less K, and the check holds where
-    kappa - K >= -MULTIPLICITY_TOL Deg(x), Deg(x) = (1/m_x) sum_y w_xy, the
-    curvature unit at x: covariant under w -> c w, m -> d m, and not widened
-    by a large degree elsewhere or a large pencil entry. A failing check
-    carries the pencil's lambda_min vector lifted to the 2-ball (_lift), with
-    f^T A(K) f = kappa - K < 0. K may be any finite real; n must lie in (1, inf].
+    It holds at x exactly when kappa(x, n) >= K, read as the profile reads it
+    from fresh padded stacks (_laid_stacks of x, or of all vertices): lambda_min
+    is kappa - K, form_norm the largest |eigenvalue| less K over the ball's own
+    eigenvalues, and the check holds where kappa - K >= -MULTIPLICITY_TOL Deg(x),
+    Deg(x) = (1/m_x) sum_y w_xy, the curvature unit at x: covariant under
+    w -> c w, m -> d m, and not widened by a large degree elsewhere or a large
+    pencil entry. A failing check carries the pencil's lambda_min vector lifted
+    to the 2-ball (_lift), with f^T A(K) f = kappa - K < 0. K may be any finite
+    real; n must lie in (1, inf]. A vertex with no neighbour raises IsolatedVertex.
     """
     if not g.num_vertices:
         raise InvalidParams("a graph needs at least one vertex")
@@ -151,16 +144,32 @@ def cd_check(g, K, n, x=None):
     K = finite_number(K, "K", positive=False)
     centres = range(g.num_vertices) if x is None else (g.index(x),)
     checks = {}
-    for (k, _), balls in g._shape_groups(centres).items():
-        forms = _forms(g, balls, k, None)
-        pencils = _pencils(forms, None, np.array([n]))
-        at = balls[:, 0]
-        tau = MULTIPLICITY_TOL * g._degrees[at]
-        checks.update(zip(at.tolist(), _vertex_checks(
-            pencils[:, 0], lambda norm, tau=tau: tau, [g.vertices[i] for i in at.tolist()],
-            lambda j, balls=balls: _ball_ids(g, balls[j:j + 1])[0], partial(_lift_rows, forms), K)))
+    for stack, evals, pencils in _curvature_stacks(_laid_stacks(g, centres), (n,)):
+        shifted, k = evals[:, 0] - K, evals.shape[-1]
+        if stack.fill is not None:  # a ball's own eigenvalues are its lowest k_x, below each S1 pad's
+            shifted = np.where(np.arange(k) < (~stack.pad[:, 1:k + 1]).sum(axis=1)[:, None], shifted, shifted[:, :1])
+        lam, norm, holds = _psd_rule(shifted, lambda norm, tau=MULTIPLICITY_TOL * g._degrees[stack.centres]: tau)
+        witnesses = iter(_failing_witnesses(g, stack, pencils, np.flatnonzero(~holds)))
+        for i, low, top, ok in zip(stack.centres.tolist(), lam.tolist(), norm.tolist(), holds.tolist()):
+            checks[i] = VertexCheck(g.vertices[i], low, top, ok, None if ok else next(witnesses))
     checks = tuple(checks[i] for i in centres)
     return CDReport(K, n, all(c.holds for c in checks), checks)
+
+
+def _failing_witnesses(g, stack, pencils, rows):
+    """The witness on its ball of each of some rows of a _Stack, from eigh and ball ids of those rows alone."""
+    if not len(rows):
+        return []
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1, _, f2 = _lift(_lapack.eigh(pencils[rows])[1][..., 0],
+                          stack.forms.a12[rows], stack.forms.d_plus[rows], stack.forms.d_isqrt[rows])
+    values = _witness_rows(np.concatenate([f1, f2], axis=2),
+                           None if stack.pad is None else stack.pad[rows], f1.shape[2])
+    ids, at = [], 0
+    for part in stack.parts:
+        ids += _ball_ids(g, part[rows[(rows >= at) & (rows < at + len(part))] - at])
+        at += len(part)
+    return [VertexFunction(ball, row[0]) for ball, row in zip(ids, values)]
 
 
 @dataclass(frozen=True)
@@ -315,28 +324,27 @@ def _lift(vecs, a12, d_plus, d_isqrt):
     return f1, g12, -d_plus[:, None] * g12
 
 
-def _lift_rows(forms, rows, vecs):
-    """The (F, k + t) values (f1, f2) that _lift gives pencil vectors (F, k) at some rows of a stack's _Forms."""
-    f1, _, f2 = _lift(vecs[:, None], forms.a12[rows], forms.d_plus[rows], forms.d_isqrt[rows])
-    return np.concatenate([f1, f2], axis=2)[:, 0]
+def _curvature_stacks(stacks, n_values):
+    """Per _Stack, (stack, evals, pencils): its (B, |n|, k, k) _pencils and their ascending eigenvalues.
 
-
-def _curvature_stacks(g, centres, n_values):
-    """Per _Stack of the centres' 2-balls, (stack, kappas, finish): the curvature function's eager part.
-
-    kappas, a (B, |n|) array over the stack's B centres, comes from one stacked
-    eigvalsh of its _pencils (no eigenvectors); finish() is _finish_stack on
-    the stack and its pencils. All centres read the stacks the graph keeps
-    (WeightedGraph._two_ball_stacks), so their forms are assembled once per graph.
+    One stacked eigvalsh (no eigenvectors) gives evals; evals[..., 0] are the kappas of the stack's centres.
     """
-    stacks = g._two_ball_stacks if centres == range(g.num_vertices) else _laid_stacks(g, centres)
-    n_arr = np.array(n_values)
-    eager = []
-    for stack in stacks:
-        pencils = _pencils(stack.forms, stack.fill, n_arr)
-        low = _lapack.eigvalsh(pencils)[..., 0]
-        eager.append((stack, low, partial(_finish_stack, g, n_values, stack, low, pencils)))
-    return eager
+    pencils = [_pencils(stack.forms, stack.fill, np.array(n_values)) for stack in stacks]
+    return [(stack, _lapack.eigvalsh(p), p) for stack, p in zip(stacks, pencils)]
+
+
+def _witness_rows(vecs, pad, k):
+    """Read-only witnesses, 0 at the centre then the (R, |n|, k + t) values (f1, f2), on their balls' own coordinates.
+
+    pad is the rows' pad mask, or None (one stack returned); a row with an S1 pad is reordered to (x, S1, S2).
+    """
+    witnesses = np.concatenate([np.zeros(vecs.shape[:2] + (1,)), vecs], axis=2)
+    if pad is not None:
+        moved = np.flatnonzero(pad[:, k])  # S1 pads sit at the end of S1
+        order = np.argsort(pad[moved], axis=1, kind="stable")
+        witnesses[moved] = witnesses[moved[:, None, None], np.arange(witnesses.shape[1])[:, None], order[:, None]]
+    witnesses.setflags(write=False)
+    return witnesses if pad is None else [rows[:, :size] for rows, size in zip(witnesses, (~pad).sum(axis=1).tolist())]
 
 
 def _finish_stack(g, n_values, stack, kappas, pencils):
@@ -344,32 +352,20 @@ def _finish_stack(g, n_values, stack, kappas, pencils):
 
     One stacked eigh of the stack's pencils gives their lambda_min eigenvectors;
     each result's kappa stays the eigvalsh value of the eager part, which
-    cd_check shares, so the quotients match it up to roundoff. The witnesses are
-    read-only rows of one (B, |n|, 1 + k + t) stack, a padded ball's row
-    reordered to start with the ball's own coordinates (x, S1, S2) and cut
-    to them. Each witness
-    f = (f1, f2) is checked against the pinned form for its n, read from
-    the stack's _Forms as f1^T A11 f1 + 2 f1^T A12 f2 + sum d f2^2.
+    cd_check shares, so the quotients match it up to roundoff; the witnesses
+    are _witness_rows. Each witness f = (f1, f2) is checked against the pinned
+    form for its n, read from the stack's _Forms as f1^T A11 f1 + 2 f1^T A12 f2 + sum d f2^2.
     """
     a11, a12, d, r, gamma_diag, d_plus, d_isqrt, _, _ = stack.forms
     ids = [ball for part in stack.parts for ball in _ball_ids(g, part)]
     n_arr = np.array(n_values)
-    k = r.shape[1]
     low_vecs = _lapack.eigh(pencils)[1][..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
         f1, g12, f2 = _lift(low_vecs, a12, d_plus, d_isqrt)
         quotients = ((np.sum((f1 @ a11) * f1, axis=2) + 2.0 * np.sum(g12 * f2, axis=2)
                       + np.sum(d[:, None] * f2 * f2, axis=2) - (f1 @ r[:, :, None])[..., 0] ** 2 / n_arr)
                      / np.sum(f1 * gamma_diag[:, None] * f1, axis=2))
-    vecs = _sign_fix(np.concatenate([f1, f2], axis=2))
-    witnesses = np.concatenate([np.zeros(f1.shape[:2] + (1,)), vecs], axis=2)
-    if stack.pad is not None:  # each ball's own coordinates first (no row moves without an S1 pad)
-        moved = np.flatnonzero(stack.pad[:, k])
-        order = np.argsort(stack.pad[moved], axis=1, kind="stable")
-        witnesses[moved] = witnesses[moved[:, None, None], np.arange(len(n_arr))[:, None], order[:, None]]
-    witnesses.setflags(write=False)
-    if stack.pad is not None:
-        witnesses = [rows[:, :len(ball)] for rows, ball in zip(witnesses, ids)]
+    witnesses = _witness_rows(_sign_fix(np.concatenate([f1, f2], axis=2)), stack.pad, r.shape[1])
     return {i: [CurvatureResult(ball[0], n, kappa, ok, quot, ball, row)
                 for n, kappa, quot, row in zip(n_values, kaps, quots, rows)]
             for i, ball, kaps, ok, quots, rows in zip(stack.centres.tolist(), ids, kappas.tolist(),
@@ -377,10 +373,14 @@ def _finish_stack(g, n_values, stack, kappas, pencils):
 
 
 def curvature_at(g, x, n):
-    """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction."""
-    i = g.index(x)
-    ((_, _, finish),) = _curvature_stacks(g, (i,), (validate_dimension(n),))
-    return finish()[i][0]
+    """kappa(x, n) = sup { K : CD(K, n) holds at x }, by Schur reduction.
+
+    It lays out x's 2-ball alone, as cd_check at x does, so it agrees with the
+    profile's padded stacks to rounding only (up to 3.2e-14 relative measured).
+    """
+    i, n_values = g.index(x), (validate_dimension(n),)
+    ((stack, evals, pencils),) = _curvature_stacks(_laid_stacks(g, (i,)), n_values)
+    return _finish_stack(g, n_values, stack, evals[..., 0], pencils)[i][0]
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,7 @@ class CurvatureProfile:
     global_min: dict
     vertices: tuple = field(repr=False)
     kappas: np.ndarray = field(repr=False, compare=False)  # read-only (N, |n|): kappa per vertex and n
-    _stacks: list = field(repr=False, compare=False)  # the _curvature_stacks output, finished on first read
+    _stacks: list = field(repr=False, compare=False)  # (stack, kappas, finish) per stack, finished on first read
 
     @cached_property
     def kernel_ok(self):
@@ -432,7 +432,8 @@ def curvature_profile(g, n_grid):
     if not g.num_vertices:
         raise InvalidParams("a graph needs at least one vertex")
     n_values = tuple(dict.fromkeys(validate_dimension(n) for n in n_grid))
-    stacks = _curvature_stacks(g, range(g.num_vertices), n_values)
+    stacks = [(stack, evals[..., 0], partial(_finish_stack, g, n_values, stack, evals[..., 0], pencils))
+              for stack, evals, pencils in _curvature_stacks(g._two_ball_stacks, n_values)]
     kappas = np.empty((g.num_vertices, len(n_values)))
     for stack, low, _ in stacks:
         kappas[stack.centres] = low
@@ -459,8 +460,9 @@ class LichnerowiczReport:
 def verify_lichnerowicz(subject, K, n):
     """Check mu_2 (closed graph) or sigma_2 (boundary graph) against nK/(n-1).
 
-    Verifies CD(K, n) first and reports it; the spectral bound only follows
-    from the theorem when cd_holds is true and K > 0.
+    Verifies CD(K, n) first and reports it (an isolated vertex raises
+    IsolatedVertex); the spectral bound only follows from the theorem when
+    cd_holds is true and K > 0.
     """
     n = validate_dimension(n)
     K = finite_number(K, "K")

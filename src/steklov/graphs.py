@@ -137,8 +137,8 @@ class WeightedGraph:
     each built whole with its n-free float forms (per stack, the
     (B, 1 + k, 1 + k + t) S1 rows of the Gamma2 assembly, r r^T, on a stack
     with S2 also A12 diag(d+) A12^T, and O(B s) vectors) and never written
-    to after. cd_check, curvature_at and condition (5) group the 2-balls of
-    their centres by shape afresh on each call and keep nothing. This module
+    to after. cd_check and curvature_at lay out, and condition (5) groups, the
+    2-balls of their centres afresh on each call and keep nothing. This module
     walks 2-balls and groups them by shape; the curvature module pads them.
     """
 

@@ -14,11 +14,11 @@ product-rule identity, which cancels catastrophically. Gamma2 is assembled
 by blocks (_gamma2_blocks): the B1 x B1 block, the B1 x S2 block and the
 diagonal of the S2 block, which is all of the S2 x S2 block that is not
 zero, so only the 1-ball rows of the weights are gathered. The curvature
-function, cd_check and condition (5) read the blocks as they are and never
+function and condition (5) read the blocks as they are and never
 build the S2 x S2 block; only the one-centre form (_gamma2_matrix), which
 the tests and the benchmark's tracer read, places them into a full form.
 The curvature function also reads stacks of smaller balls, padded with
-copies of the centre (the graph lays them out), and zeroes the pad rows and
+copies of the centre (it lays them out), and zeroes the pad rows and
 columns after assembly. The explicit-sum gamma and gamma2, the identity and
 the dense (B, s, s) assembly are test oracles (tests/oracles.py).
 """

@@ -18,8 +18,8 @@ weight), runs the diagnostics on a report's first read of them, and
 constructs equality graphs over complete interiors by searching for a large
 enough interior weight scale. Condition (5) builds the forms at all
 interior vertices as one stack, in chunks of at most FORM_STACK_ENTRIES, and
-decides each chunk with the per-vertex builder cd_check uses
-(curvature._vertex_checks), so both report VertexCheck records.
+decides each chunk by curvature._vertex_checks on the PSD rule cd_check
+uses (_psd_rule), so both report VertexCheck records.
 """
 
 import math
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curvature import CDReport, _vertex_checks, cd_check, curvature_profile
+from .curvature import CDReport, VertexCheck, _vertex_checks, cd_check, curvature_profile
 from .curvature import curvature_at  # noqa: F401 -- unused; perfbench traces calls via this name
 from .errors import (
     DomainMismatch,
@@ -369,8 +369,8 @@ def _interior_inequality(ig, K, n, m, blocks=None):
             "fails at interior vertices)", ())
 
     ids = ig.vertices
-    if len(ids) == 1:  # a 0 x 0 form, which needs no assembly
-        checks = _vertex_checks(np.zeros((1, 0, 0)), None, ids, None)
+    if len(ids) == 1:  # a 0 x 0 form, which needs no assembly, holds with lambda_min inf
+        checks = [VertexCheck(ids[0], math.inf, 0.0, True, None)]
     else:
         checks, chunks = [], _form_chunks(len(ids))
         if blocks is None:
@@ -533,7 +533,7 @@ def check_rigidity(bg, K, n):
     diagnostic (the sigma_2 eigenfunction checks with their residual-checked
     harmonic extension, the two-ball identity and the disjoint-ball scan) is
     built on the first read of the report's `diagnostics`, so the report
-    keeps bg and its spectrum alive.
+    keeps bg and its spectrum alive. An isolated vertex raises IsolatedVertex.
     """
     K, n = _validate_params(K, n)
     g = bg.graph

@@ -158,17 +158,18 @@ def _unit_path_with_heavy_end(tmp_path, m_a):
     return str(path)
 
 
-def test_cd_check_command_warns_where_lambda_min_is_minus_inf(tmp_path):
+def test_cd_check_command_warns_where_lambda_min_is_minus_inf(tmp_path, capture):
     # with m_a = 8e307 the S2 pivot at a is subnormal and its reciprocal
-    # overflows, so lambda_min is -inf there; +inf stays valid (the one-vertex
-    # empty form's value)
+    # overflows: cd-check reads the curvature function's stacks, so its
+    # lambda_min at a is the NaN kappa that the curvature command prints
     path = _unit_path_with_heavy_end(tmp_path, 8e307)
     code, out, err = _fresh_process("cd-check", "--graph", path, "--K", "0", "--n", "2")
     assert code == 1
     assert "RuntimeWarning" not in err
     doc = json.loads(out)
-    assert doc["results"]["vertices"][0]["lambda_min"] == "-inf"
-    assert doc["warnings"] == ["lambda_min is -inf at vertex a: an S2 pivot underflowed to 0 or its reciprocal "
+    assert doc["results"]["vertices"][0]["lambda_min"] == "nan"
+    assert json.loads(capture("curvature", "--graph", path, "--n", "2")[1])["results"]["kappa"]["2"]["a"] == "nan"
+    assert doc["warnings"] == ["lambda_min is NaN at vertex a: an S2 pivot underflowed to 0 or its reciprocal "
                                "overflowed, so this verdict is not reliable"]
 
 
@@ -228,7 +229,7 @@ def test_the_rigidity_command_warns_where_its_cd_verdict_reads_minus_inf(tmp_pat
     assert code == 1
     assert "RuntimeWarning" not in err
     assert json.loads(out)["warnings"] == [
-        "lambda_min is -inf at vertex a: an S2 pivot underflowed to 0 or its reciprocal overflowed, "
+        "lambda_min is NaN at vertex a: an S2 pivot underflowed to 0 or its reciprocal overflowed, "
         "so this verdict is not reliable"]
     for family in ("unit_path3", "unit_square", "unit_square_diag"):
         unit = tmp_path / f"{family}.json"

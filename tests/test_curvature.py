@@ -78,8 +78,16 @@ def test_cd_check_zero_k_allowed():
 
 
 def test_cd_check_single_vertex():
-    g = build_graph([("a", 1.0)], [])
-    assert cd_check(g, 123.0, 2).holds
+    # a vertex with no neighbour has no curvature, so cd_check names it as the
+    # profile does, for every K, on a one-vertex graph or beside an edge
+    with pytest.raises(IsolatedVertex) as err:
+        cd_check(build_graph([("a", 1.0)], []), 123.0, 2)
+    assert err.value.vertex == "a"
+    g = build_graph([("a", 1.0), ("b", 1.0), ("c", 1.0)], [("a", "b", 1.0)], relaxed=True)
+    with pytest.raises(IsolatedVertex) as err:
+        cd_check(g, 1e300, 2)
+    assert err.value.vertex == "c"
+    assert cd_check(g, 0.0, 2, "a").holds
 
 
 def test_cd_check_dimension_validation():
@@ -448,9 +456,10 @@ def test_curvature_profile_matches_curvature_at():
     # its results in vertex order
     rng = np.random.default_rng(12)
     grid = (1.5, 2.0, 3.0, 10.0, INF)
-    shapes = set()
+    shapes, sparse = set(), []
     for _ in range(8):
         g = random_connected_graph(rng, n_min=2, n_max=40, extra_edge_prob=float(rng.choice([0.05, 0.3])))
+        sparse.append(g)
         shapes |= {(len(g.neighbor_indices(i)), len(g.ball_indices(i, 2))) for i in range(g.num_vertices)}
         profile = curvature_profile(g, grid)
         for n in grid:
@@ -471,6 +480,23 @@ def test_curvature_profile_matches_curvature_at():
             assert check.lambda_min == pytest.approx(one.lambda_min, rel=1e-12, abs=1e-12)
             assert (check.witness is None) == (one.witness is None)
     assert len(shapes) >= 20
+    # cd_check over all vertices reads the profile's padded stacks: its
+    # lambda_min is the profile's kappa - K bit for bit, it holds at the
+    # global minimum, and each failing witness f has f^T A f < 0 on the
+    # oracle's CD form (the scalar that cd_matrix_by_polarization polarizes)
+    failed = 0
+    for g in (*atlas_graphs(6), *star_and_hub_grid(), *sparse):
+        profile = curvature_profile(g, (2.0, 5.0, INF))
+        for j, n in enumerate(profile.n_values):
+            assert cd_check(g, profile.global_min[n][0], n).holds
+            for K in (0.0, float(profile.kappas[:, j].max()) + 0.5):
+                for i, check in enumerate(cd_check(g, K, n).checks):
+                    assert check.lambda_min == profile.kappas[i, j] - K, (g.vertices, n, K, check.vertex)
+                    if not check.holds:
+                        f = embed_on_vertices(g, check.witness)
+                        assert cd_scalar_value(g, check.vertex, K, n, f) < 0.0
+                        failed += 1
+    assert failed > 4000
 
 
 def atlas_graphs(max_vertices):
@@ -599,8 +625,8 @@ def test_a_seen_graph_reads_its_padded_layout_and_profiles_as_a_fresh_one(monkey
 def test_only_a_whole_graph_profile_keeps_forms_on_the_graph():
     # each stack's n-free forms sit in the kept whole-graph stacks, every
     # array read-only, with no A12 diag(d+) A12^T on the stack with no S2;
-    # cd_check, curvature_at and condition (5) read exact shape groups or
-    # fresh balls and add nothing to a graph, seen or not
+    # cd_check and curvature_at lay out fresh stacks, condition (5) reads
+    # fresh shape groups, and none adds anything to a graph, seen or not
     star = star_and_hub_grid()[0]
     curvature_profile(star, (2.0, INF))
     laid = star._two_ball_stacks
@@ -1158,8 +1184,8 @@ def one_shape_graphs(rng):
 
 def test_cd_check_reads_the_curvature_functions_kappa():
     # kappa has one definition: on a graph of one 2-ball shape the profile's
-    # stack and cd_check's shape group hold the same pencils, solved by the
-    # same eigvalsh, so CD(kappa(x, n), n) at x has lambda_min exactly 0
+    # stack and cd_check's one-ball stack at x hold the same pencils, solved
+    # by the same eigvalsh, so CD(kappa(x, n), n) at x has lambda_min exactly 0
     rng = np.random.default_rng(24)
     ns = (2.0, 3.0, 10.0, INF)
     cases = 0
@@ -1174,8 +1200,8 @@ def test_cd_check_reads_the_curvature_functions_kappa():
 
 
 def test_cd_check_holds_at_the_global_minimum_on_small_graphs():
-    # padded stacks round the kappas a little differently from cd_check's
-    # exact shape groups, always within cd_check's tolerance
+    # cd_check over all vertices reads the profile's stacks, so at K the
+    # global minimum every lambda_min is kappa - K >= 0
     ns = (1.5, 2.0, 3.0, 10.0, INF)
     count = 0
     for g in atlas_graphs(6):

@@ -45,8 +45,8 @@ from steklov.errors import (
     WrongHypothesis,
     WrongWeightClass,
 )
-from steklov.curvature import _psd_rule, _psd_verdict
-from steklov.graphs import INF, PSD_TOL, BoundaryGraph, WeightedGraph
+from steklov.curvature import _lift, _psd_rule, _psd_verdict, _witness_rows
+from steklov.graphs import INF, MULTIPLICITY_TOL, PSD_TOL, BoundaryGraph, WeightedGraph
 from steklov.rigidity import RigidityClass
 
 from oracles import (
@@ -347,12 +347,12 @@ def test_complete_interior_forms_match_the_scatter_bitwise(monkeypatch):
 
 
 def recorded_vertex_checks(monkeypatch, module):
-    """Every (forms, (tol, domain, lift, shift), checks) that module's calls of _vertex_checks see, appended to the returned list."""
+    """Every (forms, (tol, domain), checks) that module's calls of _vertex_checks see, appended to the returned list."""
     seen, build = [], module._vertex_checks
 
-    def spy(forms, tol, vertices, domain, lift=None, shift=0.0):
-        checks = build(forms, tol, vertices, domain, lift, shift)
-        seen.append((forms.copy(), (tol, domain, lift, shift), checks))
+    def spy(forms, tol, vertices, domain):
+        checks = build(forms, tol, vertices, domain)
+        seen.append((forms.copy(), (tol, domain), checks))
         return checks
 
     monkeypatch.setattr(module, "_vertex_checks", spy)
@@ -361,39 +361,55 @@ def recorded_vertex_checks(monkeypatch, module):
 
 def assert_verdicts_match_full_eigh(seen, verdicts):
     # the reference decides every form from the full eigh of its stack, and
-    # lifts the failing forms' vectors from that stack to their witnesses
-    for forms, (tol, domain, lift, shift), checks in seen:
-        if not forms.shape[-1]:
-            continue
+    # takes the failing forms' vectors from that stack as their witnesses
+    for forms, (tol, domain), checks in seen:
         evals, evecs = np.linalg.eigh(forms)
-        lam, _, holds = _psd_rule(evals - shift, tol)
-        failing = np.flatnonzero(~holds)
-        lifted = iter(evecs[failing, :, 0] if lift is None or not len(failing) else lift(failing, evecs[failing, :, 0]))
+        lam, _, holds = _psd_rule(evals, tol)
         for j, (form, low, ok, vec, check) in enumerate(zip(forms, lam.tolist(), holds.tolist(), evecs[..., 0], checks)):
             assert check.holds == ok
             assert abs(check.lambda_min - low) <= 1e-12 * check.form_norm
             verdicts[ok] += 1
             if not ok:
                 assert check.witness.domain == domain(j)
-                assert check.witness.values.tobytes() == np.concatenate([[0.0], next(lifted)]).tobytes()
-                assert vec @ form @ vec < shift
+                assert check.witness.values.tobytes() == np.concatenate([[0.0], vec]).tobytes()
+                assert vec @ form @ vec < 0.0
 
 
 def test_values_first_psd_verdicts_match_the_full_eigh(monkeypatch):
     # eigvalsh decides, and eigh runs on the failing forms alone: same verdicts,
-    # lambda_min at rounding level, and witnesses bitwise the full-stack ones
+    # lambda_min at rounding level, and witnesses bitwise the full-stack ones,
+    # for condition (5) and for cd_check, which reads the curvature stacks
     seen, verdicts = recorded_vertex_checks(monkeypatch, steklov.rigidity), Counter()
     for bg, K, n, m in random_interiors(7, 28):
         check_interior_inequality(bg, K, n)
     assert_verdicts_match_full_eigh(seen, verdicts)
     assert min(verdicts[True], verdicts[False]) > 0
-    seen, verdicts = recorded_vertex_checks(monkeypatch, steklov.curvature), Counter()
+    stacks, verdicts = [], Counter()
+    curvature_stacks = steklov.curvature._curvature_stacks
+    monkeypatch.setattr(steklov.curvature, "_curvature_stacks",
+                        lambda *args: stacks.extend(out := curvature_stacks(*args)) or out)
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_connected_graph(rng, n_min=3, n_max=20)
-        kappas = [r.kappa for r in curvature_profile(g, (3.0,)).results[3.0].values()]
-        cd_check(g, float(np.median(kappas)), 3.0)  # about half the vertices fail
-    assert_verdicts_match_full_eigh(seen, verdicts)
+        results = curvature_profile(g, (3.0,)).results[3.0]
+        K = float(np.median([r.kappa for r in results.values()]))  # about half the vertices fail
+        stacks.clear()
+        checks = cd_check(g, K, 3.0).checks
+        for stack, _, pencils in stacks:
+            evals, evecs = np.linalg.eigh(pencils[:, 0])
+            for row, i in enumerate(stack.centres.tolist()):
+                check = checks[i]
+                assert check.holds == (evals[row, 0] - K >= -MULTIPLICITY_TOL * g._degrees[i])
+                assert abs(check.lambda_min - (evals[row, 0] - K)) <= 1e-12 * check.form_norm
+                verdicts[check.holds] += 1
+                if not check.holds:
+                    rows = [row]
+                    f1, _, f2 = _lift(evecs[rows][:, None, :, 0], stack.forms.a12[rows],
+                                      stack.forms.d_plus[rows], stack.forms.d_isqrt[rows])
+                    (want,) = _witness_rows(np.concatenate([f1, f2], axis=2),
+                                            None if stack.pad is None else stack.pad[rows], f1.shape[2])
+                    assert check.witness.domain == results[check.vertex].ball
+                    assert check.witness.values.tobytes() == want[0].tobytes()
     assert min(verdicts[True], verdicts[False]) > 0
 
 
@@ -407,10 +423,10 @@ def test_no_eigenvectors_when_every_form_passes(monkeypatch):
     report = check_interior_inequality(bg, 1.0, 10.0)
     assert report.passed and len(report.vertex_checks) == 12
     assert calls == {"eigvalsh": 1}
-    assert cd_check(bg.graph, -1.0, 10.0).holds  # two 2-ball shapes: boundary and interior vertices
-    assert calls == {"eigvalsh": 1 + 2}
+    assert cd_check(bg.graph, -1.0, 10.0).holds  # two 2-ball shapes, merged into one padded stack
+    assert calls == {"eigvalsh": 1 + 1}
     assert not cd_check(bg.graph, 10.0, 10.0).holds
-    assert calls == {"eigvalsh": 1 + 2 + 2, "eigh": 2}
+    assert calls == {"eigvalsh": 1 + 1 + 1, "eigh": 1}
 
 
 def count_calls(monkeypatch, calls, module, name):

@@ -182,16 +182,17 @@ def test_one_breadth_first_search_and_one_two_sphere_walk():
 
 def test_the_graph_alone_groups_its_two_balls_by_shape():
     # one walk groups centres by 2-ball shape, a WeightedGraph method that
-    # walks the given centres on every call; the curvature function pads the
-    # groups into stacks, which the graph keeps for all centres alone;
+    # walks the given centres on every call; the curvature function alone
+    # pads the groups into stacks, which the graph keeps for all centres
+    # alone and cd_check and curvature_at lay out afresh for theirs;
     # curvature and condition (5) read the walk and neither walks a 2-sphere
     # itself (the two-ball identity check reads S2 pair by pair and builds no
     # shape groups)
     defined = _enclosing_functions(lambda node: isinstance(node, ast.FunctionDef) and "shape_groups" in node.name)
     assert [module for module, _ in defined] == ["graphs"]
-    assert _calls_of("_shape_groups") == [
-        ("curvature", "_laid_stacks"), ("curvature", "cd_check"), ("rigidity", "_interior_blocks")]
-    assert _calls_of("_laid_stacks") == [("curvature", "_curvature_stacks"), ("graphs", "_two_ball_stacks")]
+    assert _calls_of("_shape_groups") == [("curvature", "_laid_stacks"), ("rigidity", "_interior_blocks")]
+    assert _calls_of("_laid_stacks") == [
+        ("curvature", "cd_check"), ("curvature", "curvature_at"), ("graphs", "_two_ball_stacks")]
     assert [site for site in _calls_of("_two_spheres") if site[0] in ("curvature", "rigidity")] == [
         ("rigidity", "two_ball_identity_check")]
     imported = _enclosing_functions(lambda node: isinstance(node, ast.ImportFrom)
@@ -227,15 +228,15 @@ def test_the_graph_keeps_one_two_ball_structure():
 
 def test_one_gamma2_assembly_for_every_local_form():
     # one stacked function assembles Gamma2 by blocks, which the curvature
-    # function's n-free forms (made once per stack, for the padded stacks and
-    # cd_check's shape groups alike) and the condition-(5) forms read as they
+    # function's n-free forms (made once per padded stack, which cd_check
+    # reads too) and the condition-(5) forms read as they
     # are, with no (B, s, s) stack; only the one-centre form places them into
     # a full form, and no second placement is left in the library.
     # Condition (5) takes its blocks from one helper, which the construction's
     # probes call and its returned report does not
     assert _calls_of("_gamma2_blocks") == [
         ("curvature", "_forms"), ("operators", "_gamma2_matrix"), ("rigidity", "_interior_blocks")]
-    assert _calls_of("_forms") == [("curvature", "_laid_stacks"), ("curvature", "cd_check")]
+    assert _calls_of("_forms") == [("curvature", "_laid_stacks")]
     assert [path.name for path in sorted((ROOT / "src" / "steklov").glob("*.py"))
             if "_gamma2_forms" in path.read_text()] == []
     assert _calls_of("_interior_blocks") == [
@@ -256,15 +257,19 @@ def test_pads_are_known_to_the_curvature_function_alone():
     # function alone knows the pads: it lays the 2-balls out in padded stacks
     # within its pad budget (the pad mask and the S1 pad slots, built at one
     # site), zeroes the pad rows and columns, fills the S1 pad diagonals,
-    # lets S2 pads pass kernel_ok and cuts the pads from the witnesses
+    # lets S2 pads pass kernel_ok, keeps the S1 pads' eigenvalues out of
+    # cd_check's norm and cuts the pads from the witnesses, the profile's and
+    # cd_check's alike, at one site
     assert list(inspect.signature(steklov.operators._gamma2_blocks).parameters) == ["g", "balls", "k"]
     pads = ("pad", "fill", "PAD_ENTRIES")
     named = _enclosing_functions(lambda node: (isinstance(node, ast.Name) and node.id in pads)
                                  or (isinstance(node, ast.arg) and node.arg in pads)
                                  or (isinstance(node, ast.Attribute) and node.attr in pads))
     assert sorted(set(named), key=lambda site: (site[0], site[1] or "")) == [
-        ("curvature", None), ("curvature", "_curvature_stacks"), ("curvature", "_finish_stack"),
-        ("curvature", "_forms"), ("curvature", "_laid_stacks"), ("curvature", "_pencils")]
+        ("curvature", None), ("curvature", "_curvature_stacks"), ("curvature", "_failing_witnesses"),
+        ("curvature", "_finish_stack"), ("curvature", "_forms"), ("curvature", "_laid_stacks"),
+        ("curvature", "_pencils"), ("curvature", "_witness_rows"), ("curvature", "cd_check")]
+    assert _calls_of("_witness_rows") == [("curvature", "_failing_witnesses"), ("curvature", "_finish_stack")]
     built = _enclosing_functions(lambda node: isinstance(node, ast.Assign) and any(
         isinstance(target, ast.Name) and target.id in pads for target in node.targets))
     assert built == [("curvature", None)] + [("curvature", "_laid_stacks")] * 2
@@ -289,25 +294,35 @@ def test_one_degree_array():
 def test_eigenvector_sign_fix_and_ball_ids_run_only_where_they_are_read():
     # a caller that reads eigenvalues or global minima alone pays for neither:
     # Spectrum.vectors and the curvature finishing step fix the signs, and
-    # ball ids are gathered for cd_check's records and that finishing step
+    # ball ids are gathered for that finishing step and for cd_check's
+    # failing checks alone
     assert _calls_of("_sign_fix") == [("curvature", "_finish_stack"), ("spectra", "vectors")]
-    assert _calls_of("_ball_ids") == [("curvature", "_finish_stack"), ("curvature", "cd_check")]
+    assert _calls_of("_ball_ids") == [("curvature", "_failing_witnesses"), ("curvature", "_finish_stack")]
+    assert _calls_of("_failing_witnesses") == [("curvature", "cd_check")]
 
 
 def test_one_cd_route():
-    # CD(K, n) is decided from the curvature function's pencils alone:
-    # cd_check and the curvature stacks share the one pencil step and the
-    # one lift of a pencil vector to the 2-ball; cd_check places no full
-    # pinned form and solves its pencils through the per-vertex verdict
-    assert _calls_of("_pencils") == [("curvature", "_curvature_stacks"), ("curvature", "cd_check")]
-    assert _calls_of("_lift") == [("curvature", "_finish_stack"), ("curvature", "_lift_rows")]
-    assert ("curvature", "cd_check") not in _calls_of("_gamma2_matrix")
-    assert sorted(set(_calls_of("_vertex_checks"))) == [("curvature", "cd_check"), ("rigidity", "_interior_inequality")]
+    # CD(K, n) is decided from the curvature function's stacks alone:
+    # cd_check lays them out as the profile and curvature_at do and reads
+    # the one step of pencils and eigvalsh (_curvature_stacks); it walks,
+    # groups and assembles nothing itself, places no full pinned form, and
+    # shares the one lift of a pencil vector to the 2-ball with the finishing
+    # step; the per-vertex verdict on full forms is condition (5)'s alone,
+    # with no lift or shift left in it
+    assert _calls_of("_pencils") == [("curvature", "_curvature_stacks")]
+    assert ("curvature", "cd_check") in _calls_of("_curvature_stacks")
+    for name in ("_shape_groups", "_forms", "_gamma2_blocks", "_gamma2_matrix", "_pencils", "_vertex_checks"):
+        assert ("curvature", "cd_check") not in _calls_of(name), name
+    assert _calls_of("_lift") == [("curvature", "_failing_witnesses"), ("curvature", "_finish_stack")]
+    assert sorted(set(_calls_of("_vertex_checks"))) == [("rigidity", "_interior_inequality")]
+    assert not hasattr(steklov.curvature, "_lift_rows")
+    for fn in (steklov.curvature._vertex_checks, steklov.curvature._psd_verdict):
+        assert not {"lift", "shift"} & set(inspect.signature(fn).parameters)
     # kappa is one eigvalsh value wherever it is read; eigh runs only for witnesses
     assert [site for site in _calls_of("eigvalsh") if site[0] == "curvature"] == [
         ("curvature", "_curvature_stacks"), ("curvature", "_psd_verdict")]
     assert [site for site in _calls_of("eigh") if site[0] == "curvature"] == [
-        ("curvature", "_finish_stack"), ("curvature", "_psd_verdict")]
+        ("curvature", "_failing_witnesses"), ("curvature", "_finish_stack"), ("curvature", "_psd_verdict")]
 
 
 def test_structural_diagnostics_run_on_read_and_conditions_share_one_tolerance_rule():
@@ -352,4 +367,4 @@ def test_one_route_to_lapack():
     assert routed == {("graphs", "interior_cholesky"), ("spectra", "_schur"), ("spectra", "harmonic_extension"),
                       ("spectra", "_generalized_spectrum"), ("spectra", "steklov_eigenfunction_diagnostics"),
                       ("curvature", "_psd_verdict"), ("curvature", "_curvature_stacks"),
-                      ("curvature", "_finish_stack")}
+                      ("curvature", "_failing_witnesses"), ("curvature", "_finish_stack")}
